@@ -1,16 +1,12 @@
-"""Small shared linear-algebra helpers with the package's solver policies.
+"""Small shared linear-algebra helpers.
 
-Policy: dense symmetric eigensolvers below DENSE_CUTOFF, iterative extremal
-solver above; kernel extraction by SVD with a relative singular-value
-threshold.
+Kernel extraction is by SVD with a relative singular-value threshold.
 """
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as sla
 
-DENSE_CUTOFF = 4096
 KERNEL_REL_TOL = 1e-8
 
 
@@ -43,34 +39,6 @@ def eigvalsh_full(m):
     return la.eigvalsh(to_dense(m))
 
 
-def min_eigenvalue(m, residual_tol=1e-10):
-    """Smallest eigenvalue; dense below DENSE_CUTOFF, Lanczos above."""
-    n = m.shape[0]
-    if n == 1:
-        return float(to_dense(m)[0, 0])
-    if n < DENSE_CUTOFF:
-        return float(eigvalsh_full(m)[0])
-    msp = sp.csr_matrix(m)
-    vals = sla.eigsh(msp, k=1, which="SA", tol=residual_tol,
-                     return_eigenvectors=False)
-    return float(vals[0])
-
-
-def extremal_eigenvalues(m, residual_tol=1e-10):
-    """(smallest, largest) eigenvalue under the dense/iterative policy."""
-    n = m.shape[0]
-    if n == 1:
-        v = float(to_dense(m)[0, 0])
-        return v, v
-    if n < DENSE_CUTOFF:
-        w = eigvalsh_full(m)
-        return float(w[0]), float(w[-1])
-    msp = sp.csr_matrix(m)
-    lo = sla.eigsh(msp, k=1, which="SA", tol=residual_tol, return_eigenvectors=False)
-    hi = sla.eigsh(msp, k=1, which="LA", tol=residual_tol, return_eigenvectors=False)
-    return float(lo[0]), float(hi[0])
-
-
 def kernel_basis(block, rel_tol=KERNEL_REL_TOL):
     """Orthonormal basis (columns) of the kernel of a rectangular matrix.
 
@@ -88,10 +56,3 @@ def kernel_basis(block, rel_tol=KERNEL_REL_TOL):
     rank = int(np.sum(svals > cutoff))
     return vt[rank:].T.copy()
 
-
-def restrict(m, idx):
-    """Dense principal submatrix on the given indices."""
-    idx = np.asarray(idx, dtype=int)
-    if sp.issparse(m):
-        return m.tocsr()[idx][:, idx].toarray()
-    return np.asarray(m)[np.ix_(idx, idx)]

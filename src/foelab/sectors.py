@@ -1,10 +1,18 @@
 """Spectral decomposition by S^3 and by total spin, and level-ordering checks.
 
-Sector energies E(H,S) are computed on the highest-weight space V^(S) =
-ker(S+) within the S^3 = S block, which carries the same spectrum as the
-full total-spin-S eigenspace but is much smaller.  The label set is inferred
-from S^3 block-count differences (which equal the highest-weight dimensions);
-the Casimir-projector route is kept as a cross-check oracle for small spaces.
+Sector energies E(H,S) are the spectrum of H on the highest-weight space
+V^(S) = ker(S+) within the S^3 = S block; the label set and dim V^(S) come
+from S^3 block-count differences.  The solve extracts no kernel.  On the
+M = S block, B^T B = S-S+ (B = S+ from M = S to M = S+1) commutes with H, is
+0 on V^(S) and S'(S'+1) - S(S+1) >= 2S+2 on every multiplet S' > S.  With
+g_lo, g_hi the Gershgorin bounds of H_MM and c = (g_hi - g_lo + 1)/(2S+2),
+the other multiplets of H_MM + c B^T B sit at or above g_hi + 1, so its
+lowest d = dim V^(S) eigenvalues are the sector spectrum.  Each solve is
+certified (d-th eigenvalue <= g_hi, next one >= g_hi + 1, else
+NumericalError).  The q-deformed sectors keep the SVD kernel: (S+_q)^T S+_q
+has a condition number growing like q^-L, which would drown the penalty gap
+in rounding.  The SVD basis (``highest_weight_space``) and the Casimir
+projector are the oracles tests compare against.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .errors import NonInvariantOperatorError
+from .errors import NonInvariantOperatorError, NumericalError
 from .linalg import commutator_maxabs, eigvalsh_full, kernel_basis, max_abs
 from .spinops import HalfInt, casimir, total_spin_ops
 
@@ -131,19 +139,24 @@ def sector_labels(shape, blocks=None):
 
 
 def highest_weight_space(shape, S, total_ops=None, blocks=None):
-    """Orthonormal basis of ker(S+) inside the S^3 = S block, by SVD."""
+    """Orthonormal basis of ker(S+) inside the S^3 = S block, by SVD.
+
+    Raises NumericalError if its dimension differs from ``sector_labels``.
+    """
     S = HalfInt.coerce(S)
     total_ops = total_spin_ops(shape) if total_ops is None else total_ops
     blocks = s3_blocks(shape) if blocks is None else blocks
     if S not in blocks:
         raise ValueError(f"total spin {S} not present for this shape")
+    d = sector_labels(shape, blocks).get(S, 0)
+    if d == 0:
+        raise ValueError(f"total spin {S} has an empty highest-weight space")
     cols = blocks[S]
     rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-    sp_block = total_ops.sptot.matrix[rows][:, cols]
-    kern = kernel_basis(sp_block)
-    if kern.shape[1] == 0:
-        raise ValueError(f"total spin {S} has an empty highest-weight space")
-    vectors = np.zeros((shape.dim, kern.shape[1]))
+    kern = kernel_basis(total_ops.sptot.matrix[rows][:, cols])
+    if kern.shape[1] != d:
+        raise NumericalError(f"kernel dimension {kern.shape[1]} != {d} at S={S}")
+    vectors = np.zeros((shape.dim, d))
     vectors[cols] = kern
     return HighestWeightBasis(S=S, vectors=vectors)
 
@@ -159,6 +172,24 @@ def _require_invariance(H, total_ops, su2=True):
             raise NonInvariantOperatorError(f"[H, S+] = {dp:.3e}")
 
 
+def _sector_spectrum(H, total_ops, blocks, S, d):
+    """The d eigenvalues of H on V^(S), ascending: the certified penalized
+    solve on the M = S block described in the module docstring."""
+    cols = blocks[S]
+    rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
+    raising = total_ops.sptot.matrix[rows][:, cols]
+    hb = H.sub(cols)
+    diag = np.diag(hb)
+    radius = np.abs(hb).sum(axis=1) - np.abs(diag)
+    g_lo, g_hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    c = (g_hi - g_lo + 1.0) / (S.twice + 2)
+    w = la.eigvalsh(hb + c * (raising.T @ raising).toarray())
+    slack = 1e-9 * max(1.0, abs(g_lo), abs(g_hi))
+    if w[d - 1] > g_hi + slack or (len(w) > d and w[d] < g_hi + 1.0 - slack):
+        raise NumericalError(f"penalized solve at S={S} does not isolate {d} levels")
+    return w[:d]
+
+
 def sector_energies(H, shape, strict_tol=STRICT_FOEL_TOL):
     """Min/max energy of H in every total-spin sector, with FOEL verdict.
 
@@ -169,12 +200,9 @@ def sector_energies(H, shape, strict_tol=STRICT_FOEL_TOL):
     _require_invariance(H, total_ops)
     blocks = s3_blocks(shape)
     entries = {}
-    for S in sorted(sector_labels(shape, blocks), reverse=True):
-        basis = highest_weight_space(shape, S, total_ops, blocks)
-        v = basis.vectors
-        hs = v.T @ (H.matrix @ v)
-        w = la.eigvalsh(0.5 * (hs + hs.T))
-        entries[S] = SectorEntry(float(w[0]), float(w[-1]), basis.dimension)
+    for S, d in sorted(sector_labels(shape, blocks).items(), reverse=True):
+        w = _sector_spectrum(H, total_ops, blocks, S, d)
+        entries[S] = SectorEntry(float(w[0]), float(w[-1]), d)
     report = SectorReport(entries=entries)
     foel = check_foel(report, strict_tol)
     report.foel_ok = foel.ok
@@ -253,16 +281,15 @@ def low_energy_by_deviation(H, shape, N, cutoff_policy="inclusive"):
     total_ops = total_spin_ops(shape)
     _require_invariance(H, total_ops)
     blocks = s3_blocks(shape)
-    labels = sorted(sector_labels(shape, blocks), reverse=True)
+    dims = sector_labels(shape, blocks)
+    labels = sorted(dims, reverse=True)
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
     tol = 1e-9 * max(1.0, max_abs(H.matrix))
     collected = []
     cutoff = None
     for S in labels[: N + 1]:
-        basis = highest_weight_space(shape, S, total_ops, blocks)
-        hs = basis.vectors.T @ (H.matrix @ basis.vectors)
-        w = la.eigvalsh(0.5 * (hs + hs.T))
+        w = _sector_spectrum(H, total_ops, blocks, S, dims[S])
         if S == labels[N]:
             cutoff = float(w[0])
         collected.extend((float(e), S.twice + 1) for e in w)

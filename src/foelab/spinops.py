@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import max_asymmetry, to_dense
+from .linalg import max_abs, max_asymmetry, to_dense
 
 __all__ = [
     "HalfInt",
@@ -121,7 +121,7 @@ class RealOperator:
             raise ValueError("operator must be square")
         self.matrix = matrix
         self.basis_tag = basis_tag
-        scale = 1.0 if self.dim == 0 else max(1.0, _max_abs(matrix))
+        scale = 1.0 if self.dim == 0 else max(1.0, max_abs(matrix))
         self.symmetric = max_asymmetry(matrix) <= 1e-12 * scale
 
     @property
@@ -141,12 +141,6 @@ class RealOperator:
     def __repr__(self):
         kind = "sparse" if sp.issparse(self.matrix) else "dense"
         return f"RealOperator(dim={self.dim}, {kind}, basis={self.basis_tag!r})"
-
-
-def _max_abs(m):
-    if sp.issparse(m):
-        return 0.0 if m.nnz == 0 else float(np.max(np.abs(m.data)))
-    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 class HilbertShape:

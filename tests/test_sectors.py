@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from foelab.errors import NonInvariantOperatorError
+from foelab.errors import NonInvariantOperatorError, NumericalError
 from foelab.hamiltonians import (
     ChainSpec,
     SpinGraph,
@@ -14,6 +17,7 @@ from foelab.hamiltonians import (
 from foelab.sectors import (
     SectorEntry,
     SectorReport,
+    _sector_spectrum,
     casimir_sector_energies,
     check_foel,
     check_max_ordering,
@@ -24,7 +28,13 @@ from foelab.sectors import (
     sector_energies,
     sector_labels,
 )
-from foelab.spinops import HalfInt, HilbertShape, RealOperator, total_spin_ops
+from foelab.spinops import (
+    HalfInt,
+    HilbertShape,
+    RealOperator,
+    TotalSpinOps,
+    total_spin_ops,
+)
 
 TWO_HALVES = HilbertShape([HalfInt(1), HalfInt(1)])
 
@@ -151,6 +161,98 @@ class TestSectorEnergies:
             # every sector eigenvalue appears in the block spectrum
             for e in w_sector:
                 assert np.min(np.abs(w_block - e)) <= 1e-8
+
+
+class TestWrongRaisingOperator:
+    """With S+ replaced by zero, the S^3 = 0 block of two spin-1/2 sites has
+    a two-dimensional "kernel" where sector_labels says one."""
+
+    @staticmethod
+    def broken_ops():
+        tot = total_spin_ops(TWO_HALVES)
+        zero = RealOperator(sp.csr_matrix((4, 4)))
+        return TotalSpinOps(s3tot=tot.s3tot, sptot=zero, smtot=zero)
+
+    def test_svd_route_checks_kernel_dimension(self):
+        with pytest.raises(NumericalError):
+            highest_weight_space(TWO_HALVES, HalfInt(0), self.broken_ops())
+
+    def test_penalty_certificate_fails(self):
+        h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
+        with pytest.raises(NumericalError):
+            _sector_spectrum(h, self.broken_ops(), s3_blocks(TWO_HALVES), HalfInt(0), 1)
+
+
+CROSS_ROUTE_MAX_DIM = 512
+CROSS_ROUTE_TOL = 1e-10
+
+
+@st.composite
+def mixed_spins(draw):
+    """Twice-spins in {1, 2, 3}, 2 to 9 sites, total dimension <= 512."""
+    twice, dim = [], 1
+    for _ in range(draw(st.integers(2, 9))):
+        fits = [t for t in (1, 2, 3) if dim * (t + 1) <= CROSS_ROUTE_MAX_DIM]
+        if not fits:
+            break
+        t = draw(st.sampled_from(fits))
+        twice.append(t)
+        dim *= t + 1
+    return [HalfInt(t) for t in twice]
+
+
+couplings = st.floats(min_value=0.01, max_value=2.0)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random spanning tree plus up to four extra edges, mixed spins."""
+    spins = draw(mixed_spins())
+    n = len(spins)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(couplings) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        edges.setdefault((u, v), draw(couplings))
+    return SpinGraph(list(enumerate(spins)), [(u, v, j) for (u, v), j in edges.items()])
+
+
+def assert_routes_agree(h, shape):
+    """Penalty route vs SVD projection vs Casimir oracle, every sector."""
+    labels = sector_labels(shape)
+    penalty = sector_energies(h, shape).entries
+    oracle = casimir_sector_energies(h, shape).entries
+    assert set(penalty) == set(oracle) == set(labels)
+    tot = total_spin_ops(shape)
+    for S, d in labels.items():
+        v = highest_weight_space(shape, S, tot).vectors
+        hs = v.T @ (h.matrix @ v)
+        w = np.linalg.eigvalsh(0.5 * (hs + hs.T))
+        svd = SectorEntry(float(w[0]), float(w[-1]), v.shape[1])
+        for ref in (svd, oracle[S]):
+            assert ref.dimension == penalty[S].dimension == d
+            assert abs(penalty[S].min_energy - ref.min_energy) <= CROSS_ROUTE_TOL
+            assert abs(penalty[S].max_energy - ref.max_energy) <= CROSS_ROUTE_TOL
+
+
+class TestCrossRoute:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(spins=mixed_spins(), data=st.data())
+    def test_random_mixed_chains(self, spins, data):
+        js = data.draw(st.lists(couplings, min_size=len(spins) - 1,
+                                max_size=len(spins) - 1))
+        chain = ChainSpec(spins, js)
+        assert_routes_agree(build_normalized_chain(chain), chain.shape)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(g=connected_graphs())
+    def test_random_connected_graphs(self, g):
+        assert_routes_agree(build_heisenberg(g), g.shape)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_beta_one_third_crossing_chain(self, L):
+        shape = HilbertShape([HalfInt(2)] * L)
+        assert_routes_agree(build_spin1_beta_chain(L, 1.0 / 3.0), shape)
 
 
 class TestCheckFoel:
