@@ -263,7 +263,7 @@ def cmd_tl_matrix(cfg):
         pf = perron_ground_vector(tl)
         payload.update({
             "ground_energy": pf.eigenvalue,
-            "ground_gap": pf.gap,
+            "ground_gap": pf.gap if np.isfinite(pf.gap) else None,
             "ground_vector_positive": bool(np.min(pf.vector) > 0),
         })
     except ReducibleMatrixError as exc:
@@ -283,9 +283,8 @@ def cmd_fk_basis(cfg):
             for i, v in enumerate(basis)]
     write_csv(_out(cfg, "fk_basis.csv"), ("vector_id", "n_down", "arcs"), rows)
     a = fk_hamiltonian_matrix(spins, js, S)
-    mrows = [(i, j, float(a[i, j])) for i in range(a.shape[0])
-             for j in range(a.shape[1]) if a[i, j] != 0.0]
-    write_csv(_out(cfg, "fk_matrix.csv"), ("row", "col", "value"), mrows)
+    write_csv(_out(cfg, "fk_matrix.csv"), ("row", "col", "value"),
+              tl_matrix_csv_rows(a))
     off = a - np.diag(np.diag(a))
     off_max = float(off.max()) if off.size else 0.0
     shape = HilbertShape(spins)
@@ -315,6 +314,8 @@ def cmd_qfoel(cfg):
         "L": p["L"], "q": qp.q, "delta": qp.delta,
         "qfoel_ok": report.qfoel_ok,
         "margins": _margins_json(report.margins),
+        "crossings": _margins_json(report.crossings),
+        "violations": _margins_json(report.violations),
     })
     return EXIT_OK if report.qfoel_ok else EXIT_VIOLATION
 

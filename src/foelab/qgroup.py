@@ -3,28 +3,30 @@
 The deformation parameter q in (0,1) corresponds to anisotropy
 Delta = (q + 1/q)/2 > 1.  The deformed ladder operators carry a diagonal
 dressing t = diag(1/q, q) on the sites left of S+ (and 1/t right of S-),
-so every matrix stays real.  Sector energies are computed on the kernel of
-the raising operator within each S^3 block; the kernel is extracted by SVD
-because the restricted raising operator is not symmetric.
+so every matrix stays real.  Sector energies need no kernel extraction:
+on the n-arc diagram basis (arcs are deformed singlets q|+-> - |-+>) of the
+weight S = L/2 - n highest-weight space, H_L is the TL matrix with couplings
+1/(2(q + 1/q)), of dimension C(L,n) - C(L,n-1) and with exactly the sector's
+spectrum; its bottom is its certified Perron root (Nachtergaele-Starr, CMP
+218 (2001)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
-from .errors import NumericalError
-from .hamiltonians import build_xxz_chain
-from .linalg import kernel_basis
-from .sectors import s3_blocks, sector_labels
+from .sectors import check_foel, sector_labels
 from .spinops import HalfInt, HilbertShape, RealOperator, spin_matrices
+from .temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
 
 __all__ = [
     "QParam",
     "QTotalOps",
+    "QSectorEntry",
     "QSectorReport",
     "suq2_generators",
     "q_casimir",
@@ -125,61 +127,53 @@ def q_casimir_value(S, qp):
     return (q ** (-e) + q ** e) / (1.0 / q - q) ** 2
 
 
+class QSectorEntry(NamedTuple):
+    min_energy: float
+    dimension: int
+
+
 @dataclass
 class QSectorReport:
     """Minimal q-sector energies with dimensions and the ordering verdict."""
 
     q: float
-    entries: dict  # HalfInt S -> (min_energy, dimension)
-    casimir_values: dict = field(default_factory=dict)
+    entries: dict  # HalfInt S -> QSectorEntry(min_energy, dimension)
     qfoel_ok: bool = False
-    margins: list = field(default_factory=list)
+    margins: list = field(default_factory=list)  # (S_hi, S_lo, gap)
+    crossings: list = field(default_factory=list)
+    violations: list = field(default_factory=list)
 
     @property
     def labels(self):
         return sorted(self.entries, reverse=True)
 
 
+def _sector_energy(L, n, qp):
+    """E(H_L, S = L/2 - n): Perron root of the spin-deviation-n TL matrix."""
+    j = 1.0 / (2.0 * (qp.q + 1.0 / qp.q))
+    tl = tl_hamiltonian_matrix(L, n, [j] * (L - 1), qp.q)
+    return perron_ground_vector(tl).eigenvalue
+
+
 def q_sector_energies(L, qp, strict_tol=1e-8):
-    """E(H_L, S) on ker(S+_q) within each S^3 block, with the q-FOEL verdict.
+    """E(H_L, S) for every total-spin label, with the q-FOEL verdict.
 
     The q-sectors have the same dimensions as at q = 1, so the label set is
-    the undeformed one.
+    the undeformed one.  The verdict is ``sectors.check_foel``: adjacent
+    gaps within strict_tol are crossings, negative ones violations.
     """
     L = int(L)
     if L < 2:
         raise ValueError("need L >= 2")
-    shape = HilbertShape([HalfInt(1)] * L)
-    h = build_xxz_chain(L, qp.delta)
-    gen = suq2_generators(L, qp)
-    blocks = s3_blocks(shape)
-    labels = sector_labels(shape, blocks)
-    entries = {}
-    for S in sorted(labels, reverse=True):
-        cols = blocks[S]
-        rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-        block = gen.sqplus.matrix[rows][:, cols]
-        kern = kernel_basis(block)
-        if kern.shape[1] != labels[S]:
-            raise NumericalError(
-                f"kernel extraction failed at S={S}: got {kern.shape[1]}, "
-                f"expected {labels[S]}"
-            )
-        v = np.zeros((shape.dim, kern.shape[1]))
-        v[cols] = kern
-        hs = v.T @ (h.matrix @ v)
-        w = la.eigvalsh(0.5 * (hs + hs.T))
-        entries[S] = (float(w[0]), kern.shape[1])
+    labels = sector_labels(HilbertShape([HalfInt(1)] * L))
+    entries = {S: QSectorEntry(_sector_energy(L, (L - S.twice) // 2, qp), d)
+               for S, d in labels.items()}
     report = QSectorReport(q=qp.q, entries=entries)
-    report.casimir_values = {S: q_casimir_value(S, qp) for S in entries}
-    labels_desc = report.labels
-    ok = True
-    for s_hi, s_lo in zip(labels_desc, labels_desc[1:]):
-        gap = entries[s_lo][0] - entries[s_hi][0]
-        report.margins.append((s_hi, s_lo, float(gap)))
-        if gap <= strict_tol:
-            ok = False
-    report.qfoel_ok = ok
+    verdict = check_foel(report, strict_tol)
+    report.qfoel_ok = verdict.ok
+    report.margins = verdict.margins
+    report.crossings = verdict.crossings
+    report.violations = verdict.violations
     return report
 
 
@@ -205,22 +199,6 @@ def droplet_bandwidth(n, qp):
     return 4.0 * q ** n * (1.0 - q * q) / ((1.0 + q ** n) * (1.0 - q ** n))
 
 
-def _sector_min_energy(L, S, qp, h=None, gen=None, blocks=None):
-    """E(H_L, S): minimum on ker(S+_q) within the S^3 = S block."""
-    shape = HilbertShape([HalfInt(1)] * L)
-    h = build_xxz_chain(L, qp.delta) if h is None else h
-    gen = suq2_generators(L, qp) if gen is None else gen
-    blocks = s3_blocks(shape) if blocks is None else blocks
-    cols = blocks[S]
-    rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-    kern = kernel_basis(gen.sqplus.matrix[rows][:, cols])
-    if kern.shape[1] == 0:
-        raise NumericalError(f"empty highest-weight space at S={S}")
-    hb = h.matrix.tocsr()[cols][:, cols].toarray()
-    hs = kern.T @ hb @ kern
-    return float(la.eigvalsh(0.5 * (hs + hs.T))[0])
-
-
 def finite_droplet_energy(L, n, qp):
     """Minimal XXZ chain energy in the sector of n overturned spins.
 
@@ -233,27 +211,15 @@ def finite_droplet_energy(L, n, qp):
     L, n = int(L), int(n)
     if not 1 <= n <= L / 2:
         raise ValueError("need 1 <= n <= L/2 for the spin-deviation sector")
-    return _sector_min_energy(L, HalfInt(L - 2 * n), qp)
+    return _sector_energy(L, n, qp)
 
 
 def droplet_csv_rows(l_values, n_values, qp):
-    """(L, n, q, finite_energy, E_infinity, bandwidth) sweep rows.
-
-    Builds each chain Hamiltonian once and reads all requested blocks off it.
-    """
-    rows = []
-    for L in l_values:
-        L = int(L)
-        shape = HilbertShape([HalfInt(1)] * L)
-        h = build_xxz_chain(L, qp.delta)
-        gen = suq2_generators(L, qp)
-        blocks = s3_blocks(shape)
-        for n in n_values:
-            n = int(n)
-            if not 1 <= n <= L / 2:
-                continue
-            e = _sector_min_energy(L, HalfInt(L - 2 * n), qp, h, gen, blocks)
-            rows.append((L, n, qp.q, e,
-                         droplet_energy(n, qp), droplet_bandwidth(n, qp)))
+    """(L, n, q, finite_energy, E_infinity, bandwidth) sweep rows, sorted by
+    (n, L); pairs with 2n > L are skipped."""
+    rows = [(L, n, qp.q, _sector_energy(L, n, qp),
+             droplet_energy(n, qp), droplet_bandwidth(n, qp))
+            for L in map(int, l_values) for n in map(int, n_values)
+            if 1 <= n <= L / 2]
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows

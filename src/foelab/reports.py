@@ -1,7 +1,8 @@
 """Deterministic CSV and JSON emission.
 
 Byte stability contract: fixed column order, floats at 17 significant
-digits, LF line endings, sorted JSON keys.  Two runs of the same
+digits, LF line endings, sorted JSON keys, strict JSON (no Infinity or
+NaN: a non-finite float is an error).  Two runs of the same
 computation must produce identical files.
 """
 
@@ -38,6 +39,6 @@ def write_csv(path, header, rows):
 def write_json(path, obj):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
         fh.write("\n")
     return path

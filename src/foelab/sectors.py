@@ -9,10 +9,11 @@ g_lo, g_hi the Gershgorin bounds of H_MM and c = (g_hi - g_lo + 1)/(2S+2),
 the other multiplets of H_MM + c B^T B sit at or above g_hi + 1, so its
 lowest d = dim V^(S) eigenvalues are the sector spectrum.  Each solve is
 certified (d-th eigenvalue <= g_hi, next one >= g_hi + 1, else
-NumericalError).  The q-deformed sectors keep the SVD kernel: (S+_q)^T S+_q
-has a condition number growing like q^-L, which would drown the penalty gap
-in rounding.  The SVD basis (``highest_weight_space``) and the Casimir
-projector are the oracles tests compare against.
+NumericalError).  The q-deformed sectors avoid the penalty, because
+(S+_q)^T S+_q has a condition number growing like q^-L, which would drown
+the penalty gap in rounding; ``qgroup`` uses the diagram basis.  The SVD
+basis (``highest_weight_space``) and the Casimir projector are the oracles
+tests compare against.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ def read(path):
     return path.read_text()
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run(tmp_path, *args):
     out = tmp_path / "out"
     return main(list(args) + ["--output", str(out)]), out
@@ -88,6 +92,13 @@ class TestCommands:
         basis = read(out / "tl_basis.csv").splitlines()
         assert len(basis) == 6
 
+    def test_tl_matrix_one_diagram_is_strict_json(self, tmp_path):
+        # dimension 1 has no second eigenvalue: the gap is null, not Infinity
+        code, out = run(tmp_path, "tl-matrix", "--k", "2", "--n", "1")
+        assert code == 0
+        payload = json.loads(read(out / "tl.json"), parse_constant=reject_constant)
+        assert payload["dim"] == 1 and payload["ground_gap"] is None
+
     def test_fk_basis(self, tmp_path):
         code, out = run(tmp_path, "fk-basis", "--spins", "2,2,2", "--S2", "4")
         assert code == 0
@@ -99,6 +110,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads(read(out / "qfoel.json"))
         assert payload["qfoel_ok"]
+        assert payload["crossings"] == [] and payload["violations"] == []
 
     def test_droplet(self, tmp_path):
         code, out = run(tmp_path, "droplet", "--q", "0.5", "--Lmax", "9", "--n", "1,2")
@@ -171,3 +183,8 @@ class TestReports:
         with open(p, "rb") as fh:
             data = fh.read()
         assert data == b'{\n  "a": [\n    1.5,\n    true\n  ],\n  "b": 1\n}\n'
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_json_rejects_non_finite(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"gap": bad})

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foelab.hamiltonians import ChainSpec, build_normalized_chain, build_xxz_chain
-from foelab.linalg import commutator_maxabs
+from foelab.linalg import commutator_maxabs, kernel_basis
 from foelab.qgroup import (
     QParam,
     droplet_bandwidth,
@@ -14,7 +16,7 @@ from foelab.qgroup import (
     q_sector_energies,
     suq2_generators,
 )
-from foelab.sectors import sector_energies, sector_labels
+from foelab.sectors import s3_blocks, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, spin_matrices
 
 
@@ -133,6 +135,51 @@ class TestQSectorEnergies:
         iso_report = sector_energies(iso, HilbertShape([HalfInt(1)] * L))
         for S, (e, _) in report.entries.items():
             assert abs(e - iso_report.entries[S].min_energy) <= 1e-2
+
+
+def svd_sector_minima(L, qp):
+    """Reference route: ker(S+_q) in each S^3 block by SVD, project H, eigvalsh."""
+    shape = HilbertShape([HalfInt(1)] * L)
+    h = build_xxz_chain(L, qp.delta).matrix.tocsr()
+    gen = suq2_generators(L, qp)
+    blocks = s3_blocks(shape)
+    out = {}
+    for S, d in sector_labels(shape, blocks).items():
+        cols = blocks[S]
+        rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
+        kern = kernel_basis(gen.sqplus.matrix[rows][:, cols])
+        assert kern.shape[1] == d
+        hs = kern.T @ h[cols][:, cols].toarray() @ kern
+        out[S] = float(np.linalg.eigvalsh(0.5 * (hs + hs.T))[0])
+    return out
+
+
+class TestCrossRoute:
+    """The diagram-basis route against the SVD projection, sector by sector."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(L=st.integers(2, 10), q=st.floats(min_value=0.05, max_value=0.95))
+    def test_tl_route_matches_svd_projection(self, L, q):
+        qp = QParam(q)
+        ref = svd_sector_minima(L, qp)
+        report = q_sector_energies(L, qp)
+        assert set(report.entries) == set(ref)
+        for S, e in ref.items():
+            tol = 1e-10 * max(1.0, abs(e))
+            assert abs(report.entries[S].min_energy - e) <= tol
+            n = (L - S.twice) // 2
+            if n >= 1:
+                assert abs(finite_droplet_energy(L, n, qp) - e) <= tol
+
+
+class TestQFoelVerdict:
+    def test_margins_split_like_check_foel(self):
+        report = q_sector_energies(6, QParam(0.5))
+        assert report.crossings == [] and report.violations == []
+        # a tolerance above every gap turns each adjacent pair into a crossing
+        wide = q_sector_energies(6, QParam(0.5), strict_tol=10.0)
+        assert not wide.qfoel_ok
+        assert wide.crossings == wide.margins and wide.violations == []
 
 
 class TestDropletFormulas:

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.sectors import highest_weight_space, sector_energies, sector_labels
@@ -20,6 +21,7 @@ from foelab.temperley_lieb import (
     perron_ground_vector,
     tl_generator_action,
     tl_hamiltonian_matrix,
+    tl_matrix_csv_rows,
 )
 
 
@@ -222,6 +224,50 @@ class TestPerron:
         block = np.diag([1.0, 2.0])
         with pytest.raises(ReducibleMatrixError):
             perron_ground_vector(block)
+
+    def test_positive_off_diagonal_rejected(self):
+        with pytest.raises(ValueError):
+            perron_ground_vector(np.array([[1.0, 0.5], [-0.5, 2.0]]))
+
+
+def _perron(a, route, monkeypatch):
+    """perron_ground_vector forced onto the dense or the sparse route."""
+    cutoff = {"dense": a.shape[0] + 1, "sparse": 0}[route]
+    monkeypatch.setattr(tlmod, "PERRON_SPARSE_MIN_DIM", cutoff)
+    return perron_ground_vector(a)
+
+
+class TestPerronRoutes:
+    """Dense eig and sparse shift-invert on TL matrices either side of the
+    crossover: (10,3) has dimension 75, (11,3) has 110."""
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("k,n", [(10, 3), (11, 3)])
+    def test_dense_and_sparse_agree(self, k, n, q, monkeypatch):
+        a = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), q).A
+        assert (a.shape[0] < tlmod.PERRON_SPARSE_MIN_DIM) == (k == 10)
+        dense = _perron(a, "dense", monkeypatch)
+        sparse = _perron(a, "sparse", monkeypatch)
+        assert abs(sparse.eigenvalue - dense.eigenvalue) <= 1e-10 * abs(dense.eigenvalue)
+        assert abs(sparse.gap - dense.gap) <= 1e-10 * abs(dense.gap)
+        for res in (dense, sparse):
+            assert res.vector.min() > 0
+        cos = dense.vector @ sparse.vector / (
+            np.linalg.norm(dense.vector) * np.linalg.norm(sparse.vector))
+        assert cos >= 1.0 - 1e-12
+
+    def test_sparse_reruns_are_bit_identical(self, monkeypatch):
+        a = tl_hamiltonian_matrix(11, 3, [1.0] * 10, 0.5).A
+        runs = [_perron(a, "sparse", monkeypatch) for _ in range(3)]
+        assert len({(r.eigenvalue, r.gap, r.vector.tobytes()) for r in runs}) == 1
+
+
+def test_matrix_csv_rows_match_double_loop():
+    for k, n, q in [(2, 1, 1.0), (7, 2, 0.3), (11, 3, 0.5)]:
+        tl = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), q)
+        loop = [(i, j, float(tl.A[i, j])) for i in range(tl.dim)
+                for j in range(tl.dim) if tl.A[i, j] != 0.0]
+        assert tl_matrix_csv_rows(tl) == loop
 
 
 class TestMinSpecComparison:
