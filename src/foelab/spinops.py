@@ -217,13 +217,26 @@ def embed_site(shape, site, local):
 
 
 def embed_product(shape, locals_by_site):
-    """Sparse Kronecker product with given one-site factors, identity elsewhere."""
-    dims = shape.local_dims
-    out = None
-    for site, d in enumerate(dims):
+    """Sparse Kronecker product with given one-site factors, identity elsewhere.
+
+    Each run of identity sites enters as one identity of the run's dimension.
+    """
+    factors = []
+    run = 1
+    for site, d in enumerate(shape.local_dims):
         factor = locals_by_site.get(site)
-        factor = sp.identity(d, format="csr") if factor is None else sp.csr_matrix(factor)
-        out = factor if out is None else sp.kron(out, factor, format="csr")
+        if factor is None:
+            run *= d
+            continue
+        if run > 1:
+            factors.append(sp.identity(run, format="csr"))
+            run = 1
+        factors.append(sp.csr_matrix(factor))
+    if run > 1 or not factors:
+        factors.append(sp.identity(run, format="csr"))
+    out = factors[0]
+    for factor in factors[1:]:
+        out = sp.kron(out, factor, format="csr")
     return out
 
 

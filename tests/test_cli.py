@@ -65,6 +65,17 @@ class TestExitCodes:
         code, _ = run(tmp_path, "qfoel", "--L", "3", "--q", "0.5")
         assert code == 3
 
+    def test_spinmap_memory_guard(self, tmp_path, monkeypatch, capsys):
+        import foelab.ssep as ssep
+
+        monkeypatch.setattr(ssep, "_physical_memory_bytes", lambda: 1024)
+        graph = tmp_path / "path3.g"
+        graph.write_text(PATH3)
+        code, out = run(tmp_path, "spinmap", "--graph", str(graph))
+        assert code == 3
+        assert "needs an estimated" in capsys.readouterr().err
+        assert not (out / "spinmap.json").exists()
+
 
 class TestCommands:
     def test_spectrum_chain(self, tmp_path):

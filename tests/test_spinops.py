@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from foelab.spinops import (
     HalfInt,
     HilbertShape,
     casimir,
+    embed_product,
     embed_site,
     heisenberg_bond,
     spin_matrices,
@@ -89,6 +91,28 @@ class TestEmbedSite:
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
         with pytest.raises(ValueError):
             embed_site(shape, 0, np.eye(3))
+
+
+class TestEmbedProduct:
+    @pytest.mark.parametrize("twice, sites", [
+        ((1,) * 8, (3,)),
+        ((1,) * 8, (0, 7)),
+        ((2, 1, 3, 0, 2, 1), (1, 4)),
+        ((2, 1, 3, 0, 2, 1), ()),
+        ((3, 2), (0, 1)),
+    ])
+    def test_matches_site_by_site_kron(self, twice, sites):
+        # merged identity runs give the same CSR arrays as one kron per site
+        shape = HilbertShape([HalfInt(t) for t in twice])
+        factors = {s: spin_matrices(shape.spins[s]).splus for s in sites}
+        ref = None
+        for site, d in enumerate(shape.local_dims):
+            f = sp.csr_matrix(factors[site]) if site in factors else sp.identity(d, format="csr")
+            ref = f if ref is None else sp.kron(ref, f, format="csr")
+        out = embed_product(shape, factors)
+        assert out.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(out, attr), getattr(ref, attr))
 
 
 class TestTotalSpinOps:

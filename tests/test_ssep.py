@@ -1,17 +1,32 @@
+import runpy
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import foelab.ssep as ssep
 from foelab.errors import NumericalError
-from foelab.hamiltonians import SpinGraph, random_connected_graph
-from foelab.spinops import HalfInt
+from foelab.hamiltonians import SpinGraph, build_heisenberg, random_connected_graph
+from foelab.linalg import eigvalsh_full
+from foelab.sectors import s3_blocks
+from foelab.spinops import HalfInt, RealOperator
 from foelab.ssep import (
     ParticleConfig,
+    SSEPGenerator,
     check_aldous,
     spectral_gap,
     ssep_csv_rows,
     ssep_generator,
     verify_spin_map,
 )
+
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "exclusion_gaps.py"
+DENSE, SPARSE = 10 ** 9, 0  # GAP_SPARSE_MIN_DIM values forcing one route
 
 
 def path_graph(n, rate=1.0):
@@ -22,6 +37,72 @@ def path_graph(n, rate=1.0):
 def complete_graph(n, rate=1.0):
     edges = [(i, j, rate) for i in range(n) for j in range(i + 1, n)]
     return SpinGraph([(i, HalfInt(1)) for i in range(n)], edges)
+
+
+def star_graph(n, rate=1.0):
+    return SpinGraph([(i, HalfInt(1)) for i in range(n)],
+                     [(0, i, rate) for i in range(1, n)])
+
+
+def forced_route(min_dim):
+    return mock.patch.object(ssep, "GAP_SPARSE_MIN_DIM", min_dim)
+
+
+def dense_gap(gen):
+    return float(np.linalg.eigvalsh(gen.L.dense())[1])
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random spin-1/2 spanning tree plus up to five extra edges, N <= 9."""
+    n = draw(st.integers(2, 9))
+    rate = st.floats(min_value=0.05, max_value=2.0)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(rate) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 5))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        edges.setdefault((u, v), draw(rate))
+    return SpinGraph([(i, HalfInt(1)) for i in range(n)],
+                     [(u, v, j) for (u, v), j in edges.items()])
+
+
+def dense_assemble(nsites, edge_rates, config_ints):
+    """Per-configuration loop into a dense array (reference assembly)."""
+    index = {c: i for i, c in enumerate(config_ints)}
+    m = np.zeros((len(config_ints), len(config_ints)))
+    for i, eta in enumerate(config_ints):
+        for pu, pv, r in edge_rates:
+            if (eta >> pu) & 1 == (eta >> pv) & 1:
+                continue
+            m[i, i] += r
+            m[i, index[eta ^ ((1 << pu) | (1 << pv))]] -= r
+    return m
+
+
+def dense_spin_map(g):
+    """Reference spin map on dense 2^N x 2^N arrays: (deviation, rows)."""
+    nsites = g.nsites
+    half = [(g.site_position(u), g.site_position(v), 0.5 * j) for u, v, j in g.edges]
+    full = dense_assemble(nsites, half, list(range(2 ** nsites)))
+    h = build_heisenberg(g).dense()
+    h += 0.25 * sum(j for _, _, j in g.edges) * np.eye(2 ** nsites)
+    perm = np.zeros(2 ** nsites, dtype=int)
+    for eta in range(2 ** nsites):
+        for p in range(nsites):
+            if not (eta >> p) & 1:
+                perm[eta] |= 1 << (nsites - 1 - p)
+    mapped = np.zeros_like(full)
+    mapped[np.ix_(perm, perm)] = full
+    blocks = s3_blocks(g.shape)
+    rows = []
+    for n in range(1, nsites):
+        ints = [c for c in range(2 ** nsites) if bin(c).count("1") == n]
+        sector = dense_assemble(nsites, half, ints)
+        lam = float(eigvalsh_full(sector)[1])
+        idx = blocks[HalfInt(2 * n - nsites)]
+        second = float(eigvalsh_full(h[np.ix_(idx, idx)])[1])
+        rows.append((n, lam, second, abs(lam - second)))
+    return float(np.abs(mapped - h).max()), rows
 
 
 class TestGenerator:
@@ -63,6 +144,18 @@ class TestGenerator:
         gen = ssep_generator(path_graph(3), n=1)
         assert [c.to_int() for c in gen.configs] == [1, 2, 4]
 
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_sparse_matches_dense_loop(self, seed):
+        g = random_connected_graph(np.random.default_rng(seed), 7, extra_edges=4,
+                                   spin=HalfInt(1))
+        pos = [(g.site_position(u), g.site_position(v), j) for u, v, j in g.edges]
+        for n in range(8):
+            gen = ssep_generator(g, n=n)
+            assert sp.issparse(gen.L.matrix)
+            ints = [c.to_int() for c in gen.configs]
+            assert ints == [c for c in range(2 ** 7) if bin(c).count("1") == n]
+            assert np.array_equal(gen.L.dense(), dense_assemble(7, pos, ints))
+
 
 class TestSpectralGap:
     def test_path3_both_sectors(self):
@@ -92,6 +185,83 @@ class TestSpectralGap:
             perm = [comp[(2 ** 6 - 1) ^ c.to_int()] for c in b.configs]
             mapped = a.L.dense()[np.ix_(perm, perm)]
             assert np.array_equal(mapped, b.L.dense())
+
+
+class TestGapRoutes:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(g=connected_graphs())
+    def test_both_routes_match_dense_spectrum(self, g):
+        for n in range(1, g.nsites):
+            gen = ssep_generator(g, n=n)
+            ref = dense_gap(gen)
+            for min_dim in (DENSE, SPARSE):
+                with forced_route(min_dim):
+                    assert abs(spectral_gap(gen) - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
+    @pytest.mark.parametrize("g, expected", [
+        (path_graph(8), 2.0 * (1.0 - np.cos(np.pi / 8))),
+        (star_graph(8), 1.0),
+        (complete_graph(7), 7.0),  # lambda_1 has multiplicity 6 at n = 1
+    ])
+    def test_symmetric_and_degenerate(self, g, expected, min_dim):
+        with forced_route(min_dim):
+            for n in range(1, g.nsites):
+                gen = ssep_generator(g, n=n)
+                assert abs(spectral_gap(gen) - expected) <= 1e-10 * expected
+                assert abs(spectral_gap(gen) - dense_gap(gen)) <= 1e-10 * expected
+
+    def test_sparse_route_is_deterministic(self):
+        gen = ssep_generator(path_graph(10), n=5)
+        with forced_route(SPARSE):
+            gaps = {spectral_gap(gen) for _ in range(3)}
+        assert len(gaps) == 1
+
+    def test_crossover_sectors_match(self):
+        g = path_graph(12)
+        gen = ssep_generator(g, n=6)
+        assert gen.L.dim >= ssep.GAP_SPARSE_MIN_DIM
+        assert abs(spectral_gap(gen) - dense_gap(gen)) <= 1e-10 * dense_gap(gen)
+
+    @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
+    def test_disconnected_diagnosed_on_both_routes(self, min_dim):
+        with pytest.warns(UserWarning):
+            g = SpinGraph([(i, HalfInt(1)) for i in range(6)],
+                          [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        with forced_route(min_dim), pytest.raises(NumericalError, match="disconnected"):
+            spectral_gap(ssep_generator(g, n=2))
+
+    @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
+    def test_shifted_zero_mode_rejected(self, min_dim):
+        gen = ssep_generator(path_graph(6), n=2)
+        shifted = gen.L.matrix + 0.5 * sp.identity(gen.L.dim, format="csr")
+        bad = SSEPGenerator(n=2, configs=gen.configs, L=RealOperator(shifted))
+        with forced_route(min_dim), pytest.raises(NumericalError, match="zero mode"):
+            spectral_gap(bad)
+
+    @pytest.mark.parametrize("min_dim, module, name", [
+        (DENSE, ssep.la, "eigh"),
+        (SPARSE, ssep.sla, "eigsh"),
+    ])
+    def test_bad_eigenvector_rejected(self, monkeypatch, min_dim, module, name):
+        solver = getattr(module, name)
+
+        def perturbed(*args, **kwargs):
+            w, vecs = solver(*args, **kwargs)
+            return w, vecs + 0.1
+
+        monkeypatch.setattr(module, name, perturbed)
+        gen = ssep_generator(path_graph(6), n=2)
+        with forced_route(min_dim), pytest.raises(NumericalError, match="residual"):
+            spectral_gap(gen)
+
+    def test_arpack_failure_is_numerical_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ssep.sla.ArpackNoConvergence("synthetic", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(ssep.sla, "eigsh", no_convergence)
+        with forced_route(SPARSE), pytest.raises(NumericalError, match="converge"):
+            spectral_gap(ssep_generator(path_graph(5), n=2))
 
 
 class TestAldous:
@@ -141,6 +311,36 @@ class TestSpinMap:
             assert diff <= 1e-9 * max(1.0, lam)
             assert np.isclose(lam, second, atol=1e-9)
 
+    @pytest.mark.parametrize("nsites, seed", [(2, 0), (3, 1), (5, 2), (6, 3), (8, 4)])
+    def test_matches_dense_reference(self, nsites, seed):
+        g = random_connected_graph(np.random.default_rng(seed), nsites,
+                                   extra_edges=3, spin=HalfInt(1))
+        dev, rows = dense_spin_map(g)
+        res = verify_spin_map(g)
+        assert res.ok
+        assert res.max_deviation == dev
+        assert list(res.sector_rows) == rows  # all sectors on the dense route
+        with forced_route(SPARSE):
+            sparse_rows = verify_spin_map(g).sector_rows
+        for (_, lam, second, _), (_, lam_ref, second_ref, _) in zip(sparse_rows, rows):
+            assert abs(lam - lam_ref) <= 1e-10 * lam_ref
+            assert abs(second - second_ref) <= 1e-10 * second_ref
+
+    def test_path12_traced_memory(self):
+        tracemalloc.start()
+        try:
+            res = verify_spin_map(path_graph(12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.ok
+        assert peak < 32 * 2 ** 20
+
+    def test_memory_guard(self, monkeypatch):
+        monkeypatch.setattr(ssep, "_physical_memory_bytes", lambda: 2 ** 20)
+        with pytest.raises(NumericalError, match="estimated"):
+            verify_spin_map(path_graph(10))
+
     def test_requires_spin_half(self):
         g = SpinGraph([(0, HalfInt(2)), (1, HalfInt(2))], [(0, 1, 1.0)])
         with pytest.raises(ValueError):
@@ -153,3 +353,10 @@ class TestParticleConfig:
         assert c.occupation == (1, 1, 0, 1)
         assert c.n == 3
         assert c.to_int() == 0b1011
+
+
+def test_exclusion_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMO), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "equality verdict: True" in out and "False" not in out
