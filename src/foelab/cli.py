@@ -1,13 +1,15 @@
 """Command-line front end: every experiment as a reproducible batch command.
 
 Exit codes: 0 success, 1 genuine property violation (e.g. FOEL failed),
-2 usage error, 3 numerical failure.  All diagnostics go to stderr; results
+2 usage error, 3 numerical failure.  Any other exception is a program bug
+and propagates with its traceback.  All diagnostics go to stderr; results
 are written as deterministic CSV plus a JSON summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -394,7 +396,7 @@ def run(cfg: RunConfig):
     try:
         os.makedirs(cfg.output, exist_ok=True)
         return _HANDLERS[cfg.command](cfg)
-    except (GraphSpecError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (GraphSpecError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalError, NonInvariantOperatorError) as exc:
@@ -477,6 +479,11 @@ def build_parser():
     return parser
 
 
+# Built once per process (nine subparsers cost more than a small job);
+# parse_args does not modify the parser.
+_cached_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def config_from_args(args):
     params = {}
     for key, value in vars(args).items():
@@ -495,7 +502,7 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -506,7 +513,3 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return run(cfg)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,14 +17,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GraphSpecError
 from .spinops import (
     HalfInt,
     HilbertShape,
     RealOperator,
-    embed_product,
+    _local_sum,
     heisenberg_bond,
     spin_matrices,
 )
@@ -156,41 +155,15 @@ class BondPolynomial:
         return out
 
 
-def _embed_heisenberg_term(shape, x, y):
-    """S_x.S_y embedded in the full space, for any two sites x != y."""
-    a = spin_matrices(shape.spins[x])
-    b = spin_matrices(shape.spins[y])
-    return (
-        embed_product(shape, {x: a.sz, y: b.sz})
-        + 0.5 * embed_product(shape, {x: a.splus, y: b.sminus})
-        + 0.5 * embed_product(shape, {x: a.sminus, y: b.splus})
-    )
-
-
-def _chain_sum(shape, bonds):
-    """Sum of nearest-neighbour two-site matrices along an open chain."""
-    dims = shape.local_dims
-    total = sp.csr_matrix((shape.dim, shape.dim))
-    for x, bond in enumerate(bonds):
-        left = int(np.prod(dims[:x], dtype=np.int64)) if x else 1
-        right = int(np.prod(dims[x + 2:], dtype=np.int64)) if x + 2 < len(dims) else 1
-        term = sp.kron(
-            sp.kron(sp.identity(left), sp.csr_matrix(bond)),
-            sp.identity(right),
-            format="csr",
-        )
-        total = total + term
-    return total
-
-
 def build_heisenberg(g: SpinGraph):
     """H = -sum_{edges} J_xy S_x.S_y on an arbitrary spin graph."""
     shape = g.shape
-    h = sp.csr_matrix((shape.dim, shape.dim))
+    terms = []
     for u, v, j in g.edges:
         x, y = g.site_position(u), g.site_position(v)
-        h = h - j * _embed_heisenberg_term(shape, x, y)
-    return RealOperator(h, basis_tag="tensor-product")
+        bond = heisenberg_bond(shape.spins[x], shape.spins[y]).matrix
+        terms.append(((x, y), -j * bond))
+    return RealOperator(_local_sum(shape, terms), basis_tag="tensor-product")
 
 
 def build_normalized_chain(c: ChainSpec):
@@ -201,13 +174,12 @@ def build_normalized_chain(c: ChainSpec):
     shape = c.shape
     if any(s.twice == 0 for s in c.spins):
         raise ValueError("normalized chain requires every s_x > 0")
-    bonds = []
+    terms = []
     for x, j in enumerate(c.couplings):
         s1, s2 = c.spins[x], c.spins[x + 1]
-        d = (s1.twice + 1) * (s2.twice + 1)
         ss = heisenberg_bond(s1, s2).dense()
-        bonds.append(j * (np.eye(d) - ss / (s1.value * s2.value)))
-    return RealOperator(_chain_sum(shape, bonds), basis_tag="tensor-product")
+        terms.append(((x, x + 1), j * (np.eye(len(ss)) - ss / (s1.value * s2.value))))
+    return RealOperator(_local_sum(shape, terms), basis_tag="tensor-product")
 
 
 def xxz_boundary_coeff(delta):
@@ -243,7 +215,7 @@ def build_xxz_chain(L, delta):
         raise ValueError("anisotropy Delta must be > 1")
     shape = HilbertShape([HalfInt(1)] * L)
     bond = xxz_bond(delta)
-    return RealOperator(_chain_sum(shape, [bond] * (L - 1)), basis_tag="tensor-product")
+    return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
 
 
 def build_spin1_beta_chain(L, beta):
@@ -259,7 +231,7 @@ def build_spin1_beta_chain(L, beta):
     shape = HilbertShape([HalfInt(2)] * L)
     ss = heisenberg_bond(HalfInt(2), HalfInt(2)).dense()
     bond = (np.eye(9) - ss) + beta * (np.eye(9) - ss @ ss)
-    return RealOperator(_chain_sum(shape, [bond] * (L - 1)), basis_tag="tensor-product")
+    return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
 
 
 def build_general_bond_chain(spins, couplings, polys):
@@ -269,7 +241,7 @@ def build_general_bond_chain(spins, couplings, polys):
     if len(couplings) != len(spins) - 1 or len(polys) != len(spins) - 1:
         raise ValueError("need one coupling and one polynomial per bond")
     shape = HilbertShape(spins)
-    bonds = []
+    terms = []
     for x, (j, poly) in enumerate(zip(couplings, polys)):
         max_deg = min(spins[x].twice, spins[x + 1].twice)
         if poly.degree > max_deg:
@@ -277,8 +249,8 @@ def build_general_bond_chain(spins, couplings, polys):
                 f"bond {x}: polynomial degree {poly.degree} exceeds 2*min(s1,s2) = {max_deg}"
             )
         ss = heisenberg_bond(spins[x], spins[x + 1]).dense()
-        bonds.append(j * poly.of_matrix(ss))
-    return RealOperator(_chain_sum(shape, bonds), basis_tag="tensor-product")
+        terms.append(((x, x + 1), j * poly.of_matrix(ss)))
+    return RealOperator(_local_sum(shape, terms), basis_tag="tensor-product")
 
 
 def parse_graph_spec(text):

@@ -1,17 +1,35 @@
 """Small shared linear-algebra helpers.
 
 Kernel extraction is by SVD with a relative singular-value threshold.
+``require_memory`` is the memory guard every route calls before it allocates.
 """
+
+import os
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+
+from .errors import NumericalError
 
 KERNEL_REL_TOL = 1e-8
 
 
 def to_dense(m):
     return m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
+
+
+def physical_memory_bytes():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(nbytes, limit, what):
+    """NumericalError when an allocation estimate exceeds ``limit`` bytes."""
+    if nbytes > limit:
+        raise NumericalError(
+            f"{what} needs an estimated {nbytes / 2 ** 20:.0f} MB, more than "
+            f"the {limit / 2 ** 20:.0f} MB of physical memory"
+        )
 
 
 def max_abs(m):

@@ -9,11 +9,12 @@ g_lo, g_hi the Gershgorin bounds of H_MM and c = (g_hi - g_lo + 1)/(2S+2),
 the other multiplets of H_MM + c B^T B sit at or above g_hi + 1, so its
 lowest d = dim V^(S) eigenvalues are the sector spectrum.  Each solve is
 certified (d-th eigenvalue <= g_hi, next one >= g_hi + 1, else
-NumericalError).  The q-deformed sectors avoid the penalty, because
-(S+_q)^T S+_q has a condition number growing like q^-L, which would drown
-the penalty gap in rounding; ``qgroup`` uses the diagram basis.  The SVD
-basis (``highest_weight_space``) and the Casimir projector are the oracles
-tests compare against.
+NumericalError) and checks its memory estimate before the dense block is
+formed.  The q-deformed sectors avoid the penalty, because (S+_q)^T S+_q
+has a condition number growing like q^-L, which would drown the penalty gap
+in rounding; ``qgroup`` uses the diagram basis.  The SVD basis
+(``highest_weight_space``) and the Casimir projector are the oracles tests
+compare against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import NonInvariantOperatorError, NumericalError
-from .linalg import commutator_maxabs, eigvalsh_full, kernel_basis, max_abs
+from .linalg import commutator_maxabs, eigvalsh_full, kernel_basis, max_abs, require_memory
+from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
 from .spinops import HalfInt, casimir, total_spin_ops
 
 __all__ = [
@@ -48,6 +50,8 @@ __all__ = [
 
 STRICT_FOEL_TOL = 1e-8
 INVARIANCE_TOL = 1e-10
+# Dense m x m float64 arrays estimated per block solve (tracemalloc peak: ~3)
+DENSE_BLOCK_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,6 @@ class SectorReport:
     @property
     def s_max(self):
         return self.labels[0]
-
-    def min_energies(self):
-        return {s: e.min_energy for s, e in self.entries.items()}
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,8 @@ def _sector_spectrum(H, total_ops, blocks, S, d):
     """The d eigenvalues of H on V^(S), ascending: the certified penalized
     solve on the M = S block described in the module docstring."""
     cols = blocks[S]
+    require_memory(DENSE_BLOCK_ARRAYS * 8 * len(cols) ** 2, _physical_memory_bytes(),
+                   f"the dense S={S} block of dimension {len(cols)}")
     rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
     raising = total_ops.sptot.matrix[rows][:, cols]
     hb = H.sub(cols)

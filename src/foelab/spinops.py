@@ -2,8 +2,17 @@
 
 Everything is real: transverse couplings are always written through the
 ladder operators S+ and S-, so no matrix in the package is ever complex.
-Site 0 varies slowest in the tensor index (leftmost Kronecker factor),
-which fixes a bit-exact basis convention for all cross-module checks.
+The tensor index is mixed-radix with site 0 slowest (leftmost Kronecker
+factor), a bit-exact basis convention for all cross-module checks: state
+(m_0, ..., m_{L-1}), digit m_x < d_x, sits at sum_x m_x stride_x with
+stride_x = d_{x+1} ... d_{L-1}.  Every tensor-product operator comes from
+``_local_sum``: a nonzero (a, b) <- (c, d) of a matrix on sites x, y moves
+column j to row j + (a - c) stride_x + (b - d) stride_y, so all terms are
+emitted as COO triples and compressed to CSR once.  Diagonals are summed
+into one vector in term order, which rounds exactly like adding the
+embedded terms one after another; off-diagonal entries of one-site and
+S^3-conserving two-site terms change every digit they act on, so terms on
+different sites never share a position.  Exact zeros are dropped.
 """
 
 from __future__ import annotations
@@ -172,16 +181,11 @@ class HilbertShape:
     def s_max(self):
         return HalfInt(sum(s.twice for s in self.spins))
 
-    def m_values(self, site):
-        """S^3 eigenvalues of one site in basis order (m = s down to -s)."""
-        t = self.spins[site].twice
-        return np.arange(t, -t - 1, -2) / 2.0
-
     def total_m(self):
         """Total S^3 eigenvalue of every product-basis state, in index order."""
         m = np.zeros(1)
-        for site in range(self.nsites):
-            m = (m[:, None] + self.m_values(site)[None, :]).ravel()
+        for s in self.spins:  # one site's m = s down to -s
+            m = (m[:, None] + np.arange(s.twice, -s.twice - 1, -2) / 2.0).ravel()
         return m
 
     def __repr__(self):
@@ -205,39 +209,48 @@ def spin_matrices(s):
 
 def embed_site(shape, site, local):
     """Embed a one-site matrix into the full space (identity elsewhere)."""
-    local = np.asarray(local, dtype=float)
-    dims = shape.local_dims
-    if not 0 <= site < shape.nsites:
-        raise ValueError(f"site {site} out of range")
-    if local.shape != (dims[site], dims[site]):
-        raise ValueError(
-            f"local matrix is {local.shape}, site {site} has dimension {dims[site]}"
-        )
-    return RealOperator(embed_product(shape, {site: local}))
+    return RealOperator(_local_sum(shape, [((site,), local)]))
 
 
 def embed_product(shape, locals_by_site):
-    """Sparse Kronecker product with given one-site factors, identity elsewhere.
+    """Sparse Kronecker product with given one-site factors, identity elsewhere."""
+    local = np.ones((1, 1))
+    for site in sorted(locals_by_site):
+        local = np.kron(local, np.asarray(locals_by_site[site], dtype=float))
+    return _local_sum(shape, [(sorted(locals_by_site), local)])
 
-    Each run of identity sites enters as one identity of the run's dimension.
+
+def _local_sum(shape, terms):
+    """CSR sum over ``terms`` of (sites, local matrix), identity elsewhere.
+
+    ``local`` acts on the tensor product of ``sites`` (distinct, in the
+    index order of ``np.kron`` over them); see the module docstring.
     """
-    factors = []
-    run = 1
-    for site, d in enumerate(shape.local_dims):
-        factor = locals_by_site.get(site)
-        if factor is None:
-            run *= d
-            continue
-        if run > 1:
-            factors.append(sp.identity(run, format="csr"))
-            run = 1
-        factors.append(sp.csr_matrix(factor))
-    if run > 1 or not factors:
-        factors.append(sp.identity(run, format="csr"))
-    out = factors[0]
-    for factor in factors[1:]:
-        out = sp.kron(out, factor, format="csr")
-    return out
+    grid = np.arange(shape.dim).reshape(shape.local_dims)  # C order: site 0 slowest
+    diag = np.zeros(shape.dim)
+    rows, cols, vals = [], [], []
+    for sites, local in terms:
+        sites = tuple(sites)
+        if len(set(sites)) != len(sites) or not set(sites) <= set(range(grid.ndim)):
+            raise ValueError(f"sites {sites} are not distinct sites of {shape}")
+        # offsets[a]: index of local state a with every other digit 0;
+        # bases: the indices whose digits on these sites are all 0
+        on = tuple(slice(None) if x in sites else 0 for x in range(grid.ndim))
+        offsets = grid[on].transpose(np.argsort(np.argsort(sites))).ravel()
+        bases = grid[tuple(0 if x in sites else slice(None) for x in range(grid.ndim))].ravel()
+        local = np.asarray(local, dtype=float)
+        if local.shape != (offsets.size,) * 2:
+            raise ValueError(f"local matrix is {local.shape}, sites {sites} "
+                             f"have dimension {offsets.size}")
+        diag[offsets[:, None] + bases] += np.diagonal(local)[:, None]
+        r, c = np.nonzero(local - np.diag(np.diagonal(local)))
+        rows.append((offsets[r, None] + bases).ravel())
+        cols.append((offsets[c, None] + bases).ravel())
+        vals.append(np.repeat(local[r, c], bases.size))
+    nonzero = np.flatnonzero(diag)
+    data = np.concatenate(vals + [diag[nonzero]])
+    ij = (np.concatenate(rows + [nonzero]), np.concatenate(cols + [nonzero]))
+    return sp.csr_matrix((data, ij), shape=(shape.dim, shape.dim))
 
 
 @dataclass(frozen=True)
@@ -248,14 +261,11 @@ class TotalSpinOps:
 
 
 def total_spin_ops(shape):
-    """Total S^3, S^+, S^- as sums of embedded one-site operators."""
-    dim = shape.dim
-    s3 = sp.csr_matrix((dim, dim))
-    splus = sp.csr_matrix((dim, dim))
-    for site in range(shape.nsites):
-        ops = spin_matrices(shape.spins[site])
-        s3 = s3 + embed_product(shape, {site: ops.sz})
-        splus = splus + embed_product(shape, {site: ops.splus})
+    """Total S^3, S^+, S^- as sums of one-site operators."""
+    s3 = sp.diags(shape.total_m(), format="csr")
+    s3.eliminate_zeros()
+    splus = _local_sum(shape, [((x,), spin_matrices(s).splus)
+                               for x, s in enumerate(shape.spins)])
     return TotalSpinOps(
         s3tot=RealOperator(s3),
         sptot=RealOperator(splus),

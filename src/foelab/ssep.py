@@ -20,7 +20,6 @@ into NumericalError.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 
@@ -32,7 +31,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
-from .linalg import eigvalsh_full, max_abs
+from .linalg import eigvalsh_full, max_abs, require_memory
+from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
 from .sectors import s3_blocks
 from .spinops import HalfInt, RealOperator
 
@@ -127,20 +127,6 @@ def _assemble(edge_rates, configs):
                          shape=(dim, dim))
 
 
-def _physical_memory_bytes():
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _require_memory(nbytes, what):
-    """NumericalError when an allocation estimate exceeds physical memory."""
-    limit = _physical_memory_bytes()
-    if nbytes > limit:
-        raise NumericalError(
-            f"{what} needs an estimated {nbytes / 2 ** 20:.0f} MB, more than "
-            f"the {limit / 2 ** 20:.0f} MB of physical memory"
-        )
-
-
 def _matrix_bytes(dim, nedges):
     """Upper estimate of the memory held while one generator is assembled."""
     return BYTES_PER_ENTRY * dim * (1 + nedges)
@@ -156,8 +142,8 @@ def ssep_generator(g: SpinGraph, rates=None, n=1):
     if not 0 <= n <= nsites:
         raise ValueError(f"particle number {n} out of range")
     edge_rates = _edge_rates(g, rates)
-    _require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 24 * 2 ** nsites,
-                    f"the {n}-particle generator")
+    require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 24 * 2 ** nsites,
+                   _physical_memory_bytes(), f"the {n}-particle generator")
     ints = _config_ints(nsites, n)
     m = _assemble(edge_rates, ints)
     bits = (ints[:, None] >> np.arange(nsites)) & 1
@@ -263,8 +249,8 @@ def verify_spin_map(g: SpinGraph, entry_tol=1e-12, gap_tol=1e-9):
     nsites = g.nsites
     dim = 2 ** nsites
     half_rates = [(pu, pv, 0.5 * r) for pu, pv, r in _edge_rates(g, None)]
-    _require_memory(SPIN_MAP_MATRICES * _matrix_bytes(dim, len(half_rates)),
-                    f"the {nsites}-site spin map")
+    require_memory(SPIN_MAP_MATRICES * _matrix_bytes(dim, len(half_rates)),
+                   _physical_memory_bytes(), f"the {nsites}-site spin map")
     configs = np.arange(dim, dtype=np.int64)
     full = _assemble(half_rates, configs).tocoo()
 

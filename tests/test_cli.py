@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from foelab.cli import main
+import foelab
+from foelab.cli import build_parser, main
 from foelab.reports import csv_text, write_csv, write_json
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
@@ -75,6 +79,34 @@ class TestExitCodes:
         assert code == 3
         assert "needs an estimated" in capsys.readouterr().err
         assert not (out / "spinmap.json").exists()
+
+    def test_foel_dense_block_memory_guard(self, tmp_path, monkeypatch, capsys):
+        import foelab.sectors as sectors
+
+        # the M = 1 block of a 12-site spin-1/2 chain has 792 states:
+        # 4 dense 792 x 792 float64 arrays are estimated at 19 MB
+        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 16 * 2 ** 20)
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 12))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dimension 792 needs an estimated 19 MB" in err
+        assert not (out / "foel.json").exists()
+
+    def test_internal_key_error_is_not_usage(self, tmp_path, monkeypatch):
+        import foelab.cli as cli
+
+        def bug(cfg):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(cli._HANDLERS, "qfoel", bug)
+        with pytest.raises(KeyError):
+            run(tmp_path, "qfoel", "--L", "3", "--q", "0.5")
+
+    def test_parser_reused_after_parse_error(self, tmp_path):
+        assert main(["foel", "--L", "not-an-int"]) == 2
+        code, _ = run(tmp_path, "foel", "--chain", "1,1")
+        assert code == 0
+        assert build_parser().parse_args(["figure1"]).command == "figure1"
 
 
 class TestCommands:
@@ -171,6 +203,19 @@ class TestDeterminism:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_python_dash_m_matches_in_process(self, tmp_path):
+        args = ["foel", "--chain", "1,2,1", "--J", "0.5,1.5"]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(foelab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "foelab"] + args + ["--output", str(tmp_path / "a")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(args + ["--output", str(tmp_path / "b")]) == 0
+        for name in ("sectors.csv", "foel.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestReports:

@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foelab.hamiltonians import (
+    ChainSpec,
+    SpinGraph,
+    build_heisenberg,
+    build_normalized_chain,
+    build_spin1_beta_chain,
+    build_xxz_chain,
+    xxz_bond,
+)
 from foelab.spinops import (
     HalfInt,
     HilbertShape,
+    _local_sum,
     casimir,
     embed_product,
     embed_site,
@@ -93,6 +105,21 @@ class TestEmbedSite:
             embed_site(shape, 0, np.eye(3))
 
 
+def kron_embed(shape, factors):
+    """Reference: one sparse Kronecker factor per site, identity elsewhere."""
+    ref = None
+    for site, d in enumerate(shape.local_dims):
+        f = sp.csr_matrix(factors[site]) if site in factors else sp.identity(d, format="csr")
+        ref = f if ref is None else sp.kron(ref, f, format="csr")
+    return ref
+
+
+def assert_same_csr(out, ref):
+    assert out.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(out, attr), getattr(ref, attr))
+
+
 class TestEmbedProduct:
     @pytest.mark.parametrize("twice, sites", [
         ((1,) * 8, (3,)),
@@ -102,17 +129,133 @@ class TestEmbedProduct:
         ((3, 2), (0, 1)),
     ])
     def test_matches_site_by_site_kron(self, twice, sites):
-        # merged identity runs give the same CSR arrays as one kron per site
+        # the mixed-radix assembler gives the same CSR arrays as one kron per site
         shape = HilbertShape([HalfInt(t) for t in twice])
         factors = {s: spin_matrices(shape.spins[s]).splus for s in sites}
-        ref = None
-        for site, d in enumerate(shape.local_dims):
-            f = sp.csr_matrix(factors[site]) if site in factors else sp.identity(d, format="csr")
-            ref = f if ref is None else sp.kron(ref, f, format="csr")
-        out = embed_product(shape, factors)
-        assert out.shape == ref.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(out, attr), getattr(ref, attr))
+        assert_same_csr(embed_product(shape, factors), kron_embed(shape, factors))
+
+
+ASSEMBLER_MAX_DIM = 1024
+
+
+@st.composite
+def mixed_spins(draw):
+    """Twice-spins in {1, 2, 3}, 1 to 10 sites, total dimension <= 1024."""
+    twice, dim = [], 1
+    for _ in range(draw(st.integers(1, 10))):
+        fits = [t for t in (1, 2, 3) if dim * (t + 1) <= ASSEMBLER_MAX_DIM]
+        if not fits:
+            break
+        t = draw(st.sampled_from(fits))
+        twice.append(t)
+        dim *= t + 1
+    return [HalfInt(t) for t in twice]
+
+
+couplings = st.floats(min_value=0.01, max_value=2.0)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random spanning tree plus up to four extra edges, mixed spins."""
+    spins = draw(mixed_spins().filter(lambda s: len(s) >= 2))
+    n = len(spins)
+    edges = {(draw(st.integers(0, v - 1)), v): draw(couplings) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        edges.setdefault((u, v), draw(couplings))
+    return SpinGraph(list(enumerate(spins)), [(u, v, j) for (u, v), j in edges.items()])
+
+
+def kron_chain_sum(shape, bonds):
+    """Reference: nearest-neighbour bonds as I_left x bond x I_right, summed."""
+    dims = shape.local_dims
+    total = sp.csr_matrix((shape.dim, shape.dim))
+    for x, bond in enumerate(bonds):
+        left = int(np.prod(dims[:x], dtype=np.int64))
+        right = int(np.prod(dims[x + 2:], dtype=np.int64))
+        term = sp.kron(sp.kron(sp.identity(left), sp.csr_matrix(bond)),
+                       sp.identity(right), format="csr")
+        total = total + term
+    return total
+
+
+class TestLocalSum:
+    """The mixed-radix assembler against the Kronecker constructions, exactly."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(spins=mixed_spins())
+    def test_total_spin_ops(self, spins):
+        shape = HilbertShape(spins)
+        s3 = sp.csr_matrix((shape.dim, shape.dim))
+        splus = sp.csr_matrix((shape.dim, shape.dim))
+        for x, s in enumerate(spins):
+            ops = spin_matrices(s)
+            s3 = s3 + kron_embed(shape, {x: ops.sz})
+            splus = splus + kron_embed(shape, {x: ops.splus})
+        tot = total_spin_ops(shape)
+        assert_same_csr(tot.s3tot.matrix, s3)
+        assert_same_csr(tot.sptot.matrix, splus)
+        assert_same_csr(tot.smtot.matrix, splus.T.tocsr())
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(spins=mixed_spins().filter(lambda s: len(s) >= 2), data=st.data())
+    def test_normalized_chain(self, spins, data):
+        js = data.draw(st.lists(couplings, min_size=len(spins) - 1,
+                                max_size=len(spins) - 1))
+        chain = ChainSpec(spins, js)
+        bonds = []
+        for x, j in enumerate(js):
+            s1, s2 = spins[x], spins[x + 1]
+            ss = heisenberg_bond(s1, s2).dense()
+            bonds.append(j * (np.eye(len(ss)) - ss / (s1.value * s2.value)))
+        assert_same_csr(build_normalized_chain(chain).matrix,
+                        kron_chain_sum(chain.shape, bonds))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(g=connected_graphs())
+    def test_heisenberg_graph(self, g):
+        shape = g.shape
+        ref = sp.csr_matrix((shape.dim, shape.dim))
+        for u, v, j in g.edges:
+            x, y = g.site_position(u), g.site_position(v)
+            a, b = spin_matrices(shape.spins[x]), spin_matrices(shape.spins[y])
+            term = (kron_embed(shape, {x: a.sz, y: b.sz})
+                    + 0.5 * kron_embed(shape, {x: a.splus, y: b.sminus})
+                    + 0.5 * kron_embed(shape, {x: a.sminus, y: b.splus}))
+            ref = ref - j * term
+        assert_same_csr(build_heisenberg(g).matrix, ref)
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(L=st.integers(2, 6), beta=st.floats(-2.0, 2.0))
+    def test_spin1_beta_chain(self, L, beta):
+        ss = heisenberg_bond(HalfInt(2), HalfInt(2)).dense()
+        bond = (np.eye(9) - ss) + beta * (np.eye(9) - ss @ ss)
+        shape = HilbertShape([HalfInt(2)] * L)
+        assert_same_csr(build_spin1_beta_chain(L, beta).matrix,
+                        kron_chain_sum(shape, [bond] * (L - 1)))
+
+    @pytest.mark.parametrize("L, delta", [(2, 1.5), (5, 2.0), (9, 1.25)])
+    def test_xxz_chain(self, L, delta):
+        shape = HilbertShape([HalfInt(1)] * L)
+        assert_same_csr(build_xxz_chain(L, delta).matrix,
+                        kron_chain_sum(shape, [xxz_bond(delta)] * (L - 1)))
+
+    def test_site_order_follows_kron_order(self):
+        shape = HilbertShape([HalfInt(1), HalfInt(2), HalfInt(3)])
+        a, b = spin_matrices(HalfInt(1)).splus, spin_matrices(HalfInt(3)).sz
+        assert_same_csr(_local_sum(shape, [((2, 0), np.kron(b, a))]),
+                        _local_sum(shape, [((0, 2), np.kron(a, b))]))
+
+    def test_rejects_mismatched_local_matrix(self):
+        shape = HilbertShape([HalfInt(1), HalfInt(2), HalfInt(1)])
+        with pytest.raises(ValueError, match="dimension 6"):
+            _local_sum(shape, [((0, 1), np.eye(4))])
+        with pytest.raises(ValueError, match="not distinct sites"):
+            _local_sum(shape, [((1, 1), np.eye(9))])
+        with pytest.raises(ValueError, match="not distinct sites"):
+            _local_sum(shape, [((2, 3), np.eye(4))])
 
 
 class TestTotalSpinOps:
