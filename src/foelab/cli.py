@@ -1,9 +1,12 @@
 """Command-line front end: every experiment as a reproducible batch command.
 
 Exit codes: 0 success, 1 genuine property violation (e.g. FOEL failed),
-2 usage error, 3 numerical failure.  Any other exception is a program bug
-and propagates with its traceback.  All diagnostics go to stderr; results
-are written as deterministic CSV plus a JSON summary.
+2 usage error, 3 numerical failure, 4 program bug.  Any other exception
+is a program bug: ``main`` propagates it with its traceback, and
+``python -m foelab`` and the ``foelab`` script print that traceback to
+stderr and exit with 4.
+All diagnostics go to stderr; results are written as deterministic CSV
+plus a JSON summary.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+EXIT_BUG = 4
 
 DEFAULT_SEED = 12345
 

@@ -113,11 +113,12 @@ class LocalSpinOps:
 class RealOperator:
     """Real matrix on a fixed basis; dense ndarray or scipy sparse.
 
-    ``symmetric`` is detected at construction time (raising/lowering totals
-    are legitimately non-symmetric, Hamiltonians must come out symmetric).
+    ``symmetric`` is detected on first read and cached (raising/lowering
+    totals are legitimately non-symmetric, Hamiltonians must come out
+    symmetric).
     """
 
-    __slots__ = ("matrix", "basis_tag", "symmetric")
+    __slots__ = ("matrix", "basis_tag", "_symmetric")
 
     def __init__(self, matrix, basis_tag="tensor-product"):
         if sp.issparse(matrix):
@@ -130,8 +131,15 @@ class RealOperator:
             raise ValueError("operator must be square")
         self.matrix = matrix
         self.basis_tag = basis_tag
-        scale = 1.0 if self.dim == 0 else max(1.0, max_abs(matrix))
-        self.symmetric = max_asymmetry(matrix) <= 1e-12 * scale
+        self._symmetric = None
+
+    @property
+    def symmetric(self):
+        """max |M - M^T| <= 1e-12 max(1, max |M|)."""
+        if self._symmetric is None:
+            scale = 1.0 if self.dim == 0 else max(1.0, max_abs(self.matrix))
+            self._symmetric = max_asymmetry(self.matrix) <= 1e-12 * scale
+        return self._symmetric
 
     @property
     def dim(self):

@@ -14,6 +14,19 @@ vertices are unpaired therefore come first, in exactly the order of the
 shorter chain's basis, which turns the submatrix statement into an index-wise
 prefix comparison.
 
+The Hamiltonian builder works on integers, not on diagram objects.  A basis
+is an m x (k+2) partner array (column v holds the partner of vertex v, 0 if
+unpaired) in canonical order, and each diagram is keyed by the int64 code
+(opener bitmask << k) | closer bitmask.  Each bond generator acts on all
+diagrams at once through bit operations on the codes; images are ranked by
+``searchsorted`` over the sorted codes, and an image code missing from the
+basis raises (this certificate replaces per-diagram ArcDiagram
+validation).  The matrix is one CSR whose entries equal a dense
+per-diagram accumulation bit for bit.  ``TLMatrix.basis`` (ArcDiagrams)
+and ``TLMatrix.A`` (dense) are views built on first read;
+``perron_ground_vector``, ``check_dominance`` and the CSV rows read the
+CSR matrix and the partner array.
+
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
 is built by expanding ordered Ising configurations into spin-1/2 tensors,
 pairing arrows by bracket matching, and symmetrizing within each site block.
@@ -21,6 +34,7 @@ pairing arrows by bracket matching, and symmetrizing within each site block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -134,38 +148,69 @@ def diagram_count(k, n):
     return comb(k, n) - (comb(k, n - 1) if n >= 1 else 0)
 
 
-def enumerate_arc_diagrams(k, n):
-    """All n-arc diagrams on k vertices satisfying both rules, canonically ordered.
+def _diagram_basis(k, n):
+    """Partner array and codes of every n-arc diagram on k vertices.
 
-    A diagram is equivalent to a left-to-right walk where each vertex opens
-    an arc, closes the most recent open arc, or stays unpaired; the no-span
-    rule forces unpaired vertices to occur only at nesting depth zero.
+    A diagram is a left-to-right walk where each vertex opens an arc, closes
+    the most recent open arc, or stays unpaired; the no-span rule allows an
+    unpaired vertex only at nesting depth zero.  All walks advance together
+    as opener/closer bitmasks (bit v-1 for vertex v), pruned to those that
+    can still close every arc; bracket matching then fills the m x (k+2)
+    partner array (column v holds the partner of vertex v, 0 = unpaired;
+    columns 0 and k+1 are padding).  Rows come in canonical order and each
+    diagram's code is (openers << k) | closers.
     """
     k, n = int(k), int(n)
     if n < 0 or 2 * n > k:
         raise ValueError(f"need 0 <= 2n <= k, got k={k}, n={n}")
-    out = []
-
-    def walk(pos, stack, arcs, opened):
-        if pos > k:
-            if not stack and opened == n:
-                out.append(ArcDiagram(k, arcs))
-            return
-        remaining = k - pos + 1
-        if len(stack) > remaining:
-            return
-        if opened < n:
-            walk(pos + 1, stack + [pos], arcs, opened + 1)
-        if stack:
-            walk(pos + 1, stack[:-1], arcs + [(stack[-1], pos)], opened)
-        else:
-            walk(pos + 1, stack, arcs, opened)
-
-    walk(1, [], [], 0)
-    out.sort(key=ArcDiagram.sort_key)
-    if len(out) != diagram_count(k, n):
+    if k > 31:
+        raise ValueError(f"diagram codes are 64-bit: need k <= 31, got k={k}")
+    opened = depth = omask = cmask = np.zeros(1, dtype=np.int64)
+    for pos in range(k):
+        bit = np.int64(1) << pos
+        up, down, flat = opened < n, depth > 0, depth == 0
+        opened = np.concatenate([opened[up] + 1, opened[down], opened[flat]])
+        depth = np.concatenate([depth[up] + 1, depth[down] - 1, depth[flat]])
+        omask = np.concatenate([omask[up] | bit, omask[down], omask[flat]])
+        cmask = np.concatenate([cmask[up], cmask[down] | bit, cmask[flat]])
+        alive = depth + 2 * (n - opened) <= k - pos - 1
+        opened, depth, omask, cmask = (arr[alive] for arr in (opened, depth, omask, cmask))
+    m = len(omask)
+    if m != diagram_count(k, n):
         raise AssertionError("diagram enumeration does not match the count formula")
-    return out
+    rows = np.arange(m)
+    partners = np.zeros((m, k + 2), dtype=np.int64)
+    stack = np.zeros((m, n + 1), dtype=np.int64)
+    depth = np.zeros(m, dtype=np.int64)
+    for v in range(1, k + 1):
+        bit = np.int64(1) << (v - 1)
+        up = rows[(omask & bit) != 0]
+        stack[up, depth[up]] = v
+        depth[up] += 1
+        down = rows[(cmask & bit) != 0]
+        depth[down] -= 1
+        partners[down, v] = stack[down, depth[down]]
+        partners[down, partners[down, v]] = v
+    # canonical order: (last paired vertex, x1, y1, ..., xn, yn)
+    vertex = np.arange(k + 2)
+    openers = np.nonzero(partners > vertex)[1].reshape(m, n)
+    closers = np.take_along_axis(partners, openers, axis=1)
+    keys = [np.max(np.where(partners > 0, vertex, 0), axis=1)]
+    for i in range(n):
+        keys += [openers[:, i], closers[:, i]]
+    order = np.lexsort(keys[::-1])
+    return partners[order], ((omask << k) | cmask)[order]
+
+
+def _arc_lists(partners):
+    """Sorted (x, y) arc tuples of each row of a partner array."""
+    return [tuple((v, p) for v, p in enumerate(row) if p > v)
+            for row in partners.tolist()]
+
+
+def enumerate_arc_diagrams(k, n):
+    """All n-arc diagrams on k vertices satisfying both rules, canonically ordered."""
+    return [ArcDiagram(k, arcs) for arcs in _arc_lists(_diagram_basis(k, n)[0])]
 
 
 def tl_generator_action(d, x, q=1.0):
@@ -199,22 +244,79 @@ def embed_diagram(d):
 
 @dataclass(frozen=True)
 class TLMatrix:
-    """Matrix of H = -2 sum_x J_x U_{x,x+1} on the canonical diagram basis."""
+    """Matrix of H = -2 sum_x J_x U_{x,x+1} on the canonical diagram basis.
+
+    ``matrix`` is the CSR matrix and ``partners`` the basis as a partner
+    array; the ``basis`` tuple of ArcDiagrams and the dense ``A`` are built
+    on first read.
+    """
 
     k: int
     n: int
     q: float
     couplings: tuple
-    basis: tuple
-    A: np.ndarray
+    partners: np.ndarray
+    matrix: sp.csr_matrix
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.partners.shape[0]
+
+    @functools.cached_property
+    def basis(self):
+        return tuple(ArcDiagram(self.k, arcs) for arcs in _arc_lists(self.partners))
+
+    @functools.cached_property
+    def A(self):
+        return self.matrix.toarray()
 
     def off_diagonal_max(self):
-        off = self.A - np.diag(np.diag(self.A))
-        return float(off.max()) if off.size else 0.0
+        """Largest off-diagonal entry, counting the zero ones (so >= 0)."""
+        coo = self.matrix.tocoo()
+        return float(coo.data[coo.row != coo.col].max(initial=0.0))
+
+
+def _tl_csr(partners, codes, couplings, q):
+    """CSR matrix of -2 sum_x J_x U_{x,x+1} on a basis given by partner
+    array and codes, every bond applied to all diagrams at once.
+
+    A bubble (arc [x,x+1]) gives the diagonal entry; otherwise the image
+    pairs x with x+1 and the former partners a, b of x and x+1 with each
+    other (a lone partner becomes unpaired), which on the codes is: clear
+    the bits of x, x+1, a, b and set opener bits x, min(a,b), closer bits
+    x+1, max(a,b).  Every image code must be a basis code, else
+    AssertionError.  Contributions to one entry are summed in bond order
+    starting from 0.0, as a dense accumulation would.
+    """
+    m, k = partners.shape[0], partners.shape[1] - 2
+    bit = np.zeros(k + 2, dtype=np.int64)
+    bit[1:k + 1] = np.int64(1) << np.arange(k, dtype=np.int64)
+    omask, cmask = codes >> k, codes & ((np.int64(1) << k) - 1)
+    cols, order = np.arange(m), np.argsort(codes)
+    ranked = codes[order]
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for x in range(1, k):
+        w = -2.0 * couplings[x - 1]
+        a, b = partners[:, x], partners[:, x + 1]
+        bubble = a == x + 1
+        move = ~bubble & ((a != 0) | (b != 0))
+        a, b = a[move], b[move]
+        both = (a != 0) & (b != 0)
+        lo = bit[np.where(both, np.minimum(a, b), 0)]
+        hi = bit[np.where(both, np.maximum(a, b), 0)]
+        keep = ~(bit[x] | bit[x + 1] | bit[a] | bit[b])
+        image = ((((omask[move] & keep) | bit[x] | lo) << k)
+                 | (cmask[move] & keep) | bit[x + 1] | hi)
+        found = order[np.minimum(np.searchsorted(ranked, image), m - 1)]
+        if not np.array_equal(codes[found], image):
+            raise AssertionError("a bond generator maps a diagram outside the basis")
+        keys += [cols[bubble] * (m + 1), found * m + cols[move]]
+        values += [np.full(len(keys[-2]), w * -(q + 1.0 / q)), np.full(len(found), w)]
+    entries, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros(len(entries))
+    np.add.at(data, slot, np.concatenate(values))
+    indptr = np.searchsorted(entries // m, np.arange(m + 1))
+    return sp.csr_matrix((data, entries % m, indptr), shape=(m, m))
 
 
 def tl_hamiltonian_matrix(k, n, couplings, q=1.0):
@@ -224,15 +326,9 @@ def tl_hamiltonian_matrix(k, n, couplings, q=1.0):
         raise ValueError("need k-1 couplings")
     if any(j <= 0 for j in couplings):
         raise ValueError("couplings must be positive")
-    basis = enumerate_arc_diagrams(k, n)
-    index = {d: i for i, d in enumerate(basis)}
-    A = np.zeros((len(basis), len(basis)))
-    for col, alpha in enumerate(basis):
-        for x in range(1, k):
-            for beta, coeff in tl_generator_action(alpha, x, q).terms.items():
-                A[index[beta], col] += -2.0 * couplings[x - 1] * coeff
-    return TLMatrix(k=k, n=n, q=float(q), couplings=couplings,
-                    basis=tuple(basis), A=A)
+    partners, codes = _diagram_basis(k, n)
+    return TLMatrix(k=k, n=n, q=float(q), couplings=couplings, partners=partners,
+                    matrix=_tl_csr(partners, codes, couplings, q))
 
 
 @dataclass(frozen=True)
@@ -253,12 +349,10 @@ def check_dominance(ak, ak1, tol=1e-12):
     if ak1.k != ak.k + 1 or ak1.n != ak.n:
         raise ValueError("dominance compares (k, n) against (k+1, n)")
     d = ak.dim
-    expected = [embed_diagram(b) for b in ak.basis]
-    aligned = list(ak1.basis[:d]) == expected
+    aligned = np.array_equal(ak1.partners[:d, :ak.k + 2], ak.partners)
     if not aligned:
         raise ValueError("basis prefix misaligned; canonical order violated")
-    diff = ak1.A[:d, :d] - ak.A
-    max_violation = float(diff.max()) if diff.size else 0.0
+    max_violation = float((ak1.matrix[:d, :d] - ak.matrix).max())
     dims_ok = ak1.dim >= ak.dim
     return DominanceVerdict(ok=dims_ok and max_violation <= tol,
                             dims_ok=dims_ok, prefix_aligned=aligned,
@@ -272,27 +366,37 @@ class PerronResult:
     gap: float
 
 
-# Dense ``eig`` is faster below this dimension (measured at m = 75 and 110).
+# Dense ``eig`` is faster below this dimension.  perron_ground_vector on a
+# CSR TL matrix (q = 0.5, 2-vCPU x86 VM), dense vs sparse route: 3.8 vs
+# 5.9 ms at m = 75, 8.7 vs 7.0 ms at m = 110.
 PERRON_SPARSE_MIN_DIM = 100
 
 
-def _bottom_two_eigenpairs(a):
-    """The two eigenpairs of lowest real part, sorted by real part.
+def _as_csr(a):
+    """CSR matrix of a TLMatrix, a sparse matrix or a dense array (whose
+    zeros are dropped, so every input form reaches the same arrays)."""
+    if isinstance(a, TLMatrix):
+        return a.matrix
+    return sp.csr_matrix(a if sp.issparse(a) else np.asarray(a, dtype=float), dtype=float)
 
-    Sparse route: shift-invert ARPACK at sigma = Gershgorin lower bound - 1.
-    A - sigma*I is then a nonsingular M-matrix, so the Perron root of A is
-    the eigenvalue nearest sigma; for a real spectrum (every TL matrix is
-    similar to a symmetric one) the next nearest is the second lowest.  The
-    fixed start vector keeps the output bits identical between calls.
+
+def _bottom_two_eigenpairs(a, sigma):
+    """The two eigenpairs of lowest real part of a CSR matrix, sorted by
+    real part.
+
+    Sparse route: shift-invert ARPACK at sigma, below the Gershgorin lower
+    bound.  A - sigma*I is then a nonsingular M-matrix, so the Perron root
+    of A is the eigenvalue nearest sigma; for a real spectrum (every TL
+    matrix is similar to a symmetric one) the next nearest is the second
+    lowest.  The fixed start vector keeps the output bits identical between
+    calls.
     """
     m = a.shape[0]
     if m < PERRON_SPARSE_MIN_DIM:
-        w, vecs = np.linalg.eig(a)
+        w, vecs = np.linalg.eig(a.toarray())
     else:
-        diag = np.diag(a)
-        sigma = float(np.min(diag - (np.abs(a).sum(axis=1) - np.abs(diag)))) - 1.0
         try:
-            w, vecs = sla.eigs(sp.csc_matrix(a), k=2, sigma=sigma, which="LM",
+            w, vecs = sla.eigs(a.tocsc(), k=2, sigma=sigma, which="LM",
                                v0=np.ones(m), ncv=min(m, 20), tol=0)
         except sla.ArpackNoConvergence as exc:
             raise NumericalError(f"shift-invert eigs did not converge: {exc}") from exc
@@ -302,30 +406,34 @@ def _bottom_two_eigenpairs(a):
 
 def perron_ground_vector(A, positivity_tol=1e-10):
     """Strictly positive ground vector of an irreducible matrix with
-    nonpositive off-diagonal entries.
+    nonpositive off-diagonal entries (a TLMatrix, sparse or dense).
 
     Irreducibility is tested as strong connectivity of the off-diagonal
     nonzero pattern (equivalent to irreducibility of c*I - A for the
     nonnegative matrix obtained after the diagonal shift).  Certified, else
     NumericalError: a real, simple bottom eigenvalue and a strictly positive
-    vector with ||Av - lambda v|| <= 1e-9 ||A||_inf ||v||.
+    vector with ||Av - lambda v|| <= 1e-9 ||A||_inf ||v||.  Every check reads
+    the CSR matrix; only the dense ``eig`` route forms an m x m array.
     """
-    a = A.A if isinstance(A, TLMatrix) else np.asarray(A, dtype=float)
+    a = _as_csr(A)
     m = a.shape[0]
     if m == 1:
-        return PerronResult(vector=np.ones(1), eigenvalue=float(a[0, 0]), gap=np.inf)
-    off = a - np.diag(np.diag(a))
-    if off.max() > 0.0:
+        return PerronResult(vector=np.ones(1), eigenvalue=float(a.diagonal()[0]), gap=np.inf)
+    coo = a.tocoo()
+    off = (coo.row != coo.col) & (coo.data != 0.0)
+    if coo.data[off].max(initial=0.0) > 0.0:
         raise ValueError("positive off-diagonal entry; no Perron-Frobenius claim")
-    ncomp, _ = connected_components(sp.csr_matrix(off), directed=True,
-                                    connection="strong")
+    pattern = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(m, m))
+    ncomp, _ = connected_components(pattern, directed=True, connection="strong")
     if ncomp != 1:
         raise ReducibleMatrixError(
             f"irreducibility failed ({ncomp} strongly connected components); "
             "no positivity claim"
         )
-    w, vecs = _bottom_two_eigenpairs(a)
-    scale = max(1.0, float(np.abs(a).sum(axis=1).max()))
+    diag, row_abs = a.diagonal(), abs(a) @ np.ones(m)
+    sigma = float(np.min(diag - (row_abs - np.abs(diag)))) - 1.0
+    w, vecs = _bottom_two_eigenpairs(a, sigma)
+    scale = max(1.0, float(row_abs.max()))
     if abs(w[0].imag) > 1e-9 * scale:
         raise NumericalError("bottom eigenvalue came out complex")
     gap = float(w[1].real - w[0].real)
@@ -546,17 +654,17 @@ def fk_hamiltonian_matrix(spins, couplings, S, cond_limit=1e12):
 
 
 def tl_matrix_csv_rows(tl):
-    """(row, col, value) triplets of the nonzero entries of a TLMatrix or a
-    dense matrix, in row-major order."""
-    a = tl.A if isinstance(tl, TLMatrix) else np.asarray(tl, dtype=float)
-    rows, cols = np.nonzero(a)
-    return list(zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()))
+    """(row, col, value) triplets of the nonzero entries of a TLMatrix, a
+    sparse or a dense matrix, in row-major order."""
+    coo = _as_csr(tl).tocoo()
+    return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
 
 def tl_basis_csv_rows(tl_or_basis):
     """(diagram id, arc list) rows; arcs rendered like ``1-2;3-4``."""
-    basis = tl_or_basis.basis if isinstance(tl_or_basis, TLMatrix) else tl_or_basis
-    out = []
-    for i, d in enumerate(basis):
-        out.append((i, ";".join(f"{x}-{y}" for x, y in d.arcs) or "empty"))
-    return out
+    if isinstance(tl_or_basis, TLMatrix):
+        arc_lists = _arc_lists(tl_or_basis.partners)
+    else:
+        arc_lists = [d.arcs for d in tl_or_basis]
+    return [(i, ";".join(f"{x}-{y}" for x, y in arcs) or "empty")
+            for i, arcs in enumerate(arc_lists)]

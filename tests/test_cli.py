@@ -218,6 +218,27 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+    def test_python_dash_m_crash_exits_bug(self, tmp_path):
+        # a handler that raises must end `python -m foelab` with 4, not with
+        # the interpreter's 1 (EXIT_VIOLATION)
+        script = (
+            "import runpy, sys\n"
+            "import foelab.cli as cli\n"
+            "def bug(cfg):\n"
+            "    raise KeyError('internal')\n"
+            "cli._HANDLERS['qfoel'] = bug\n"
+            "sys.argv = ['foelab', 'qfoel', '--L', '3', '--q', '0.5',\n"
+            f"            '--output', {str(tmp_path / 'out')!r}]\n"
+            "runpy.run_module('foelab', run_name='__main__')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(foelab.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert "Traceback" in proc.stderr and "KeyError: 'internal'" in proc.stderr
+
+
 class TestReports:
     def test_empty_rows_header_only(self, tmp_path):
         p = write_csv(tmp_path / "x.csv", ("a", "b"), [])

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from foelab.qgroup import (
 )
 from foelab.sectors import s3_blocks, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, spin_matrices
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "xxz_droplets.py"
 
 
 class TestQParam:
@@ -239,3 +244,13 @@ class TestFiniteDroplet:
         for seq in by_n.values():
             es = [e for _, e in sorted(seq)]
             assert all(b < a for a, b in zip(es, es[1:]))
+
+
+def test_droplet_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMO), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "L = 14:  E = 0.37793731" in out
+    rows = (tmp_path / "droplet_sweep.csv").read_text().splitlines()
+    assert rows[0] == "L,n,q,finite_energy,E_infinity,bandwidth"
+    assert len(rows) == 1 + 11 + 11 + 9  # n = 1, 2 at L = 4..14; n = 3 at L = 6..14

@@ -365,6 +365,15 @@ class TestRealOperator:
         assert RealOperator(np.eye(3)).symmetric
         assert not RealOperator([[0.0, 1.0], [0.0, 0.0]]).symmetric
 
+    def test_symmetry_of_built_operators_read_on_demand(self):
+        shape = HilbertShape([HalfInt(1), HalfInt(2), HalfInt(1)])
+        sptot = total_spin_ops(shape).sptot
+        h = build_normalized_chain(ChainSpec(shape.spins, [0.5, 1.5]))
+        assert sptot._symmetric is None and h._symmetric is None
+        assert not sptot.symmetric
+        assert h.symmetric
+        assert (sptot._symmetric, h._symmetric) == (False, True)
+
     def test_sub(self):
         from foelab.spinops import RealOperator
 

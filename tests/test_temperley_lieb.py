@@ -1,8 +1,12 @@
 import itertools
+import runpy
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
@@ -19,10 +23,13 @@ from foelab.temperley_lieb import (
     fk_highest_weight_basis,
     min_spec_comparison,
     perron_ground_vector,
+    tl_basis_csv_rows,
     tl_generator_action,
     tl_hamiltonian_matrix,
     tl_matrix_csv_rows,
 )
+
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "diagram_basis_tour.py"
 
 
 def brute_force_diagrams(k, n):
@@ -268,6 +275,91 @@ def test_matrix_csv_rows_match_double_loop():
         loop = [(i, j, float(tl.A[i, j])) for i in range(tl.dim)
                 for j in range(tl.dim) if tl.A[i, j] != 0.0]
         assert tl_matrix_csv_rows(tl) == loop
+        assert tl_matrix_csv_rows(tl.matrix) == loop
+
+
+def walk_basis(k, n):
+    """Reference enumerator: recursive walk, one ArcDiagram per diagram,
+    sorted by ArcDiagram.sort_key."""
+    out = []
+
+    def walk(pos, stack, arcs, opened):
+        if pos > k:
+            if not stack and opened == n:
+                out.append(ArcDiagram(k, arcs))
+            return
+        if len(stack) > k - pos + 1:
+            return
+        if opened < n:
+            walk(pos + 1, stack + [pos], arcs, opened + 1)
+        if stack:
+            walk(pos + 1, stack[:-1], arcs + [(stack[-1], pos)], opened)
+        else:
+            walk(pos + 1, stack, arcs, opened)
+
+    walk(1, [], [], 0)
+    return sorted(out, key=ArcDiagram.sort_key)
+
+
+def dense_reference(k, n, couplings, q):
+    """Reference builder: one tl_generator_action call per diagram and bond,
+    summed entry by entry into a dense array."""
+    basis = walk_basis(k, n)
+    index = {d: i for i, d in enumerate(basis)}
+    a = np.zeros((len(basis), len(basis)))
+    for col, alpha in enumerate(basis):
+        for x in range(1, k):
+            for beta, coeff in tl_generator_action(alpha, x, q).terms.items():
+                a[index[beta], col] += -2.0 * couplings[x - 1] * coeff
+    return basis, a
+
+
+@st.composite
+def tl_inputs(draw):
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(0, k // 2))
+    q = draw(st.floats(0.05, 1.0))
+    js = draw(st.lists(st.floats(0.0, 2.0, exclude_min=True),
+                       min_size=k - 1, max_size=k - 1))
+    return k, n, q, js
+
+
+class TestSparseBuilder:
+    """The index-based CSR builder against the per-diagram dense loop."""
+
+    @settings(max_examples=30, database=None, deadline=None)
+    @given(tl_inputs())
+    def test_matches_dense_reference(self, inputs):
+        k, n, q, js = inputs
+        basis, a = dense_reference(k, n, js, q)
+        tl = tl_hamiltonian_matrix(k, n, js, q)
+        assert tl.basis == tuple(basis)
+        assert tl_basis_csv_rows(tl) == tl_basis_csv_rows(basis)
+        assert tl.A.tobytes() == a.tobytes()
+        assert tl.matrix.has_canonical_format
+        assert tl.matrix.nnz == np.count_nonzero(a)
+
+    def test_image_outside_basis_raises(self):
+        partners, codes = tlmod._diagram_basis(6, 2)
+        with pytest.raises(AssertionError, match="outside the basis"):
+            tlmod._tl_csr(partners[:-1], codes[:-1], (1.0,) * 5, 1.0)
+
+    @pytest.mark.parametrize("k,n", [(10, 3), (11, 3)])
+    def test_perron_same_bits_on_every_input_form(self, k, n):
+        tl = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), 0.5)
+        runs = [perron_ground_vector(tl), perron_ground_vector(tl.matrix)]
+        assert "A" not in vars(tl)  # no dense copy on the sparse pipeline
+        runs.append(perron_ground_vector(tl.A))
+        assert len({(r.eigenvalue, r.gap, r.vector.tobytes()) for r in runs}) == 1
+
+
+def test_diagram_basis_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMO), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "[[ 8. -4. -2.  0. -2.]" in out  # the dense view of the (5,2) matrix
+    assert "largest off-diagonal entry: 0 (never positive)" in out
+    assert "max prefix violation 0)" in out
 
 
 class TestMinSpecComparison:
