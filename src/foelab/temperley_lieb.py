@@ -16,16 +16,16 @@ prefix comparison.
 
 The Hamiltonian builder works on integers, not on diagram objects.  A basis
 is an m x (k+2) partner array (column v holds the partner of vertex v, 0 if
-unpaired) in canonical order, and each diagram is keyed by the int64 code
-(opener bitmask << k) | closer bitmask.  Each bond generator acts on all
-diagrams at once through bit operations on the codes; images are ranked by
-``searchsorted`` over the sorted codes, and an image code missing from the
-basis raises (this certificate replaces per-diagram ArcDiagram
-validation).  The matrix is one CSR whose entries equal a dense
-per-diagram accumulation bit for bit.  ``TLMatrix.basis`` (ArcDiagrams)
-and ``TLMatrix.A`` (dense) are views built on first read;
-``perron_ground_vector``, ``check_dominance`` and the CSV rows read the
-CSR matrix and the partner array.
+unpaired) in canonical order, and each diagram is keyed by the integer code
+(opener bitmask << k) | closer bitmask (int64 up to k = 31, Python ints
+beyond).  Each bond generator acts on all diagrams at once through bit
+operations on the codes; images are ranked by ``searchsorted`` over the
+sorted codes, and an image code missing from the basis raises (this
+certificate replaces per-diagram ArcDiagram validation).  The matrix is
+one CSR whose entries equal a dense per-diagram accumulation bit for bit.
+``TLMatrix.basis`` (ArcDiagrams) and ``TLMatrix.A`` (dense) are views built
+on first read; ``perron_ground_vector``, ``check_dominance`` and the CSV
+rows read the CSR matrix and the partner array.
 
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
 is built by expanding ordered Ising configurations into spin-1/2 tensors,
@@ -149,48 +149,39 @@ def diagram_count(k, n):
 
 
 def _diagram_basis(k, n):
-    """Partner array and codes of every n-arc diagram on k vertices.
+    """Partner array of every n-arc diagram on k vertices, canonically ordered.
 
     A diagram is a left-to-right walk where each vertex opens an arc, closes
     the most recent open arc, or stays unpaired; the no-span rule allows an
-    unpaired vertex only at nesting depth zero.  All walks advance together
-    as opener/closer bitmasks (bit v-1 for vertex v), pruned to those that
-    can still close every arc; bracket matching then fills the m x (k+2)
-    partner array (column v holds the partner of vertex v, 0 = unpaired;
-    columns 0 and k+1 are padding).  Rows come in canonical order and each
-    diagram's code is (openers << k) | closers.
+    unpaired vertex only at nesting depth zero.  Row i lists the partners of
+    diagram i (column v for vertex v, 0 = unpaired; columns 0 and k+1 are
+    padding).
     """
     k, n = int(k), int(n)
     if n < 0 or 2 * n > k:
         raise ValueError(f"need 0 <= 2n <= k, got k={k}, n={n}")
-    if k > 31:
-        raise ValueError(f"diagram codes are 64-bit: need k <= 31, got k={k}")
-    opened = depth = omask = cmask = np.zeros(1, dtype=np.int64)
-    for pos in range(k):
-        bit = np.int64(1) << pos
-        up, down, flat = opened < n, depth > 0, depth == 0
-        opened = np.concatenate([opened[up] + 1, opened[down], opened[flat]])
-        depth = np.concatenate([depth[up] + 1, depth[down] - 1, depth[flat]])
-        omask = np.concatenate([omask[up] | bit, omask[down], omask[flat]])
-        cmask = np.concatenate([cmask[up], cmask[down] | bit, cmask[flat]])
-        alive = depth + 2 * (n - opened) <= k - pos - 1
-        opened, depth, omask, cmask = (arr[alive] for arr in (opened, depth, omask, cmask))
-    m = len(omask)
+    rows = []
+
+    def walk(pos, stack, opened, row):
+        if len(stack) + 2 * (n - opened) > k - pos + 1:
+            return
+        if pos > k:
+            rows.append(row)
+            return
+        if opened < n:
+            walk(pos + 1, stack + [pos], opened + 1, row)
+        if stack:
+            row = row.copy()
+            row[stack[-1]], row[pos] = pos, stack[-1]
+            walk(pos + 1, stack[:-1], opened, row)
+        else:
+            walk(pos + 1, stack, opened, row)
+
+    walk(1, [], 0, [0] * (k + 2))
+    m = len(rows)
     if m != diagram_count(k, n):
         raise AssertionError("diagram enumeration does not match the count formula")
-    rows = np.arange(m)
-    partners = np.zeros((m, k + 2), dtype=np.int64)
-    stack = np.zeros((m, n + 1), dtype=np.int64)
-    depth = np.zeros(m, dtype=np.int64)
-    for v in range(1, k + 1):
-        bit = np.int64(1) << (v - 1)
-        up = rows[(omask & bit) != 0]
-        stack[up, depth[up]] = v
-        depth[up] += 1
-        down = rows[(cmask & bit) != 0]
-        depth[down] -= 1
-        partners[down, v] = stack[down, depth[down]]
-        partners[down, partners[down, v]] = v
+    partners = np.array(rows, dtype=np.int64).reshape(m, k + 2)
     # canonical order: (last paired vertex, x1, y1, ..., xn, yn)
     vertex = np.arange(k + 2)
     openers = np.nonzero(partners > vertex)[1].reshape(m, n)
@@ -198,8 +189,7 @@ def _diagram_basis(k, n):
     keys = [np.max(np.where(partners > 0, vertex, 0), axis=1)]
     for i in range(n):
         keys += [openers[:, i], closers[:, i]]
-    order = np.lexsort(keys[::-1])
-    return partners[order], ((omask << k) | cmask)[order]
+    return partners[np.lexsort(keys[::-1])]
 
 
 def _arc_lists(partners):
@@ -210,7 +200,7 @@ def _arc_lists(partners):
 
 def enumerate_arc_diagrams(k, n):
     """All n-arc diagrams on k vertices satisfying both rules, canonically ordered."""
-    return [ArcDiagram(k, arcs) for arcs in _arc_lists(_diagram_basis(k, n)[0])]
+    return [ArcDiagram(k, arcs) for arcs in _arc_lists(_diagram_basis(k, n))]
 
 
 def tl_generator_action(d, x, q=1.0):
@@ -276,22 +266,28 @@ class TLMatrix:
         return float(coo.data[coo.row != coo.col].max(initial=0.0))
 
 
-def _tl_csr(partners, codes, couplings, q):
-    """CSR matrix of -2 sum_x J_x U_{x,x+1} on a basis given by partner
-    array and codes, every bond applied to all diagrams at once.
+def _tl_csr(partners, couplings, q):
+    """CSR matrix of -2 sum_x J_x U_{x,x+1} on a basis given by its partner
+    array, every bond applied to all diagrams at once.
 
-    A bubble (arc [x,x+1]) gives the diagonal entry; otherwise the image
-    pairs x with x+1 and the former partners a, b of x and x+1 with each
-    other (a lone partner becomes unpaired), which on the codes is: clear
-    the bits of x, x+1, a, b and set opener bits x, min(a,b), closer bits
-    x+1, max(a,b).  Every image code must be a basis code, else
-    AssertionError.  Contributions to one entry are summed in bond order
-    starting from 0.0, as a dense accumulation would.
+    Each diagram is keyed by the code (opener bitmask << k) | closer bitmask,
+    bit v-1 standing for vertex v; codes are int64 while 2k < 64 and Python
+    ints (object arrays) beyond, so no chain length is capped.  A bubble
+    (arc [x,x+1]) gives the diagonal entry; otherwise the image pairs x with
+    x+1 and the former partners a, b of x and x+1 with each other (a lone
+    partner becomes unpaired), which on the codes is: clear the bits of x,
+    x+1, a, b and set opener bits x, min(a,b), closer bits x+1, max(a,b).
+    Every image code must be a basis code, else AssertionError.
+    Contributions to one entry are summed in bond order starting from 0.0,
+    as a dense accumulation would.
     """
     m, k = partners.shape[0], partners.shape[1] - 2
-    bit = np.zeros(k + 2, dtype=np.int64)
-    bit[1:k + 1] = np.int64(1) << np.arange(k, dtype=np.int64)
-    omask, cmask = codes >> k, codes & ((np.int64(1) << k) - 1)
+    bit = np.array([0] + [1 << v for v in range(k)] + [0],
+                   dtype=np.int64 if 2 * k < 64 else object)
+    opener = partners > np.arange(k + 2)
+    omask = (opener * bit).sum(axis=1)
+    cmask = (((partners > 0) & ~opener) * bit).sum(axis=1)
+    codes = (omask << k) | cmask
     cols, order = np.arange(m), np.argsort(codes)
     ranked = codes[order]
     keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
@@ -326,9 +322,9 @@ def tl_hamiltonian_matrix(k, n, couplings, q=1.0):
         raise ValueError("need k-1 couplings")
     if any(j <= 0 for j in couplings):
         raise ValueError("couplings must be positive")
-    partners, codes = _diagram_basis(k, n)
+    partners = _diagram_basis(k, n)
     return TLMatrix(k=k, n=n, q=float(q), couplings=couplings, partners=partners,
-                    matrix=_tl_csr(partners, codes, couplings, q))
+                    matrix=_tl_csr(partners, couplings, q))
 
 
 @dataclass(frozen=True)
@@ -373,11 +369,17 @@ PERRON_SPARSE_MIN_DIM = 100
 
 
 def _as_csr(a):
-    """CSR matrix of a TLMatrix, a sparse matrix or a dense array (whose
-    zeros are dropped, so every input form reaches the same arrays)."""
+    """Canonical CSR matrix (sorted indices, duplicates summed, no stored
+    zeros) of a TLMatrix, a sparse matrix or a dense array, so every input
+    form reaches the same arrays."""
     if isinstance(a, TLMatrix):
         return a.matrix
-    return sp.csr_matrix(a if sp.issparse(a) else np.asarray(a, dtype=float), dtype=float)
+    if not sp.issparse(a):
+        return sp.csr_matrix(np.asarray(a, dtype=float))
+    out = sp.csr_matrix(a, dtype=float, copy=True)
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
 
 
 def _bottom_two_eigenpairs(a, sigma):

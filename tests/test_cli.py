@@ -162,6 +162,16 @@ class TestCommands:
         assert payload["ok"]
         assert payload["checks"]["1"]["monotone_decreasing"]
 
+    def test_long_chain_diagram_commands(self, tmp_path):
+        # diagram codes outgrow int64 beyond k = 31
+        code, out = run(tmp_path, "tl-matrix", "--k", "40", "--n", "1")
+        assert code == 0
+        assert json.loads(read(out / "tl.json"))["dim"] == 39
+        code, out = run(tmp_path, "droplet", "--q", "0.5", "--n", "1,2",
+                        "--Lmin", "38", "--Lmax", "40")
+        assert code == 0
+        assert len(read(out / "droplet.csv").splitlines()) == 1 + 3 + 3
+
     def test_ssep_gap_and_spinmap(self, tmp_path):
         graph = tmp_path / "path3.g"
         graph.write_text(PATH3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foelab.hamiltonians import ChainSpec, build_normalized_chain, build_xxz_chain
+from foelab.hamiltonians import ChainSpec, build_normalized_chain, build_xxz_chain, xxz_bond
 from foelab.linalg import commutator_maxabs, kernel_basis
 from foelab.qgroup import (
     QParam,
@@ -229,6 +229,22 @@ class TestFiniteDroplet:
         for n in (1, 2, 3):
             for L in range(2 * n, 13):
                 assert finite_droplet_energy(L, n, qp) >= droplet_energy(n, qp)
+
+    def test_long_chain_one_magnon(self):
+        # oracle: the L x L one-down-spin block of the XXZ chain holds the
+        # zero-energy descendant of the maximal multiplet and, above it,
+        # the n = 1 sector levels
+        L, qp = 40, QParam(0.5)
+        bond = xxz_bond(qp.delta)  # basis ++, +-, -+, -- of sites (x, x+1)
+        block = np.zeros((L, L))
+        for x in range(L - 1):
+            idx = [x, x + 1]
+            block[np.ix_(idx, idx)] += bond[np.ix_([2, 1], [2, 1])]
+        levels = np.linalg.eigvalsh(block)
+        assert abs(levels[0]) <= 1e-12
+        e = finite_droplet_energy(L, 1, qp)
+        assert abs(e - levels[1]) <= 1e-12
+        assert droplet_energy(1, qp) < e < finite_droplet_energy(L - 1, 1, qp)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +277,25 @@ def test_matrix_csv_rows_match_double_loop():
                 for j in range(tl.dim) if tl.A[i, j] != 0.0]
         assert tl_matrix_csv_rows(tl) == loop
         assert tl_matrix_csv_rows(tl.matrix) == loop
+        for form in non_canonical_forms(tl.matrix):
+            assert tl_matrix_csv_rows(form) == loop
+
+
+def non_canonical_forms(csr):
+    """The same matrix as a COO and as a raw CSR, both with every
+    off-diagonal entry v stored as 2v and -v (a positive stored entry on a
+    nonpositive matrix) and a stored 0.0 on every anti-diagonal position."""
+    coo = csr.tocoo()
+    m, off = csr.shape[0], coo.row != coo.col
+    row = np.concatenate([coo.row, coo.row[off], np.arange(m)])
+    col = np.concatenate([coo.col, coo.col[off], np.arange(m)[::-1]])
+    data = np.concatenate([np.where(off, 2.0 * coo.data, coo.data),
+                           -coo.data[off], np.zeros(m)])
+    order = np.argsort(row, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=m))])
+    raw = sp.csr_matrix((data[order], col[order], indptr), shape=(m, m))
+    assert not raw.has_canonical_format
+    return sp.coo_matrix((data, (row, col)), shape=(m, m)), raw
 
 
 def walk_basis(k, n):
@@ -339,15 +359,30 @@ class TestSparseBuilder:
         assert tl.matrix.has_canonical_format
         assert tl.matrix.nnz == np.count_nonzero(a)
 
+    @pytest.mark.parametrize("k,n", [(32, 1), (40, 2), (64, 1)])
+    def test_long_chains_match_dense_reference(self, k, n):
+        # codes need more than 64 bits beyond k = 31, closer masks beyond 63
+        rng = np.random.default_rng(k)
+        js = list(2.0 * (1.0 - rng.random(k - 1)))
+        basis, a = dense_reference(k, n, js, 0.5)
+        tl = tl_hamiltonian_matrix(k, n, js, 0.5)
+        assert tl.dim == len(basis) == comb(k, n) - comb(k, n - 1)
+        assert tl.basis == tuple(basis)
+        assert tl.A.tobytes() == a.tobytes()
+
+    def test_long_chain_basis_matches_brute_force(self):
+        assert {d.arcs for d in enumerate_arc_diagrams(33, 1)} == brute_force_diagrams(33, 1)
+
     def test_image_outside_basis_raises(self):
-        partners, codes = tlmod._diagram_basis(6, 2)
+        partners = tlmod._diagram_basis(6, 2)
         with pytest.raises(AssertionError, match="outside the basis"):
-            tlmod._tl_csr(partners[:-1], codes[:-1], (1.0,) * 5, 1.0)
+            tlmod._tl_csr(partners[:-1], (1.0,) * 5, 1.0)
 
     @pytest.mark.parametrize("k,n", [(10, 3), (11, 3)])
     def test_perron_same_bits_on_every_input_form(self, k, n):
         tl = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), 0.5)
         runs = [perron_ground_vector(tl), perron_ground_vector(tl.matrix)]
+        runs += [perron_ground_vector(form) for form in non_canonical_forms(tl.matrix)]
         assert "A" not in vars(tl)  # no dense copy on the sparse pipeline
         runs.append(perron_ground_vector(tl.A))
         assert len({(r.eigenvalue, r.gap, r.vector.tobytes()) for r in runs}) == 1
