@@ -61,7 +61,6 @@ from .temperley_lieb import (
 )
 from .qgroup import (
     QParam,
-    QSectorReport,
     droplet_bandwidth,
     droplet_energy,
     finite_droplet_energy,

@@ -6,7 +6,9 @@ is a program bug: ``main`` propagates it with its traceback, and
 ``python -m foelab`` and the ``foelab`` script print that traceback to
 stderr and exit with 4.
 All diagnostics go to stderr; results are written as deterministic CSV
-plus a JSON summary.
+plus a JSON summary.  Handlers read argparse's namespace as parsed: each
+default is stated once, in ``build_parser``, and a given value is used or
+rejected, never replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .sectors import (
     full_spectrum_by_s3,
     sector_csv_rows,
     sector_energies,
+    sector_labels,
     spectrum_csv_rows,
 )
 from .spinops import HalfInt, HilbertShape
@@ -68,31 +70,32 @@ EXIT_NUMERICAL = 3
 EXIT_BUG = 4
 
 DEFAULT_SEED = 12345
+BETA_SWEEP_L = 5
+RANDOM_TRIALS_L = 8
 
 
-@dataclass
-class RunConfig:
-    command: str
-    output: str = "."
-    tol: float = 1e-8
-    seed: int = DEFAULT_SEED
-    params: dict = field(default_factory=dict)
-
-
-def _parse_int_list(text):
+def _int_list(text):
+    """Comma-separated integers; empty items are skipped."""
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _parse_float_list(text):
+def _float_list(text):
+    """Comma-separated floats; empty items are skipped."""
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _chain_from_args(params):
-    spins = [HalfInt(t) for t in params["chain"]]
-    js = params.get("J")
-    if js is None:
-        js = [1.0] * (len(spins) - 1)
-    return ChainSpec(spins, js)
+def _couplings(args, nsites):
+    """--J as given, else unit couplings on the nsites - 1 bonds."""
+    return [1.0] * (nsites - 1) if args.J is None else args.J
+
+
+def _model(args):
+    """Heisenberg operator of --graph, or normalized chain of --chain."""
+    if args.graph is not None:
+        g = _load_graph(args.graph)
+        return build_heisenberg(g), g.shape
+    chain = ChainSpec([HalfInt(t) for t in args.chain], _couplings(args, len(args.chain)))
+    return build_normalized_chain(chain), chain.shape
 
 
 def _load_graph(path):
@@ -107,77 +110,57 @@ def _margins_json(margins):
     ]
 
 
-def _out(cfg, name):
-    return os.path.join(cfg.output, name)
+def _out(args, name):
+    return os.path.join(args.output, name)
 
 
-def cmd_spectrum(cfg):
-    if cfg.params.get("graph"):
-        g = _load_graph(cfg.params["graph"])
-        h, shape = build_heisenberg(g), g.shape
-    elif cfg.params.get("chain"):
-        chain = _chain_from_args(cfg.params)
-        h, shape = build_normalized_chain(chain), chain.shape
-    else:
-        raise GraphSpecError("spectrum needs --chain or --graph")
-    spec = full_spectrum_by_s3(h, shape, offset=cfg.params.get("offset", False))
-    write_csv(_out(cfg, "spectrum.csv"), ("M_times2", "energy"),
+def cmd_spectrum(args):
+    h, shape = _model(args)
+    spec = full_spectrum_by_s3(h, shape, offset=args.offset)
+    write_csv(_out(args, "spectrum.csv"), ("M_times2", "energy"),
               spectrum_csv_rows(spec))
-    write_json(_out(cfg, "spectrum.json"), {
+    write_json(_out(args, "spectrum.json"), {
         "dim": shape.dim,
-        "offset": cfg.params["offset"],
+        "offset": args.offset,
         "block_sizes": {str(m.twice): len(w) for m, w in spec},
         "ground_energy": min(float(w[0]) for _, w in spec),
     })
     return EXIT_OK
 
 
-def _emit_foel(cfg, report, extra=None):
-    verdict = check_foel(report, cfg.tol)
-    write_csv(_out(cfg, "sectors.csv"),
+def cmd_foel(args):
+    if args.spin1_beta is not None:
+        return _foel_beta_sweep(args)
+    if args.random_trials is not None:
+        return _foel_random_trials(args)
+    h, shape = _model(args)
+    report = sector_energies(h, shape)
+    verdict = check_foel(report, args.tol)
+    write_csv(_out(args, "sectors.csv"),
               ("S_times2", "dim", "min_energy", "max_energy"),
               sector_csv_rows(report))
-    payload = {
+    write_json(_out(args, "foel.json"), {
         "foel_ok": verdict.ok,
         "margins": _margins_json(verdict.margins),
         "crossings": _margins_json(verdict.crossings),
         "violations": _margins_json(verdict.violations),
-        "strict_tol": cfg.tol,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(_out(cfg, "foel.json"), payload)
+        "strict_tol": args.tol,
+    })
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
 
-def cmd_foel(cfg):
-    p = cfg.params
-    if p.get("spin1_beta") is not None:
-        return _foel_beta_sweep(cfg)
-    if p.get("random_trials"):
-        return _foel_random_trials(cfg)
-    if p.get("graph"):
-        g = _load_graph(p["graph"])
-        h, shape = build_heisenberg(g), g.shape
-    elif p.get("chain"):
-        chain = _chain_from_args(p)
-        h, shape = build_normalized_chain(chain), chain.shape
-    else:
-        raise GraphSpecError("foel needs --chain, --graph, --spin1-beta or --random-trials")
-    report = sector_energies(h, shape, strict_tol=cfg.tol)
-    return _emit_foel(cfg, report)
-
-
-def _foel_beta_sweep(cfg):
-    beta = cfg.params["spin1_beta"]
-    l_max = cfg.params.get("L") or 5
+def _foel_beta_sweep(args):
+    beta = args.spin1_beta
+    l_max = BETA_SWEEP_L if args.L is None else args.L
+    if l_max < 2:
+        raise ValueError(f"--L must be at least 2, got {l_max}")
     rows, summary = [], []
     found_violation = False
     found_crossing = False
     for L in range(2, l_max + 1):
         shape = HilbertShape([HalfInt(2)] * L)
-        report = sector_energies(build_spin1_beta_chain(L, beta), shape, cfg.tol)
-        verdict = check_foel(report, cfg.tol)
+        report = sector_energies(build_spin1_beta_chain(L, beta), shape)
+        verdict = check_foel(report, args.tol)
         rows.extend((L,) + r for r in sector_csv_rows(report))
         summary.append({
             "L": L,
@@ -188,9 +171,9 @@ def _foel_beta_sweep(cfg):
         })
         found_violation |= bool(verdict.violations)
         found_crossing |= bool(verdict.crossings)
-    write_csv(_out(cfg, "sectors.csv"),
+    write_csv(_out(args, "sectors.csv"),
               ("L", "S_times2", "dim", "min_energy", "max_energy"), rows)
-    write_json(_out(cfg, "foel.json"), {
+    write_json(_out(args, "foel.json"), {
         "beta": beta,
         "L_max": l_max,
         "witness_found": found_violation,
@@ -201,27 +184,28 @@ def _foel_beta_sweep(cfg):
     return EXIT_VIOLATION if found_violation else EXIT_OK
 
 
-def _foel_random_trials(cfg):
-    rng = np.random.default_rng(cfg.seed)
-    trials = cfg.params["random_trials"]
-    l_max = cfg.params.get("L") or 8
-    max_dim = cfg.params.get("max_dim") or 4096
+def _foel_random_trials(args):
+    trials = args.random_trials
+    if trials < 1:
+        raise ValueError(f"--random-trials must be at least 1, got {trials}")
+    l_max = RANDOM_TRIALS_L if args.L is None else args.L
+    rng = np.random.default_rng(args.seed)
     rows = []
     worst = np.inf
     failures = 0
     for trial in range(trials):
-        chain = random_chain(rng, max_sites=l_max, max_dim=max_dim)
-        report = sector_energies(build_normalized_chain(chain), chain.shape, cfg.tol)
-        verdict = check_foel(report, cfg.tol)
+        chain = random_chain(rng, max_sites=l_max, max_dim=args.max_dim)
+        report = sector_energies(build_normalized_chain(chain), chain.shape)
+        verdict = check_foel(report, args.tol)
         worst = min(worst, verdict.min_margin)
         failures += 0 if verdict.ok else 1
         rows.append((trial, len(chain.spins), chain.shape.dim,
                      verdict.min_margin, verdict.ok))
-    write_csv(_out(cfg, "trials.csv"),
+    write_csv(_out(args, "trials.csv"),
               ("trial", "L", "dim", "min_margin", "foel_ok"), rows)
-    write_json(_out(cfg, "foel.json"), {
+    write_json(_out(args, "foel.json"), {
         "trials": trials,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "failures": failures,
         "worst_margin": worst,
         "foel_ok": failures == 0,
@@ -229,41 +213,40 @@ def _foel_random_trials(cfg):
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
-def cmd_figure1(cfg):
+def cmd_figure1(args):
     shape = HilbertShape([HalfInt(2)] * 5)
     g = SpinGraph.path([HalfInt(2)] * 5, [1.0] * 4)
     h = build_heisenberg(g)
     spec = full_spectrum_by_s3(h, shape, offset=True)
-    write_csv(_out(cfg, "figure1.csv"), ("M_times2", "energy"),
+    write_csv(_out(args, "figure1.csv"), ("M_times2", "energy"),
               spectrum_csv_rows(spec))
-    report = sector_energies(h, shape, strict_tol=cfg.tol)
+    report = sector_energies(h, shape)
+    foel_ok = check_foel(report, args.tol).ok
     max_verdict = check_max_ordering(report, s_low=HalfInt(2), s_high=HalfInt(10))
     ground = min(float(w[0]) for _, w in spec)
-    write_json(_out(cfg, "figure1.json"), {
-        "foel_ok": report.foel_ok,
+    write_json(_out(args, "figure1.json"), {
+        "foel_ok": foel_ok,
         "max_ordering_ok": max_verdict.ok,
         "offset_ground_energy": ground,
         "sectors": {str(s.twice): report.entries[s].min_energy
                     for s in report.labels},
     })
-    ok = report.foel_ok and max_verdict.ok and abs(ground) <= 1e-10
+    ok = foel_ok and max_verdict.ok and abs(ground) <= 1e-10
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_tl_matrix(cfg):
-    p = cfg.params
-    k, n, q = p["k"], p["n"], p.get("q") or 1.0
-    js = p.get("J") or [1.0] * (k - 1)
-    tl = tl_hamiltonian_matrix(k, n, js, q)
-    write_csv(_out(cfg, "tl_matrix.csv"), ("row", "col", "value"),
+def cmd_tl_matrix(args):
+    k, n, q = args.k, args.n, args.q
+    tl = tl_hamiltonian_matrix(k, n, _couplings(args, k), q)
+    write_csv(_out(args, "tl_matrix.csv"), ("row", "col", "value"),
               tl_matrix_csv_rows(tl))
-    write_csv(_out(cfg, "tl_basis.csv"), ("diagram_id", "arcs"),
+    write_csv(_out(args, "tl_basis.csv"), ("diagram_id", "arcs"),
               tl_basis_csv_rows(tl))
     off_max = tl.off_diagonal_max()
     payload = {
         "k": k, "n": n, "q": q, "dim": tl.dim,
         "off_diagonal_max": off_max,
-        "sign_ok": off_max <= cfg.tol,
+        "sign_ok": off_max <= args.tol,
     }
     try:
         pf = perron_ground_vector(tl)
@@ -274,28 +257,24 @@ def cmd_tl_matrix(cfg):
         })
     except ReducibleMatrixError as exc:
         payload.update({"perron_frobenius": f"irreducibility failed: {exc}"})
-    write_json(_out(cfg, "tl.json"), payload)
+    write_json(_out(args, "tl.json"), payload)
     return EXIT_OK if payload["sign_ok"] else EXIT_VIOLATION
 
 
-def cmd_fk_basis(cfg):
-    p = cfg.params
-    spins = [HalfInt(t) for t in p["spins"]]
-    S = HalfInt(p["S2"])
-    js = p.get("J") or [1.0] * (len(spins) - 1)
+def cmd_fk_basis(args):
+    spins = [HalfInt(t) for t in args.spins]
+    S = HalfInt(args.S2)
     basis = fk_highest_weight_basis(spins, S)
     rows = [(i, ",".join(str(b.n_down) for b in v.blocks),
              ";".join(f"{x}-{y}" for x, y in v.arcs) or "empty")
             for i, v in enumerate(basis)]
-    write_csv(_out(cfg, "fk_basis.csv"), ("vector_id", "n_down", "arcs"), rows)
-    a = fk_hamiltonian_matrix(spins, js, S)
-    write_csv(_out(cfg, "fk_matrix.csv"), ("row", "col", "value"),
+    write_csv(_out(args, "fk_basis.csv"), ("vector_id", "n_down", "arcs"), rows)
+    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), S)
+    write_csv(_out(args, "fk_matrix.csv"), ("row", "col", "value"),
               tl_matrix_csv_rows(a))
     off = a - np.diag(np.diag(a))
     off_max = float(off.max()) if off.size else 0.0
-    shape = HilbertShape(spins)
-    from .sectors import sector_labels
-    expected = sector_labels(shape).get(S, 0)
+    expected = sector_labels(HilbertShape(spins)).get(S, 0)
     payload = {
         "spins_times2": [s.twice for s in spins],
         "S_times2": S.twice,
@@ -305,38 +284,35 @@ def cmd_fk_basis(cfg):
         "off_diagonal_max": off_max,
         "sign_ok": off_max <= 1e-10,
     }
-    write_json(_out(cfg, "fk.json"), payload)
+    write_json(_out(args, "fk.json"), payload)
     return EXIT_OK if payload["count_ok"] and payload["sign_ok"] else EXIT_VIOLATION
 
 
-def cmd_qfoel(cfg):
-    p = cfg.params
-    qp = QParam(p["q"])
-    report = q_sector_energies(p["L"], qp, strict_tol=cfg.tol)
-    write_csv(_out(cfg, "qsectors.csv"), ("S_times2", "dim", "min_energy"),
-              [(s.twice, report.entries[s][1], report.entries[s][0])
+def cmd_qfoel(args):
+    qp = QParam(args.q)
+    report = q_sector_energies(args.L, qp)
+    verdict = check_foel(report, args.tol)
+    write_csv(_out(args, "qsectors.csv"), ("S_times2", "dim", "min_energy"),
+              [(s.twice, report.entries[s].dimension, report.entries[s].min_energy)
                for s in report.labels])
-    write_json(_out(cfg, "qfoel.json"), {
-        "L": p["L"], "q": qp.q, "delta": qp.delta,
-        "qfoel_ok": report.qfoel_ok,
-        "margins": _margins_json(report.margins),
-        "crossings": _margins_json(report.crossings),
-        "violations": _margins_json(report.violations),
+    write_json(_out(args, "qfoel.json"), {
+        "L": args.L, "q": qp.q, "delta": qp.delta,
+        "qfoel_ok": verdict.ok,
+        "margins": _margins_json(verdict.margins),
+        "crossings": _margins_json(verdict.crossings),
+        "violations": _margins_json(verdict.violations),
     })
-    return EXIT_OK if report.qfoel_ok else EXIT_VIOLATION
+    return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
 
-def cmd_droplet(cfg):
-    p = cfg.params
-    qp = QParam(p["q"])
-    ns = p.get("n") or [1, 2, 3]
-    l_values = list(range(p.get("Lmin") or 4, (p.get("Lmax") or 16) + 1))
-    rows = droplet_csv_rows(l_values, ns, qp)
-    write_csv(_out(cfg, "droplet.csv"),
+def cmd_droplet(args):
+    qp = QParam(args.q)
+    rows = droplet_csv_rows(range(args.Lmin, args.Lmax + 1), args.n, qp)
+    write_csv(_out(args, "droplet.csv"),
               ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"), rows)
     checks = {}
     ok = True
-    for n in ns:
+    for n in args.n:
         seq = [(L, e) for (L, nn, _, e, _, _) in rows if nn == n]
         if len(seq) < 2:
             continue
@@ -351,17 +327,17 @@ def cmd_droplet(cfg):
             "bandwidth": droplet_bandwidth(n, qp),
         }
         ok = ok and mono and above
-    write_json(_out(cfg, "droplet.json"), {"q": qp.q, "checks": checks, "ok": ok})
+    write_json(_out(args, "droplet.json"), {"q": qp.q, "checks": checks, "ok": ok})
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_ssep_gap(cfg):
-    g = _load_graph(cfg.params["graph"])
-    report = check_aldous(g, rel_tol=max(cfg.tol, 1e-9))
-    write_csv(_out(cfg, "ssep_gap.csv"),
+def cmd_ssep_gap(args):
+    g = _load_graph(args.graph)
+    report = check_aldous(g, rel_tol=max(args.tol, 1e-9))
+    write_csv(_out(args, "ssep_gap.csv"),
               ("n", "sector_dim", "lambda_n", "lambda_1", "relative_deviation"),
               ssep_csv_rows(report))
-    write_json(_out(cfg, "ssep.json"), {
+    write_json(_out(args, "ssep.json"), {
         "lambda_1": report.lambda_1,
         "max_relative_deviation": report.max_rel_deviation,
         "gap_equality_ok": report.ok,
@@ -369,13 +345,13 @@ def cmd_ssep_gap(cfg):
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def cmd_spinmap(cfg):
-    g = _load_graph(cfg.params["graph"])
+def cmd_spinmap(args):
+    g = _load_graph(args.graph)
     result = verify_spin_map(g)
-    write_csv(_out(cfg, "spinmap.csv"),
+    write_csv(_out(args, "spinmap.csv"),
               ("n", "lambda_n", "h_second_eigenvalue", "deviation"),
               result.sector_rows)
-    write_json(_out(cfg, "spinmap.json"), {
+    write_json(_out(args, "spinmap.json"), {
         "max_entry_deviation": result.max_deviation,
         "ok": result.ok,
     })
@@ -395,11 +371,11 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig):
-    """Dispatch a validated config; returns the process exit code."""
+def run(args):
+    """Dispatch a parsed namespace; returns the process exit code."""
     try:
-        os.makedirs(cfg.output, exist_ok=True)
-        return _HANDLERS[cfg.command](cfg)
+        os.makedirs(args.output, exist_ok=True)
+        return _HANDLERS[args.command](args)
     except (GraphSpecError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -422,39 +398,50 @@ def build_parser():
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for randomized trials")
 
+    def model(p):
+        """Required input group {--chain, --graph}, plus --J for --chain."""
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--chain", type=_int_list,
+                           help="comma-separated twice-spin integers")
+        group.add_argument("--graph", help="graph-spec file")
+        p.add_argument("--J", type=_float_list,
+                       help="comma-separated --chain couplings (default all 1)")
+        return group
+
     p = sub.add_parser("spectrum", help="full spectrum per S^3 block")
-    p.add_argument("--chain", help="comma-separated twice-spin integers")
-    p.add_argument("--J", help="comma-separated couplings (default all 1)")
-    p.add_argument("--graph", help="graph-spec file")
+    model(p)
     p.add_argument("--offset", action="store_true",
                    help="shift the ground energy to 0")
     common(p)
 
     p = sub.add_parser("foel", help="sector minima and the FOEL verdict")
-    p.add_argument("--chain", help="comma-separated twice-spin integers")
-    p.add_argument("--J", help="comma-separated couplings (default all 1)")
-    p.add_argument("--graph", help="graph-spec file")
-    p.add_argument("--spin1-beta", type=float, dest="spin1_beta",
-                   help="sweep the spin-1 chain with this quartic weight")
-    p.add_argument("--L", type=int, help="max length for sweeps")
-    p.add_argument("--random-trials", type=int, dest="random_trials",
-                   help="number of random chains to test")
-    p.add_argument("--max-dim", type=int, dest="max_dim", default=4096)
+    group = model(p)
+    group.add_argument("--spin1-beta", type=float, dest="spin1_beta",
+                       help="sweep the spin-1 chain with this quartic weight")
+    group.add_argument("--random-trials", type=int, dest="random_trials",
+                       help="number of random chains to test")
+    p.add_argument("--L", type=int,
+                   help=f"max length: sweep up to L (default {BETA_SWEEP_L}), "
+                        f"random chains of at most L sites (default {RANDOM_TRIALS_L})")
+    p.add_argument("--max-dim", type=int, dest="max_dim", default=4096,
+                   help="max Hilbert dimension of a random chain")
     common(p)
 
     p = sub.add_parser("tl-matrix", help="diagram-basis Hamiltonian matrix")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--J", help="comma-separated couplings (k-1 values)")
+    p.add_argument("--J", type=_float_list,
+                   help="comma-separated couplings, k-1 values (default all 1)")
     p.add_argument("--q", type=float, default=1.0)
     common(p)
 
     p = sub.add_parser("fk-basis", help="higher-spin highest-weight basis")
-    p.add_argument("--spins", required=True,
+    p.add_argument("--spins", type=_int_list, required=True,
                    help="comma-separated twice-spin integers")
     p.add_argument("--S2", type=int, required=True,
                    help="twice the total-spin label")
-    p.add_argument("--J", help="comma-separated couplings")
+    p.add_argument("--J", type=_float_list,
+                   help="comma-separated couplings (default all 1)")
     common(p)
 
     p = sub.add_parser("qfoel", help="deformed sector energies and ordering")
@@ -464,7 +451,8 @@ def build_parser():
 
     p = sub.add_parser("droplet", help="droplet energies: finite size vs closed form")
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--n", help="comma-separated droplet sizes (default 1,2,3)")
+    p.add_argument("--n", type=_int_list, default=(1, 2, 3),
+                   help="comma-separated droplet sizes (default 1,2,3)")
     p.add_argument("--Lmin", type=int, default=4)
     p.add_argument("--Lmax", type=int, default=16)
     common(p)
@@ -488,32 +476,9 @@ def build_parser():
 _cached_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
-def config_from_args(args):
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("command", "output", "tol", "seed") or value is None:
-            continue
-        if key in ("chain", "spins"):
-            params[key] = _parse_int_list(value)
-        elif key == "J":
-            params[key] = _parse_float_list(value)
-        elif key == "n" and args.command == "droplet":
-            params[key] = _parse_int_list(value)
-        else:
-            params[key] = value
-    return RunConfig(command=args.command, output=args.output,
-                     tol=args.tol, seed=args.seed, params=params)
-
-
 def main(argv=None):
-    parser = _cached_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _cached_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(cfg)
+    return run(args)

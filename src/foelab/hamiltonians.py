@@ -163,7 +163,7 @@ def build_heisenberg(g: SpinGraph):
         x, y = g.site_position(u), g.site_position(v)
         bond = heisenberg_bond(shape.spins[x], shape.spins[y]).matrix
         terms.append(((x, y), -j * bond))
-    return RealOperator(_local_sum(shape, terms), basis_tag="tensor-product")
+    return RealOperator(_local_sum(shape, terms))
 
 
 def build_normalized_chain(c: ChainSpec):
@@ -179,7 +179,7 @@ def build_normalized_chain(c: ChainSpec):
         s1, s2 = c.spins[x], c.spins[x + 1]
         ss = heisenberg_bond(s1, s2).dense()
         terms.append(((x, x + 1), j * (np.eye(len(ss)) - ss / (s1.value * s2.value))))
-    return RealOperator(_local_sum(shape, terms), basis_tag="tensor-product")
+    return RealOperator(_local_sum(shape, terms))
 
 
 def xxz_boundary_coeff(delta):
@@ -250,7 +250,7 @@ def build_general_bond_chain(spins, couplings, polys):
             )
         ss = heisenberg_bond(spins[x], spins[x + 1]).dense()
         terms.append(((x, x + 1), j * poly.of_matrix(ss)))
-    return RealOperator(_local_sum(shape, terms), basis_tag="tensor-product")
+    return RealOperator(_local_sum(shape, terms))
 
 
 def parse_graph_spec(text):
@@ -291,7 +291,15 @@ def parse_graph_spec(text):
 
 def random_chain(rng, max_sites=8, max_dim=4096, spin_choices=(1, 2, 3), j_max=2.0):
     """Random ChainSpec: spins drawn from spin_choices (twice-values),
-    couplings uniform in (0, j_max], total dimension capped at max_dim."""
+    couplings uniform in (0, j_max], total dimension capped at max_dim.
+
+    Raises ValueError when no chain fits (max_sites < 2, or max_dim below
+    the smallest two-site dimension), which would otherwise loop forever.
+    """
+    smallest = (min(spin_choices) + 1) ** 2
+    if max_sites < 2 or max_dim < smallest:
+        raise ValueError(f"no chain of 2..{max_sites} sites fits max_dim={max_dim} "
+                         f"(the smallest has dimension {smallest})")
     while True:
         L = int(rng.integers(2, max_sites + 1))
         spins = [HalfInt(int(rng.choice(spin_choices))) for _ in range(L)]

@@ -41,9 +41,6 @@ def max_abs(m):
 
 def max_asymmetry(m):
     """Largest entry of |M - M^T|."""
-    if sp.issparse(m):
-        return max_abs(m - m.T)
-    m = np.asarray(m)
     return max_abs(m - m.T)
 
 

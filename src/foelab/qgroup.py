@@ -8,18 +8,19 @@ on the n-arc diagram basis (arcs are deformed singlets q|+-> - |-+>) of the
 weight S = L/2 - n highest-weight space, H_L is the TL matrix with couplings
 1/(2(q + 1/q)), of dimension C(L,n) - C(L,n-1) and with exactly the sector's
 spectrum; its bottom is its certified Perron root (Nachtergaele-Starr, CMP
-218 (2001)).
+218 (2001)).  ``q_sector_energies`` returns a ``sectors.SectorReport`` of
+those energies; ``sectors.check_foel`` decides the q-FOEL ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sectors import check_foel, sector_labels
+from .sectors import SectorReport, sector_labels
 from .spinops import HalfInt, HilbertShape, RealOperator, spin_matrices
 from .temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
 
@@ -27,7 +28,6 @@ __all__ = [
     "QParam",
     "QTotalOps",
     "QSectorEntry",
-    "QSectorReport",
     "suq2_generators",
     "q_casimir",
     "q_casimir_value",
@@ -99,10 +99,10 @@ def suq2_generators(L, qp):
         splus = splus + _kron_chain([t] * x + [ops.splus] + [eye] * (L - 1 - x))
         sminus = sminus + _kron_chain([eye] * x + [ops.sminus] + [tinv] * (L - 1 - x))
     return QTotalOps(
-        s3=RealOperator(s3, basis_tag="tensor-product"),
-        sqplus=RealOperator(splus, basis_tag="tensor-product"),
-        sqminus=RealOperator(sminus, basis_tag="tensor-product"),
-        t=RealOperator(_kron_chain([t] * L), basis_tag="tensor-product"),
+        s3=RealOperator(s3),
+        sqplus=RealOperator(splus),
+        sqminus=RealOperator(sminus),
+        t=RealOperator(_kron_chain([t] * L)),
     )
 
 
@@ -116,7 +116,7 @@ def q_casimir(L, qp):
     qt = q * t_diag
     diag_part = (1.0 / qt + qt) / (1.0 / q - q) ** 2
     c = gen.sqplus.matrix @ gen.sqminus.matrix + sp.diags(diag_part)
-    return RealOperator(c, basis_tag="tensor-product")
+    return RealOperator(c)
 
 
 def q_casimir_value(S, qp):
@@ -132,22 +132,6 @@ class QSectorEntry(NamedTuple):
     dimension: int
 
 
-@dataclass
-class QSectorReport:
-    """Minimal q-sector energies with dimensions and the ordering verdict."""
-
-    q: float
-    entries: dict  # HalfInt S -> QSectorEntry(min_energy, dimension)
-    qfoel_ok: bool = False
-    margins: list = field(default_factory=list)  # (S_hi, S_lo, gap)
-    crossings: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-
-    @property
-    def labels(self):
-        return sorted(self.entries, reverse=True)
-
-
 def _sector_energy(L, n, qp):
     """E(H_L, S = L/2 - n): Perron root of the spin-deviation-n TL matrix."""
     j = 1.0 / (2.0 * (qp.q + 1.0 / qp.q))
@@ -155,12 +139,11 @@ def _sector_energy(L, n, qp):
     return perron_ground_vector(tl).eigenvalue
 
 
-def q_sector_energies(L, qp, strict_tol=1e-8):
-    """E(H_L, S) for every total-spin label, with the q-FOEL verdict.
+def q_sector_energies(L, qp):
+    """E(H_L, S) for every total-spin label: a SectorReport of QSectorEntry.
 
     The q-sectors have the same dimensions as at q = 1, so the label set is
-    the undeformed one.  The verdict is ``sectors.check_foel``: adjacent
-    gaps within strict_tol are crossings, negative ones violations.
+    the undeformed one.  ``sectors.check_foel`` gives the q-FOEL verdict.
     """
     L = int(L)
     if L < 2:
@@ -168,13 +151,7 @@ def q_sector_energies(L, qp, strict_tol=1e-8):
     labels = sector_labels(HilbertShape([HalfInt(1)] * L))
     entries = {S: QSectorEntry(_sector_energy(L, (L - S.twice) // 2, qp), d)
                for S, d in labels.items()}
-    report = QSectorReport(q=qp.q, entries=entries)
-    verdict = check_foel(report, strict_tol)
-    report.qfoel_ok = verdict.ok
-    report.margins = verdict.margins
-    report.crossings = verdict.crossings
-    report.violations = verdict.violations
-    return report
+    return SectorReport(entries=entries)
 
 
 def droplet_energy(n, qp):

@@ -15,11 +15,15 @@ has a condition number growing like q^-L, which would drown the penalty gap
 in rounding; ``qgroup`` uses the diagram basis.  The SVD basis
 (``highest_weight_space``) and the Casimir projector are the oracles tests
 compare against.
+
+A ``SectorReport`` holds energies only, here and in ``qgroup``.  Every FOEL
+verdict comes from one ``check_foel(report, tol)`` call; the ordering of the
+sector maxima comes from ``check_max_ordering``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -61,14 +65,12 @@ class SectorEntry:
     dimension: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectorReport:
-    """Per-total-spin extremal energies plus ordering verdicts."""
+    """Per-total-spin energies; ``check_foel`` and ``check_max_ordering``
+    read the verdicts off them."""
 
-    entries: dict  # HalfInt S -> SectorEntry
-    foel_ok: bool = False
-    foel_margins: list = field(default_factory=list)  # (S_hi, S_lo, gap)
-    liebmattis_max_ok: bool = False
+    entries: dict  # HalfInt S -> SectorEntry (qgroup: QSectorEntry)
 
     @property
     def labels(self):
@@ -194,8 +196,8 @@ def _sector_spectrum(H, total_ops, blocks, S, d):
     return w[:d]
 
 
-def sector_energies(H, shape, strict_tol=STRICT_FOEL_TOL):
-    """Min/max energy of H in every total-spin sector, with FOEL verdict.
+def sector_energies(H, shape):
+    """Min/max energy of H in every total-spin sector.
 
     H must commute with the total-spin operators (checked; raises
     NonInvariantOperatorError otherwise).
@@ -207,12 +209,7 @@ def sector_energies(H, shape, strict_tol=STRICT_FOEL_TOL):
     for S, d in sorted(sector_labels(shape, blocks).items(), reverse=True):
         w = _sector_spectrum(H, total_ops, blocks, S, d)
         entries[S] = SectorEntry(float(w[0]), float(w[-1]), d)
-    report = SectorReport(entries=entries)
-    foel = check_foel(report, strict_tol)
-    report.foel_ok = foel.ok
-    report.foel_margins = foel.margins
-    report.liebmattis_max_ok = check_max_ordering(report).ok
-    return report
+    return SectorReport(entries=entries)
 
 
 def check_foel(report, strict_tol=STRICT_FOEL_TOL):

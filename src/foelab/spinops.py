@@ -118,9 +118,9 @@ class RealOperator:
     symmetric).
     """
 
-    __slots__ = ("matrix", "basis_tag", "_symmetric")
+    __slots__ = ("matrix", "_symmetric")
 
-    def __init__(self, matrix, basis_tag="tensor-product"):
+    def __init__(self, matrix):
         if sp.issparse(matrix):
             matrix = matrix.tocsr()
         else:
@@ -130,7 +130,6 @@ class RealOperator:
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator must be square")
         self.matrix = matrix
-        self.basis_tag = basis_tag
         self._symmetric = None
 
     @property
@@ -157,7 +156,7 @@ class RealOperator:
 
     def __repr__(self):
         kind = "sparse" if sp.issparse(self.matrix) else "dense"
-        return f"RealOperator(dim={self.dim}, {kind}, basis={self.basis_tag!r})"
+        return f"RealOperator(dim={self.dim}, {kind})"
 
 
 class HilbertShape:
@@ -297,4 +296,4 @@ def heisenberg_bond(s1, s2):
         + 0.5 * np.kron(a.splus, b.sminus)
         + 0.5 * np.kron(a.sminus, b.splus)
     )
-    return RealOperator(m, basis_tag="two-site tensor")
+    return RealOperator(m)

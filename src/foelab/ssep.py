@@ -37,7 +37,6 @@ from .sectors import s3_blocks
 from .spinops import HalfInt, RealOperator
 
 __all__ = [
-    "ParticleConfig",
     "SSEPGenerator",
     "ssep_generator",
     "spectral_gap",
@@ -61,29 +60,11 @@ SPIN_MAP_MATRICES = 4
 
 
 @dataclass(frozen=True)
-class ParticleConfig:
-    """Occupation bit-vector over the graph's vertices (position order)."""
-
-    occupation: tuple
-
-    @property
-    def n(self):
-        return sum(self.occupation)
-
-    @classmethod
-    def from_int(cls, bits, nsites):
-        return cls(tuple((bits >> p) & 1 for p in range(nsites)))
-
-    def to_int(self):
-        return sum(b << p for p, b in enumerate(self.occupation))
-
-
-@dataclass(frozen=True)
 class SSEPGenerator:
     """Generator matrix restricted to the n-particle configurations."""
 
     n: int
-    configs: tuple  # ParticleConfig, ordered by occupation integer
+    configs: np.ndarray  # int64 occupation integers (bit i = vertex i), sorted
     L: RealOperator
 
 
@@ -144,12 +125,8 @@ def ssep_generator(g: SpinGraph, rates=None, n=1):
     edge_rates = _edge_rates(g, rates)
     require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 24 * 2 ** nsites,
                    _physical_memory_bytes(), f"the {n}-particle generator")
-    ints = _config_ints(nsites, n)
-    m = _assemble(edge_rates, ints)
-    bits = (ints[:, None] >> np.arange(nsites)) & 1
-    configs = tuple(ParticleConfig(tuple(row)) for row in bits.tolist())
-    return SSEPGenerator(n=n, configs=configs,
-                         L=RealOperator(m, basis_tag="configuration"))
+    configs = _config_ints(nsites, n)
+    return SSEPGenerator(n=n, configs=configs, L=RealOperator(_assemble(edge_rates, configs)))
 
 
 def _lowest_two(a):

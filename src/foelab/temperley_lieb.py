@@ -318,6 +318,8 @@ def _tl_csr(partners, couplings, q):
 def tl_hamiltonian_matrix(k, n, couplings, q=1.0):
     """Assemble the diagram-basis matrix of -2 sum_x J_x U_{x,x+1}."""
     couplings = tuple(float(j) for j in couplings)
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
     if len(couplings) != k - 1:
         raise ValueError("need k-1 couplings")
     if any(j <= 0 for j in couplings):

@@ -75,12 +75,13 @@ def test_criterion_2_figure_one():
     g = SpinGraph.path([HalfInt(2)] * 5, [1.0] * 4)
     h = build_heisenberg(g)
     rep = sector_energies(h, shape)
+    foel_ok = check_foel(rep, strict_tol=1e-8).ok
     max_ok = check_max_ordering(rep, s_low=HalfInt(2), s_high=HalfInt(10)).ok
     spec = full_spectrum_by_s3(h, shape, offset=True)
     ground = min(float(w[0]) for _, w in spec)
-    ok = rep.foel_ok and max_ok and abs(ground) <= 1e-10
+    ok = foel_ok and max_ok and abs(ground) <= 1e-10
     verdict("2 (figure system)", ok,
-            f"foel={rep.foel_ok}, max ordering={max_ok}, offset ground={ground:.2e}")
+            f"foel={foel_ok}, max ordering={max_ok}, offset ground={ground:.2e}")
 
 
 def test_criterion_3_sign_and_dominance():
@@ -210,9 +211,8 @@ def test_criterion_6_q_deformed_ordering():
         exact_ok &= abs(two.entries[HalfInt(2)][0]) <= 1e-10
         exact_ok &= abs(two.entries[HalfInt(0)][0] - 1.0) <= 1e-10
         for L in range(2, 9):
-            rep = q_sector_energies(L, qp)
-            if rep.margins:
-                worst = min(worst, min(g for _, _, g in rep.margins))
+            v = check_foel(q_sector_energies(L, qp), strict_tol=1e-8)
+            worst = min(worst, v.min_margin)
     ok = worst > 1e-8 and exact_ok
     verdict("6 (q-deformed ordering)", ok,
             f"worst margin={worst:.3e}, two-site exact={exact_ok}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import foelab
-from foelab.cli import build_parser, main
+from foelab.cli import _HANDLERS, build_parser, main
 from foelab.reports import csv_text, write_csv, write_json
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
@@ -102,11 +103,50 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             run(tmp_path, "qfoel", "--L", "3", "--q", "0.5")
 
+    @pytest.mark.parametrize("args", [
+        ("tl-matrix", "--k", "4", "--n", "1", "--q", "0"),
+        ("tl-matrix", "--k", "4", "--n", "1", "--J", ""),
+        ("foel", "--spin1-beta", "0.4", "--L", "0"),
+        ("foel", "--random-trials", "0"),
+        ("foel", "--chain", "1,1", "--spin1-beta", "0.4"),
+        ("spectrum", "--J", "1"),
+        ("droplet", "--q", "0.5", "--n", "1,x"),
+    ], ids=["q-zero", "empty-J", "sweep-L0", "zero-trials", "chain-and-beta",
+            "no-model", "bad-int-list"])
+    def test_given_value_rejected_not_replaced(self, tmp_path, args):
+        code, out = run(tmp_path, *args)
+        assert code == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_random_trials_unsatisfiable_max_dim(self, tmp_path):
+        # no chain fits max_dim = 3: usage error at once, not an endless draw
+        src = os.path.dirname(os.path.dirname(os.path.abspath(foelab.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "foelab", "foel", "--random-trials", "1",
+             "--max-dim", "3", "--output", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "max_dim=3" in proc.stderr
+
     def test_parser_reused_after_parse_error(self, tmp_path):
         assert main(["foel", "--L", "not-an-int"]) == 2
         code, _ = run(tmp_path, "foel", "--chain", "1,1")
         assert code == 0
         assert build_parser().parse_args(["figure1"]).command == "figure1"
+
+
+class TestParser:
+    def test_subcommands_match_handlers(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(_HANDLERS))
+    def test_help_exits_zero(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert f"usage: foelab {command}" in capsys.readouterr().out
 
 
 class TestCommands:
@@ -154,6 +194,13 @@ class TestCommands:
         payload = json.loads(read(out / "qfoel.json"))
         assert payload["qfoel_ok"]
         assert payload["crossings"] == [] and payload["violations"] == []
+
+    def test_droplet_lmin_below_two_starts_at_two(self, tmp_path):
+        code, out = run(tmp_path, "droplet", "--q", "0.5", "--n", "1",
+                        "--Lmin", "0", "--Lmax", "5")
+        assert code == 0
+        rows = read(out / "droplet.csv").splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["2", "3", "4", "5"]
 
     def test_droplet(self, tmp_path):
         code, out = run(tmp_path, "droplet", "--q", "0.5", "--Lmax", "9", "--n", "1,2")

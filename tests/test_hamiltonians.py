@@ -12,6 +12,7 @@ from foelab.hamiltonians import (
     build_spin1_beta_chain,
     build_xxz_chain,
     parse_graph_spec,
+    random_chain,
     xxz_bond,
     xxz_boundary_coeff,
 )
@@ -229,13 +230,24 @@ class TestBuilderInvariance:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_su2_builders_commute_with_totals(self, seed):
         rng = np.random.default_rng(seed)
-        from foelab.hamiltonians import random_chain
-
         chain = random_chain(rng, max_sites=5, max_dim=300)
         h = build_normalized_chain(chain)
         tot = total_spin_ops(chain.shape)
         assert commutator_maxabs(h.matrix, tot.s3tot.matrix) <= 1e-10
         assert commutator_maxabs(h.matrix, tot.sptot.matrix) <= 1e-10
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_sites": 1},
+        {"max_dim": 3},
+        {"max_dim": 8, "spin_choices": (2, 3)},
+    ])
+    def test_random_chain_rejects_unsatisfiable_limits(self, kwargs):
+        with pytest.raises(ValueError, match="no chain"):
+            random_chain(np.random.default_rng(0), **kwargs)
+
+    def test_random_chain_smallest_dimension_allowed(self):
+        chain = random_chain(np.random.default_rng(0), max_dim=4)
+        assert [s.twice for s in chain.spins] == [1, 1]
 
     def test_xxz_commutes_with_s3_only(self):
         h = build_xxz_chain(4, 1.3)

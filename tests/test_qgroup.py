@@ -19,7 +19,7 @@ from foelab.qgroup import (
     q_sector_energies,
     suq2_generators,
 )
-from foelab.sectors import s3_blocks, sector_energies, sector_labels
+from foelab.sectors import check_foel, s3_blocks, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, spin_matrices
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "xxz_droplets.py"
@@ -117,14 +117,14 @@ class TestQSectorEnergies:
         report = q_sector_energies(2, QParam(q))
         assert abs(report.entries[HalfInt(2)][0]) <= 1e-10
         assert abs(report.entries[HalfInt(0)][0] - 1.0) <= 1e-10
-        assert report.qfoel_ok
+        assert check_foel(report).ok
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("L", [3, 4, 5, 6])
     def test_strictly_decreasing(self, L, q):
-        report = q_sector_energies(L, QParam(q))
-        assert report.qfoel_ok
-        assert all(g > 1e-8 for _, _, g in report.margins)
+        verdict = check_foel(q_sector_energies(L, QParam(q)))
+        assert verdict.ok
+        assert all(g > 1e-8 for _, _, g in verdict.margins)
 
     def test_dimensions_match_undeformed(self):
         report = q_sector_energies(5, QParam(0.3))
@@ -180,11 +180,13 @@ class TestCrossRoute:
 class TestQFoelVerdict:
     def test_margins_split_like_check_foel(self):
         report = q_sector_energies(6, QParam(0.5))
-        assert report.crossings == [] and report.violations == []
+        verdict = check_foel(report)
+        assert verdict.crossings == [] and verdict.violations == []
         # a tolerance above every gap turns each adjacent pair into a crossing
-        wide = q_sector_energies(6, QParam(0.5), strict_tol=10.0)
-        assert not wide.qfoel_ok
-        assert wide.crossings == wide.margins and wide.violations == []
+        wide = check_foel(report, 10.0)
+        assert not wide.ok
+        assert wide.crossings == wide.margins == verdict.margins
+        assert wide.violations == []
 
 
 class TestDropletFormulas:

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -37,6 +40,7 @@ from foelab.spinops import (
 )
 
 TWO_HALVES = HilbertShape([HalfInt(1), HalfInt(1)])
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def report_from(mins):
@@ -102,7 +106,7 @@ class TestSectorEnergies:
         rep = sector_energies(h, TWO_HALVES)
         assert np.isclose(rep.entries[HalfInt(2)].min_energy, 0.0)
         assert np.isclose(rep.entries[HalfInt(0)].min_energy, 4.0)
-        assert rep.foel_ok
+        assert check_foel(rep).ok
 
     def test_spin1_quartic_point(self):
         shape = HilbertShape([HalfInt(2)] * 2)
@@ -111,7 +115,7 @@ class TestSectorEnergies:
         assert np.isclose(mins[4], 0.0, atol=1e-12)
         assert np.isclose(mins[2], 2.0, atol=1e-12)
         assert np.isclose(mins[0], 2.0, atol=1e-12)
-        assert not rep.foel_ok  # degenerate pair flags a crossing
+        assert not check_foel(rep).ok  # degenerate pair flags a crossing
 
     def test_zero_operator(self):
         h = RealOperator(np.zeros((4, 4)))
@@ -364,7 +368,7 @@ class TestFoelFamilies:
         edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
         g = SpinGraph([(i, HalfInt(1)) for i in range(n)], edges)
         rep = sector_energies(build_heisenberg(g), g.shape)
-        assert rep.foel_ok, f"cycle of {n}"
+        assert check_foel(rep).ok, f"cycle of {n}"
 
     def test_even_cycles_fail_and_are_reported(self):
         # Even rings genuinely break the strict ordering between S=1 and
@@ -392,4 +396,22 @@ class TestFoelFamilies:
                 g = SpinGraph([(i, HalfInt(1)) for i in range(nv)],
                               [(u, v, float(1.0 + rng.random())) for u, v in tree.edges])
                 rep = sector_energies(build_heisenberg(g), g.shape)
-                assert rep.foel_ok, f"tree on {nv} vertices {list(tree.edges)}"
+                assert check_foel(rep).ok, f"tree on {nv} vertices {list(tree.edges)}"
+
+
+def test_figure_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "figure_spin1_chain.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "FOEL ordering of minima:            True" in out
+    assert "Lieb-Mattis ordering of maxima 1..5: True" in out
+    rows = (tmp_path / "figure_spin1_L5.csv").read_text().splitlines()
+    assert rows[0] == "M_times2,energy" and len(rows) == 1 + 3 ** 5
+
+
+def test_level_ordering_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "level_ordering_tour.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.count("FOEL: holds") == 3 and "FAILS" not in out
+    assert "six-cycle verdict: ok=False, violations=[('1', '0', -0.021999)]" in out

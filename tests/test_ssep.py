@@ -16,7 +16,6 @@ from foelab.linalg import eigvalsh_full
 from foelab.sectors import s3_blocks
 from foelab.spinops import HalfInt, RealOperator
 from foelab.ssep import (
-    ParticleConfig,
     SSEPGenerator,
     check_aldous,
     spectral_gap,
@@ -142,7 +141,8 @@ class TestGenerator:
 
     def test_config_order_is_integer_order(self):
         gen = ssep_generator(path_graph(3), n=1)
-        assert [c.to_int() for c in gen.configs] == [1, 2, 4]
+        assert gen.configs.dtype == np.int64
+        assert gen.configs.tolist() == [1, 2, 4]
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_sparse_matches_dense_loop(self, seed):
@@ -152,7 +152,7 @@ class TestGenerator:
         for n in range(8):
             gen = ssep_generator(g, n=n)
             assert sp.issparse(gen.L.matrix)
-            ints = [c.to_int() for c in gen.configs]
+            ints = gen.configs.tolist()
             assert ints == [c for c in range(2 ** 7) if bin(c).count("1") == n]
             assert np.array_equal(gen.L.dense(), dense_assemble(7, pos, ints))
 
@@ -181,8 +181,8 @@ class TestSpectralGap:
             a = ssep_generator(g, n=n)
             b = ssep_generator(g, n=6 - n)
             # complement bijection maps one sector onto the other exactly
-            comp = {c.to_int(): i for i, c in enumerate(a.configs)}
-            perm = [comp[(2 ** 6 - 1) ^ c.to_int()] for c in b.configs]
+            comp = {c: i for i, c in enumerate(a.configs.tolist())}
+            perm = [comp[(2 ** 6 - 1) ^ c] for c in b.configs.tolist()]
             mapped = a.L.dense()[np.ix_(perm, perm)]
             assert np.array_equal(mapped, b.L.dense())
 
@@ -345,14 +345,6 @@ class TestSpinMap:
         g = SpinGraph([(0, HalfInt(2)), (1, HalfInt(2))], [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             verify_spin_map(g)
-
-
-class TestParticleConfig:
-    def test_roundtrip(self):
-        c = ParticleConfig.from_int(0b1011, 4)
-        assert c.occupation == (1, 1, 0, 1)
-        assert c.n == 3
-        assert c.to_int() == 0b1011
 
 
 def test_exclusion_demo_runs(tmp_path, monkeypatch, capsys):

@@ -188,6 +188,11 @@ class TestTLMatrix:
         with pytest.raises(ValueError):
             tl_hamiltonian_matrix(4, 1, [1.0])
 
+    @pytest.mark.parametrize("q", [0.0, -0.5, float("nan")])
+    def test_nonpositive_q_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be positive"):
+            tl_hamiltonian_matrix(4, 1, [1.0] * 3, q)
+
 
 class TestDominance:
     def test_two_to_three(self):
