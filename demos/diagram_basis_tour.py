@@ -22,9 +22,11 @@ from foelab.spinops import HalfInt
 def main():
     print("All configurations of 2 arcs on 5 vertices (no crossings,")
     print("no arc over an unpaired vertex):")
-    for i, d in enumerate(enumerate_arc_diagrams(5, 2)):
-        arcs = ", ".join(f"[{x},{y}]" for x, y in d.arcs)
-        print(f"  #{i}: {arcs:<16} unpaired: {d.unpaired()}")
+    for i, arcs in enumerate(enumerate_arc_diagrams(5, 2)):
+        paired = {v for arc in arcs for v in arc}
+        unpaired = tuple(v for v in range(1, 6) if v not in paired)
+        shown = ", ".join(f"[{x},{y}]" for x, y in arcs)
+        print(f"  #{i}: {shown:<16} unpaired: {unpaired}")
 
     tl = tl_hamiltonian_matrix(5, 2, [1.0] * 4)
     print("\nHamiltonian matrix on this basis (uniform couplings):")

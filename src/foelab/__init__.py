@@ -45,18 +45,14 @@ from .sectors import (
     sector_energies,
 )
 from .temperley_lieb import (
-    ArcDiagram,
-    DiagramCombination,
     TLMatrix,
     check_dominance,
-    embed_diagram,
     enumerate_arc_diagrams,
     expand_diagram_to_tensor,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
     min_spec_comparison,
     perron_ground_vector,
-    tl_generator_action,
     tl_hamiltonian_matrix,
 )
 from .qgroup import (

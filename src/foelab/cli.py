@@ -8,7 +8,9 @@ stderr and exit with 4.
 All diagnostics go to stderr; results are written as deterministic CSV
 plus a JSON summary.  Handlers read argparse's namespace as parsed: each
 default is stated once, in ``build_parser``, and a given value is used or
-rejected, never replaced.
+rejected, never replaced.  A subcommand takes only the flags its handler
+reads, and a ``foel``/``spectrum`` flag given without an input it applies
+to is a usage error.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ EXIT_BUG = 4
 DEFAULT_SEED = 12345
 BETA_SWEEP_L = 5
 RANDOM_TRIALS_L = 8
+RANDOM_TRIALS_MAX_DIM = 4096
+
+# foel/spectrum flag -> the inputs it applies with
+_FLAG_INPUTS = {
+    "J": ("chain",),
+    "L": ("spin1_beta", "random_trials"),
+    "max_dim": ("random_trials",),
+    "seed": ("random_trials",),
+}
 
 
 def _int_list(text):
@@ -98,6 +109,15 @@ def _model(args):
     return build_normalized_chain(chain), chain.shape
 
 
+def _reject_unused_flags(args):
+    """Usage error for a flag given without any input it applies to."""
+    given = {dest for dest, value in vars(args).items() if value is not None}
+    for dest, inputs in _FLAG_INPUTS.items():
+        if dest in given and given.isdisjoint(inputs):
+            flags = ["--" + d.replace("_", "-") for d in (dest,) + inputs]
+            raise ValueError(f"{flags[0]} applies only with {' or '.join(flags[1:])}")
+
+
 def _load_graph(path):
     with open(path, encoding="utf-8") as fh:
         return parse_graph_spec(fh.read())
@@ -115,6 +135,7 @@ def _out(args, name):
 
 
 def cmd_spectrum(args):
+    _reject_unused_flags(args)
     h, shape = _model(args)
     spec = full_spectrum_by_s3(h, shape, offset=args.offset)
     write_csv(_out(args, "spectrum.csv"), ("M_times2", "energy"),
@@ -129,6 +150,7 @@ def cmd_spectrum(args):
 
 
 def cmd_foel(args):
+    _reject_unused_flags(args)
     if args.spin1_beta is not None:
         return _foel_beta_sweep(args)
     if args.random_trials is not None:
@@ -189,12 +211,14 @@ def _foel_random_trials(args):
     if trials < 1:
         raise ValueError(f"--random-trials must be at least 1, got {trials}")
     l_max = RANDOM_TRIALS_L if args.L is None else args.L
-    rng = np.random.default_rng(args.seed)
+    max_dim = RANDOM_TRIALS_MAX_DIM if args.max_dim is None else args.max_dim
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    rng = np.random.default_rng(seed)
     rows = []
     worst = np.inf
     failures = 0
     for trial in range(trials):
-        chain = random_chain(rng, max_sites=l_max, max_dim=args.max_dim)
+        chain = random_chain(rng, max_sites=l_max, max_dim=max_dim)
         report = sector_energies(build_normalized_chain(chain), chain.shape)
         verdict = check_foel(report, args.tol)
         worst = min(worst, verdict.min_margin)
@@ -205,7 +229,7 @@ def _foel_random_trials(args):
               ("trial", "L", "dim", "min_margin", "foel_ok"), rows)
     write_json(_out(args, "foel.json"), {
         "trials": trials,
-        "seed": args.seed,
+        "seed": seed,
         "failures": failures,
         "worst_margin": worst,
         "foel_ok": failures == 0,
@@ -307,16 +331,20 @@ def cmd_qfoel(args):
 
 def cmd_droplet(args):
     qp = QParam(args.q)
-    rows = droplet_csv_rows(range(args.Lmin, args.Lmax + 1), args.n, qp)
+    lengths = range(args.Lmin, args.Lmax + 1)
+    if not args.n:
+        raise ValueError("--n names no droplet size")
+    for n in args.n:
+        if sum(1 <= n <= L / 2 for L in lengths) < 2:
+            raise ValueError(f"droplet size n={n} has fewer than two lengths "
+                             f"L >= 2n in --Lmin..--Lmax")
+    rows = droplet_csv_rows(lengths, args.n, qp)
     write_csv(_out(args, "droplet.csv"),
               ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"), rows)
     checks = {}
     ok = True
     for n in args.n:
-        seq = [(L, e) for (L, nn, _, e, _, _) in rows if nn == n]
-        if len(seq) < 2:
-            continue
-        energies = [e for _, e in seq]
+        energies = [e for (_, nn, _, e, _, _) in rows if nn == n]
         e_inf = droplet_energy(n, qp)
         mono = all(b < a for a, b in zip(energies, energies[1:]))
         above = all(e >= e_inf for e in energies)
@@ -333,7 +361,7 @@ def cmd_droplet(args):
 
 def cmd_ssep_gap(args):
     g = _load_graph(args.graph)
-    report = check_aldous(g, rel_tol=max(args.tol, 1e-9))
+    report = check_aldous(g, rel_tol=args.tol)
     write_csv(_out(args, "ssep_gap.csv"),
               ("n", "sector_dim", "lambda_n", "lambda_1", "relative_deviation"),
               ssep_csv_rows(report))
@@ -391,12 +419,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=None):
+        """--output, and --tol (default 1e-8) described by ``tol`` if given."""
         p.add_argument("--output", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="strictness tolerance for ordering checks")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized trials")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8, help=f"{tol} (default 1e-8)")
 
     def model(p):
         """Required input group {--chain, --graph}, plus --J for --chain."""
@@ -423,9 +450,12 @@ def build_parser():
     p.add_argument("--L", type=int,
                    help=f"max length: sweep up to L (default {BETA_SWEEP_L}), "
                         f"random chains of at most L sites (default {RANDOM_TRIALS_L})")
-    p.add_argument("--max-dim", type=int, dest="max_dim", default=4096,
-                   help="max Hilbert dimension of a random chain")
-    common(p)
+    p.add_argument("--max-dim", type=int, dest="max_dim",
+                   help="max Hilbert dimension of a random chain "
+                        f"(default {RANDOM_TRIALS_MAX_DIM})")
+    p.add_argument("--seed", type=int,
+                   help=f"seed of the random chains (default {DEFAULT_SEED})")
+    common(p, "strictness tolerance of the FOEL ordering")
 
     p = sub.add_parser("tl-matrix", help="diagram-basis Hamiltonian matrix")
     p.add_argument("--k", type=int, required=True)
@@ -433,7 +463,7 @@ def build_parser():
     p.add_argument("--J", type=_float_list,
                    help="comma-separated couplings, k-1 values (default all 1)")
     p.add_argument("--q", type=float, default=1.0)
-    common(p)
+    common(p, "largest off-diagonal entry accepted as nonpositive")
 
     p = sub.add_parser("fk-basis", help="higher-spin highest-weight basis")
     p.add_argument("--spins", type=_int_list, required=True,
@@ -447,7 +477,7 @@ def build_parser():
     p = sub.add_parser("qfoel", help="deformed sector energies and ordering")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--q", type=float, required=True)
-    common(p)
+    common(p, "strictness tolerance of the q-FOEL ordering")
 
     p = sub.add_parser("droplet", help="droplet energies: finite size vs closed form")
     p.add_argument("--q", type=float, required=True)
@@ -459,14 +489,14 @@ def build_parser():
 
     p = sub.add_parser("ssep-gap", help="exclusion-process gaps per particle number")
     p.add_argument("--graph", required=True, help="graph-spec file (J = rates)")
-    common(p)
+    common(p, "largest relative gap deviation accepted")
 
     p = sub.add_parser("spinmap", help="unitary equivalence of SSEP and spin chain")
     p.add_argument("--graph", required=True, help="graph-spec file")
     common(p)
 
     p = sub.add_parser("figure1", help="spin-1 five-site chain spectrum data")
-    common(p)
+    common(p, "strictness tolerance of the FOEL ordering")
 
     return parser
 

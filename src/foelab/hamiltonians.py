@@ -49,7 +49,7 @@ class SpinGraph:
 
     __slots__ = ("sites", "edges", "_index")
 
-    def __init__(self, sites, edges, require_positive=True):
+    def __init__(self, sites, edges):
         sites = [(int(i), HalfInt.coerce(s)) for i, s in sites]
         sites.sort(key=lambda t: t[0])
         ids = [i for i, _ in sites]
@@ -69,7 +69,7 @@ class SpinGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
-            if require_positive and j <= 0:
+            if j <= 0:
                 raise ValueError(f"nonpositive coupling on edge ({u},{v})")
             norm_edges.append((key[0], key[1], j))
         self.edges = tuple(norm_edges)

@@ -54,10 +54,10 @@ def eigvalsh_full(m):
     return la.eigvalsh(to_dense(m))
 
 
-def kernel_basis(block, rel_tol=KERNEL_REL_TOL):
+def kernel_basis(block):
     """Orthonormal basis (columns) of the kernel of a rectangular matrix.
 
-    Singular values below rel_tol times the largest count as zero.  An empty
+    Singular values below KERNEL_REL_TOL times the largest count as zero.  An empty
     row space (0 rows) makes the whole column space the kernel.
     """
     block = to_dense(block)
@@ -67,7 +67,7 @@ def kernel_basis(block, rel_tol=KERNEL_REL_TOL):
     if rows == 0 or max_abs(block) == 0.0:
         return np.eye(cols)
     _, svals, vt = la.svd(block, full_matrices=True)
-    cutoff = rel_tol * svals[0]
+    cutoff = KERNEL_REL_TOL * svals[0]
     rank = int(np.sum(svals > cutoff))
     return vt[rank:].T.copy()
 

@@ -232,12 +232,13 @@ def check_foel(report, strict_tol=STRICT_FOEL_TOL):
                        violations=violations)
 
 
-def check_max_ordering(report, s_low=HalfInt(2), s_high=None, tol=1e-10):
+def check_max_ordering(report, s_low=HalfInt(2), s_high=None):
     """Ordering of maximal sector energies over [s_low, s_high].
 
     For the ferromagnetic sign convention the top of the spectrum is the
     antiferromagnetic ground state, so max energies strictly decrease as S
-    increases (Lieb-Mattis ordering read from the top).
+    increases (Lieb-Mattis ordering read from the top), each by more than
+    1e-10.
     """
     labels = [s for s in report.labels if s >= s_low]
     if s_high is not None:
@@ -247,7 +248,7 @@ def check_max_ordering(report, s_low=HalfInt(2), s_high=None, tol=1e-10):
     for s_hi, s_lo in zip(labels, labels[1:]):
         diff = report.entries[s_lo].max_energy - report.entries[s_hi].max_energy
         margins.append((s_hi, s_lo, float(diff)))
-        if diff <= tol:
+        if diff <= 1e-10:
             ok = False
     return MaxOrderingVerdict(ok=ok, margins=margins)
 
@@ -268,7 +269,7 @@ def full_spectrum_by_s3(H, shape, offset=False):
     return out
 
 
-def low_energy_by_deviation(H, shape, N, cutoff_policy="inclusive"):
+def low_energy_by_deviation(H, shape, N):
     """All eigenvalues of H up to E(H, S_max - N), from N+1 sectors only.
 
     Assumes H has the FOEL property, so the sectors S_max, ..., S_max - N
@@ -277,8 +278,6 @@ def low_energy_by_deviation(H, shape, N, cutoff_policy="inclusive"):
     result is cross-checked against the truncated full spectrum; a mismatch
     means the FOEL precondition failed.
     """
-    if cutoff_policy not in ("inclusive", "exclusive"):
-        raise ValueError("cutoff_policy must be 'inclusive' or 'exclusive'")
     total_ops = total_spin_ops(shape)
     _require_invariance(H, total_ops)
     blocks = s3_blocks(shape)
@@ -297,17 +296,11 @@ def low_energy_by_deviation(H, shape, N, cutoff_policy="inclusive"):
     if N == len(labels) - 1:
         # every sector was diagonalized; the union is the whole spectrum
         cutoff = np.inf
-    if cutoff_policy == "inclusive":
-        keep = [e for e, mult in collected for _ in range(mult) if e <= cutoff + tol]
-    else:
-        keep = [e for e, mult in collected for _ in range(mult) if e < cutoff - tol]
+    keep = [e for e, mult in collected for _ in range(mult) if e <= cutoff + tol]
     keep = np.array(sorted(keep))
     if shape.dim <= 1024:
         full = eigvalsh_full(H.matrix)
-        if cutoff_policy == "inclusive":
-            truncated = full[full <= cutoff + tol]
-        else:
-            truncated = full[full < cutoff - tol]
+        truncated = full[full <= cutoff + tol]
         if len(truncated) != len(keep) or max_abs(truncated - keep) > 1e-8:
             raise NonInvariantOperatorError(
                 "sector-truncated spectrum disagrees with the full spectrum; "

@@ -191,13 +191,13 @@ class AldousReport:
     ok: bool
 
 
-def check_aldous(g: SpinGraph, rates=None, rel_tol=1e-9):
+def check_aldous(g: SpinGraph, rel_tol=1e-9):
     """Gap table over all particle numbers and the gap-equality verdict."""
     if not g.is_connected():
         raise ValueError("gap equality is stated for connected graphs")
     rows = []
     for n in range(1, g.nsites):
-        gen = ssep_generator(g, rates, n)
+        gen = ssep_generator(g, n=n)
         rows.append((n, len(gen.configs), spectral_gap(gen)))
     lam1 = rows[0][2]
     max_rel = max(abs(lam - lam1) / lam1 for _, _, lam in rows)
@@ -212,14 +212,15 @@ class SpinMapResult:
     sector_rows: tuple  # (n, lambda_n, second H eigenvalue in the block, diff)
 
 
-def verify_spin_map(g: SpinGraph, entry_tol=1e-12, gap_tol=1e-9):
+def verify_spin_map(g: SpinGraph):
     """Unitary equivalence of the exclusion generator and the spin chain.
 
     With all spins 1/2, H = sum_edges J (1/4 - S_x.S_y) and the generator
     with rates J/2 agree entrywise once configurations eta are identified
     with product states via S3_x |eta> = (eta_x - 1/2) |eta>.  The gap in the
     n-particle sector then equals the second-lowest H eigenvalue in the
-    S^3 = n - |graph|/2 block.
+    S^3 = n - |graph|/2 block.  ``ok`` needs every entry to agree to 1e-12
+    and every gap to 1e-9 relative.
     """
     if any(s != HalfInt(1) for _, s in g.sites):
         raise ValueError("the spin map needs every site to carry spin 1/2")
@@ -257,10 +258,10 @@ def verify_spin_map(g: SpinGraph, entry_tol=1e-12, gap_tol=1e-9):
         second = _lowest_two(h[idx][:, idx])[1]
         diff = abs(lam - second)
         rows.append((n, lam, second, diff))
-        if diff > gap_tol * max(1.0, lam):
+        if diff > 1e-9 * max(1.0, lam):
             gaps_ok = False
     return SpinMapResult(max_deviation=float(dev),
-                         ok=dev <= entry_tol and gaps_ok,
+                         ok=dev <= 1e-12 and gaps_ok,
                          sector_rows=tuple(rows))
 
 

@@ -14,18 +14,14 @@ vertices are unpaired therefore come first, in exactly the order of the
 shorter chain's basis, which turns the submatrix statement into an index-wise
 prefix comparison.
 
-The Hamiltonian builder works on integers, not on diagram objects.  A basis
-is an m x (k+2) partner array (column v holds the partner of vertex v, 0 if
-unpaired) in canonical order, and each diagram is keyed by the integer code
+A basis is an m x (k+2) partner array (column v holds the partner of vertex
+v, 0 if unpaired) in canonical order; at the API a diagram is its sorted arc
+tuple ((x1, y1), ...).  The builder keys each diagram by the integer code
 (opener bitmask << k) | closer bitmask (int64 up to k = 31, Python ints
-beyond).  Each bond generator acts on all diagrams at once through bit
-operations on the codes; images are ranked by ``searchsorted`` over the
-sorted codes, and an image code missing from the basis raises (this
-certificate replaces per-diagram ArcDiagram validation).  The matrix is
-one CSR whose entries equal a dense per-diagram accumulation bit for bit.
-``TLMatrix.basis`` (ArcDiagrams) and ``TLMatrix.A`` (dense) are views built
-on first read; ``perron_ground_vector``, ``check_dominance`` and the CSV
-rows read the CSR matrix and the partner array.
+beyond), applies each bond generator to all codes at once, ranks the images
+by ``searchsorted`` and raises on an image missing from the basis.  The CSR
+matrix A satisfies H V = V A, V the expanded basis vectors; the dense
+``TLMatrix.A`` is built on first read, and nothing else forms it.
 
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
 is built by expanding ordered Ising configurations into spin-1/2 tensors,
@@ -50,13 +46,9 @@ from .hamiltonians import ChainSpec, build_normalized_chain
 from .spinops import HalfInt
 
 __all__ = [
-    "ArcDiagram",
-    "DiagramCombination",
     "TLMatrix",
     "enumerate_arc_diagrams",
-    "tl_generator_action",
     "tl_hamiltonian_matrix",
-    "embed_diagram",
     "check_dominance",
     "DominanceVerdict",
     "perron_ground_vector",
@@ -72,75 +64,6 @@ __all__ = [
     "tl_matrix_csv_rows",
     "tl_basis_csv_rows",
 ]
-
-
-class ArcDiagram:
-    """Non-crossing pairing of vertices 1..k where no arc spans an unpaired one."""
-
-    __slots__ = ("k", "arcs", "_partner")
-
-    def __init__(self, k, arcs):
-        self.k = int(k)
-        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
-        self._partner = {}
-        for x, y in norm:
-            if x == y or not (1 <= x <= self.k and 1 <= y <= self.k):
-                raise ValueError(f"bad arc [{x},{y}] on {self.k} vertices")
-            for v in (x, y):
-                if v in self._partner:
-                    raise ValueError(f"vertex {v} appears in two arcs")
-            self._partner[x] = y
-            self._partner[y] = x
-        self.arcs = norm
-        for (a, b), (c, d) in itertools.combinations(norm, 2):
-            if a < c < b < d or c < a < d < b:
-                raise ValueError(f"arcs [{a},{b}] and [{c},{d}] cross")
-        for x, y in norm:
-            for u in range(x + 1, y):
-                if u not in self._partner:
-                    raise ValueError(f"arc [{x},{y}] spans unpaired vertex {u}")
-
-    @property
-    def n_arcs(self):
-        return len(self.arcs)
-
-    def partner(self, v):
-        return self._partner.get(v)
-
-    def unpaired(self):
-        return tuple(v for v in range(1, self.k + 1) if v not in self._partner)
-
-    def sort_key(self):
-        """(last paired vertex, arc list): tail-unpaired diagrams sort first
-        and keep the order they have on the shorter chain."""
-        last = max((y for _, y in self.arcs), default=0)
-        return (last, self.arcs)
-
-    def __eq__(self, other):
-        return isinstance(other, ArcDiagram) and (self.k, self.arcs) == (other.k, other.arcs)
-
-    def __hash__(self):
-        return hash((self.k, self.arcs))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __repr__(self):
-        body = ";".join(f"{x}-{y}" for x, y in self.arcs) or "empty"
-        return f"ArcDiagram(k={self.k}, {body})"
-
-
-@dataclass(frozen=True)
-class DiagramCombination:
-    """Finitely supported real combination of arc diagrams."""
-
-    terms: dict
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
-    def __len__(self):
-        return len(self.terms)
 
 
 def diagram_count(k, n):
@@ -199,37 +122,9 @@ def _arc_lists(partners):
 
 
 def enumerate_arc_diagrams(k, n):
-    """All n-arc diagrams on k vertices satisfying both rules, canonically ordered."""
-    return [ArcDiagram(k, arcs) for arcs in _arc_lists(_diagram_basis(k, n))]
-
-
-def tl_generator_action(d, x, q=1.0):
-    """Action of the bond generator U_{x,x+1} on a diagram.
-
-    (i)  x and x+1 both unpaired        -> 0
-    (ii) arc [x,x+1] present            -> -(q + 1/q) times the diagram
-    (iii) exactly one of x,x+1 paired   -> +1 times the re-arched diagram
-    (iv) both paired (to a and b)       -> +1 times the diagram with arcs
-                                           [a,b] and [x,x+1] instead
-    """
-    if not 1 <= x < d.k:
-        raise ValueError(f"bond index {x} out of range for k={d.k}")
-    a, b = d.partner(x), d.partner(x + 1)
-    if a is None and b is None:
-        return DiagramCombination({})
-    if a == x + 1:
-        return DiagramCombination({d: -(q + 1.0 / q)})
-    keep = [arc for arc in d.arcs if x not in arc and (x + 1) not in arc]
-    new = [(x, x + 1)]
-    if a is not None and b is not None:
-        new.append((min(a, b), max(a, b)))
-    beta = ArcDiagram(d.k, keep + new)
-    return DiagramCombination({beta: 1.0})
-
-
-def embed_diagram(d):
-    """Same arcs on k+1 vertices; the new last vertex is unpaired."""
-    return ArcDiagram(d.k + 1, d.arcs)
+    """Arc tuples ((x1, y1), ...) of all n-arc diagrams on k vertices
+    satisfying both rules, canonically ordered."""
+    return _arc_lists(_diagram_basis(k, n))
 
 
 @dataclass(frozen=True)
@@ -237,8 +132,7 @@ class TLMatrix:
     """Matrix of H = -2 sum_x J_x U_{x,x+1} on the canonical diagram basis.
 
     ``matrix`` is the CSR matrix and ``partners`` the basis as a partner
-    array; the ``basis`` tuple of ArcDiagrams and the dense ``A`` are built
-    on first read.
+    array; the dense ``A`` is built on first read.
     """
 
     k: int
@@ -251,10 +145,6 @@ class TLMatrix:
     @property
     def dim(self):
         return self.partners.shape[0]
-
-    @functools.cached_property
-    def basis(self):
-        return tuple(ArcDiagram(self.k, arcs) for arcs in _arc_lists(self.partners))
 
     @functools.cached_property
     def A(self):
@@ -333,11 +223,14 @@ def tl_hamiltonian_matrix(k, n, couplings, q=1.0):
 class DominanceVerdict:
     ok: bool
     dims_ok: bool
-    prefix_aligned: bool
     max_violation: float
 
 
-def check_dominance(ak, ak1, tol=1e-12):
+# Entrywise tolerance of the sign and dominance comparisons.
+ENTRY_TOL = 1e-12
+
+
+def check_dominance(ak, ak1):
     """Entrywise A^{(k+1,S+1/2)} <= A^{(k,S)} on the shared basis prefix.
 
     Requires ak1 on k+1 vertices with the same arc count and couplings
@@ -347,14 +240,12 @@ def check_dominance(ak, ak1, tol=1e-12):
     if ak1.k != ak.k + 1 or ak1.n != ak.n:
         raise ValueError("dominance compares (k, n) against (k+1, n)")
     d = ak.dim
-    aligned = np.array_equal(ak1.partners[:d, :ak.k + 2], ak.partners)
-    if not aligned:
+    if not np.array_equal(ak1.partners[:d, :ak.k + 2], ak.partners):
         raise ValueError("basis prefix misaligned; canonical order violated")
     max_violation = float((ak1.matrix[:d, :d] - ak.matrix).max())
     dims_ok = ak1.dim >= ak.dim
-    return DominanceVerdict(ok=dims_ok and max_violation <= tol,
-                            dims_ok=dims_ok, prefix_aligned=aligned,
-                            max_violation=max_violation)
+    return DominanceVerdict(ok=dims_ok and max_violation <= ENTRY_TOL,
+                            dims_ok=dims_ok, max_violation=max_violation)
 
 
 @dataclass(frozen=True)
@@ -408,16 +299,21 @@ def _bottom_two_eigenpairs(a, sigma):
     return w[order], vecs[:, order]
 
 
-def perron_ground_vector(A, positivity_tol=1e-10):
+def perron_ground_vector(A):
     """Strictly positive ground vector of an irreducible matrix with
     nonpositive off-diagonal entries (a TLMatrix, sparse or dense).
 
     Irreducibility is tested as strong connectivity of the off-diagonal
     nonzero pattern (equivalent to irreducibility of c*I - A for the
     nonnegative matrix obtained after the diagonal shift).  Certified, else
-    NumericalError: a real, simple bottom eigenvalue and a strictly positive
-    vector with ||Av - lambda v|| <= 1e-9 ||A||_inf ||v||.  Every check reads
-    the CSR matrix; only the dense ``eig`` route forms an m x m array.
+    NumericalError: a real, simple bottom eigenvalue and a vector with
+    ||Av - lambda v|| <= 1e-9 ||A||_inf ||v|| whose entries all exceed
+    1e-10 times the largest.  Every check reads the CSR matrix; only the
+    dense ``eig`` route forms an m x m array.
+
+    Only that residual is certified: the sparse route agrees with dense
+    ``eig`` to about 1e-12 relative (a one-ulp move of sigma has moved TL
+    Perron roots, m = 165 to 1001, by up to 1e-12), not to machine precision.
     """
     a = _as_csr(A)
     m = a.shape[0]
@@ -449,7 +345,7 @@ def perron_ground_vector(A, positivity_tol=1e-10):
     residual = float(np.linalg.norm(a @ v - lam * v))
     if residual > 1e-9 * scale * np.linalg.norm(v):
         raise NumericalError(f"ground pair residual {residual:.3e} too large")
-    if np.min(v) <= positivity_tol * np.max(np.abs(v)):
+    if np.min(v) <= 1e-10 * np.max(np.abs(v)):
         raise NumericalError("ground vector is not strictly positive")
     return PerronResult(vector=v, eigenvalue=lam, gap=gap)
 
@@ -471,7 +367,7 @@ def _inf_spec(a):
     return float(np.min(np.linalg.eigvals(a).real))
 
 
-def min_spec_comparison(A, B, tol=1e-12):
+def min_spec_comparison(A, B):
     """inf spec(B) <= inf spec(A) for B dominating A entrywise from below.
 
     A is n x n, B is m x m with n <= m, both with nonpositive off-diagonal
@@ -487,36 +383,42 @@ def min_spec_comparison(A, B, tol=1e-12):
         return MinSpecVerdict(False, "A larger than B", np.nan, np.nan, False, "", False)
     for name, mat in (("A", a), ("B", b)):
         off = mat - np.diag(np.diag(mat))
-        if off.size and off.max() > tol:
+        if off.size and off.max() > ENTRY_TOL:
             return MinSpecVerdict(False, f"{name} has positive off-diagonal entries",
                                   np.nan, np.nan, False, "", False)
-    if (b[:n, :n] - a).max() > tol:
+    if (b[:n, :n] - a).max() > ENTRY_TOL:
         return MinSpecVerdict(False, "B does not dominate A from below",
                               np.nan, np.nan, False, "", False)
     inf_a, inf_b = _inf_spec(a), _inf_spec(b)
-    inequality_ok = inf_b <= inf_a + max(tol, 1e-10 * max(1.0, abs(inf_a)))
+    inequality_ok = inf_b <= inf_a + 1e-10 * max(1.0, abs(inf_a))
     strict_condition = ""
     ncomp, _ = connected_components(sp.csr_matrix(b - np.diag(np.diag(b))),
                                     directed=True, connection="strong")
     if ncomp == 1:
-        if np.any(b[:n, :n] < a - tol):
+        if np.any(b[:n, :n] < a - ENTRY_TOL):
             strict_condition = "i"
         else:
             outer = b.copy()
             outer[:n, :n] = 0.0
             np.fill_diagonal(outer, 0.0)
-            if np.any(outer < -tol):
+            if np.any(outer < -ENTRY_TOL):
                 strict_condition = "ii"
     strict_ok = (not strict_condition) or (inf_b < inf_a - 0.0)
     return MinSpecVerdict(True, "", inf_a, inf_b, inequality_ok,
                           strict_condition, strict_ok)
 
 
-def expand_diagram_to_tensor(d, q=1.0):
-    """Expanded vector in (C^2)^k: q|+-> - |-+> per arc, |+> on unpaired."""
-    k = d.k
+def expand_diagram_to_tensor(k, arcs, q=1.0):
+    """Expanded vector in (C^2)^k of a diagram given by its arcs (x, y):
+    q|+-> - |-+> per arc, |+> on unpaired vertices.
+
+    The arcs must be disjoint pairs 1 <= x < y <= k (else ValueError); the
+    index arithmetic below needs that.
+    """
+    vertices = [v for arc in arcs for v in arc]
+    if len(set(vertices)) != len(vertices) or not all(1 <= x < y <= k for x, y in arcs):
+        raise ValueError(f"arcs {tuple(arcs)} are not disjoint pairs 1 <= x < y <= {k}")
     v = np.zeros(2 ** k)
-    arcs = d.arcs
     base = 0  # all |+> (bit 0 = |+>), site i weight 2^(k-1-i)
     for choice in itertools.product((0, 1), repeat=len(arcs)):
         idx = base
@@ -629,7 +531,7 @@ def fk_highest_weight_basis(spins, S):
         arcs, unmatched = _bracket_match(downs)
         if unmatched:
             continue
-        big = expand_diagram_to_tensor(ArcDiagram(len(downs), arcs), q=1.0)
+        big = expand_diagram_to_tensor(len(downs), arcs, q=1.0)
         vec = compress @ big
         blocks = tuple(OrderedIsingBlock(s=s, n_down=nd)
                        for s, nd in zip(spins, ndowns))
@@ -664,11 +566,8 @@ def tl_matrix_csv_rows(tl):
     return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
 
-def tl_basis_csv_rows(tl_or_basis):
-    """(diagram id, arc list) rows; arcs rendered like ``1-2;3-4``."""
-    if isinstance(tl_or_basis, TLMatrix):
-        arc_lists = _arc_lists(tl_or_basis.partners)
-    else:
-        arc_lists = [d.arcs for d in tl_or_basis]
+def tl_basis_csv_rows(tl):
+    """(diagram id, arc list) rows of a TLMatrix's basis; arcs rendered like
+    ``1-2;3-4``."""
     return [(i, ";".join(f"{x}-{y}" for x, y in arcs) or "empty")
-            for i, arcs in enumerate(arc_lists)]
+            for i, arcs in enumerate(_arc_lists(tl.partners))]

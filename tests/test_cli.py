@@ -111,12 +111,51 @@ class TestExitCodes:
         ("foel", "--chain", "1,1", "--spin1-beta", "0.4"),
         ("spectrum", "--J", "1"),
         ("droplet", "--q", "0.5", "--n", "1,x"),
+        ("foel", "--graph", "g", "--J", "5,5"),
+        ("foel", "--chain", "1,1", "--L", "3"),
+        ("foel", "--chain", "1,1,1", "--seed", "4"),
+        ("foel", "--spin1-beta", "0.4", "--max-dim", "9"),
+        ("spectrum", "--graph", "g", "--J", "1,1"),
+        ("spectrum", "--chain", "1,1", "--tol", "7"),
+        ("spinmap", "--graph", "g", "--seed", "1"),
     ], ids=["q-zero", "empty-J", "sweep-L0", "zero-trials", "chain-and-beta",
-            "no-model", "bad-int-list"])
+            "no-model", "bad-int-list", "foel-graph-J", "foel-chain-L",
+            "foel-chain-seed", "foel-beta-max-dim", "spectrum-graph-J",
+            "spectrum-tol", "spinmap-seed"])
     def test_given_value_rejected_not_replaced(self, tmp_path, args):
+        # "g" stands for a valid graph-spec file
+        (tmp_path / "g").write_text(PATH3)
+        args = [str(tmp_path / "g") if a == "g" else a for a in args]
         code, out = run(tmp_path, *args)
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("args,named", [
+        (("droplet", "--q", "0.5", "--n", ""), "--n"),
+        (("droplet", "--q", "0.5", "--n", "1,3", "--Lmax", "6"), "n=3"),
+    ], ids=["empty-n", "one-length"])
+    def test_droplet_needs_two_lengths_per_size(self, tmp_path, capsys, args, named):
+        # without two lengths there is nothing to check: no vacuous pass
+        code, out = run(tmp_path, *args)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_ssep_gap_tol_used_as_given(self, tmp_path, monkeypatch):
+        import foelab.cli as cli
+
+        seen = []
+        real = cli.check_aldous
+
+        def record(g, rel_tol):
+            seen.append(rel_tol)
+            return real(g, rel_tol=rel_tol)
+
+        monkeypatch.setattr(cli, "check_aldous", record)
+        graph = tmp_path / "path3.g"
+        graph.write_text(PATH3)
+        run(tmp_path, "ssep-gap", "--graph", str(graph), "--tol", "1e-12")
+        assert seen == [1e-12]
 
     def test_random_trials_unsatisfiable_max_dim(self, tmp_path):
         # no chain fits max_dim = 3: usage error at once, not an endless draw

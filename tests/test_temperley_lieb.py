@@ -13,11 +13,9 @@ import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.sectors import highest_weight_space, sector_energies, sector_labels
-from foelab.spinops import HalfInt, HilbertShape, total_spin_ops
+from foelab.spinops import HalfInt, HilbertShape, _local_sum, total_spin_ops
 from foelab.temperley_lieb import (
-    ArcDiagram,
     check_dominance,
-    embed_diagram,
     enumerate_arc_diagrams,
     expand_diagram_to_tensor,
     fk_hamiltonian_matrix,
@@ -25,7 +23,6 @@ from foelab.temperley_lieb import (
     min_spec_comparison,
     perron_ground_vector,
     tl_basis_csv_rows,
-    tl_generator_action,
     tl_hamiltonian_matrix,
     tl_matrix_csv_rows,
 )
@@ -61,24 +58,6 @@ def brute_force_diagrams(k, n):
     return found
 
 
-class TestArcDiagram:
-    def test_rejects_crossing(self):
-        with pytest.raises(ValueError, match="cross"):
-            ArcDiagram(4, [(1, 3), (2, 4)])
-
-    def test_rejects_span_over_unpaired(self):
-        with pytest.raises(ValueError, match="unpaired"):
-            ArcDiagram(3, [(1, 3)])
-
-    def test_rejects_shared_vertex(self):
-        with pytest.raises(ValueError, match="two arcs"):
-            ArcDiagram(4, [(1, 2), (2, 3)])
-
-    def test_nested_ok(self):
-        d = ArcDiagram(4, [(1, 4), (2, 3)])
-        assert d.partner(1) == 4 and d.unpaired() == ()
-
-
 class TestEnumeration:
     def test_counts_small(self):
         assert len(enumerate_arc_diagrams(5, 2)) == 5
@@ -88,8 +67,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_matches_brute_force(self, k):
         for n in range(0, k // 2 + 1):
-            ours = {d.arcs for d in enumerate_arc_diagrams(k, n)}
-            assert ours == brute_force_diagrams(k, n)
+            assert set(enumerate_arc_diagrams(k, n)) == brute_force_diagrams(k, n)
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_count_formula_and_sector_dimension(self, k):
@@ -105,54 +83,56 @@ class TestEnumeration:
         for n in range(0, k // 2 + 1):
             basis_k = enumerate_arc_diagrams(k, n)
             basis_k1 = enumerate_arc_diagrams(k + 1, n)
-            assert basis_k1[: len(basis_k)] == [embed_diagram(d) for d in basis_k]
+            # the same arcs, the new last vertex unpaired
+            assert basis_k1[: len(basis_k)] == basis_k
+
+
+def bond_matrix(k, n, x, q):
+    """Dense matrix of U_{x,x+1} on the (k, n) diagram basis, read from the
+    builder: its matrix with coupling 1 on bond x and 0 elsewhere, over -2."""
+    couplings = [float(y == x) for y in range(1, k)]
+    return tlmod._tl_csr(tlmod._diagram_basis(k, n), couplings, q).toarray() / -2.0
+
+
+def bond_action(arcs, k, x, q=1.0):
+    """{image arcs: coefficient} of U_{x,x+1} on one diagram, per the builder."""
+    basis = enumerate_arc_diagrams(k, len(arcs))
+    column = bond_matrix(k, len(arcs), x, q)[:, basis.index(arcs)]
+    return {basis[i]: c for i, c in enumerate(column) if c != 0.0}
 
 
 class TestGeneratorAction:
+    """The builder's matrix of each bond generator, rule by rule."""
+
     def test_bubble(self):
-        d = ArcDiagram(2, [(1, 2)])
-        combo = tl_generator_action(d, 1, q=1.0)
-        assert combo.terms == {d: -2.0}
+        assert bond_action(((1, 2),), 2, 1, q=1.0) == {((1, 2),): -2.0}
 
     def test_q_bubble_value(self):
-        d = ArcDiagram(2, [(1, 2)])
-        combo = tl_generator_action(d, 1, q=0.5)
-        assert np.isclose(combo.terms[d], -2.5)
+        assert np.isclose(bond_action(((1, 2),), 2, 1, q=0.5)[((1, 2),)], -2.5)
 
     def test_unpaired_pair_annihilates(self):
-        d = ArcDiagram(2, [])
-        assert len(tl_generator_action(d, 1)) == 0
+        assert bond_action((), 2, 1) == {}
 
     def test_rearch(self):
-        d = ArcDiagram(3, [(1, 2)])
-        combo = tl_generator_action(d, 2)
-        assert combo.terms == {ArcDiagram(3, [(2, 3)]): 1.0}
+        assert bond_action(((1, 2),), 3, 2) == {((2, 3),): 1.0}
 
     def test_double_rearch(self):
-        d = ArcDiagram(4, [(1, 2), (3, 4)])
-        combo = tl_generator_action(d, 2)
-        assert combo.terms == {ArcDiagram(4, [(1, 4), (2, 3)]): 1.0}
+        assert bond_action(((1, 2), (3, 4)), 4, 2) == {((1, 4), (2, 3)): 1.0}
 
     @pytest.mark.parametrize("q", [1.0, 0.5])
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_rules_match_operator_action(self, k, q):
-        """Strong oracle: the graphical rules reproduce the actual projector
-        operator acting on the expanded tensor vectors."""
+        """Strong oracle: each bond's matrix reproduces the actual projector
+        operator acting on the expanded tensor vectors, U_x V = V B_x."""
         xi = np.array([0.0, q, -1.0, 0.0])
         u_local = -np.outer(xi, xi) / q
         for n in range(0, k // 2 + 1):
-            basis = enumerate_arc_diagrams(k, n)
-            for d in basis:
-                v = expand_diagram_to_tensor(d, q)
-                for x in range(1, k):
-                    left, right = 2 ** (x - 1), 2 ** (k - x - 1)
-                    u_op = np.kron(np.kron(np.eye(left), u_local), np.eye(right))
-                    expected = u_op @ v
-                    combo = tl_generator_action(d, x, q)
-                    got = np.zeros_like(expected)
-                    for beta, coeff in combo.terms.items():
-                        got += coeff * expand_diagram_to_tensor(beta, q)
-                    assert np.abs(got - expected).max() <= 1e-12
+            v = np.column_stack([expand_diagram_to_tensor(k, arcs, q)
+                                 for arcs in enumerate_arc_diagrams(k, n)])
+            for x in range(1, k):
+                left, right = 2 ** (x - 1), 2 ** (k - x - 1)
+                u_op = np.kron(np.kron(np.eye(left), u_local), np.eye(right))
+                assert np.abs(u_op @ v - v @ bond_matrix(k, n, x, q)).max() <= 1e-12
 
 
 class TestTLMatrix:
@@ -304,14 +284,14 @@ def non_canonical_forms(csr):
 
 
 def walk_basis(k, n):
-    """Reference enumerator: recursive walk, one ArcDiagram per diagram,
-    sorted by ArcDiagram.sort_key."""
+    """Reference enumerator: recursive walk, one sorted arc tuple per
+    diagram, sorted by (last paired vertex, arc tuple)."""
     out = []
 
     def walk(pos, stack, arcs, opened):
         if pos > k:
             if not stack and opened == n:
-                out.append(ArcDiagram(k, arcs))
+                out.append(tuple(sorted(arcs)))
             return
         if len(stack) > k - pos + 1:
             return
@@ -323,20 +303,59 @@ def walk_basis(k, n):
             walk(pos + 1, stack, arcs, opened)
 
     walk(1, [], [], 0)
-    return sorted(out, key=ArcDiagram.sort_key)
+    return sorted(out, key=lambda arcs: (max((y for _, y in arcs), default=0), arcs))
+
+
+def rule_image(arcs, x, q):
+    """Graphical rules of the bond generator U_{x,x+1} on a sorted arc tuple:
+    (image arcs, coefficient), or None for zero.
+
+    (i)   x and x+1 both unpaired      -> 0
+    (ii)  arc [x,x+1] present          -> -(q + 1/q) times the diagram
+    (iii) exactly one of x,x+1 paired  -> +1 times the re-arched diagram
+    (iv)  both paired (to a and b)     -> +1 times the diagram with arcs
+                                          [a,b] and [x,x+1] instead
+    """
+    partner = {v: w for arc in arcs for v, w in (arc, arc[::-1])}
+    a, b = partner.get(x), partner.get(x + 1)
+    if a is None and b is None:
+        return None
+    if a == x + 1:
+        return arcs, -(q + 1.0 / q)
+    image = [arc for arc in arcs if x not in arc and x + 1 not in arc] + [(x, x + 1)]
+    if a is not None and b is not None:
+        image.append((min(a, b), max(a, b)))
+    return tuple(sorted(image)), 1.0
 
 
 def dense_reference(k, n, couplings, q):
-    """Reference builder: one tl_generator_action call per diagram and bond,
-    summed entry by entry into a dense array."""
+    """Reference builder: the graphical rules applied per diagram and bond,
+    summed entry by entry into a dense array (an image outside the basis
+    raises KeyError)."""
     basis = walk_basis(k, n)
-    index = {d: i for i, d in enumerate(basis)}
+    index = {arcs: i for i, arcs in enumerate(basis)}
     a = np.zeros((len(basis), len(basis)))
     for col, alpha in enumerate(basis):
         for x in range(1, k):
-            for beta, coeff in tl_generator_action(alpha, x, q).terms.items():
-                a[index[beta], col] += -2.0 * couplings[x - 1] * coeff
+            term = rule_image(alpha, x, q)
+            if term is not None:
+                a[index[term[0]], col] += -2.0 * couplings[x - 1] * term[1]
     return basis, a
+
+
+def basis_csv_rows(basis):
+    return [(i, ";".join(f"{x}-{y}" for x, y in arcs) or "empty")
+            for i, arcs in enumerate(basis)]
+
+
+def tl_operator(k, couplings, q):
+    """H = -2 sum_x J_x U_x on (C^2)^k, U_x = -xi xi^T / q on sites x, x+1,
+    xi = q|+-> - |-+> (local state 0 = |+>)."""
+    xi = np.array([0.0, q, -1.0, 0.0])
+    u_local = -np.outer(xi, xi) / q
+    shape = HilbertShape([HalfInt(1)] * k)
+    return _local_sum(shape, [((x - 1, x), -2.0 * couplings[x - 1] * u_local)
+                              for x in range(1, k)])
 
 
 @st.composite
@@ -350,7 +369,19 @@ def tl_inputs(draw):
 
 
 class TestSparseBuilder:
-    """The index-based CSR builder against the per-diagram dense loop."""
+    """The index-based CSR builder against the operator it represents and
+    against the per-diagram dense loop of the graphical rules."""
+
+    @settings(max_examples=30, database=None, deadline=None)
+    @given(tl_inputs())
+    def test_represents_the_operator(self, inputs):
+        """H V = V A: V has the expanded basis diagrams as columns."""
+        k, n, q, js = inputs
+        tl = tl_hamiltonian_matrix(k, n, js, q)
+        v = np.column_stack([expand_diagram_to_tensor(k, arcs, q)
+                             for arcs in enumerate_arc_diagrams(k, n)])
+        hv, va = tl_operator(k, js, q) @ v, v @ tl.A
+        assert np.abs(hv - va).max() <= 1e-12 * max(np.abs(hv).max(), np.abs(va).max())
 
     @settings(max_examples=30, database=None, deadline=None)
     @given(tl_inputs())
@@ -358,8 +389,8 @@ class TestSparseBuilder:
         k, n, q, js = inputs
         basis, a = dense_reference(k, n, js, q)
         tl = tl_hamiltonian_matrix(k, n, js, q)
-        assert tl.basis == tuple(basis)
-        assert tl_basis_csv_rows(tl) == tl_basis_csv_rows(basis)
+        assert enumerate_arc_diagrams(k, n) == basis
+        assert tl_basis_csv_rows(tl) == basis_csv_rows(basis)
         assert tl.A.tobytes() == a.tobytes()
         assert tl.matrix.has_canonical_format
         assert tl.matrix.nnz == np.count_nonzero(a)
@@ -372,11 +403,11 @@ class TestSparseBuilder:
         basis, a = dense_reference(k, n, js, 0.5)
         tl = tl_hamiltonian_matrix(k, n, js, 0.5)
         assert tl.dim == len(basis) == comb(k, n) - comb(k, n - 1)
-        assert tl.basis == tuple(basis)
+        assert tl_basis_csv_rows(tl) == basis_csv_rows(basis)
         assert tl.A.tobytes() == a.tobytes()
 
     def test_long_chain_basis_matches_brute_force(self):
-        assert {d.arcs for d in enumerate_arc_diagrams(33, 1)} == brute_force_diagrams(33, 1)
+        assert set(enumerate_arc_diagrams(33, 1)) == brute_force_diagrams(33, 1)
 
     def test_image_outside_basis_raises(self):
         partners = tlmod._diagram_basis(6, 2)
@@ -505,24 +536,24 @@ def su2_raising(k):
 
 class TestExpansion:
     def test_singlet(self):
-        v = expand_diagram_to_tensor(ArcDiagram(2, [(1, 2)]), q=1.0)
+        v = expand_diagram_to_tensor(2, ((1, 2),), q=1.0)
         assert np.array_equal(v, [0.0, 1.0, -1.0, 0.0])
 
     def test_single_vertex(self):
-        v = expand_diagram_to_tensor(ArcDiagram(1, []), q=1.0)
+        v = expand_diagram_to_tensor(1, (), q=1.0)
         assert np.array_equal(v, [1.0, 0.0])
 
     def test_gram_nonsingular(self):
         basis = enumerate_arc_diagrams(5, 2)
-        v = np.column_stack([expand_diagram_to_tensor(d) for d in basis])
+        v = np.column_stack([expand_diagram_to_tensor(5, arcs) for arcs in basis])
         gram = v.T @ v
         assert np.linalg.matrix_rank(gram) == 5
 
     @pytest.mark.parametrize("k,n", [(3, 1), (4, 2), (5, 2), (6, 3)])
     def test_annihilated_by_raising(self, k, n):
         sp = su2_raising(k)
-        for d in enumerate_arc_diagrams(k, n):
-            assert np.abs(sp @ expand_diagram_to_tensor(d)).max() <= 1e-10
+        for arcs in enumerate_arc_diagrams(k, n):
+            assert np.abs(sp @ expand_diagram_to_tensor(k, arcs)).max() <= 1e-10
 
     @pytest.mark.parametrize("q", [0.3, 0.7])
     def test_annihilated_by_q_raising(self, q):
@@ -531,9 +562,15 @@ class TestExpansion:
         k = 5
         gen = suq2_generators(k, QParam(q))
         for n in range(0, 3):
-            for d in enumerate_arc_diagrams(k, n):
-                v = expand_diagram_to_tensor(d, q)
+            for arcs in enumerate_arc_diagrams(k, n):
+                v = expand_diagram_to_tensor(k, arcs, q)
                 assert np.abs(gen.sqplus.matrix @ v).max() <= 1e-10
+
+    def test_rejects_arcs_that_are_not_disjoint_pairs(self):
+        # a repeated vertex would otherwise give a wrong vector silently
+        for arcs in [((1, 2), (2, 3)), ((1, 1),), ((2, 1),), ((0, 2),), ((1, 4),)]:
+            with pytest.raises(ValueError, match="disjoint pairs"):
+                expand_diagram_to_tensor(3, arcs)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_tl_relations_on_operators(self, k):
@@ -557,9 +594,9 @@ class TestFKBasis:
         basis = fk_highest_weight_basis(spins, HalfInt(1))
         diagrams = enumerate_arc_diagrams(5, 2)
         assert len(basis) == len(diagrams)
-        for vec, d in zip(basis, diagrams):
-            assert vec.arcs == d.arcs
-            assert np.abs(vec.expanded - expand_diagram_to_tensor(d)).max() <= 1e-12
+        for vec, arcs in zip(basis, diagrams):
+            assert vec.arcs == arcs
+            assert np.abs(vec.expanded - expand_diagram_to_tensor(5, arcs)).max() <= 1e-12
 
     def test_two_spin_ones(self):
         basis = fk_highest_weight_basis([HalfInt(2)] * 2, HalfInt(2))
