@@ -334,6 +334,8 @@ def cmd_droplet(args):
     lengths = range(args.Lmin, args.Lmax + 1)
     if not args.n:
         raise ValueError("--n names no droplet size")
+    if len(set(args.n)) < len(args.n):
+        raise ValueError(f"--n repeats a droplet size: {args.n}")
     for n in args.n:
         if sum(1 <= n <= L / 2 for L in lengths) < 2:
             raise ValueError(f"droplet size n={n} has fewer than two lengths "

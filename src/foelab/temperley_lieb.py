@@ -234,18 +234,21 @@ def check_dominance(ak, ak1):
     """Entrywise A^{(k+1,S+1/2)} <= A^{(k,S)} on the shared basis prefix.
 
     Requires ak1 on k+1 vertices with the same arc count and couplings
-    extended by one bond; the first d(k,S) basis diagrams of ak1 must be the
-    embeddings of ak's basis in order (raises on misalignment).
+    extended by one bond.  A basis of ak1 smaller than ak's has no shared
+    prefix: the verdict is dims_ok = ok = False with max_violation nan.
+    Otherwise the first d(k,S) basis diagrams of ak1 must be the embeddings
+    of ak's basis in order (raises on misalignment).
     """
     if ak1.k != ak.k + 1 or ak1.n != ak.n:
         raise ValueError("dominance compares (k, n) against (k+1, n)")
     d = ak.dim
+    if ak1.dim < d:
+        return DominanceVerdict(ok=False, dims_ok=False, max_violation=float("nan"))
     if not np.array_equal(ak1.partners[:d, :ak.k + 2], ak.partners):
         raise ValueError("basis prefix misaligned; canonical order violated")
     max_violation = float((ak1.matrix[:d, :d] - ak.matrix).max())
-    dims_ok = ak1.dim >= ak.dim
-    return DominanceVerdict(ok=dims_ok and max_violation <= ENTRY_TOL,
-                            dims_ok=dims_ok, max_violation=max_violation)
+    return DominanceVerdict(ok=max_violation <= ENTRY_TOL, dims_ok=True,
+                            max_violation=max_violation)
 
 
 @dataclass(frozen=True)

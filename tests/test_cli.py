@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import foelab
 from foelab.cli import _HANDLERS, build_parser, main
 from foelab.reports import csv_text, write_csv, write_json
+from foelab.temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
 
@@ -93,6 +95,53 @@ class TestExitCodes:
         assert "dimension 792 needs an estimated 19 MB" in err
         assert not (out / "foel.json").exists()
 
+    def test_foel_sparse_blocks_under_dense_memory_limit(self, tmp_path, monkeypatch):
+        import foelab.sectors as sectors
+
+        # 4 dense 3432 x 3432 arrays (the M = 0 block of 14 spin-1/2 sites)
+        # are estimated at 377 MB; the sparse route needs about 3 MB
+        monkeypatch.setattr(sectors, "_physical_memory_bytes",
+                            lambda: sectors.DENSE_BLOCK_ARRAYS * 8 * 3432 ** 2 - 1)
+        js = [float(j) for j in np.random.default_rng(14).uniform(0.1, 2.0, 13)]
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 14),
+                        "--J", ",".join(map(repr, js)))
+        assert code == 0
+        rows = [r.split(",") for r in read(out / "sectors.csv").splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(14, -1, -2))
+        for twice_s, _, e_min, _ in rows:
+            # the diagram basis with n arcs spans V^(S), S = 7 - n
+            tl = tl_hamiltonian_matrix(14, (14 - int(twice_s)) // 2, js, 1.0)
+            assert abs(float(e_min) - perron_ground_vector(tl).eigenvalue) <= 1e-10
+
+    def test_foel_sparse_block_memory_guard(self, tmp_path, monkeypatch, capsys):
+        import foelab.sectors as sectors
+
+        # every block on the sparse route; the estimate for the M = 0 block
+        # of 14 spin-1/2 sites (3432 states) is 2.8 MB, the M = 1 one 2.3 MB
+        monkeypatch.setattr(sectors, "SECTOR_SPARSE_MIN_DIM", 0)
+        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 5 * 2 ** 19)
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 14))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "sparse S=0 block of dimension 3432 needs an estimated 3 MB" in err
+        assert not (out / "foel.json").exists()
+
+    def test_uncertified_sparse_solve_exit_code(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        import foelab.sectors as sectors
+
+        real = sla.eigsh
+
+        def penalized_level(op, k, which, **kw):
+            return real(op, k=k, which={"SA": "LA", "LA": "SA"}[which], **kw)
+
+        monkeypatch.setattr(sectors, "SECTOR_SPARSE_MIN_DIM", 0)
+        monkeypatch.setattr(sectors.sla, "eigsh", penalized_level)
+        code, out = run(tmp_path, "foel", "--chain", "1,1,1,1")
+        assert code == 3
+        assert not (out / "foel.json").exists()
+
     def test_internal_key_error_is_not_usage(self, tmp_path, monkeypatch):
         import foelab.cli as cli
 
@@ -133,9 +182,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("args,named", [
         (("droplet", "--q", "0.5", "--n", ""), "--n"),
         (("droplet", "--q", "0.5", "--n", "1,3", "--Lmax", "6"), "n=3"),
-    ], ids=["empty-n", "one-length"])
+        (("droplet", "--q", "0.5", "--n", "1,1", "--Lmax", "6"), "repeats"),
+    ], ids=["empty-n", "one-length", "repeated-n"])
     def test_droplet_needs_two_lengths_per_size(self, tmp_path, capsys, args, named):
-        # without two lengths there is nothing to check: no vacuous pass
+        # without two lengths there is nothing to check: no vacuous pass; a
+        # repeated size would compare each energy with its own copy
         code, out = run(tmp_path, *args)
         assert code == 2
         assert named in capsys.readouterr().err
@@ -299,6 +350,19 @@ class TestDeterminism:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_sparse_route_byte_identical_reruns(self, tmp_path):
+        import foelab.sectors as sectors
+
+        # 13 spin-1/2 sites: the M = 3/2, 1/2 blocks (1287, 1716 states)
+        # take the sparse route
+        assert 1287 >= sectors.SECTOR_SPARSE_MIN_DIM
+        args = ["foel", "--chain", ",".join(["1"] * 13),
+                "--J", "0.5,1.5,1,0.25,2,1,0.75,1.25,1,0.5,1.5,1"]
+        assert main(args + ["--output", str(tmp_path / "a")]) == 0
+        assert main(args + ["--output", str(tmp_path / "b")]) == 0
+        for name in ("sectors.csv", "foel.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_python_dash_m_matches_in_process(self, tmp_path):
         args = ["foel", "--chain", "1,2,1", "--J", "0.5,1.5"]

@@ -1,12 +1,15 @@
 import runpy
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
 from foelab.hamiltonians import (
     ChainSpec,
@@ -17,6 +20,7 @@ from foelab.hamiltonians import (
     build_xxz_chain,
     random_chain,
 )
+from foelab.linalg import max_abs
 from foelab.sectors import (
     SectorEntry,
     SectorReport,
@@ -41,6 +45,11 @@ from foelab.spinops import (
 
 TWO_HALVES = HilbertShape([HalfInt(1), HalfInt(1)])
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DENSE, SPARSE = 10 ** 9, 0  # SECTOR_SPARSE_MIN_DIM values forcing one route
+
+
+def forced_route(min_dim):
+    return mock.patch.object(sectors, "SECTOR_SPARSE_MIN_DIM", min_dim)
 
 
 def report_from(mins):
@@ -192,11 +201,12 @@ CROSS_ROUTE_TOL = 1e-10
 
 
 @st.composite
-def mixed_spins(draw):
-    """Twice-spins in {1, 2, 3}, 2 to 9 sites, total dimension <= 512."""
+def mixed_spins(draw, max_sites=9, max_dim=CROSS_ROUTE_MAX_DIM):
+    """Twice-spins in {1, 2, 3}, 2 to max_sites sites, total dimension
+    <= max_dim."""
     twice, dim = [], 1
-    for _ in range(draw(st.integers(2, 9))):
-        fits = [t for t in (1, 2, 3) if dim * (t + 1) <= CROSS_ROUTE_MAX_DIM]
+    for _ in range(draw(st.integers(2, max_sites))):
+        fits = [t for t in (1, 2, 3) if dim * (t + 1) <= max_dim]
         if not fits:
             break
         t = draw(st.sampled_from(fits))
@@ -222,21 +232,27 @@ def connected_graphs(draw):
 
 
 def assert_routes_agree(h, shape):
-    """Penalty route vs SVD projection vs Casimir oracle, every sector."""
+    """Dense and sparse penalty routes vs SVD projection vs Casimir oracle,
+    every sector."""
     labels = sector_labels(shape)
-    penalty = sector_energies(h, shape).entries
     oracle = casimir_sector_energies(h, shape).entries
-    assert set(penalty) == set(oracle) == set(labels)
+    assert set(oracle) == set(labels)
     tot = total_spin_ops(shape)
+    refs = {}
     for S, d in labels.items():
         v = highest_weight_space(shape, S, tot).vectors
         hs = v.T @ (h.matrix @ v)
         w = np.linalg.eigvalsh(0.5 * (hs + hs.T))
-        svd = SectorEntry(float(w[0]), float(w[-1]), v.shape[1])
-        for ref in (svd, oracle[S]):
-            assert ref.dimension == penalty[S].dimension == d
-            assert abs(penalty[S].min_energy - ref.min_energy) <= CROSS_ROUTE_TOL
-            assert abs(penalty[S].max_energy - ref.max_energy) <= CROSS_ROUTE_TOL
+        refs[S] = (SectorEntry(float(w[0]), float(w[-1]), v.shape[1]), oracle[S])
+    for min_dim in (DENSE, SPARSE):
+        with forced_route(min_dim):
+            penalty = sector_energies(h, shape).entries
+        assert set(penalty) == set(labels)
+        for S, d in labels.items():
+            for ref in refs[S]:
+                assert ref.dimension == penalty[S].dimension == d
+                assert abs(penalty[S].min_energy - ref.min_energy) <= CROSS_ROUTE_TOL
+                assert abs(penalty[S].max_energy - ref.max_energy) <= CROSS_ROUTE_TOL
 
 
 class TestCrossRoute:
@@ -257,6 +273,73 @@ class TestCrossRoute:
     def test_beta_one_third_crossing_chain(self, L):
         shape = HilbertShape([HalfInt(2)] * L)
         assert_routes_agree(build_spin1_beta_chain(L, 1.0 / 3.0), shape)
+
+
+REAL_EIGSH = sla.eigsh
+
+
+class TestSparseRoute:
+    """The Lanczos route against the dense one beyond the Casimir oracle's
+    reach, and its certificates."""
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(spins=mixed_spins(max_sites=12, max_dim=4096), data=st.data())
+    def test_matches_dense_on_larger_chains(self, spins, data):
+        chain = ChainSpec(spins, data.draw(st.lists(couplings, min_size=len(spins) - 1,
+                                                    max_size=len(spins) - 1)))
+        h = build_normalized_chain(chain)
+        with forced_route(DENSE):
+            dense = sector_energies(h, chain.shape).entries
+        with forced_route(SPARSE):
+            sparse = sector_energies(h, chain.shape).entries
+        tol = CROSS_ROUTE_TOL * max(1.0, max_abs(h.matrix))
+        for S, e in dense.items():
+            assert abs(sparse[S].min_energy - e.min_energy) <= tol
+            assert abs(sparse[S].max_energy - e.max_energy) <= tol
+
+    def test_crossover_blocks_take_the_sparse_route(self):
+        # L = 13 spin-1/2: the M = 3/2, 1/2 blocks (1287, 1716 states) are
+        # at or above the crossover, the rest below it
+        chain = ChainSpec([HalfInt(1)] * 13, list(np.linspace(0.5, 1.5, 12)))
+        h = build_normalized_chain(chain)
+        calls = []
+        real = sectors._sector_extremes
+
+        def spy(H, total_ops, blocks, S):
+            calls.append(len(blocks[S]))
+            return real(H, total_ops, blocks, S)
+
+        with mock.patch.object(sectors, "_sector_extremes", spy):
+            rep = sector_energies(h, chain.shape)
+        assert calls == [1287, 1716]
+        with forced_route(DENSE):
+            dense = sector_energies(h, chain.shape)
+        for S, e in dense.entries.items():
+            assert abs(rep.entries[S].min_energy - e.min_energy) <= 1e-10
+            assert abs(rep.entries[S].max_energy - e.max_energy) <= 1e-10
+
+    @staticmethod
+    def flipped_eigsh(op, k, which, **kw):
+        """The opposite end of the penalized spectrum: a penalized level."""
+        return REAL_EIGSH(op, k=k, which={"SA": "LA", "LA": "SA"}[which], **kw)
+
+    @staticmethod
+    def perturbed_eigsh(op, **kw):
+        w, v = REAL_EIGSH(op, **kw)
+        return w, v + 1e-4 * np.random.default_rng(1).standard_normal(v.shape)
+
+    @staticmethod
+    def unconverged_eigsh(op, **kw):
+        raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("fake", ["flipped_eigsh", "perturbed_eigsh",
+                                      "unconverged_eigsh"])
+    def test_uncertified_ritz_pair_raises(self, fake):
+        chain = ChainSpec([HalfInt(1)] * 6, [1.0, 0.5, 1.5, 0.7, 1.2])
+        with forced_route(SPARSE), mock.patch.object(sectors.sla, "eigsh",
+                                                     getattr(self, fake)), \
+                pytest.raises(NumericalError):
+            sector_energies(build_normalized_chain(chain), chain.shape)
 
 
 class TestCheckFoel:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import runpy
 from math import comb
@@ -189,6 +190,14 @@ class TestDominance:
         a = tl_hamiltonian_matrix(5, 2, js[:4])
         b = tl_hamiltonian_matrix(6, 2, js)
         assert check_dominance(a, b).ok
+
+    def test_smaller_basis_fails_dims(self):
+        a = tl_hamiltonian_matrix(4, 2, [1.0] * 3)
+        b = tl_hamiltonian_matrix(5, 2, [1.0] * 4)
+        short = dataclasses.replace(b, partners=b.partners[:1], matrix=b.matrix[:1, :1])
+        verdict = check_dominance(a, short)
+        assert not verdict.dims_ok and not verdict.ok
+        assert np.isnan(verdict.max_violation)
 
     def test_misaligned_input_rejected(self):
         a = tl_hamiltonian_matrix(4, 1, [1.0] * 3)
