@@ -2,8 +2,9 @@
 
 Shows the non-crossing diagram basis, the Hamiltonian matrix on it with its
 nonpositive off-diagonal entries, the strictly positive Perron-Frobenius
-ground vector, the literal submatrix embedding when one vertex is appended,
-and the higher-spin (dual canonical) generalization.
+ground vector and the Collatz-Wielandt bracket of its energy, the literal
+submatrix embedding when one vertex is appended, and the higher-spin (dual
+canonical) generalization.
 """
 
 import numpy as np
@@ -36,7 +37,10 @@ def main():
     pf = perron_ground_vector(tl)
     print(f"\nground vector (all components strictly positive): "
           f"{np.round(pf.vector / pf.vector.max(), 4)}")
-    print(f"ground energy {pf.eigenvalue:.6f}, gap to the next level {pf.gap:.6f}")
+    lo, hi = pf.bracket
+    print(f"ground energy {pf.eigenvalue:.15f}, gap to the next level {pf.gap:.6f}")
+    print(f"certified bracket [{lo:.15f}, {hi:.15f}]: min and max of")
+    print("(Av)_i/v_i, which enclose the Perron root for any positive v")
 
     bigger = tl_hamiltonian_matrix(6, 2, [1.0] * 5)
     verdict = check_dominance(tl, bigger)

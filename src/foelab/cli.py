@@ -10,7 +10,8 @@ plus a JSON summary.  Handlers read argparse's namespace as parsed: each
 default is stated once, in ``build_parser``, and a given value is used or
 rejected, never replaced.  A subcommand takes only the flags its handler
 reads, and a ``foel``/``spectrum`` flag given without an input it applies
-to is a usage error.
+to is a usage error.  The parser also rejects out-of-range ``tl-matrix``,
+``qfoel`` and ``droplet`` values (exit 2 before any library call).
 """
 
 from __future__ import annotations
@@ -93,6 +94,29 @@ def _int_list(text):
 def _float_list(text):
     """Comma-separated floats; empty items are skipped."""
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _checked(convert, ok, requirement):
+    """argparse type: ``convert`` the text, then reject a value failing ``ok``."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_open_unit_float = _checked(float, lambda q: 0.0 < q < 1.0, "must lie strictly between 0 and 1")
+
+
+def _tl_matrix_usage(args):
+    """Usage error of tl-matrix that no single flag shows, or None."""
+    if 2 * args.n > args.k:
+        return f"--n {args.n} needs 2n <= --k {args.k}"
+    if args.J is not None and len(args.J) != args.k - 1:
+        return f"--J gives {len(args.J)} couplings; --k {args.k} needs {args.k - 1}"
+    return None
 
 
 def _couplings(args, nsites):
@@ -274,9 +298,12 @@ def cmd_tl_matrix(args):
     }
     try:
         pf = perron_ground_vector(tl)
+        # the gap is the dense route's (dim < PERRON_SPARSE_MIN_DIM); the
+        # Arnoldi route and a one-diagram matrix have none
         payload.update({
             "ground_energy": pf.eigenvalue,
-            "ground_gap": pf.gap if np.isfinite(pf.gap) else None,
+            "ground_bracket": list(pf.bracket),
+            "ground_gap": pf.gap if pf.gap is not None and np.isfinite(pf.gap) else None,
             "ground_vector_positive": bool(np.min(pf.vector) > 0),
         })
     except ReducibleMatrixError as exc:
@@ -325,6 +352,8 @@ def cmd_qfoel(args):
         "margins": _margins_json(verdict.margins),
         "crossings": _margins_json(verdict.crossings),
         "violations": _margins_json(verdict.violations),
+        "brackets": [{"S_times2": s.twice, "bracket": list(report.entries[s].bracket)}
+                     for s in report.labels],
     })
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
@@ -340,13 +369,15 @@ def cmd_droplet(args):
         if sum(1 <= n <= L / 2 for L in lengths) < 2:
             raise ValueError(f"droplet size n={n} has fewer than two lengths "
                              f"L >= 2n in --Lmin..--Lmax")
-    rows = droplet_csv_rows(lengths, args.n, qp)
+    rows = droplet_csv_rows(lengths, args.n, qp, brackets=True)
     write_csv(_out(args, "droplet.csv"),
-              ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"), rows)
+              ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"),
+              [row[:6] for row in rows])
     checks = {}
     ok = True
     for n in args.n:
-        energies = [e for (_, nn, _, e, _, _) in rows if nn == n]
+        energies = [e for (_, nn, _, e, _, _, _) in rows if nn == n]
+        widths = [hi - lo for (_, nn, _, _, _, _, (lo, hi)) in rows if nn == n]
         e_inf = droplet_energy(n, qp)
         mono = all(b < a for a, b in zip(energies, energies[1:]))
         above = all(e >= e_inf for e in energies)
@@ -355,6 +386,7 @@ def cmd_droplet(args):
             "above_infinite_volume": above,
             "final_gap": energies[-1] - e_inf,
             "bandwidth": droplet_bandwidth(n, qp),
+            "max_bracket_width": max(widths),
         }
         ok = ok and mono and above
     write_json(_out(args, "droplet.json"), {"q": qp.q, "checks": checks, "ok": ok})
@@ -460,11 +492,14 @@ def build_parser():
     common(p, "strictness tolerance of the FOEL ordering")
 
     p = sub.add_parser("tl-matrix", help="diagram-basis Hamiltonian matrix")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_checked(int, lambda k: k >= 1, "must be at least 1"),
+                   required=True, help="number of vertices")
+    p.add_argument("--n", type=_checked(int, lambda n: n >= 0, "must be at least 0"),
+                   required=True, help="number of arcs, 2n <= k")
     p.add_argument("--J", type=_float_list,
                    help="comma-separated couplings, k-1 values (default all 1)")
-    p.add_argument("--q", type=float, default=1.0)
+    p.add_argument("--q", type=_checked(float, lambda q: q > 0.0, "must be positive"),
+                   default=1.0)
     common(p, "largest off-diagonal entry accepted as nonpositive")
 
     p = sub.add_parser("fk-basis", help="higher-spin highest-weight basis")
@@ -477,12 +512,13 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("qfoel", help="deformed sector energies and ordering")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--L", type=_checked(int, lambda n: n >= 2, "must be at least 2"),
+                   required=True)
+    p.add_argument("--q", type=_open_unit_float, required=True, help="in (0, 1)")
     common(p, "strictness tolerance of the q-FOEL ordering")
 
     p = sub.add_parser("droplet", help="droplet energies: finite size vs closed form")
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--q", type=_open_unit_float, required=True, help="in (0, 1)")
     p.add_argument("--n", type=_int_list, default=(1, 2, 3),
                    help="comma-separated droplet sizes (default 1,2,3)")
     p.add_argument("--Lmin", type=int, default=4)
@@ -509,8 +545,12 @@ _cached_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv=None):
+    parser = _cached_parser()
     try:
-        args = _cached_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        problem = _tl_matrix_usage(args) if args.command == "tl-matrix" else None
+        if problem:
+            parser.error(f"tl-matrix: {problem}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return run(args)

@@ -8,8 +8,9 @@ on the n-arc diagram basis (arcs are deformed singlets q|+-> - |-+>) of the
 weight S = L/2 - n highest-weight space, H_L is the TL matrix with couplings
 1/(2(q + 1/q)), of dimension C(L,n) - C(L,n-1) and with exactly the sector's
 spectrum; its bottom is its certified Perron root (Nachtergaele-Starr, CMP
-218 (2001)).  ``q_sector_energies`` returns a ``sectors.SectorReport`` of
-those energies; ``sectors.check_foel`` decides the q-FOEL ordering.
+218 (2001)), which comes with its Collatz-Wielandt bracket.
+``q_sector_energies`` returns a ``sectors.SectorReport`` of those energies;
+``sectors.check_foel`` decides the q-FOEL ordering.
 """
 
 from __future__ import annotations
@@ -130,13 +131,15 @@ def q_casimir_value(S, qp):
 class QSectorEntry(NamedTuple):
     min_energy: float
     dimension: int
+    bracket: tuple  # Collatz-Wielandt enclosure (lo, hi) of min_energy
 
 
-def _sector_energy(L, n, qp):
-    """E(H_L, S = L/2 - n): Perron root of the spin-deviation-n TL matrix."""
+def _sector_perron(L, n, qp):
+    """Certified Perron result of the spin-deviation-n TL matrix, whose
+    root is E(H_L, S = L/2 - n)."""
     j = 1.0 / (2.0 * (qp.q + 1.0 / qp.q))
     tl = tl_hamiltonian_matrix(L, n, [j] * (L - 1), qp.q)
-    return perron_ground_vector(tl).eigenvalue
+    return perron_ground_vector(tl)
 
 
 def q_sector_energies(L, qp):
@@ -148,9 +151,10 @@ def q_sector_energies(L, qp):
     L = int(L)
     if L < 2:
         raise ValueError("need L >= 2")
-    labels = sector_labels(HilbertShape([HalfInt(1)] * L))
-    entries = {S: QSectorEntry(_sector_energy(L, (L - S.twice) // 2, qp), d)
-               for S, d in labels.items()}
+    entries = {}
+    for S, d in sector_labels(HilbertShape([HalfInt(1)] * L)).items():
+        pf = _sector_perron(L, (L - S.twice) // 2, qp)
+        entries[S] = QSectorEntry(pf.eigenvalue, d, pf.bracket)
     return SectorReport(entries=entries)
 
 
@@ -188,15 +192,21 @@ def finite_droplet_energy(L, n, qp):
     L, n = int(L), int(n)
     if not 1 <= n <= L / 2:
         raise ValueError("need 1 <= n <= L/2 for the spin-deviation sector")
-    return _sector_energy(L, n, qp)
+    return _sector_perron(L, n, qp).eigenvalue
 
 
-def droplet_csv_rows(l_values, n_values, qp):
+def droplet_csv_rows(l_values, n_values, qp, brackets=False):
     """(L, n, q, finite_energy, E_infinity, bandwidth) sweep rows, sorted by
-    (n, L); pairs with 2n > L are skipped."""
-    rows = [(L, n, qp.q, _sector_energy(L, n, qp),
-             droplet_energy(n, qp), droplet_bandwidth(n, qp))
-            for L in map(int, l_values) for n in map(int, n_values)
-            if 1 <= n <= L / 2]
+    (n, L); pairs with 2n > L are skipped.  With ``brackets`` each row
+    ends with a seventh item, the Collatz-Wielandt bracket (lo, hi) of
+    finite_energy."""
+    rows = []
+    for L in map(int, l_values):
+        for n in map(int, n_values):
+            if 1 <= n <= L / 2:
+                pf = _sector_perron(L, n, qp)
+                row = (L, n, qp.q, pf.eigenvalue,
+                       droplet_energy(n, qp), droplet_bandwidth(n, qp))
+                rows.append(row + (pf.bracket,) if brackets else row)
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows

@@ -53,6 +53,7 @@ __all__ = [
     "DominanceVerdict",
     "perron_ground_vector",
     "PerronResult",
+    "collatz_wielandt_bracket",
     "min_spec_comparison",
     "MinSpecVerdict",
     "expand_diagram_to_tensor",
@@ -253,15 +254,32 @@ def check_dominance(ak, ak1):
 
 @dataclass(frozen=True)
 class PerronResult:
+    """Certified Perron root of a matrix and its strictly positive vector.
+
+    ``bracket`` is the Collatz-Wielandt enclosure (lo, hi) of the root
+    computed from ``vector``, and lo <= eigenvalue <= hi.  ``gap`` is the
+    distance to the second lowest eigenvalue on the dense route (inf for a
+    1 x 1 matrix) and None on the sparse route, which computes no second
+    eigenpair.
+    """
+
     vector: np.ndarray
     eigenvalue: float
-    gap: float
+    gap: float | None
+    bracket: tuple
 
 
-# Dense ``eig`` is faster below this dimension.  perron_ground_vector on a
-# CSR TL matrix (q = 0.5, 2-vCPU x86 VM), dense vs sparse route: 3.8 vs
-# 5.9 ms at m = 75, 8.7 vs 7.0 ms at m = 110.
+# Dense ``eig`` below this dimension, Arnoldi from it on.  perron_ground_vector
+# on a CSR TL matrix (q = 0.5, 2-vCPU x86 VM), dense eig vs Arnoldi SR:
+# 0.9 vs 1.6 ms at m = 28, 3.5 vs 2.9 ms at m = 75, 8.4 vs 3.3 ms at
+# m = 110.  Arnoldi wins from below m = 75, but the cut stays above every
+# TL matrix with k <= 10 (m <= 90), which keeps the dense route's gap.
 PERRON_SPARSE_MIN_DIM = 100
+
+# Most Jacobi sweeps spent narrowing a bracket that comes out too wide.
+PERRON_REFINE_SWEEPS = 30
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _as_csr(a):
@@ -278,28 +296,55 @@ def _as_csr(a):
     return out
 
 
-def _bottom_two_eigenpairs(a, sigma):
-    """The two eigenpairs of lowest real part of a CSR matrix, sorted by
-    real part.
+def collatz_wielandt_bracket(A, x):
+    """Enclosure (lo, hi) of the Perron root of A from any x > 0.
 
-    Sparse route: shift-invert ARPACK at sigma, below the Gershgorin lower
-    bound.  A - sigma*I is then a nonsingular M-matrix, so the Perron root
-    of A is the eigenvalue nearest sigma; for a real spectrum (every TL
-    matrix is similar to a symmetric one) the next nearest is the second
-    lowest.  The fixed start vector keeps the output bits identical between
-    calls.
+    For A irreducible with nonpositive off-diagonal entries (the caller's
+    hypothesis; ``perron_ground_vector`` checks it),
+    min_i (Ax)_i/x_i <= lambda <= max_i (Ax)_i/x_i whichever solver
+    produced x (Collatz, Math. Z. 48 (1942); Wielandt, Math. Z. 52 (1950)).
+    Each row's ratio is widened by its rounding allowance
+    gamma_k (|A|x)_i/x_i, gamma_k = k u/(1 - k u) with u the unit roundoff
+    and k the largest row nnz + 1 (the row's products and the division).
+    ValueError unless x has one strictly positive entry per row.
     """
-    m = a.shape[0]
-    if m < PERRON_SPARSE_MIN_DIM:
-        w, vecs = np.linalg.eig(a.toarray())
-    else:
-        try:
-            w, vecs = sla.eigs(a.tocsc(), k=2, sigma=sigma, which="LM",
-                               v0=np.ones(m), ncv=min(m, 20), tol=0)
-        except sla.ArpackNoConvergence as exc:
-            raise NumericalError(f"shift-invert eigs did not converge: {exc}") from exc
-    order = np.argsort(w.real)[:2]
-    return w[order], vecs[:, order]
+    a = _as_csr(A)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (a.shape[0],) or not np.all(x > 0):
+        raise ValueError("a Collatz-Wielandt bracket needs a strictly positive vector")
+    k = int(np.diff(a.indptr).max()) + 1
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    ratio = (a @ x) / x
+    slack = gamma * (abs(a) @ x) / x
+    return float(np.min(ratio - slack)), float(np.max(ratio + slack))
+
+
+def _sharpen(a, x, lam, width):
+    """x and its bracket, after Jacobi sweeps
+    x_i <- sum_{j != i} (-a_ij) x_j / (a_ii - lam) while the bracket is
+    wider than ``width`` (at most PERRON_REFINE_SWEEPS of them).
+
+    The Perron vector is the fixed point of the sweep, and a_ii > lam on
+    every row of an irreducible m x m matrix with m >= 2 and nonpositive
+    off-diagonal entries.  A solver gets entries far below the largest only
+    to normwise accuracy, and their row ratios spread the bracket (at
+    q = 0.05 past 1e-9).  A sweep rebuilds each entry from its neighbours
+    as a sum of nonnegative terms, so the entries become accurate relative
+    to themselves and the bracket narrows.
+    """
+    lo, hi = collatz_wielandt_bracket(a, x)
+    diag = a.diagonal()
+    denom = diag - lam
+    if hi - lo <= width or np.min(denom) <= 0.0:
+        return x, (lo, hi)
+    neighbours = sp.diags(diag) - a
+    for _ in range(PERRON_REFINE_SWEEPS):
+        x = (neighbours @ x) / denom
+        x = x / np.linalg.norm(x)
+        lo, hi = collatz_wielandt_bracket(a, x)
+        if hi - lo <= width:
+            break
+    return x, (lo, hi)
 
 
 def perron_ground_vector(A):
@@ -308,20 +353,22 @@ def perron_ground_vector(A):
 
     Irreducibility is tested as strong connectivity of the off-diagonal
     nonzero pattern (equivalent to irreducibility of c*I - A for the
-    nonnegative matrix obtained after the diagonal shift).  Certified, else
-    NumericalError: a real, simple bottom eigenvalue and a vector with
-    ||Av - lambda v|| <= 1e-9 ||A||_inf ||v|| whose entries all exceed
-    1e-10 times the largest.  Every check reads the CSR matrix; only the
-    dense ``eig`` route forms an m x m array.
-
-    Only that residual is certified: the sparse route agrees with dense
-    ``eig`` to about 1e-12 relative (a one-ulp move of sigma has moved TL
-    Perron roots, m = 165 to 1001, by up to 1e-12), not to machine precision.
+    nonnegative matrix obtained after the diagonal shift).  The solver is
+    dense ``eig`` below PERRON_SPARSE_MIN_DIM and unshifted Arnoldi
+    (``eigs``, smallest real part, fixed start vector) above it; neither
+    is trusted for which eigenvalue it found.  Certified, else
+    NumericalError: a real eigenvalue with ||Av - lambda v|| <=
+    1e-9 ||A||_inf ||v||, every entry of v above 1e-10 times the largest,
+    and a Collatz-Wielandt bracket from v at most 1e-9 max(1, ||A||_inf)
+    wide that the solver's eigenvalue lies within that tolerance of.
+    Perron-Frobenius makes the root simple and its vector the only
+    positive one, so a positive v with a tight bracket is the certificate.
+    The returned eigenvalue is the solver's, moved into the bracket when
+    its rounding put it outside.  Every check reads the CSR matrix; only
+    the dense route forms an m x m array.
     """
     a = _as_csr(A)
     m = a.shape[0]
-    if m == 1:
-        return PerronResult(vector=np.ones(1), eigenvalue=float(a.diagonal()[0]), gap=np.inf)
     coo = a.tocoo()
     off = (coo.row != coo.col) & (coo.data != 0.0)
     if coo.data[off].max(initial=0.0) > 0.0:
@@ -333,24 +380,36 @@ def perron_ground_vector(A):
             f"irreducibility failed ({ncomp} strongly connected components); "
             "no positivity claim"
         )
-    diag, row_abs = a.diagonal(), abs(a) @ np.ones(m)
-    sigma = float(np.min(diag - (row_abs - np.abs(diag)))) - 1.0
-    w, vecs = _bottom_two_eigenpairs(a, sigma)
-    scale = max(1.0, float(row_abs.max()))
-    if abs(w[0].imag) > 1e-9 * scale:
+    if m < PERRON_SPARSE_MIN_DIM:
+        w, vecs = np.linalg.eig(a.toarray())
+        order = np.argsort(w.real)
+        root, v = w[order[0]], vecs[:, order[0]]
+        gap = float(w[order[1]].real - root.real) if m > 1 else np.inf
+    else:
+        try:
+            w, vecs = sla.eigs(a, k=1, which="SR", v0=np.ones(m), tol=0)
+        except sla.ArpackNoConvergence as exc:
+            raise NumericalError(f"Arnoldi eigs did not converge: {exc}") from exc
+        root, v, gap = w[0], vecs[:, 0], None
+    scale = max(1.0, float(abs(a).sum(axis=1).max()))
+    if abs(root.imag) > 1e-9 * scale:
         raise NumericalError("bottom eigenvalue came out complex")
-    gap = float(w[1].real - w[0].real)
-    if gap <= 1e-10 * scale:
-        raise NumericalError(f"bottom eigenvalue not numerically simple (gap {gap:.3e})")
-    lam = float(w[0].real)
-    v = vecs[:, 0].real
-    v = v / np.sign(v[np.argmax(np.abs(v))])
+    lam = float(root.real)
+    v = v.real / np.sign(v.real[np.argmax(np.abs(v.real))])
     residual = float(np.linalg.norm(a @ v - lam * v))
     if residual > 1e-9 * scale * np.linalg.norm(v):
         raise NumericalError(f"ground pair residual {residual:.3e} too large")
     if np.min(v) <= 1e-10 * np.max(np.abs(v)):
         raise NumericalError("ground vector is not strictly positive")
-    return PerronResult(vector=v, eigenvalue=lam, gap=gap)
+    tol = 1e-9 * scale
+    v, (lo, hi) = _sharpen(a, v, lam, tol)
+    if hi - lo > tol:
+        raise NumericalError(f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] wider than {tol:.1e}")
+    if not lo - tol <= lam <= hi + tol:
+        raise NumericalError(f"eigenvalue {lam!r} farther than {tol:.1e} from the "
+                             f"Collatz-Wielandt bracket [{lo!r}, {hi!r}]")
+    return PerronResult(vector=v, eigenvalue=min(max(lam, lo), hi), gap=gap,
+                        bracket=(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,37 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("args,named", [
+        (("tl-matrix", "--k", "4", "--n", "1", "--q", "-0.5"), "--q"),
+        (("tl-matrix", "--k", "4", "--n", "1", "--q", "nan"), "--q"),
+        (("tl-matrix", "--k", "4", "--n", "3"), "--n"),
+        (("tl-matrix", "--k", "4", "--n", "-1"), "--n"),
+        (("tl-matrix", "--k", "0", "--n", "0"), "--k"),
+        (("tl-matrix", "--k", "4", "--n", "1", "--J", "1,1"), "--J"),
+        (("tl-matrix", "--k", "4", "--n", "1", "--J", "1,1,1,1"), "--J"),
+        (("qfoel", "--L", "4", "--q", "0"), "--q"),
+        (("qfoel", "--L", "4", "--q", "1"), "--q"),
+        (("qfoel", "--L", "1", "--q", "0.5"), "--L"),
+        (("droplet", "--q", "1.5"), "--q"),
+        (("droplet", "--q", "-0.5"), "--q"),
+    ], ids=["tl-q-negative", "tl-q-nan", "tl-2n-above-k", "tl-n-negative", "tl-k-zero",
+            "tl-too-few-J", "tl-too-many-J", "qfoel-q-zero", "qfoel-q-one",
+            "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative"])
+    def test_range_errors_exit_before_any_library_call(self, tmp_path, monkeypatch,
+                                                       capsys, args, named):
+        import foelab.cli as cli
+
+        def reached(*a, **k):
+            raise AssertionError("a library call was made")
+
+        for name in ("tl_hamiltonian_matrix", "QParam", "q_sector_energies",
+                     "droplet_csv_rows"):
+            monkeypatch.setattr(cli, name, reached)
+        code, out = run(tmp_path, *args)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,named", [
         (("droplet", "--q", "0.5", "--n", ""), "--n"),
         (("droplet", "--q", "0.5", "--n", "1,3", "--Lmax", "6"), "n=3"),
         (("droplet", "--q", "0.5", "--n", "1,1", "--Lmax", "6"), "repeats"),
@@ -262,8 +293,19 @@ class TestCommands:
         payload = json.loads(read(out / "tl.json"))
         assert payload["dim"] == 5
         assert payload["sign_ok"] and payload["ground_vector_positive"]
+        lo, hi = payload["ground_bracket"]
+        assert lo <= payload["ground_energy"] <= hi
+        assert payload["ground_gap"] > 0  # dense route: the full spectrum's gap
         basis = read(out / "tl_basis.csv").splitlines()
         assert len(basis) == 6
+
+    def test_tl_matrix_sparse_route_reports_bracket_not_gap(self, tmp_path):
+        code, out = run(tmp_path, "tl-matrix", "--k", "11", "--n", "3", "--q", "0.5")
+        assert code == 0
+        payload = json.loads(read(out / "tl.json"), parse_constant=reject_constant)
+        assert payload["dim"] == 110 and payload["ground_gap"] is None
+        lo, hi = payload["ground_bracket"]
+        assert lo <= payload["ground_energy"] <= hi and hi - lo <= 1e-9
 
     def test_tl_matrix_one_diagram_is_strict_json(self, tmp_path):
         # dimension 1 has no second eigenvalue: the gap is null, not Infinity
@@ -284,6 +326,12 @@ class TestCommands:
         payload = json.loads(read(out / "qfoel.json"))
         assert payload["qfoel_ok"]
         assert payload["crossings"] == [] and payload["violations"] == []
+        rows = [r.split(",") for r in read(out / "qsectors.csv").splitlines()[1:]]
+        brackets = payload["brackets"]
+        assert [b["S_times2"] for b in brackets] == [int(r[0]) for r in rows]
+        for b, r in zip(brackets, rows):
+            lo, hi = b["bracket"]
+            assert lo <= float(r[2]) <= hi
 
     def test_droplet_lmin_below_two_starts_at_two(self, tmp_path):
         code, out = run(tmp_path, "droplet", "--q", "0.5", "--n", "1",
@@ -298,6 +346,11 @@ class TestCommands:
         payload = json.loads(read(out / "droplet.json"))
         assert payload["ok"]
         assert payload["checks"]["1"]["monotone_decreasing"]
+        for check in payload["checks"].values():
+            assert 0.0 <= check["max_bracket_width"] <= 1e-9
+        rows = read(out / "droplet.csv").splitlines()
+        assert rows[0] == "L,n,q,finite_energy,E_infinity,bandwidth"
+        assert {len(r.split(",")) for r in rows} == {6}
 
     def test_long_chain_diagram_commands(self, tmp_path):
         # diagram codes outgrow int64 beyond k = 31
@@ -337,6 +390,8 @@ class TestDeterminism:
             ("foel", "--chain", "1,1,1", "--J", "0.5,1.5"),
             ("tl-matrix", "--k", "4", "--n", "2"),
             ("qfoel", "--L", "4", "--q", "0.3"),
+            ("tl-matrix", "--k", "11", "--n", "3", "--q", "0.5"),
+            ("droplet", "--q", "0.5", "--n", "1,4", "--Lmax", "12"),
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import foelab.temperley_lieb as tlmod
 from foelab.hamiltonians import ChainSpec, build_normalized_chain, build_xxz_chain, xxz_bond
 from foelab.linalg import commutator_maxabs, kernel_basis
 from foelab.qgroup import (
@@ -129,7 +130,7 @@ class TestQSectorEnergies:
     def test_dimensions_match_undeformed(self):
         report = q_sector_energies(5, QParam(0.3))
         labels = sector_labels(HilbertShape([HalfInt(1)] * 5))
-        assert {s: d for s, (_, d) in report.entries.items()} == labels
+        assert {s: e.dimension for s, e in report.entries.items()} == labels
 
     def test_continuity_toward_isotropic(self):
         # q -> 1: the sector energies approach those of the isotropic chain
@@ -138,8 +139,8 @@ class TestQSectorEnergies:
         report = q_sector_energies(L, QParam(1.0 - 1e-3))
         iso = build_normalized_chain(ChainSpec([HalfInt(1)] * L, [0.25] * (L - 1)))
         iso_report = sector_energies(iso, HilbertShape([HalfInt(1)] * L))
-        for S, (e, _) in report.entries.items():
-            assert abs(e - iso_report.entries[S].min_energy) <= 1e-2
+        for S, e in report.entries.items():
+            assert abs(e.min_energy - iso_report.entries[S].min_energy) <= 1e-2
 
 
 def svd_sector_minima(L, qp):
@@ -175,6 +176,19 @@ class TestCrossRoute:
             n = (L - S.twice) // 2
             if n >= 1:
                 assert abs(finite_droplet_energy(L, n, qp) - e) <= tol
+
+    def test_sparse_route_brackets_contain_svd_minima(self):
+        # sectors n = 3..6 (m = 154, 275, 297, 132) take the Arnoldi route;
+        # each SVD minimum must lie in the certified bracket of its sector
+        L, qp = 12, QParam(0.5)
+        ref = svd_sector_minima(L, qp)
+        report = q_sector_energies(L, qp)
+        sparse = [S for S, e in report.entries.items()
+                  if e.dimension >= tlmod.PERRON_SPARSE_MIN_DIM]
+        assert sorted(report.entries[S].dimension for S in sparse) == [132, 154, 275, 297]
+        for S, e in ref.items():
+            lo, hi = report.entries[S].bracket
+            assert lo - 1e-10 <= e <= hi + 1e-10
 
 
 class TestQFoelVerdict:

@@ -240,7 +240,7 @@ def _perron(a, route, monkeypatch):
 
 
 class TestPerronRoutes:
-    """Dense eig and sparse shift-invert on TL matrices either side of the
+    """Dense eig and sparse Arnoldi on TL matrices either side of the
     crossover: (10,3) has dimension 75, (11,3) has 110."""
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 1.0])
@@ -251,7 +251,11 @@ class TestPerronRoutes:
         dense = _perron(a, "dense", monkeypatch)
         sparse = _perron(a, "sparse", monkeypatch)
         assert abs(sparse.eigenvalue - dense.eigenvalue) <= 1e-10 * abs(dense.eigenvalue)
-        assert abs(sparse.gap - dense.gap) <= 1e-10 * abs(dense.gap)
+        # each route's root lies in the bracket built from the other's vector
+        assert sparse.bracket[0] <= dense.eigenvalue <= sparse.bracket[1]
+        lo, hi = tlmod.collatz_wielandt_bracket(a, dense.vector)
+        assert lo <= sparse.eigenvalue <= hi
+        assert dense.gap > 0 and sparse.gap is None
         for res in (dense, sparse):
             assert res.vector.min() > 0
         cos = dense.vector @ sparse.vector / (
@@ -261,7 +265,62 @@ class TestPerronRoutes:
     def test_sparse_reruns_are_bit_identical(self, monkeypatch):
         a = tl_hamiltonian_matrix(11, 3, [1.0] * 10, 0.5).A
         runs = [_perron(a, "sparse", monkeypatch) for _ in range(3)]
-        assert len({(r.eigenvalue, r.gap, r.vector.tobytes()) for r in runs}) == 1
+        assert len({(r.eigenvalue, r.gap, r.bracket, r.vector.tobytes()) for r in runs}) == 1
+
+
+class TestCollatzWielandtBracket:
+    @pytest.mark.parametrize("k,n", [(10, 3), (11, 3)])
+    def test_bracket_does_not_depend_on_the_solver(self, k, n):
+        # any positive vector encloses the root, not only the solver's
+        tl = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), 0.5)
+        res = perron_ground_vector(tl)
+        rng = np.random.default_rng(k)
+        x = res.vector * (1.0 + 1e-3 * rng.random(tl.dim))
+        lo, hi = tlmod.collatz_wielandt_bracket(tl, x)
+        assert lo <= res.eigenvalue <= hi
+        assert hi - lo > 1e3 * (res.bracket[1] - res.bracket[0])
+
+    @pytest.mark.parametrize("entry", [0.0, -1e-3, np.nan])
+    def test_nonpositive_vector_rejected(self, entry):
+        tl = tl_hamiltonian_matrix(7, 2, [1.0] * 6, 0.5)
+        x = perron_ground_vector(tl).vector.copy()
+        x[3] = entry
+        with pytest.raises(ValueError, match="strictly positive"):
+            tlmod.collatz_wielandt_bracket(tl, x)
+
+    def test_k16_n5_bracket_width(self):
+        tl = tl_hamiltonian_matrix(16, 5, [1.0] * 15, 0.5)
+        assert tl.dim == 2548
+        res = perron_ground_vector(tl)
+        lo, hi = res.bracket
+        assert lo <= res.eigenvalue <= hi
+        assert hi - lo <= 1e-10 * abs(tl.matrix).sum(axis=1).max()
+
+    def test_wrong_eigenpair_from_the_solver_raises(self, monkeypatch):
+        # Arnoldi converging to another eigenvalue gives a vector with both
+        # signs: the certificate refuses it whatever the residual says
+        tl = tl_hamiltonian_matrix(11, 3, [1.0] * 10, 0.5)
+        w, v = np.linalg.eig(tl.A)
+        second = np.argsort(w.real)[1]
+        monkeypatch.setattr(tlmod.sla, "eigs",
+                            lambda *a, **kw: (w[[second]], v[:, [second]]))
+        with pytest.raises(NumericalError, match="not strictly positive"):
+            perron_ground_vector(tl)
+
+    @pytest.mark.parametrize("k,n,q", [(10, 4, 0.05), (12, 4, 0.1)])
+    def test_small_q_vectors_are_sharpened(self, k, n, q, monkeypatch):
+        # entries down to 1e-10 of the largest: the solver's vector brackets
+        # the root too loosely, the Jacobi sweeps make it tight
+        j = 1.0 / (2.0 * (q + 1.0 / q))
+        tl = tl_hamiltonian_matrix(k, n, [j] * (k - 1), q)
+        res = perron_ground_vector(tl)
+        scale = max(1.0, abs(tl.matrix).sum(axis=1).max())
+        assert res.bracket[1] - res.bracket[0] <= 1e-9 * scale
+        assert res.bracket[0] <= res.eigenvalue <= res.bracket[1]
+        assert res.vector.min() > 0
+        monkeypatch.setattr(tlmod, "PERRON_REFINE_SWEEPS", 0)
+        with pytest.raises(NumericalError, match="bracket"):
+            perron_ground_vector(tl)
 
 
 def test_matrix_csv_rows_match_double_loop():
@@ -430,7 +489,7 @@ class TestSparseBuilder:
         runs += [perron_ground_vector(form) for form in non_canonical_forms(tl.matrix)]
         assert "A" not in vars(tl)  # no dense copy on the sparse pipeline
         runs.append(perron_ground_vector(tl.A))
-        assert len({(r.eigenvalue, r.gap, r.vector.tobytes()) for r in runs}) == 1
+        assert len({(r.eigenvalue, r.gap, r.bracket, r.vector.tobytes()) for r in runs}) == 1
 
 
 def test_diagram_basis_demo_runs(tmp_path, monkeypatch, capsys):
