@@ -45,7 +45,7 @@ def main():
     rows = droplet_csv_rows(range(4, 15), [1, 2, 3], qp)
     path = write_csv("droplet_sweep.csv",
                      ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"),
-                     rows)
+                     [row[:6] for row in rows])
     print(f"\nwrote the full sweep to {path}")
 
 

@@ -369,7 +369,7 @@ def cmd_droplet(args):
         if sum(1 <= n <= L / 2 for L in lengths) < 2:
             raise ValueError(f"droplet size n={n} has fewer than two lengths "
                              f"L >= 2n in --Lmin..--Lmax")
-    rows = droplet_csv_rows(lengths, args.n, qp, brackets=True)
+    rows = droplet_csv_rows(lengths, args.n, qp)
     write_csv(_out(args, "droplet.csv"),
               ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"),
               [row[:6] for row in rows])

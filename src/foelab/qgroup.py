@@ -195,18 +195,17 @@ def finite_droplet_energy(L, n, qp):
     return _sector_perron(L, n, qp).eigenvalue
 
 
-def droplet_csv_rows(l_values, n_values, qp, brackets=False):
-    """(L, n, q, finite_energy, E_infinity, bandwidth) sweep rows, sorted by
-    (n, L); pairs with 2n > L are skipped.  With ``brackets`` each row
-    ends with a seventh item, the Collatz-Wielandt bracket (lo, hi) of
-    finite_energy."""
+def droplet_csv_rows(l_values, n_values, qp):
+    """(L, n, q, finite_energy, E_infinity, bandwidth, bracket) sweep rows,
+    sorted by (n, L); pairs with 2n > L are skipped.  ``bracket`` is the
+    Collatz-Wielandt enclosure (lo, hi) of finite_energy; the first six
+    items are the droplet.csv columns."""
     rows = []
     for L in map(int, l_values):
         for n in map(int, n_values):
             if 1 <= n <= L / 2:
                 pf = _sector_perron(L, n, qp)
-                row = (L, n, qp.q, pf.eigenvalue,
-                       droplet_energy(n, qp), droplet_bandwidth(n, qp))
-                rows.append(row + (pf.bracket,) if brackets else row)
+                rows.append((L, n, qp.q, pf.eigenvalue, droplet_energy(n, qp),
+                             droplet_bandwidth(n, qp), pf.bracket))
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows

@@ -237,7 +237,7 @@ def test_criterion_7_droplet_structure():
     mono_ok = True
     bound_ok = True
     for n in (1, 2, 3):
-        seq = sorted((L, e) for (L, nn, _, e, _, _) in rows if nn == n)
+        seq = sorted((L, e) for (L, nn, _, e, _, _, _) in rows if nn == n)
         es = [e for _, e in seq]
         mono_ok &= all(b < a for a, b in zip(es, es[1:]))
         bound_ok &= all(e >= droplet_energy(n, QP_HALF) for e in es)
@@ -260,7 +260,7 @@ def test_criterion_7_convergence_tolerance():
     rows = _droplet_rows()
     gaps = {}
     for n in (1, 2, 3):
-        e16 = [e for (L, nn, _, e, _, _) in rows if nn == n and L == 16]
+        e16 = [e for (L, nn, _, e, _, _, _) in rows if nn == n and L == 16]
         gaps[n] = abs(e16[0] - droplet_energy(n, QP_HALF))
     ok = all(g <= 1e-3 for g in gaps.values())
     verdict("7b (droplet convergence tolerance)", ok,

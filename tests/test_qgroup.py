@@ -271,7 +271,7 @@ class TestFiniteDroplet:
         rows = droplet_csv_rows(range(4, 9), [1, 2], qp)
         assert all(r[3] >= r[4] for r in rows)  # finite >= infinite volume
         by_n = {}
-        for L, n, _, e, _, _ in rows:
+        for L, n, _, e, _, _, _ in rows:
             by_n.setdefault(n, []).append((L, e))
         for seq in by_n.values():
             es = [e for _, e in sorted(seq)]

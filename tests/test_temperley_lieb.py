@@ -307,6 +307,22 @@ class TestCollatzWielandtBracket:
         with pytest.raises(NumericalError, match="not strictly positive"):
             perron_ground_vector(tl)
 
+    def test_root_off_the_bracket(self, monkeypatch):
+        # a root a few ulps outside is the solver's rounding: it is returned
+        # as computed and the bracket widened to hold it; farther out raises
+        tl = tl_hamiltonian_matrix(11, 3, [1.0] * 10, 0.5)
+        exact = perron_ground_vector(tl)
+        lo, hi = exact.bracket
+        for root in (np.nextafter(lo, -np.inf), hi + 1e3 * np.spacing(hi)):
+            monkeypatch.setattr(tlmod.sla, "eigs", lambda *a, r=root, **kw:
+                                (np.array([r]), exact.vector[:, None]))
+            if root < lo:
+                res = perron_ground_vector(tl)
+                assert res.eigenvalue == root and res.bracket == (root, hi)
+            else:
+                with pytest.raises(NumericalError, match="outside"):
+                    perron_ground_vector(tl)
+
     @pytest.mark.parametrize("k,n,q", [(10, 4, 0.05), (12, 4, 0.1)])
     def test_small_q_vectors_are_sharpened(self, k, n, q, monkeypatch):
         # entries down to 1e-10 of the largest: the solver's vector brackets
