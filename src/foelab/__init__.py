@@ -47,6 +47,7 @@ from .sectors import (
 from .temperley_lieb import (
     TLMatrix,
     check_dominance,
+    diagram_sector_energies,
     enumerate_arc_diagrams,
     expand_diagram_to_tensor,
     fk_hamiltonian_matrix,

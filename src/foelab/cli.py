@@ -11,7 +11,12 @@ default is stated once, in ``build_parser``, and a given value is used or
 rejected, never replaced.  A subcommand takes only the flags its handler
 reads, and a ``foel``/``spectrum`` flag given without an input it applies
 to is a usage error.  The parser also rejects out-of-range ``tl-matrix``,
-``qfoel`` and ``droplet`` values (exit 2 before any library call).
+``qfoel`` and ``droplet`` values and ``foel --L`` < 2 or
+``--random-trials`` < 1 (exit 2 before any library call).  ``foel`` solves
+a chain whose spins are all 1/2 in the diagram basis
+(``temperley_lieb.diagram_sector_energies``) unless its couplings span more
+than ``DIAGRAM_COUPLING_SPREAD``; graphs and other chains take
+``sectors.sector_energies``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ from .sectors import (
 from .spinops import HalfInt, HilbertShape
 from .ssep import check_aldous, ssep_csv_rows, verify_spin_map
 from .temperley_lieb import (
+    DIAGRAM_COUPLING_SPREAD,
+    diagram_sector_energies,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
     perron_ground_vector,
@@ -107,6 +114,11 @@ def _checked(convert, ok, requirement):
     return parse
 
 
+def _at_least(low):
+    """argparse type: an integer >= low."""
+    return _checked(int, lambda n: n >= low, f"must be at least {low}")
+
+
 _open_unit_float = _checked(float, lambda q: 0.0 < q < 1.0, "must lie strictly between 0 and 1")
 
 
@@ -124,13 +136,29 @@ def _couplings(args, nsites):
     return [1.0] * (nsites - 1) if args.J is None else args.J
 
 
+def _chain(args):
+    """ChainSpec of --chain and --J."""
+    return ChainSpec([HalfInt(t) for t in args.chain], _couplings(args, len(args.chain)))
+
+
 def _model(args):
     """Heisenberg operator of --graph, or normalized chain of --chain."""
     if args.graph is not None:
         g = _load_graph(args.graph)
         return build_heisenberg(g), g.shape
-    chain = ChainSpec([HalfInt(t) for t in args.chain], _couplings(args, len(args.chain)))
+    chain = _chain(args)
     return build_normalized_chain(chain), chain.shape
+
+
+def _chain_sector_energies(chain):
+    """Sector report of a normalized chain: from the diagram basis when
+    every spin is 1/2 and the couplings span at most
+    DIAGRAM_COUPLING_SPREAD, else by the SU(2) route of ``sector_energies``."""
+    js = chain.couplings
+    spread_ok = max(js, default=1.0) <= DIAGRAM_COUPLING_SPREAD * min(js, default=1.0)
+    if spread_ok and all(s.twice == 1 for s in chain.spins):
+        return diagram_sector_energies(js)
+    return sector_energies(build_normalized_chain(chain), chain.shape)
 
 
 def _reject_unused_flags(args):
@@ -179,8 +207,10 @@ def cmd_foel(args):
         return _foel_beta_sweep(args)
     if args.random_trials is not None:
         return _foel_random_trials(args)
-    h, shape = _model(args)
-    report = sector_energies(h, shape)
+    if args.graph is not None:
+        report = sector_energies(*_model(args))
+    else:
+        report = _chain_sector_energies(_chain(args))
     verdict = check_foel(report, args.tol)
     write_csv(_out(args, "sectors.csv"),
               ("S_times2", "dim", "min_energy", "max_energy"),
@@ -191,6 +221,9 @@ def cmd_foel(args):
         "crossings": _margins_json(verdict.crossings),
         "violations": _margins_json(verdict.violations),
         "strict_tol": args.tol,
+        # the minimum's [lo, hi] on the diagram route, null on the SU(2) routes
+        "brackets": [{"S_times2": s.twice, "bracket": report.entries[s].bracket}
+                     for s in report.labels],
     })
     return EXIT_OK if verdict.ok else EXIT_VIOLATION
 
@@ -198,8 +231,6 @@ def cmd_foel(args):
 def _foel_beta_sweep(args):
     beta = args.spin1_beta
     l_max = BETA_SWEEP_L if args.L is None else args.L
-    if l_max < 2:
-        raise ValueError(f"--L must be at least 2, got {l_max}")
     rows, summary = [], []
     found_violation = False
     found_crossing = False
@@ -232,8 +263,6 @@ def _foel_beta_sweep(args):
 
 def _foel_random_trials(args):
     trials = args.random_trials
-    if trials < 1:
-        raise ValueError(f"--random-trials must be at least 1, got {trials}")
     l_max = RANDOM_TRIALS_L if args.L is None else args.L
     max_dim = RANDOM_TRIALS_MAX_DIM if args.max_dim is None else args.max_dim
     seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -243,8 +272,7 @@ def _foel_random_trials(args):
     failures = 0
     for trial in range(trials):
         chain = random_chain(rng, max_sites=l_max, max_dim=max_dim)
-        report = sector_energies(build_normalized_chain(chain), chain.shape)
-        verdict = check_foel(report, args.tol)
+        verdict = check_foel(_chain_sector_energies(chain), args.tol)
         worst = min(worst, verdict.min_margin)
         failures += 0 if verdict.ok else 1
         rows.append((trial, len(chain.spins), chain.shape.dim,
@@ -479,9 +507,9 @@ def build_parser():
     group = model(p)
     group.add_argument("--spin1-beta", type=float, dest="spin1_beta",
                        help="sweep the spin-1 chain with this quartic weight")
-    group.add_argument("--random-trials", type=int, dest="random_trials",
+    group.add_argument("--random-trials", type=_at_least(1), dest="random_trials",
                        help="number of random chains to test")
-    p.add_argument("--L", type=int,
+    p.add_argument("--L", type=_at_least(2),
                    help=f"max length: sweep up to L (default {BETA_SWEEP_L}), "
                         f"random chains of at most L sites (default {RANDOM_TRIALS_L})")
     p.add_argument("--max-dim", type=int, dest="max_dim",
@@ -492,9 +520,9 @@ def build_parser():
     common(p, "strictness tolerance of the FOEL ordering")
 
     p = sub.add_parser("tl-matrix", help="diagram-basis Hamiltonian matrix")
-    p.add_argument("--k", type=_checked(int, lambda k: k >= 1, "must be at least 1"),
+    p.add_argument("--k", type=_at_least(1),
                    required=True, help="number of vertices")
-    p.add_argument("--n", type=_checked(int, lambda n: n >= 0, "must be at least 0"),
+    p.add_argument("--n", type=_at_least(0),
                    required=True, help="number of arcs, 2n <= k")
     p.add_argument("--J", type=_float_list,
                    help="comma-separated couplings, k-1 values (default all 1)")
@@ -512,8 +540,7 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("qfoel", help="deformed sector energies and ordering")
-    p.add_argument("--L", type=_checked(int, lambda n: n >= 2, "must be at least 2"),
-                   required=True)
+    p.add_argument("--L", type=_at_least(2), required=True)
     p.add_argument("--q", type=_open_unit_float, required=True, help="in (0, 1)")
     common(p, "strictness tolerance of the q-FOEL ordering")
 

@@ -26,9 +26,17 @@ rounding; ``qgroup`` uses the diagram basis.  The SVD basis
 (``highest_weight_space``) and the Casimir projector are the oracles tests
 compare against.
 
-A ``SectorReport`` holds energies only, here and in ``qgroup``.  Every FOEL
-verdict comes from one ``check_foel(report, tol)`` call; the ordering of the
-sector maxima comes from ``check_max_ordering``.
+Spin-1/2 chains need neither route: ``temperley_lieb.diagram_sector_energies``
+reads each sector from its arc-diagram basis, with no 2^L product space,
+and ``foel`` sends them there (unless their couplings span more than
+``temperley_lieb.DIAGRAM_COUPLING_SPREAD``).  Graphs, higher and mixed
+spins come here.
+
+A ``SectorReport`` holds energies only, here, in ``qgroup`` and on the
+diagram route; a ``SectorEntry`` carries the Collatz-Wielandt bracket of its
+minimum on the diagram route and None here.  Every FOEL verdict comes from
+one ``check_foel(report, tol)`` call; the ordering of the sector maxima
+comes from ``check_max_ordering``.
 """
 
 from __future__ import annotations
@@ -89,6 +97,7 @@ class SectorEntry:
     min_energy: float
     max_energy: float
     dimension: int
+    bracket: tuple | None = None  # Collatz-Wielandt (lo, hi) of min_energy, diagram route
 
 
 @dataclass(frozen=True)

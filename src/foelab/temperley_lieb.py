@@ -23,6 +23,13 @@ by ``searchsorted`` and raises on an image missing from the basis.  The CSR
 matrix A satisfies H V = V A, V the expanded basis vectors; the dense
 ``TLMatrix.A`` is built on first read, and nothing else forms it.
 
+At q = 1 the n-arc matrix of the chain with couplings J has exactly the
+spectrum of the normalized spin-1/2 chain sum_x J_x (1 - 4 S_x.S_{x+1}) on
+V^(L/2 - n), so ``diagram_sector_energies`` gives every sector of that
+chain from matrices of dimension C(L,n) - C(L,n-1): the minimum is the
+certified Perron root with its Collatz-Wielandt bracket, the maximum the
+top eigenvalue with a residual and a Gershgorin check.
+
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
 is built by expanding ordered Ising configurations into spin-1/2 tensors,
 pairing arrows by bracket matching, and symmetrizing within each site block.
@@ -43,6 +50,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError, ReducibleMatrixError
 from .hamiltonians import ChainSpec, build_normalized_chain
+from .sectors import SectorEntry, SectorReport
 from .spinops import HalfInt
 
 __all__ = [
@@ -54,6 +62,7 @@ __all__ = [
     "perron_ground_vector",
     "PerronResult",
     "collatz_wielandt_bracket",
+    "diagram_sector_energies",
     "min_spec_comparison",
     "MinSpecVerdict",
     "expand_diagram_to_tensor",
@@ -284,7 +293,17 @@ PERRON_REFINE_SWEEPS = 30
 # with k <= 14 at q = 0.03 ... 1 it fell outside by at most one ulp.
 PERRON_BRACKET_ULPS = 4
 
+# Largest max(J)/min(J) of a chain that ``foel`` solves in the diagram basis.
+# Near a vanishing coupling the TL matrix is nearly reducible: the entries
+# of its Perron vector span many decades, which neither the solvers nor the
+# Jacobi sweeps resolve, and the certificate refuses the sector.  Random
+# spin-1/2 chains of 3-18 sites with one or two couplings that far below
+# the largest: no sector refused up to a spread of 1e10, 1 chain in 40 at
+# 1e11, a fifth of all sectors from 1e12 on.
+DIAGRAM_COUPLING_SPREAD = 1e8
+
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
 
 
 def _as_csr(a):
@@ -346,6 +365,8 @@ def _sharpen(a, x, lam, width):
     for _ in range(PERRON_REFINE_SWEEPS):
         x = (neighbours @ x) / denom
         x = x / np.linalg.norm(x)
+        if not np.all(x > 0.0):  # only underflow can zero an entry
+            raise NumericalError("ground vector is not strictly positive")
         lo, hi = collatz_wielandt_bracket(a, x)
         if hi - lo <= width:
             break
@@ -363,11 +384,16 @@ def perron_ground_vector(A):
     (``eigs``, smallest real part, fixed start vector) above it; neither
     is trusted for which eigenvalue it found.  Certified, else
     NumericalError: a real eigenvalue with ||Av - lambda v|| <=
-    1e-9 ||A||_inf ||v||, every entry of v above 1e-10 times the largest,
-    and a Collatz-Wielandt bracket from v at most 1e-9 max(1, ||A||_inf)
-    wide that holds the solver's eigenvalue to PERRON_BRACKET_ULPS ulps.
-    Perron-Frobenius makes the root simple and its vector the only
-    positive one, so a positive v with a tight bracket is the certificate.
+    1e-9 ||A||_inf ||v||, no entry of v below -1e-10 times the largest (a
+    vector of both signs belongs to another eigenvalue), and a
+    Collatz-Wielandt bracket at most 1e-9 max(1, ||A||_inf) wide that holds
+    the solver's eigenvalue to PERRON_BRACKET_ULPS ulps.  The bracket comes
+    from v clamped to positive values and sharpened, which must stay
+    strictly positive: entries that span more than 1e10, or that rounding
+    left a hair below zero, are the solver's noise, and the sweeps rebuild
+    them.  Perron-Frobenius makes the root simple and its vector the only
+    positive one, so a positive vector with a tight bracket is the
+    certificate.
     The returned eigenvalue is the solver's; when its rounding put it
     those few ulps outside, the bracket is widened to take it in (a wider
     enclosure of the root is still one).  Every check reads the CSR
@@ -405,10 +431,10 @@ def perron_ground_vector(A):
     residual = float(np.linalg.norm(a @ v - lam * v))
     if residual > 1e-9 * scale * np.linalg.norm(v):
         raise NumericalError(f"ground pair residual {residual:.3e} too large")
-    if np.min(v) <= 1e-10 * np.max(np.abs(v)):
+    if np.min(v) < -1e-10 * np.max(np.abs(v)):
         raise NumericalError("ground vector is not strictly positive")
     tol = 1e-9 * scale
-    v, (lo, hi) = _sharpen(a, v, lam, tol)
+    v, (lo, hi) = _sharpen(a, np.maximum(v, _TINY), lam, tol)
     slack = PERRON_BRACKET_ULPS * np.spacing(max(abs(lo), abs(hi)))
     if not lo - slack <= lam <= hi + slack:
         raise NumericalError(f"eigenvalue {lam!r} outside the "
@@ -417,6 +443,68 @@ def perron_ground_vector(A):
     if hi - lo > tol:
         raise NumericalError(f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] wider than {tol:.1e}")
     return PerronResult(vector=v, eigenvalue=lam, gap=gap, bracket=(lo, hi))
+
+
+def _top_eigenvalue(a, floor):
+    """Largest eigenvalue of a CSR TL matrix: dense ``eig`` below
+    PERRON_SPARSE_MIN_DIM, Arnoldi (``eigs``, largest real part, start
+    vector of ones, tol = 0) from there on.
+
+    Certified, else NumericalError: the eigenvalue theta is real to
+    1e-9 max(1, ||A||_inf), ||Av - theta v|| <= 1e-9 max(1, ||A||_inf) ||v||,
+    floor (the Perron root) <= theta and theta is at most the Gershgorin
+    upper bound (up to the same 1e-9 rounding slack); ARPACK
+    non-convergence raises too.  Nothing certifies that no eigenvalue lies
+    above theta.
+    """
+    m = a.shape[0]
+    if m < PERRON_SPARSE_MIN_DIM:
+        w, vecs = np.linalg.eig(a.toarray())
+        top = np.argmax(w.real)
+        theta, v = w[top], vecs[:, top]
+    else:
+        try:
+            w, vecs = sla.eigs(a, k=1, which="LR", v0=np.ones(m), tol=0)
+        except sla.ArpackNoConvergence as exc:
+            raise NumericalError(f"Arnoldi eigs (top) did not converge: {exc}") from exc
+        theta, v = w[0], vecs[:, 0]
+    row_sums = np.asarray(abs(a).sum(axis=1)).ravel()
+    scale = max(1.0, float(row_sums.max()))
+    if abs(theta.imag) > 1e-9 * scale:
+        raise NumericalError("top eigenvalue came out complex")
+    theta = float(theta.real)
+    v = (v / v[np.argmax(np.abs(v))]).real
+    residual = float(np.linalg.norm(a @ v - theta * v))
+    if residual > 1e-9 * scale * np.linalg.norm(v):
+        raise NumericalError(f"top pair residual {residual:.3e} too large")
+    diag = a.diagonal()
+    g_hi = float(np.max(diag + row_sums - np.abs(diag)))
+    if not floor <= theta <= g_hi + 1e-9 * scale:
+        raise NumericalError(f"top eigenvalue {theta!r} outside [{floor!r}, {g_hi!r}]")
+    return theta
+
+
+def diagram_sector_energies(couplings):
+    """SectorReport of the spin-1/2 chain sum_x J_x (1 - 4 S_x.S_{x+1})
+    (``build_normalized_chain`` with every spin 1/2) from its diagram bases.
+
+    For S = L/2 - n, n = 0 ... L/2, the n-arc TL matrix at q = 1 spans
+    V^(S) and has exactly the sector's spectrum: its certified Perron root
+    (with its bracket) is the sector minimum and its certified top
+    eigenvalue (``_top_eigenvalue``) the maximum.  No 2^L-dimensional
+    operator, S^3 block or invariance check: the basis is invariant by
+    construction.
+    """
+    couplings = tuple(float(j) for j in couplings)
+    L = len(couplings) + 1
+    entries = {}
+    for n in range(L // 2 + 1):
+        tl = tl_hamiltonian_matrix(L, n, couplings, 1.0)
+        pf = perron_ground_vector(tl)
+        entries[HalfInt(L - 2 * n)] = SectorEntry(
+            pf.eigenvalue, _top_eigenvalue(tl.matrix, pf.eigenvalue),
+            diagram_count(L, n), pf.bracket)
+    return SectorReport(entries=entries)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 import foelab
 from foelab.cli import _HANDLERS, build_parser, main
+from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.reports import csv_text, write_csv, write_json
-from foelab.temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
+from foelab.sectors import sector_energies
+from foelab.spinops import HalfInt, HilbertShape
+from foelab.temperley_lieb import tl_hamiltonian_matrix
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
 
@@ -26,6 +30,23 @@ def reject_constant(name):
 def run(tmp_path, *args):
     out = tmp_path / "out"
     return main(list(args) + ["--output", str(out)]), out
+
+
+def path_graph(tmp_path, js):
+    """Graph-spec file of the spin-1/2 path with couplings js: the sites and
+    bonds of ``foel --chain 1,...,1 --J js`` as an input that takes the SU(2)
+    sector route.  Its H = -sum J S.S is (normalized chain - sum J)/4."""
+    lines = [f"site {i} 1" for i in range(len(js) + 1)]
+    lines += [f"edge {i} {i + 1} {j!r}" for i, j in enumerate(js)]
+    graph = tmp_path / "path.g"
+    graph.write_text("\n".join(lines) + "\n")
+    return str(graph)
+
+
+def sector_rows(out):
+    """(S_times2, dim, min_energy, max_energy) rows of sectors.csv."""
+    return [(int(a), int(b), float(c), float(d)) for a, b, c, d in
+            (r.split(",") for r in read(out / "sectors.csv").splitlines()[1:])]
 
 
 class TestExitCodes:
@@ -89,7 +110,7 @@ class TestExitCodes:
         # the M = 1 block of a 12-site spin-1/2 chain has 792 states:
         # 4 dense 792 x 792 float64 arrays are estimated at 19 MB
         monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 16 * 2 ** 20)
-        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 12))
+        code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 11))
         assert code == 3
         err = capsys.readouterr().err
         assert "dimension 792 needs an estimated 19 MB" in err
@@ -103,15 +124,19 @@ class TestExitCodes:
         monkeypatch.setattr(sectors, "_physical_memory_bytes",
                             lambda: sectors.DENSE_BLOCK_ARRAYS * 8 * 3432 ** 2 - 1)
         js = [float(j) for j in np.random.default_rng(14).uniform(0.1, 2.0, 13)]
+        code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, js))
+        assert code == 0
+        su2 = sector_rows(out)
+        assert [r[0] for r in su2] == list(range(14, -1, -2))
+        # the same chain as --chain takes the diagram route
         code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 14),
                         "--J", ",".join(map(repr, js)))
         assert code == 0
-        rows = [r.split(",") for r in read(out / "sectors.csv").splitlines()[1:]]
-        assert [int(r[0]) for r in rows] == list(range(14, -1, -2))
-        for twice_s, _, e_min, _ in rows:
-            # the diagram basis with n arcs spans V^(S), S = 7 - n
-            tl = tl_hamiltonian_matrix(14, (14 - int(twice_s)) // 2, js, 1.0)
-            assert abs(float(e_min) - perron_ground_vector(tl).eigenvalue) <= 1e-10
+        diagram = sector_rows(out)
+        assert [r[:2] for r in diagram] == [r[:2] for r in su2]
+        for (_, _, lo, hi), (_, _, g_lo, g_hi) in zip(diagram, su2):
+            assert abs(lo - (sum(js) + 4.0 * g_lo)) <= 1e-10
+            assert abs(hi - (sum(js) + 4.0 * g_hi)) <= 1e-10
 
     def test_foel_sparse_block_memory_guard(self, tmp_path, monkeypatch, capsys):
         import foelab.sectors as sectors
@@ -120,7 +145,7 @@ class TestExitCodes:
         # of 14 spin-1/2 sites (3432 states) is 2.8 MB, the M = 1 one 2.3 MB
         monkeypatch.setattr(sectors, "SECTOR_SPARSE_MIN_DIM", 0)
         monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 5 * 2 ** 19)
-        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 14))
+        code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 13))
         assert code == 3
         err = capsys.readouterr().err
         assert "sparse S=0 block of dimension 3432 needs an estimated 3 MB" in err
@@ -138,9 +163,59 @@ class TestExitCodes:
 
         monkeypatch.setattr(sectors, "SECTOR_SPARSE_MIN_DIM", 0)
         monkeypatch.setattr(sectors.sla, "eigsh", penalized_level)
-        code, out = run(tmp_path, "foel", "--chain", "1,1,1,1")
+        code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 3))
         assert code == 3
         assert not (out / "foel.json").exists()
+
+    def test_unconverged_diagram_top_solve_exit_code(self, tmp_path, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        import foelab.temperley_lieb as tlmod
+
+        real = sla.eigs
+
+        def no_top(a, k, which, **kw):
+            if which == "LR":
+                raise sla.ArpackNoConvergence("synthetic", np.zeros(0), np.zeros((0, 0)))
+            return real(a, k=k, which=which, **kw)
+
+        # 13 sites: the n = 3 ... 6 diagram bases (208 ... 572) take Arnoldi
+        monkeypatch.setattr(tlmod.sla, "eigs", no_top)
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 13))
+        assert code == 3
+        assert not (out / "foel.json").exists()
+
+    def test_spin_half_chain_builds_no_product_space(self, tmp_path, monkeypatch):
+        import foelab.sectors as sectors
+        import foelab.spinops as spinops
+
+        def reached(*a, **k):
+            raise AssertionError("total_spin_ops was called")
+
+        monkeypatch.setattr(sectors, "total_spin_ops", reached)
+        monkeypatch.setattr(spinops, "total_spin_ops", reached)
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 9),
+                        "--J", "0.5,1.5,1,0.25,2,1,0.75,1.25")
+        assert code == 0
+        assert [r[1] for r in sector_rows(out)] == [1, 8, 27, 48, 42]
+        # a mixed chain still takes the SU(2) route
+        with pytest.raises(AssertionError, match="total_spin_ops"):
+            run(tmp_path, "foel", "--chain", "1,2,1")
+
+    def test_widely_spread_couplings_take_the_su2_route(self, tmp_path):
+        # a coupling 1e-12 of the others nearly splits the chain; the
+        # diagram route cannot certify that, the SU(2) route can
+        js = [1.0, 1e-12, 1.0, 2.0, 1.0]
+        code, out = run(tmp_path, "foel", "--chain", "1,1,1,1,1,1",
+                        "--J", ",".join(map(repr, js)))
+        assert code == 1  # the nearly free spins leave sector minima 1e-12 apart
+        payload = json.loads(read(out / "foel.json"))
+        assert len(payload["crossings"]) == 2 and payload["violations"] == []
+        assert {b["bracket"] is None for b in payload["brackets"]} == {True}
+        ref = sector_energies(build_normalized_chain(
+            ChainSpec([HalfInt(1)] * 6, js)), HilbertShape([HalfInt(1)] * 6))
+        assert [r[2] for r in sector_rows(out)] == [
+            ref.entries[s].min_energy for s in ref.labels]
 
     def test_internal_key_error_is_not_usage(self, tmp_path, monkeypatch):
         import foelab.cli as cli
@@ -192,9 +267,13 @@ class TestExitCodes:
         (("qfoel", "--L", "1", "--q", "0.5"), "--L"),
         (("droplet", "--q", "1.5"), "--q"),
         (("droplet", "--q", "-0.5"), "--q"),
+        (("foel", "--spin1-beta", "0.4", "--L", "1"), "--L"),
+        (("foel", "--random-trials", "0"), "--random-trials"),
+        (("foel", "--random-trials", "2", "--L", "1"), "--L"),
     ], ids=["tl-q-negative", "tl-q-nan", "tl-2n-above-k", "tl-n-negative", "tl-k-zero",
             "tl-too-few-J", "tl-too-many-J", "qfoel-q-zero", "qfoel-q-one",
-            "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative"])
+            "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative",
+            "foel-sweep-L-one", "foel-zero-trials", "foel-trials-L-one"])
     def test_range_errors_exit_before_any_library_call(self, tmp_path, monkeypatch,
                                                        capsys, args, named):
         import foelab.cli as cli
@@ -203,7 +282,8 @@ class TestExitCodes:
             raise AssertionError("a library call was made")
 
         for name in ("tl_hamiltonian_matrix", "QParam", "q_sector_energies",
-                     "droplet_csv_rows"):
+                     "droplet_csv_rows", "random_chain", "sector_energies",
+                     "diagram_sector_energies"):
             monkeypatch.setattr(cli, name, reached)
         code, out = run(tmp_path, *args)
         assert code == 2
@@ -333,6 +413,41 @@ class TestCommands:
             lo, hi = b["bracket"]
             assert lo <= float(r[2]) <= hi
 
+    def test_qfoel_small_q_certified(self, tmp_path):
+        # at q = 0.05 the Perron vectors' entries span more than 1e10 (and
+        # Arnoldi returns some a hair below zero): certified after sharpening
+        q = 0.05
+        code, out = run(tmp_path, "qfoel", "--L", "12", "--q", repr(q))
+        assert code == 0
+        rows = [r.split(",") for r in read(out / "qsectors.csv").splitlines()[1:]]
+        brackets = json.loads(read(out / "qfoel.json"))["brackets"]
+        j = 1.0 / (2.0 * (q + 1.0 / q))
+        for b, (twice_s, _, e_min) in zip(brackets, rows):
+            lo, hi = b["bracket"]
+            assert b["S_times2"] == int(twice_s) and lo <= float(e_min) <= hi
+            tl = tl_hamiltonian_matrix(12, (12 - int(twice_s)) // 2, [j] * 11, q)
+            exact = la.eigvals(tl.A).real.min()
+            assert lo - 1e-10 <= exact <= hi + 1e-10
+
+    def test_foel_json_brackets(self, tmp_path):
+        js = [0.5, 1.5, 1.0, 0.25, 2.0, 1.0, 0.75, 1.25, 1.0, 0.5, 1.5]
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 12),
+                        "--J", ",".join(map(repr, js)))
+        assert code == 0
+        payload = json.loads(read(out / "foel.json"), parse_constant=reject_constant)
+        rows = sector_rows(out)
+        assert [b["S_times2"] for b in payload["brackets"]] == [r[0] for r in rows]
+        for b, (twice_s, _, e_min, _) in zip(payload["brackets"], rows):
+            lo, hi = b["bracket"]
+            tl = tl_hamiltonian_matrix(12, (12 - twice_s) // 2, js)
+            assert lo <= e_min <= hi
+            assert hi - lo <= 1e-9 * max(1.0, abs(tl.matrix).sum(axis=1).max())
+        # the SU(2) route has no bracket
+        code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, js))
+        assert code == 0
+        payload = json.loads(read(out / "foel.json"), parse_constant=reject_constant)
+        assert [b["bracket"] for b in payload["brackets"]] == [None] * 7
+
     def test_droplet_lmin_below_two_starts_at_two(self, tmp_path):
         code, out = run(tmp_path, "droplet", "--q", "0.5", "--n", "1",
                         "--Lmin", "0", "--Lmax", "5")
@@ -412,8 +527,8 @@ class TestDeterminism:
         # 13 spin-1/2 sites: the M = 3/2, 1/2 blocks (1287, 1716 states)
         # take the sparse route
         assert 1287 >= sectors.SECTOR_SPARSE_MIN_DIM
-        args = ["foel", "--chain", ",".join(["1"] * 13),
-                "--J", "0.5,1.5,1,0.25,2,1,0.75,1.25,1,0.5,1.5,1"]
+        args = ["foel", "--graph", path_graph(tmp_path, [0.5, 1.5, 1, 0.25, 2, 1, 0.75,
+                                                         1.25, 1, 0.5, 1.5, 1])]
         assert main(args + ["--output", str(tmp_path / "a")]) == 0
         assert main(args + ["--output", str(tmp_path / "b")]) == 0
         for name in ("sectors.csv", "foel.json"):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
-from foelab.sectors import highest_weight_space, sector_energies, sector_labels
+from foelab.sectors import SectorEntry, highest_weight_space, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, _local_sum, total_spin_ops
 from foelab.temperley_lieb import (
     check_dominance,
@@ -323,6 +323,28 @@ class TestCollatzWielandtBracket:
                 with pytest.raises(NumericalError, match="outside"):
                     perron_ground_vector(tl)
 
+    @pytest.mark.parametrize("k,n", [(12, 4), (14, 4)])
+    def test_solver_noise_below_the_old_floor_is_certified(self, k, n, monkeypatch):
+        # at q = 0.05 Arnoldi's smallest entries are noise: 5e-14 of the
+        # largest at (12,4), -1e-16 at (14,4); clamped and sharpened, the
+        # vector is strictly positive and brackets the root
+        q = 0.05
+        tl = tl_hamiltonian_matrix(k, n, [1.0 / (2.0 * (q + 1.0 / q))] * (k - 1), q)
+        raw, real = [], tlmod.sla.eigs
+
+        def eigs(*a, **kw):
+            w, v = real(*a, **kw)
+            raw.append(v[:, 0].real * np.sign(v[np.argmax(np.abs(v[:, 0])), 0].real))
+            return w, v
+
+        monkeypatch.setattr(tlmod.sla, "eigs", eigs)
+        res = perron_ground_vector(tl)
+        assert -1e-10 < raw[0].min() / raw[0].max() <= 1e-10
+        lo, hi = res.bracket
+        assert res.vector.min() > 0 and lo <= res.eigenvalue <= hi
+        assert hi - lo <= 1e-9 * max(1.0, abs(tl.matrix).sum(axis=1).max())
+        assert lo - 1e-10 <= np.linalg.eigvals(tl.A).real.min() <= hi + 1e-10
+
     @pytest.mark.parametrize("k,n,q", [(10, 4, 0.05), (12, 4, 0.1)])
     def test_small_q_vectors_are_sharpened(self, k, n, q, monkeypatch):
         # entries down to 1e-10 of the largest: the solver's vector brackets
@@ -506,6 +528,58 @@ class TestSparseBuilder:
         assert "A" not in vars(tl)  # no dense copy on the sparse pipeline
         runs.append(perron_ground_vector(tl.A))
         assert len({(r.eigenvalue, r.gap, r.bracket, r.vector.tobytes()) for r in runs}) == 1
+
+
+class TestDiagramSectorEnergies:
+    """Spin-1/2 chain sectors from the diagram bases against the SU(2)
+    penalty route on the 2^L product space."""
+
+    @settings(max_examples=30, database=None, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda L: st.lists(
+        st.floats(2.0 / tlmod.DIAGRAM_COUPLING_SPREAD, 2.0),
+        min_size=L - 1, max_size=L - 1)))
+    def test_matches_the_su2_route(self, js):
+        # couplings within the spread the CLI sends to the diagram route
+        chain = ChainSpec([HalfInt(1)] * (len(js) + 1), js)
+        report = tlmod.diagram_sector_energies(js)
+        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        assert {s: e.dimension for s, e in report.entries.items()} == sector_labels(chain.shape)
+        for s, e in ref.entries.items():
+            got = report.entries[s]
+            for a, b in ((got.min_energy, e.min_energy), (got.max_energy, e.max_energy)):
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+            lo, hi = got.bracket
+            assert lo <= got.min_energy <= hi
+            assert e.bracket is None
+
+    def test_one_site(self):
+        report = tlmod.diagram_sector_energies([])
+        assert report.entries == {HalfInt(1): SectorEntry(0.0, 0.0, 1, (0.0, 0.0))}
+
+    @pytest.mark.parametrize("L,solver", [(8, "eig"), (13, "eigs")])
+    def test_perturbed_top_vector_raises(self, L, solver, monkeypatch):
+        # 8 sites: every basis below PERRON_SPARSE_MIN_DIM (dense eig);
+        # 13 sites: n = 3 ... 6 (208 ... 572 diagrams) take Arnoldi
+        real = {"eig": np.linalg.eig, "eigs": tlmod.sla.eigs}[solver]
+
+        def perturbed(w, v):
+            top = np.argmax(w.real)
+            v = v.copy()
+            v[0, top] += 1e-6 * np.abs(v[:, top]).max()
+            return w, v
+
+        def eig(a):
+            # from m = 2 on the top column is not the Perron vector's
+            return perturbed(*real(a)) if len(a) > 1 else real(a)
+
+        def eigs(a, k, which, **kw):
+            w, v = real(a, k=k, which=which, **kw)
+            return perturbed(w, v) if which == "LR" else (w, v)
+
+        target = tlmod.np.linalg if solver == "eig" else tlmod.sla
+        monkeypatch.setattr(target, solver, {"eig": eig, "eigs": eigs}[solver])
+        with pytest.raises(NumericalError, match="top pair residual"):
+            tlmod.diagram_sector_energies([1.0] * (L - 1))
 
 
 def test_diagram_basis_demo_runs(tmp_path, monkeypatch, capsys):
