@@ -46,6 +46,7 @@ from .sectors import (
 )
 from .temperley_lieb import (
     TLMatrix,
+    chain_sector_energies,
     check_dominance,
     diagram_sector_energies,
     enumerate_arc_diagrams,

@@ -12,11 +12,9 @@ rejected, never replaced.  A subcommand takes only the flags its handler
 reads, and a ``foel``/``spectrum`` flag given without an input it applies
 to is a usage error.  The parser also rejects out-of-range ``tl-matrix``,
 ``qfoel`` and ``droplet`` values and ``foel --L`` < 2 or
-``--random-trials`` < 1 (exit 2 before any library call).  ``foel`` solves
-a chain whose spins are all 1/2 in the diagram basis
-(``temperley_lieb.diagram_sector_energies``) unless its couplings span more
-than ``DIAGRAM_COUPLING_SPREAD``; graphs and other chains take
-``sectors.sector_energies``.
+``--random-trials`` < 1 (exit 2 before any library call).  ``foel`` hands
+a chain to ``temperley_lieb.chain_sector_energies``, which picks the
+diagram basis or the SU(2) route; graphs take ``sectors.sector_energies``.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ from .sectors import (
 from .spinops import HalfInt, HilbertShape
 from .ssep import check_aldous, ssep_csv_rows, verify_spin_map
 from .temperley_lieb import (
-    DIAGRAM_COUPLING_SPREAD,
-    diagram_sector_energies,
+    chain_sector_energies,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
     perron_ground_vector,
@@ -150,17 +147,6 @@ def _model(args):
     return build_normalized_chain(chain), chain.shape
 
 
-def _chain_sector_energies(chain):
-    """Sector report of a normalized chain: from the diagram basis when
-    every spin is 1/2 and the couplings span at most
-    DIAGRAM_COUPLING_SPREAD, else by the SU(2) route of ``sector_energies``."""
-    js = chain.couplings
-    spread_ok = max(js, default=1.0) <= DIAGRAM_COUPLING_SPREAD * min(js, default=1.0)
-    if spread_ok and all(s.twice == 1 for s in chain.spins):
-        return diagram_sector_energies(js)
-    return sector_energies(build_normalized_chain(chain), chain.shape)
-
-
 def _reject_unused_flags(args):
     """Usage error for a flag given without any input it applies to."""
     given = {dest for dest, value in vars(args).items() if value is not None}
@@ -210,7 +196,7 @@ def cmd_foel(args):
     if args.graph is not None:
         report = sector_energies(*_model(args))
     else:
-        report = _chain_sector_energies(_chain(args))
+        report = chain_sector_energies(_chain(args))
     verdict = check_foel(report, args.tol)
     write_csv(_out(args, "sectors.csv"),
               ("S_times2", "dim", "min_energy", "max_energy"),
@@ -272,7 +258,7 @@ def _foel_random_trials(args):
     failures = 0
     for trial in range(trials):
         chain = random_chain(rng, max_sites=l_max, max_dim=max_dim)
-        verdict = check_foel(_chain_sector_energies(chain), args.tol)
+        verdict = check_foel(chain_sector_energies(chain), args.tol)
         worst = min(worst, verdict.min_margin)
         failures += 0 if verdict.ok else 1
         rows.append((trial, len(chain.spins), chain.shape.dim,

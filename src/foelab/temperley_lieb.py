@@ -29,6 +29,9 @@ V^(L/2 - n), so ``diagram_sector_energies`` gives every sector of that
 chain from matrices of dimension C(L,n) - C(L,n-1): the minimum is the
 certified Perron root with its Collatz-Wielandt bracket, the maximum the
 top eigenvalue with a residual and a Gershgorin check.
+``chain_sector_energies`` takes any ChainSpec and sends it there when every
+spin is 1/2 and its couplings span at most DIAGRAM_COUPLING_SPREAD, else to
+``sectors.sector_energies``.
 
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
 is built by expanding ordered Ising configurations into spin-1/2 tensors,
@@ -50,7 +53,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError, ReducibleMatrixError
 from .hamiltonians import ChainSpec, build_normalized_chain
-from .sectors import SectorEntry, SectorReport
+from .sectors import SectorEntry, SectorReport, sector_energies
 from .spinops import HalfInt
 
 __all__ = [
@@ -63,6 +66,7 @@ __all__ = [
     "PerronResult",
     "collatz_wielandt_bracket",
     "diagram_sector_energies",
+    "chain_sector_energies",
     "min_spec_comparison",
     "MinSpecVerdict",
     "expand_diagram_to_tensor",
@@ -373,16 +377,59 @@ def _sharpen(a, x, lam, width):
     return x, (lo, hi)
 
 
+def _extremal_pair(a, which):
+    """Bottom (which="SR") or top ("LR") eigenpair of a CSR matrix: dense
+    ``eig`` below PERRON_SPARSE_MIN_DIM, Arnoldi (``eigs``, k = 1, tol = 0)
+    from there on.  Returns (eigenvalue, v, scale, gap): v real with its
+    largest entry positive, scale = max(1, ||A||_inf), gap the distance to
+    the next eigenvalue on the dense route (inf for a 1 x 1 matrix) and None
+    on Arnoldi's, which computes no second eigenpair.
+
+    NumericalError unless ARPACK converges, the eigenvalue is real to
+    1e-9 scale and ||Av - lambda v|| <= 1e-9 scale ||v||; which eigenvalue
+    the solver found is the caller's to check.  Arnoldi starts from ones at
+    the bottom, where they overlap the positive Perron vector, and from a
+    fixed-seed random vector at the top: ones can be orthogonal to the top
+    eigenvector (on a mirror-symmetric chain with L and n odd it is odd
+    under the mirror), and a Krylov space that never sees it converges to a
+    lower eigenvalue that every check here passes.
+    """
+    end = {"SR": "ground", "LR": "top"}[which]
+    m = a.shape[0]
+    if m < PERRON_SPARSE_MIN_DIM:
+        w, vecs = np.linalg.eig(a.toarray())
+        order = np.argsort(w.real)
+        order = order if which == "SR" else order[::-1]
+        value, v = w[order[0]], vecs[:, order[0]]
+        gap = float(abs(w[order[1]].real - value.real)) if m > 1 else np.inf
+    else:
+        v0 = np.ones(m) if which == "SR" else np.random.default_rng(0).standard_normal(m)
+        try:
+            w, vecs = sla.eigs(a, k=1, which=which, v0=v0, tol=0)
+        except sla.ArpackNoConvergence as exc:
+            raise NumericalError(f"Arnoldi eigs ({end}) did not converge: {exc}") from exc
+        value, v, gap = w[0], vecs[:, 0], None
+    scale = max(1.0, float(abs(a).sum(axis=1).max()))
+    if abs(value.imag) > 1e-9 * scale:
+        raise NumericalError(f"{end} eigenvalue came out complex")
+    value = float(value.real)
+    v = v.real / np.sign(v.real[np.argmax(np.abs(v.real))])
+    residual = float(np.linalg.norm(a @ v - value * v))
+    if residual > 1e-9 * scale * np.linalg.norm(v):
+        raise NumericalError(f"{end} pair residual {residual:.3e} too large")
+    return value, v, scale, gap
+
+
 def perron_ground_vector(A):
     """Strictly positive ground vector of an irreducible matrix with
     nonpositive off-diagonal entries (a TLMatrix, sparse or dense).
 
     Irreducibility is tested as strong connectivity of the off-diagonal
     nonzero pattern (equivalent to irreducibility of c*I - A for the
-    nonnegative matrix obtained after the diagonal shift).  The solver is
-    dense ``eig`` below PERRON_SPARSE_MIN_DIM and unshifted Arnoldi
-    (``eigs``, smallest real part, fixed start vector) above it; neither
-    is trusted for which eigenvalue it found.  Certified, else
+    nonnegative matrix obtained after the diagonal shift).  The solver
+    (``_extremal_pair``) is dense ``eig`` below PERRON_SPARSE_MIN_DIM and
+    unshifted Arnoldi (``eigs``, smallest real part, start vector of ones)
+    above it; neither is trusted for which eigenvalue it found.  Certified, else
     NumericalError: a real eigenvalue with ||Av - lambda v|| <=
     1e-9 ||A||_inf ||v||, no entry of v below -1e-10 times the largest (a
     vector of both signs belongs to another eigenvalue), and a
@@ -412,25 +459,7 @@ def perron_ground_vector(A):
             f"irreducibility failed ({ncomp} strongly connected components); "
             "no positivity claim"
         )
-    if m < PERRON_SPARSE_MIN_DIM:
-        w, vecs = np.linalg.eig(a.toarray())
-        order = np.argsort(w.real)
-        root, v = w[order[0]], vecs[:, order[0]]
-        gap = float(w[order[1]].real - root.real) if m > 1 else np.inf
-    else:
-        try:
-            w, vecs = sla.eigs(a, k=1, which="SR", v0=np.ones(m), tol=0)
-        except sla.ArpackNoConvergence as exc:
-            raise NumericalError(f"Arnoldi eigs did not converge: {exc}") from exc
-        root, v, gap = w[0], vecs[:, 0], None
-    scale = max(1.0, float(abs(a).sum(axis=1).max()))
-    if abs(root.imag) > 1e-9 * scale:
-        raise NumericalError("bottom eigenvalue came out complex")
-    lam = float(root.real)
-    v = v.real / np.sign(v.real[np.argmax(np.abs(v.real))])
-    residual = float(np.linalg.norm(a @ v - lam * v))
-    if residual > 1e-9 * scale * np.linalg.norm(v):
-        raise NumericalError(f"ground pair residual {residual:.3e} too large")
+    lam, v, scale, gap = _extremal_pair(a, "SR")
     if np.min(v) < -1e-10 * np.max(np.abs(v)):
         raise NumericalError("ground vector is not strictly positive")
     tol = 1e-9 * scale
@@ -446,39 +475,14 @@ def perron_ground_vector(A):
 
 
 def _top_eigenvalue(a, floor):
-    """Largest eigenvalue of a CSR TL matrix: dense ``eig`` below
-    PERRON_SPARSE_MIN_DIM, Arnoldi (``eigs``, largest real part, start
-    vector of ones, tol = 0) from there on.
-
-    Certified, else NumericalError: the eigenvalue theta is real to
-    1e-9 max(1, ||A||_inf), ||Av - theta v|| <= 1e-9 max(1, ||A||_inf) ||v||,
-    floor (the Perron root) <= theta and theta is at most the Gershgorin
-    upper bound (up to the same 1e-9 rounding slack); ARPACK
-    non-convergence raises too.  Nothing certifies that no eigenvalue lies
-    above theta.
+    """Largest eigenvalue of a CSR TL matrix (``_extremal_pair``, "LR"),
+    NumericalError unless floor (the Perron root) <= theta <= the Gershgorin
+    upper bound + 1e-9 max(1, ||A||_inf).  Nothing certifies that no
+    eigenvalue lies above theta.
     """
-    m = a.shape[0]
-    if m < PERRON_SPARSE_MIN_DIM:
-        w, vecs = np.linalg.eig(a.toarray())
-        top = np.argmax(w.real)
-        theta, v = w[top], vecs[:, top]
-    else:
-        try:
-            w, vecs = sla.eigs(a, k=1, which="LR", v0=np.ones(m), tol=0)
-        except sla.ArpackNoConvergence as exc:
-            raise NumericalError(f"Arnoldi eigs (top) did not converge: {exc}") from exc
-        theta, v = w[0], vecs[:, 0]
-    row_sums = np.asarray(abs(a).sum(axis=1)).ravel()
-    scale = max(1.0, float(row_sums.max()))
-    if abs(theta.imag) > 1e-9 * scale:
-        raise NumericalError("top eigenvalue came out complex")
-    theta = float(theta.real)
-    v = (v / v[np.argmax(np.abs(v))]).real
-    residual = float(np.linalg.norm(a @ v - theta * v))
-    if residual > 1e-9 * scale * np.linalg.norm(v):
-        raise NumericalError(f"top pair residual {residual:.3e} too large")
+    theta, _, scale, _ = _extremal_pair(a, "LR")
     diag = a.diagonal()
-    g_hi = float(np.max(diag + row_sums - np.abs(diag)))
+    g_hi = float(np.max(diag + np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)))
     if not floor <= theta <= g_hi + 1e-9 * scale:
         raise NumericalError(f"top eigenvalue {theta!r} outside [{floor!r}, {g_hi!r}]")
     return theta
@@ -505,6 +509,18 @@ def diagram_sector_energies(couplings):
             pf.eigenvalue, _top_eigenvalue(tl.matrix, pf.eigenvalue),
             diagram_count(L, n), pf.bracket)
     return SectorReport(entries=entries)
+
+
+def chain_sector_energies(chain):
+    """SectorReport of the normalized chain of a ChainSpec: from the
+    diagram bases (``diagram_sector_energies``) when every spin is 1/2 and
+    the couplings span at most DIAGRAM_COUPLING_SPREAD, else by the SU(2)
+    route of ``sectors.sector_energies`` on the product space."""
+    js = chain.couplings
+    spread_ok = max(js, default=1.0) <= DIAGRAM_COUPLING_SPREAD * min(js, default=1.0)
+    if spread_ok and all(s.twice == 1 for s in chain.spins):
+        return diagram_sector_energies(js)
+    return sector_energies(build_normalized_chain(chain), chain.shape)
 
 
 @dataclass(frozen=True)

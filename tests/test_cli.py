@@ -283,7 +283,7 @@ class TestExitCodes:
 
         for name in ("tl_hamiltonian_matrix", "QParam", "q_sector_energies",
                      "droplet_csv_rows", "random_chain", "sector_energies",
-                     "diagram_sector_energies"):
+                     "chain_sector_energies"):
             monkeypatch.setattr(cli, name, reached)
         code, out = run(tmp_path, *args)
         assert code == 2
@@ -447,6 +447,22 @@ class TestCommands:
         assert code == 0
         payload = json.loads(read(out / "foel.json"), parse_constant=reject_constant)
         assert [b["bracket"] for b in payload["brackets"]] == [None] * 7
+
+    @pytest.mark.parametrize("L", [11, 13])
+    def test_uniform_chain_matches_the_su2_route(self, tmp_path, L):
+        # uniform couplings read the same backwards: with n odd the top
+        # eigenvector of the diagram matrix is odd under the mirror (n = 3, 5
+        # take Arnoldi); every sector against the 2^L product space
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * L))
+        assert code == 0
+        chain = ChainSpec([HalfInt(1)] * L, [1.0] * (L - 1))
+        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        rows = sector_rows(out)
+        assert [r[:2] for r in rows] == [(s.twice, ref.entries[s].dimension)
+                                         for s in ref.labels]
+        for (_, _, e_min, e_max), s in zip(rows, ref.labels):
+            assert abs(e_min - ref.entries[s].min_energy) <= 1e-10
+            assert abs(e_max - ref.entries[s].max_energy) <= 1e-10
 
     def test_droplet_lmin_below_two_starts_at_two(self, tmp_path):
         code, out = run(tmp_path, "droplet", "--q", "0.5", "--n", "1",

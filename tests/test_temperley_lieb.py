@@ -556,6 +556,26 @@ class TestDiagramSectorEnergies:
         report = tlmod.diagram_sector_energies([])
         assert report.entries == {HalfInt(1): SectorEntry(0.0, 0.0, 1, (0.0, 0.0))}
 
+    @pytest.mark.parametrize("L", [11, 13])
+    def test_top_start_vector_sees_mirror_odd_tops(self, L, monkeypatch):
+        # uniform couplings read the same backwards; with L and n odd the top
+        # eigenvector is odd under the mirror, so a start vector of ones is
+        # orthogonal to it (n = 3, 5 reach Arnoldi at 11 and 13 sites)
+        real, starts = tlmod.sla.eigs, []
+
+        def eigs(a, k, which, **kw):
+            if which == "LR":
+                starts.append((a, kw["v0"]))
+            return real(a, k=k, which=which, **kw)
+
+        monkeypatch.setattr(tlmod.sla, "eigs", eigs)
+        tlmod.diagram_sector_energies([1.0] * (L - 1))
+        assert len(starts) == {11: 3, 13: 4}[L]
+        for a, v0 in starts:
+            w, vecs = np.linalg.eig(a.toarray())
+            top = vecs[:, np.argmax(w.real)].real
+            assert abs(top @ v0) >= 1e-3 * np.linalg.norm(top) * np.linalg.norm(v0)
+
     @pytest.mark.parametrize("L,solver", [(8, "eig"), (13, "eigs")])
     def test_perturbed_top_vector_raises(self, L, solver, monkeypatch):
         # 8 sites: every basis below PERRON_SPARSE_MIN_DIM (dense eig);
