@@ -3,12 +3,21 @@
 Builds a few open ferromagnetic chains, decomposes their spectra by total
 spin, and prints the sector minima: for every chain the minimum energy
 strictly decreases as the total spin grows, so the ground state is the
-maximal multiplet and the first excitation lives one rung below it.
+maximal multiplet and the first excitation lives one rung below it.  FOEL
+also means the top N + 1 sectors hold every level up to E(S_max - N): for
+the uniform chain that low spectrum is read off those sectors alone and
+printed next to the same levels of the full spectrum.
 """
 
 import numpy as np
 
-from foelab import ChainSpec, build_normalized_chain, check_foel, sector_energies
+from foelab import (
+    ChainSpec,
+    build_normalized_chain,
+    check_foel,
+    low_energy_by_deviation,
+    sector_energies,
+)
 from foelab.hamiltonians import random_chain
 from foelab.spinops import HalfInt
 
@@ -28,9 +37,25 @@ def show(title, chain):
           f"smallest adjacent margin = {verdict.min_margin:.3e}")
 
 
+def levels(w):
+    """Distinct levels with their multiplicities, e.g. '0.000000 x7'."""
+    values, counts = np.unique(np.round(w, 6) + 0.0, return_counts=True)
+    return ", ".join(f"{v:.6f} x{c}" for v, c in zip(values, counts))
+
+
+def show_low_spectrum(chain, N):
+    h = build_normalized_chain(chain)
+    low = low_energy_by_deviation(h, chain.shape, N)
+    full = np.linalg.eigvalsh(h.dense())
+    top = f"levels up to E(S_max - {N}) from the top {N + 1} sectors"
+    print(f"  {top}: {levels(low)}")
+    print(f"  {'the same levels of the full spectrum':<{len(top)}}: {levels(full[:len(low)])}")
+
+
 def main():
-    show("Uniform spin-1/2 chain, L = 6",
-         ChainSpec([HalfInt(1)] * 6, [1.0] * 5))
+    uniform = ChainSpec([HalfInt(1)] * 6, [1.0] * 5)
+    show("Uniform spin-1/2 chain, L = 6", uniform)
+    show_low_spectrum(uniform, 2)
     show("Mixed magnitudes (1/2, 1, 3/2, 1), random couplings",
          ChainSpec([HalfInt(1), HalfInt(2), HalfInt(3), HalfInt(2)],
                    [0.7, 1.9, 0.4]))

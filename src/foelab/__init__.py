@@ -14,32 +14,24 @@ from .spinops import (
     LocalSpinOps,
     RealOperator,
     TotalSpinOps,
-    casimir,
-    embed_site,
     heisenberg_bond,
     spin_matrices,
     total_spin_ops,
 )
 from .hamiltonians import (
-    BondPolynomial,
     ChainSpec,
     SpinGraph,
-    build_general_bond_chain,
     build_heisenberg,
     build_normalized_chain,
     build_spin1_beta_chain,
-    build_xxz_chain,
     parse_graph_spec,
 )
 from .sectors import (
     FoelVerdict,
-    HighestWeightBasis,
     SectorReport,
     check_foel,
     check_max_ordering,
-    casimir_sector_energies,
     full_spectrum_by_s3,
-    highest_weight_space,
     low_energy_by_deviation,
     s3_blocks,
     sector_energies,
@@ -53,7 +45,6 @@ from .temperley_lieb import (
     expand_diagram_to_tensor,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
-    min_spec_comparison,
     perron_ground_vector,
     tl_hamiltonian_matrix,
 )
@@ -62,9 +53,7 @@ from .qgroup import (
     droplet_bandwidth,
     droplet_energy,
     finite_droplet_energy,
-    q_casimir,
     q_sector_energies,
-    suq2_generators,
 )
 from .ssep import (
     SSEPGenerator,

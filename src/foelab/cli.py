@@ -10,10 +10,10 @@ plus a JSON summary.  Handlers read argparse's namespace as parsed: each
 default is stated once, in ``build_parser``, and a given value is used or
 rejected, never replaced.  A subcommand takes only the flags its handler
 reads, and a ``foel``/``spectrum`` flag given without an input it applies
-to is a usage error.  The parser also rejects out-of-range ``tl-matrix``,
-``qfoel`` and ``droplet`` values and ``foel --L`` < 2 or
-``--random-trials`` < 1 (exit 2 before any library call).  ``foel`` hands
-a chain to ``temperley_lieb.chain_sector_energies``, which picks the
+to is a usage error.  The parser rejects out-of-range ``tl-matrix``,
+``qfoel`` and ``droplet`` values, ``foel --L`` < 2, ``--random-trials`` < 1
+and ``--max-dim`` < 4 before any library call or output (exit 2).  ``foel``
+hands a chain to ``temperley_lieb.chain_sector_energies``, which picks the
 diagram basis or the SU(2) route; graphs take ``sectors.sector_energies``.
 """
 
@@ -125,6 +125,20 @@ def _tl_matrix_usage(args):
         return f"--n {args.n} needs 2n <= --k {args.k}"
     if args.J is not None and len(args.J) != args.k - 1:
         return f"--J gives {len(args.J)} couplings; --k {args.k} needs {args.k - 1}"
+    return None
+
+
+def _droplet_usage(args):
+    """Usage error of droplet's --n sweep, or None."""
+    if not args.n:
+        return "--n names no droplet size"
+    if len(set(args.n)) < len(args.n):
+        return f"--n repeats a droplet size: {args.n}"
+    lengths = range(args.Lmin, args.Lmax + 1)
+    for n in args.n:
+        if sum(1 <= n <= L / 2 for L in lengths) < 2:
+            return (f"droplet size n={n} has fewer than two lengths "
+                    f"L >= 2n in --Lmin..--Lmax")
     return None
 
 
@@ -284,7 +298,7 @@ def cmd_figure1(args):
               spectrum_csv_rows(spec))
     report = sector_energies(h, shape)
     foel_ok = check_foel(report, args.tol).ok
-    max_verdict = check_max_ordering(report, s_low=HalfInt(2), s_high=HalfInt(10))
+    max_verdict = check_max_ordering(report, s_low=HalfInt(2))
     ground = min(float(w[0]) for _, w in spec)
     write_json(_out(args, "figure1.json"), {
         "foel_ok": foel_ok,
@@ -374,16 +388,7 @@ def cmd_qfoel(args):
 
 def cmd_droplet(args):
     qp = QParam(args.q)
-    lengths = range(args.Lmin, args.Lmax + 1)
-    if not args.n:
-        raise ValueError("--n names no droplet size")
-    if len(set(args.n)) < len(args.n):
-        raise ValueError(f"--n repeats a droplet size: {args.n}")
-    for n in args.n:
-        if sum(1 <= n <= L / 2 for L in lengths) < 2:
-            raise ValueError(f"droplet size n={n} has fewer than two lengths "
-                             f"L >= 2n in --Lmin..--Lmax")
-    rows = droplet_csv_rows(lengths, args.n, qp)
+    rows = droplet_csv_rows(range(args.Lmin, args.Lmax + 1), args.n, qp)
     write_csv(_out(args, "droplet.csv"),
               ("L", "n", "q", "finite_energy", "E_infinity", "bandwidth"),
               [row[:6] for row in rows])
@@ -498,7 +503,8 @@ def build_parser():
     p.add_argument("--L", type=_at_least(2),
                    help=f"max length: sweep up to L (default {BETA_SWEEP_L}), "
                         f"random chains of at most L sites (default {RANDOM_TRIALS_L})")
-    p.add_argument("--max-dim", type=int, dest="max_dim",
+    # 4: two spin-1/2 sites, the smallest chain random_chain draws
+    p.add_argument("--max-dim", type=_at_least(4), dest="max_dim",
                    help="max Hilbert dimension of a random chain "
                         f"(default {RANDOM_TRIALS_MAX_DIM})")
     p.add_argument("--seed", type=int,
@@ -561,9 +567,10 @@ def main(argv=None):
     parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
-        problem = _tl_matrix_usage(args) if args.command == "tl-matrix" else None
+        check = {"tl-matrix": _tl_matrix_usage, "droplet": _droplet_usage}.get(args.command)
+        problem = check and check(args)
         if problem:
-            parser.error(f"tl-matrix: {problem}")
+            parser.error(f"{args.command}: {problem}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return run(args)

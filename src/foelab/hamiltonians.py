@@ -6,15 +6,12 @@ sign conventions are:
 
     build_heisenberg        H = -sum_edges J_xy S_x.S_y
     build_normalized_chain  H = sum_x J_x (1 - S_x.S_{x+1}/(s_x s_{x+1}))
-    build_xxz_chain         anisotropic chain, Delta > 1, with the boundary
-                            field that makes it quantum-group symmetric
     build_spin1_beta_chain  H = sum_x (1 - S.S) + beta (1 - S.S)^2
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +22,16 @@ from .spinops import (
     RealOperator,
     _local_sum,
     heisenberg_bond,
-    spin_matrices,
 )
 
 __all__ = [
     "SpinGraph",
     "ChainSpec",
-    "BondPolynomial",
     "build_heisenberg",
     "build_normalized_chain",
-    "build_xxz_chain",
-    "xxz_boundary_coeff",
     "build_spin1_beta_chain",
-    "build_general_bond_chain",
     "parse_graph_spec",
     "random_chain",
-    "random_connected_graph",
 ]
 
 
@@ -133,28 +124,6 @@ class ChainSpec:
         return HilbertShape(self.spins)
 
 
-@dataclass(frozen=True)
-class BondPolynomial:
-    """Polynomial sum_m coeffs[m] * (S_1.S_2)^m of a nearest-neighbour bond."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def of_matrix(self, m):
-        out = np.zeros_like(m)
-        power = np.eye(m.shape[0])
-        for c in self.coeffs:
-            out = out + c * power
-            power = power @ m
-        return out
-
-
 def build_heisenberg(g: SpinGraph):
     """H = -sum_{edges} J_xy S_x.S_y on an arbitrary spin graph."""
     shape = g.shape
@@ -182,42 +151,6 @@ def build_normalized_chain(c: ChainSpec):
     return RealOperator(_local_sum(shape, terms))
 
 
-def xxz_boundary_coeff(delta):
-    """A(Delta) = (1/2) sqrt(1 - 1/Delta^2) for the XXZ boundary field."""
-    if delta <= 1:
-        raise ValueError("anisotropy Delta must be > 1")
-    return 0.5 * np.sqrt(1.0 - 1.0 / delta**2)
-
-
-def xxz_bond(delta):
-    """One XXZ bond with its share of the boundary field (4x4, spin-1/2).
-
-    h = -[Delta^-1 (S1 S1 + S2 S2) + S3 S3 - 1/4] - A(Delta) (S3_x - S3_{x+1})
-    which is the orthogonal projector onto q|+-> - |-+>.  The sign of the
-    boundary term is the one that commutes with the quantum-group generators
-    (t-dressing to the left of S+); with the opposite sign the kernel method
-    for sector energies would not see invariant subspaces.
-    """
-    a = xxz_boundary_coeff(delta)
-    ops = spin_matrices(HalfInt(1))
-    transverse = 0.5 * (np.kron(ops.splus, ops.sminus) + np.kron(ops.sminus, ops.splus))
-    zz = np.kron(ops.sz, ops.sz)
-    field = np.kron(ops.sz, np.eye(2)) - np.kron(np.eye(2), ops.sz)
-    return -(transverse / delta + zz - 0.25 * np.eye(4)) - a * field
-
-
-def build_xxz_chain(L, delta):
-    """Spin-1/2 XXZ chain of length L with the symmetric boundary field."""
-    L = int(L)
-    if L < 2:
-        raise ValueError("XXZ chain needs L >= 2")
-    if delta <= 1:
-        raise ValueError("anisotropy Delta must be > 1")
-    shape = HilbertShape([HalfInt(1)] * L)
-    bond = xxz_bond(delta)
-    return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
-
-
 def build_spin1_beta_chain(L, beta):
     """Spin-1 chain sum_x (1 - S.S) + beta (1 - (S.S)^2).
 
@@ -232,25 +165,6 @@ def build_spin1_beta_chain(L, beta):
     ss = heisenberg_bond(HalfInt(2), HalfInt(2)).dense()
     bond = (np.eye(9) - ss) + beta * (np.eye(9) - ss @ ss)
     return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
-
-
-def build_general_bond_chain(spins, couplings, polys):
-    """Chain with per-bond polynomial interactions J_x * p_x(S_x.S_{x+1})."""
-    spins = [HalfInt.coerce(s) for s in spins]
-    couplings = [float(j) for j in couplings]
-    if len(couplings) != len(spins) - 1 or len(polys) != len(spins) - 1:
-        raise ValueError("need one coupling and one polynomial per bond")
-    shape = HilbertShape(spins)
-    terms = []
-    for x, (j, poly) in enumerate(zip(couplings, polys)):
-        max_deg = min(spins[x].twice, spins[x + 1].twice)
-        if poly.degree > max_deg:
-            raise ValueError(
-                f"bond {x}: polynomial degree {poly.degree} exceeds 2*min(s1,s2) = {max_deg}"
-            )
-        ss = heisenberg_bond(spins[x], spins[x + 1]).dense()
-        terms.append(((x, x + 1), j * poly.of_matrix(ss)))
-    return RealOperator(_local_sum(shape, terms))
 
 
 def parse_graph_spec(text):
@@ -311,19 +225,3 @@ def random_chain(rng, max_sites=8, max_dim=4096, spin_choices=(1, 2, 3), j_max=2
     couplings = j_max * (1.0 - rng.random(L - 1))  # uniform in (0, j_max]
     return ChainSpec(spins, couplings)
 
-
-def random_connected_graph(rng, nsites, extra_edges=2, spin=HalfInt(1), j_max=2.0):
-    """Random connected SpinGraph: random spanning tree plus extra edges."""
-    sites = [(i, spin) for i in range(nsites)]
-    edges = {}
-    for v in range(1, nsites):
-        u = int(rng.integers(0, v))
-        edges[(u, v)] = float(j_max * (1.0 - rng.random()))
-    tries = 0
-    while len(edges) < nsites - 1 + extra_edges and tries < 50 * (extra_edges + 1):
-        tries += 1
-        u, v = rng.integers(0, nsites, size=2)
-        u, v = int(min(u, v)), int(max(u, v))
-        if u != v and (u, v) not in edges:
-            edges[(u, v)] = float(j_max * (1.0 - rng.random()))
-    return SpinGraph(sites, [(u, v, j) for (u, v), j in edges.items()])

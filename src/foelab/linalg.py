@@ -1,6 +1,5 @@
 """Small shared linear-algebra helpers.
 
-Kernel extraction is by SVD with a relative singular-value threshold.
 ``require_memory`` is the memory guard every route calls before it allocates.
 """
 
@@ -11,8 +10,6 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import NumericalError
-
-KERNEL_REL_TOL = 1e-8
 
 
 def to_dense(m):
@@ -52,22 +49,3 @@ def commutator_maxabs(a, b):
 def eigvalsh_full(m):
     """All eigenvalues of a symmetric matrix (dense path)."""
     return la.eigvalsh(to_dense(m))
-
-
-def kernel_basis(block):
-    """Orthonormal basis (columns) of the kernel of a rectangular matrix.
-
-    Singular values below KERNEL_REL_TOL times the largest count as zero.  An empty
-    row space (0 rows) makes the whole column space the kernel.
-    """
-    block = to_dense(block)
-    rows, cols = block.shape
-    if cols == 0:
-        return np.zeros((0, 0))
-    if rows == 0 or max_abs(block) == 0.0:
-        return np.eye(cols)
-    _, svals, vt = la.svd(block, full_matrices=True)
-    cutoff = KERNEL_REL_TOL * svals[0]
-    rank = int(np.sum(svals > cutoff))
-    return vt[rank:].T.copy()
-

@@ -1,16 +1,16 @@
 """Quantum-group symmetry machinery for the anisotropic (XXZ) chain.
 
 The deformation parameter q in (0,1) corresponds to anisotropy
-Delta = (q + 1/q)/2 > 1.  The deformed ladder operators carry a diagonal
-dressing t = diag(1/q, q) on the sites left of S+ (and 1/t right of S-),
-so every matrix stays real.  Sector energies need no kernel extraction:
-on the n-arc diagram basis (arcs are deformed singlets q|+-> - |-+>) of the
-weight S = L/2 - n highest-weight space, H_L is the TL matrix with couplings
-1/(2(q + 1/q)), of dimension C(L,n) - C(L,n-1) and with exactly the sector's
-spectrum; its bottom is its certified Perron root (Nachtergaele-Starr, CMP
-218 (2001)), which comes with its Collatz-Wielandt bracket.
-``q_sector_energies`` returns a ``sectors.SectorReport`` of those energies;
-``sectors.check_foel`` decides the q-FOEL ordering.
+Delta = (q + 1/q)/2 > 1.  Sector energies need no kernel extraction and no
+2^L space: on the n-arc diagram basis (arcs are deformed singlets
+q|+-> - |-+>) of the weight S = L/2 - n highest-weight space, H_L is the TL
+matrix with couplings 1/(2(q + 1/q)), of dimension C(L,n) - C(L,n-1) and
+with exactly the sector's spectrum; its bottom is its certified Perron root
+(Nachtergaele-Starr, CMP 218 (2001)), which comes with its Collatz-Wielandt
+bracket.  ``q_sector_energies`` returns a ``sectors.SectorReport`` of those
+energies; ``sectors.check_foel`` decides the q-FOEL ordering.  The SU_q(2)
+generators, the q-Casimir and the 2^L-state XXZ chain that the tests check
+this against are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -19,19 +19,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sectors import SectorReport, sector_labels
-from .spinops import HalfInt, HilbertShape, RealOperator, spin_matrices
+from .spinops import HalfInt, HilbertShape
 from .temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
 
 __all__ = [
     "QParam",
-    "QTotalOps",
     "QSectorEntry",
-    "suq2_generators",
-    "q_casimir",
-    "q_casimir_value",
     "q_sector_energies",
     "droplet_energy",
     "droplet_bandwidth",
@@ -59,73 +54,6 @@ class QParam:
         if delta <= 1.0:
             raise ValueError("Delta must be > 1")
         return cls(q=delta - np.sqrt(delta * delta - 1.0))
-
-
-@dataclass(frozen=True)
-class QTotalOps:
-    s3: RealOperator
-    sqplus: RealOperator
-    sqminus: RealOperator
-    t: RealOperator  # t x t x ... x t
-
-
-def _kron_chain(factors):
-    out = None
-    for f in factors:
-        f = sp.csr_matrix(f)
-        out = f if out is None else sp.kron(out, f, format="csr")
-    return out
-
-
-def suq2_generators(L, qp):
-    """Deformed total operators on L spin-1/2 sites.
-
-    S+ = sum_x t x ... x t x S+_x x 1 ... 1     (t left of x)
-    S- = sum_x 1 x ... x 1 x S-_x x 1/t ... 1/t (1/t right of x)
-    """
-    L = int(L)
-    if L < 1:
-        raise ValueError("need L >= 1")
-    q = qp.q
-    ops = spin_matrices(HalfInt(1))
-    eye = np.eye(2)
-    t = np.diag([1.0 / q, q])
-    tinv = np.diag([q, 1.0 / q])
-    dim = 2 ** L
-    s3 = sp.csr_matrix((dim, dim))
-    splus = sp.csr_matrix((dim, dim))
-    sminus = sp.csr_matrix((dim, dim))
-    for x in range(L):
-        s3 = s3 + _kron_chain([eye] * x + [ops.sz] + [eye] * (L - 1 - x))
-        splus = splus + _kron_chain([t] * x + [ops.splus] + [eye] * (L - 1 - x))
-        sminus = sminus + _kron_chain([eye] * x + [ops.sminus] + [tinv] * (L - 1 - x))
-    return QTotalOps(
-        s3=RealOperator(s3),
-        sqplus=RealOperator(splus),
-        sqminus=RealOperator(sminus),
-        t=RealOperator(_kron_chain([t] * L)),
-    )
-
-
-def q_casimir(L, qp):
-    """C = S+ S- + ((qT)^{-1} + qT)/(1/q - q)^2, T = t x ... x t."""
-    if qp.q > 1.0 - 1e-6:
-        raise ValueError("q too close to 1: the Casimir normalization diverges")
-    gen = suq2_generators(L, qp)
-    q = qp.q
-    t_diag = gen.t.matrix.diagonal()
-    qt = q * t_diag
-    diag_part = (1.0 / qt + qt) / (1.0 / q - q) ** 2
-    c = gen.sqplus.matrix @ gen.sqminus.matrix + sp.diags(diag_part)
-    return RealOperator(c)
-
-
-def q_casimir_value(S, qp):
-    """Casimir eigenvalue (q^{-(2S+1)} + q^{2S+1})/(1/q - q)^2 at label S."""
-    S = HalfInt.coerce(S)
-    q = qp.q
-    e = S.twice + 1
-    return (q ** (-e) + q ** e) / (1.0 / q - q) ** 2
 
 
 class QSectorEntry(NamedTuple):

@@ -22,9 +22,9 @@ assemble the block.
 
 The q-deformed sectors avoid the penalty, because (S+_q)^T S+_q has a
 condition number growing like q^-L, which would drown the penalty gap in
-rounding; ``qgroup`` uses the diagram basis.  The SVD basis
-(``highest_weight_space``) and the Casimir projector are the oracles tests
-compare against.
+rounding; ``qgroup`` uses the diagram basis.  The oracles the tests
+compare both routes against, the SVD basis of ker(S+) and the Casimir
+projector, live in ``tests/reference.py``.
 
 Spin-1/2 chains need neither route: ``temperley_lieb.diagram_sector_energies``
 reads each sector from its arc-diagram basis, with no 2^L product space,
@@ -49,25 +49,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from .errors import NonInvariantOperatorError, NumericalError
-from .linalg import commutator_maxabs, eigvalsh_full, kernel_basis, max_abs, require_memory
+from .linalg import commutator_maxabs, eigvalsh_full, max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
-from .spinops import HalfInt, casimir, total_spin_ops
+from .spinops import HalfInt, total_spin_ops
 
 __all__ = [
     "SectorEntry",
     "SectorReport",
-    "HighestWeightBasis",
     "FoelVerdict",
     "MaxOrderingVerdict",
     "s3_blocks",
     "sector_labels",
-    "highest_weight_space",
     "sector_energies",
     "check_foel",
     "check_max_ordering",
     "full_spectrum_by_s3",
     "low_energy_by_deviation",
-    "casimir_sector_energies",
     "sector_csv_rows",
     "spectrum_csv_rows",
 ]
@@ -117,18 +114,6 @@ class SectorReport:
 
 
 @dataclass(frozen=True)
-class HighestWeightBasis:
-    """Orthonormal basis (columns) of ker(S+) within the S^3 = S block."""
-
-    S: HalfInt
-    vectors: np.ndarray  # full-space column vectors, dim x d
-
-    @property
-    def dimension(self):
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
 class FoelVerdict:
     ok: bool
     margins: list  # (S_hi, S_lo, gap) over adjacent present labels
@@ -175,29 +160,6 @@ def sector_labels(shape, blocks=None):
         if d > 0:
             out[HalfInt(tm)] = d
     return out
-
-
-def highest_weight_space(shape, S, total_ops=None, blocks=None):
-    """Orthonormal basis of ker(S+) inside the S^3 = S block, by SVD.
-
-    Raises NumericalError if its dimension differs from ``sector_labels``.
-    """
-    S = HalfInt.coerce(S)
-    total_ops = total_spin_ops(shape) if total_ops is None else total_ops
-    blocks = s3_blocks(shape) if blocks is None else blocks
-    if S not in blocks:
-        raise ValueError(f"total spin {S} not present for this shape")
-    d = sector_labels(shape, blocks).get(S, 0)
-    if d == 0:
-        raise ValueError(f"total spin {S} has an empty highest-weight space")
-    cols = blocks[S]
-    rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-    kern = kernel_basis(total_ops.sptot.matrix[rows][:, cols])
-    if kern.shape[1] != d:
-        raise NumericalError(f"kernel dimension {kern.shape[1]} != {d} at S={S}")
-    vectors = np.zeros((shape.dim, d))
-    vectors[cols] = kern
-    return HighestWeightBasis(S=S, vectors=vectors)
 
 
 def _require_invariance(H, total_ops, su2=True):
@@ -325,8 +287,8 @@ def check_foel(report, strict_tol=STRICT_FOEL_TOL):
                        violations=violations)
 
 
-def check_max_ordering(report, s_low=HalfInt(2), s_high=None):
-    """Ordering of maximal sector energies over [s_low, s_high].
+def check_max_ordering(report, s_low=HalfInt(2)):
+    """Ordering of maximal sector energies over the labels S >= s_low.
 
     For the ferromagnetic sign convention the top of the spectrum is the
     antiferromagnetic ground state, so max energies strictly decrease as S
@@ -334,8 +296,6 @@ def check_max_ordering(report, s_low=HalfInt(2), s_high=None):
     1e-10.
     """
     labels = [s for s in report.labels if s >= s_low]
-    if s_high is not None:
-        labels = [s for s in labels if s <= HalfInt.coerce(s_high)]
     margins = []
     ok = True
     for s_hi, s_lo in zip(labels, labels[1:]):
@@ -401,28 +361,6 @@ def low_energy_by_deviation(H, shape, N):
                 "the FOEL precondition does not hold for this operator"
             )
     return keep
-
-
-def casimir_sector_energies(H, shape):
-    """Cross-check oracle: sector energies via Casimir-eigenvector filtering.
-
-    Diagonalizes H and the Casimir on the full space; intended for dims
-    up to about 1e3 only.
-    """
-    c = casimir(shape).dense()
-    w, vecs = la.eigh(c)
-    s_of_eig = np.rint(np.sqrt(4 * w + 1) - 1).astype(int)  # 2S from S(S+1)
-    entries = {}
-    hd = H.dense()
-    for ts in np.unique(s_of_eig):
-        sel = vecs[:, s_of_eig == ts]
-        hs = sel.T @ hd @ sel
-        ew = la.eigvalsh(0.5 * (hs + hs.T))
-        # each multiplet appears 2S+1 times here; extremes are unaffected
-        entries[HalfInt(int(ts))] = SectorEntry(
-            float(ew[0]), float(ew[-1]), sel.shape[1] // (ts + 1)
-        )
-    return SectorReport(entries=entries)
 
 
 def sector_csv_rows(report):

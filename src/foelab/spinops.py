@@ -32,10 +32,7 @@ __all__ = [
     "HilbertShape",
     "TotalSpinOps",
     "spin_matrices",
-    "embed_site",
-    "embed_product",
     "total_spin_ops",
-    "casimir",
     "heisenberg_bond",
 ]
 
@@ -214,19 +211,6 @@ def spin_matrices(s):
     return LocalSpinOps(s=s, sz=sz, splus=splus, sminus=splus.T.copy())
 
 
-def embed_site(shape, site, local):
-    """Embed a one-site matrix into the full space (identity elsewhere)."""
-    return RealOperator(_local_sum(shape, [((site,), local)]))
-
-
-def embed_product(shape, locals_by_site):
-    """Sparse Kronecker product with given one-site factors, identity elsewhere."""
-    local = np.ones((1, 1))
-    for site in sorted(locals_by_site):
-        local = np.kron(local, np.asarray(locals_by_site[site], dtype=float))
-    return _local_sum(shape, [(sorted(locals_by_site), local)])
-
-
 def _local_sum(shape, terms):
     """CSR sum over ``terms`` of (sites, local matrix), identity elsewhere.
 
@@ -278,14 +262,6 @@ def total_spin_ops(shape):
         sptot=RealOperator(splus),
         smtot=RealOperator(splus.T.tocsr()),
     )
-
-
-def casimir(shape):
-    """Total-spin Casimir S3^2 + (S+S- + S-S+)/2; eigenvalues S(S+1)."""
-    tot = total_spin_ops(shape)
-    s3, spl, smn = tot.s3tot.matrix, tot.sptot.matrix, tot.smtot.matrix
-    c = s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
-    return RealOperator(c)
 
 
 def heisenberg_bond(s1, s2):

@@ -67,8 +67,6 @@ __all__ = [
     "collatz_wielandt_bracket",
     "diagram_sector_energies",
     "chain_sector_energies",
-    "min_spec_comparison",
-    "MinSpecVerdict",
     "expand_diagram_to_tensor",
     "diagram_count",
     "OrderedIsingBlock",
@@ -523,64 +521,6 @@ def chain_sector_energies(chain):
     return sector_energies(build_normalized_chain(chain), chain.shape)
 
 
-@dataclass(frozen=True)
-class MinSpecVerdict:
-    hypotheses_ok: bool
-    reason: str
-    inf_a: float
-    inf_b: float
-    inequality_ok: bool
-    strict_condition: str  # "", "i", "ii" (first one that applies)
-    strict_ok: bool
-
-
-def _inf_spec(a):
-    if np.allclose(a, a.T, atol=1e-12):
-        return float(la.eigvalsh(a)[0])
-    return float(np.min(np.linalg.eigvals(a).real))
-
-
-def min_spec_comparison(A, B):
-    """inf spec(B) <= inf spec(A) for B dominating A entrywise from below.
-
-    A is n x n, B is m x m with n <= m, both with nonpositive off-diagonal
-    entries, and B_ij <= A_ij on the shared block.  If B is irreducible and
-    either (i) B_ij < A_ij somewhere in the block or (ii) B has a negative
-    entry involving an index beyond n, the inequality is strict.  Hypothesis
-    violations are reported without making any spectral claim.
-    """
-    a = A.A if isinstance(A, TLMatrix) else np.asarray(A, dtype=float)
-    b = B.A if isinstance(B, TLMatrix) else np.asarray(B, dtype=float)
-    n, m = a.shape[0], b.shape[0]
-    if n > m:
-        return MinSpecVerdict(False, "A larger than B", np.nan, np.nan, False, "", False)
-    for name, mat in (("A", a), ("B", b)):
-        off = mat - np.diag(np.diag(mat))
-        if off.size and off.max() > ENTRY_TOL:
-            return MinSpecVerdict(False, f"{name} has positive off-diagonal entries",
-                                  np.nan, np.nan, False, "", False)
-    if (b[:n, :n] - a).max() > ENTRY_TOL:
-        return MinSpecVerdict(False, "B does not dominate A from below",
-                              np.nan, np.nan, False, "", False)
-    inf_a, inf_b = _inf_spec(a), _inf_spec(b)
-    inequality_ok = inf_b <= inf_a + 1e-10 * max(1.0, abs(inf_a))
-    strict_condition = ""
-    ncomp, _ = connected_components(sp.csr_matrix(b - np.diag(np.diag(b))),
-                                    directed=True, connection="strong")
-    if ncomp == 1:
-        if np.any(b[:n, :n] < a - ENTRY_TOL):
-            strict_condition = "i"
-        else:
-            outer = b.copy()
-            outer[:n, :n] = 0.0
-            np.fill_diagonal(outer, 0.0)
-            if np.any(outer < -ENTRY_TOL):
-                strict_condition = "ii"
-    strict_ok = (not strict_condition) or (inf_b < inf_a - 0.0)
-    return MinSpecVerdict(True, "", inf_a, inf_b, inequality_ok,
-                          strict_condition, strict_ok)
-
-
 def expand_diagram_to_tensor(k, arcs, q=1.0):
     """Expanded vector in (C^2)^k of a diagram given by its arcs (x, y):
     q|+-> - |-+> per arc, |+> on unpaired vertices.
@@ -713,12 +653,16 @@ def fk_highest_weight_basis(spins, S):
     return found
 
 
-def fk_hamiltonian_matrix(spins, couplings, S, cond_limit=1e12):
+# Largest Gram-matrix condition number that fk_hamiltonian_matrix accepts.
+FK_GRAM_COND_LIMIT = 1e12
+
+
+def fk_hamiltonian_matrix(spins, couplings, S):
     """Matrix of the normalized chain on the dual canonical basis.
 
     The basis is not orthogonal, so the coefficients are recovered through
     the Gram matrix: A = G^{-1} V^T H V.  Refuses when the Gram matrix is
-    ill-conditioned.
+    ill-conditioned (condition number above FK_GRAM_COND_LIMIT).
     """
     basis = fk_highest_weight_basis(spins, S)
     if not basis:
@@ -727,8 +671,9 @@ def fk_hamiltonian_matrix(spins, couplings, S, cond_limit=1e12):
     h = build_normalized_chain(ChainSpec(spins, couplings))
     gram = v.T @ v
     cond = np.linalg.cond(gram)
-    if cond > cond_limit:
-        raise NumericalError(f"Gram matrix condition number {cond:.3e} exceeds {cond_limit:.0e}")
+    if cond > FK_GRAM_COND_LIMIT:
+        raise NumericalError(f"Gram matrix condition number {cond:.3e} "
+                             f"exceeds {FK_GRAM_COND_LIMIT:.0e}")
     return la.solve(gram, v.T @ (h.matrix @ v), assume_a="sym")
 
 

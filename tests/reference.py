@@ -1,0 +1,309 @@
+"""Reference implementations the tests compare foelab against: direct, slow
+constructions (Kronecker products, SVD kernels, Casimir filtering, the XXZ
+chain and its quantum-group generators on 2^L states) and criterion 5's
+comparison-theorem checker.  Neither the CLI nor the demos run them.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg as la
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+from foelab.errors import NumericalError
+from foelab.hamiltonians import SpinGraph
+from foelab.linalg import max_abs, to_dense
+from foelab.sectors import SectorEntry, SectorReport, s3_blocks, sector_labels
+from foelab.spinops import (HalfInt, HilbertShape, RealOperator, _local_sum, heisenberg_bond,
+                            spin_matrices, total_spin_ops)
+from foelab.temperley_lieb import ENTRY_TOL, TLMatrix
+
+KERNEL_REL_TOL = 1e-8
+
+
+def kron_embed(shape, factors):
+    """Reference: one sparse Kronecker factor per site, identity elsewhere."""
+    ref = None
+    for site, d in enumerate(shape.local_dims):
+        f = sp.csr_matrix(factors[site]) if site in factors else sp.identity(d, format="csr")
+        ref = f if ref is None else sp.kron(ref, f, format="csr")
+    return ref
+
+
+def kernel_basis(block):
+    """Orthonormal basis (columns) of the kernel of a rectangular matrix.
+
+    Singular values below KERNEL_REL_TOL times the largest count as zero.  An empty
+    row space (0 rows) makes the whole column space the kernel.
+    """
+    block = to_dense(block)
+    rows, cols = block.shape
+    if cols == 0:
+        return np.zeros((0, 0))
+    if rows == 0 or max_abs(block) == 0.0:
+        return np.eye(cols)
+    _, svals, vt = la.svd(block, full_matrices=True)
+    cutoff = KERNEL_REL_TOL * svals[0]
+    rank = int(np.sum(svals > cutoff))
+    return vt[rank:].T.copy()
+
+
+def highest_weight_space(shape, S, total_ops=None, blocks=None):
+    """Orthonormal basis of ker(S+) inside the S^3 = S block, by SVD, as the
+    dim x d array of its full-space columns.  Raises NumericalError if d
+    differs from ``sector_labels``."""
+    S = HalfInt.coerce(S)
+    total_ops = total_spin_ops(shape) if total_ops is None else total_ops
+    blocks = s3_blocks(shape) if blocks is None else blocks
+    if S not in blocks:
+        raise ValueError(f"total spin {S} not present for this shape")
+    d = sector_labels(shape, blocks).get(S, 0)
+    if d == 0:
+        raise ValueError(f"total spin {S} has an empty highest-weight space")
+    cols = blocks[S]
+    rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
+    kern = kernel_basis(total_ops.sptot.matrix[rows][:, cols])
+    if kern.shape[1] != d:
+        raise NumericalError(f"kernel dimension {kern.shape[1]} != {d} at S={S}")
+    vectors = np.zeros((shape.dim, d))
+    vectors[cols] = kern
+    return vectors
+
+
+def casimir(shape):
+    """Total-spin Casimir S3^2 + (S+S- + S-S+)/2; eigenvalues S(S+1)."""
+    tot = total_spin_ops(shape)
+    s3, spl, smn = tot.s3tot.matrix, tot.sptot.matrix, tot.smtot.matrix
+    c = s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
+    return RealOperator(c)
+
+
+def casimir_sector_energies(H, shape):
+    """Cross-check oracle: sector energies via Casimir-eigenvector filtering.
+
+    Diagonalizes H and the Casimir on the full space; intended for dims
+    up to about 1e3 only.
+    """
+    c = casimir(shape).dense()
+    w, vecs = la.eigh(c)
+    s_of_eig = np.rint(np.sqrt(4 * w + 1) - 1).astype(int)  # 2S from S(S+1)
+    entries = {}
+    hd = H.dense()
+    for ts in np.unique(s_of_eig):
+        sel = vecs[:, s_of_eig == ts]
+        hs = sel.T @ hd @ sel
+        ew = la.eigvalsh(0.5 * (hs + hs.T))
+        # each multiplet appears 2S+1 times here; extremes are unaffected
+        entries[HalfInt(int(ts))] = SectorEntry(
+            float(ew[0]), float(ew[-1]), sel.shape[1] // (ts + 1)
+        )
+    return SectorReport(entries=entries)
+
+
+@dataclass(frozen=True)
+class QTotalOps:
+    s3: RealOperator
+    sqplus: RealOperator
+    sqminus: RealOperator
+    t: RealOperator  # t x t x ... x t
+
+
+def suq2_generators(L, qp):
+    """Deformed total operators on L spin-1/2 sites.
+
+    S+ = sum_x t x ... x t x S+_x x 1 ... 1     (t left of x)
+    S- = sum_x 1 x ... x 1 x S-_x x 1/t ... 1/t (1/t right of x)
+    """
+    L = int(L)
+    if L < 1:
+        raise ValueError("need L >= 1")
+    q = qp.q
+    ops = spin_matrices(HalfInt(1))
+    t = np.diag([1.0 / q, q])
+    tinv = np.diag([q, 1.0 / q])
+    shape = HilbertShape([HalfInt(1)] * L)
+    s3 = sum(kron_embed(shape, {x: ops.sz}) for x in range(L))
+    splus = sum(kron_embed(shape, {**{y: t for y in range(x)}, x: ops.splus})
+                for x in range(L))
+    sminus = sum(kron_embed(shape, {x: ops.sminus, **{y: tinv for y in range(x + 1, L)}})
+                 for x in range(L))
+    return QTotalOps(
+        s3=RealOperator(s3),
+        sqplus=RealOperator(splus),
+        sqminus=RealOperator(sminus),
+        t=RealOperator(kron_embed(shape, {y: t for y in range(L)})),
+    )
+
+
+def q_casimir(L, qp):
+    """C = S+ S- + ((qT)^{-1} + qT)/(1/q - q)^2, T = t x ... x t."""
+    if qp.q > 1.0 - 1e-6:
+        raise ValueError("q too close to 1: the Casimir normalization diverges")
+    gen = suq2_generators(L, qp)
+    q = qp.q
+    t_diag = gen.t.matrix.diagonal()
+    qt = q * t_diag
+    diag_part = (1.0 / qt + qt) / (1.0 / q - q) ** 2
+    c = gen.sqplus.matrix @ gen.sqminus.matrix + sp.diags(diag_part)
+    return RealOperator(c)
+
+
+def q_casimir_value(S, qp):
+    """Casimir eigenvalue (q^{-(2S+1)} + q^{2S+1})/(1/q - q)^2 at label S."""
+    S = HalfInt.coerce(S)
+    q = qp.q
+    e = S.twice + 1
+    return (q ** (-e) + q ** e) / (1.0 / q - q) ** 2
+
+
+def xxz_boundary_coeff(delta):
+    """A(Delta) = (1/2) sqrt(1 - 1/Delta^2) for the XXZ boundary field."""
+    if delta <= 1:
+        raise ValueError("anisotropy Delta must be > 1")
+    return 0.5 * np.sqrt(1.0 - 1.0 / delta**2)
+
+
+def xxz_bond(delta):
+    """One XXZ bond with its share of the boundary field (4x4, spin-1/2).
+
+    h = -[Delta^-1 (S1 S1 + S2 S2) + S3 S3 - 1/4] - A(Delta) (S3_x - S3_{x+1})
+    which is the orthogonal projector onto q|+-> - |-+>.  The sign of the
+    boundary term is the one that commutes with the quantum-group generators
+    (t-dressing to the left of S+); with the opposite sign the kernel method
+    for sector energies would not see invariant subspaces.
+    """
+    a = xxz_boundary_coeff(delta)
+    ops = spin_matrices(HalfInt(1))
+    transverse = 0.5 * (np.kron(ops.splus, ops.sminus) + np.kron(ops.sminus, ops.splus))
+    zz = np.kron(ops.sz, ops.sz)
+    field = np.kron(ops.sz, np.eye(2)) - np.kron(np.eye(2), ops.sz)
+    return -(transverse / delta + zz - 0.25 * np.eye(4)) - a * field
+
+
+def build_xxz_chain(L, delta):
+    """Spin-1/2 XXZ chain of length L with the symmetric boundary field."""
+    L = int(L)
+    if L < 2:
+        raise ValueError("XXZ chain needs L >= 2")
+    if delta <= 1:
+        raise ValueError("anisotropy Delta must be > 1")
+    shape = HilbertShape([HalfInt(1)] * L)
+    bond = xxz_bond(delta)
+    return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
+
+
+@dataclass(frozen=True)
+class BondPolynomial:
+    """Polynomial sum_m coeffs[m] * (S_1.S_2)^m of a nearest-neighbour bond."""
+
+    coeffs: tuple
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def of_matrix(self, m):
+        out = np.zeros_like(m)
+        power = np.eye(m.shape[0])
+        for c in self.coeffs:
+            out = out + c * power
+            power = power @ m
+        return out
+
+
+def build_general_bond_chain(spins, couplings, polys):
+    """Chain with per-bond polynomial interactions J_x * p_x(S_x.S_{x+1})."""
+    spins = [HalfInt.coerce(s) for s in spins]
+    couplings = [float(j) for j in couplings]
+    if len(couplings) != len(spins) - 1 or len(polys) != len(spins) - 1:
+        raise ValueError("need one coupling and one polynomial per bond")
+    shape = HilbertShape(spins)
+    terms = []
+    for x, (j, poly) in enumerate(zip(couplings, polys)):
+        max_deg = min(spins[x].twice, spins[x + 1].twice)
+        if poly.degree > max_deg:
+            raise ValueError(
+                f"bond {x}: polynomial degree {poly.degree} exceeds 2*min(s1,s2) = {max_deg}"
+            )
+        ss = heisenberg_bond(spins[x], spins[x + 1]).dense()
+        terms.append(((x, x + 1), j * poly.of_matrix(ss)))
+    return RealOperator(_local_sum(shape, terms))
+
+
+def random_connected_graph(rng, nsites, extra_edges=2, spin=HalfInt(1), j_max=2.0):
+    """Random connected SpinGraph: random spanning tree plus extra edges."""
+    sites = [(i, spin) for i in range(nsites)]
+    edges = {}
+    for v in range(1, nsites):
+        u = int(rng.integers(0, v))
+        edges[(u, v)] = float(j_max * (1.0 - rng.random()))
+    tries = 0
+    while len(edges) < nsites - 1 + extra_edges and tries < 50 * (extra_edges + 1):
+        tries += 1
+        u, v = rng.integers(0, nsites, size=2)
+        u, v = int(min(u, v)), int(max(u, v))
+        if u != v and (u, v) not in edges:
+            edges[(u, v)] = float(j_max * (1.0 - rng.random()))
+    return SpinGraph(sites, [(u, v, j) for (u, v), j in edges.items()])
+
+
+@dataclass(frozen=True)
+class MinSpecVerdict:
+    hypotheses_ok: bool
+    reason: str
+    inf_a: float
+    inf_b: float
+    inequality_ok: bool
+    strict_condition: str  # "", "i", "ii" (first one that applies)
+    strict_ok: bool
+
+
+def _inf_spec(a):
+    if np.allclose(a, a.T, atol=1e-12):
+        return float(la.eigvalsh(a)[0])
+    return float(np.min(np.linalg.eigvals(a).real))
+
+
+def min_spec_comparison(A, B):
+    """inf spec(B) <= inf spec(A) for B dominating A entrywise from below.
+
+    A is n x n, B is m x m with n <= m, both with nonpositive off-diagonal
+    entries, and B_ij <= A_ij on the shared block.  If B is irreducible and
+    either (i) B_ij < A_ij somewhere in the block or (ii) B has a negative
+    entry involving an index beyond n, the inequality is strict.  Hypothesis
+    violations are reported without making any spectral claim.
+    """
+    a = A.A if isinstance(A, TLMatrix) else np.asarray(A, dtype=float)
+    b = B.A if isinstance(B, TLMatrix) else np.asarray(B, dtype=float)
+    n, m = a.shape[0], b.shape[0]
+    if n > m:
+        return MinSpecVerdict(False, "A larger than B", np.nan, np.nan, False, "", False)
+    for name, mat in (("A", a), ("B", b)):
+        off = mat - np.diag(np.diag(mat))
+        if off.size and off.max() > ENTRY_TOL:
+            return MinSpecVerdict(False, f"{name} has positive off-diagonal entries",
+                                  np.nan, np.nan, False, "", False)
+    if (b[:n, :n] - a).max() > ENTRY_TOL:
+        return MinSpecVerdict(False, "B does not dominate A from below",
+                              np.nan, np.nan, False, "", False)
+    inf_a, inf_b = _inf_spec(a), _inf_spec(b)
+    inequality_ok = inf_b <= inf_a + 1e-10 * max(1.0, abs(inf_a))
+    strict_condition = ""
+    ncomp, _ = connected_components(sp.csr_matrix(b - np.diag(np.diag(b))),
+                                    directed=True, connection="strong")
+    if ncomp == 1:
+        if np.any(b[:n, :n] < a - ENTRY_TOL):
+            strict_condition = "i"
+        else:
+            outer = b.copy()
+            outer[:n, :n] = 0.0
+            np.fill_diagonal(outer, 0.0)
+            if np.any(outer < -ENTRY_TOL):
+                strict_condition = "ii"
+    strict_ok = (not strict_condition) or (inf_b < inf_a - 0.0)
+    return MinSpecVerdict(True, "", inf_a, inf_b, inequality_ok,
+                          strict_condition, strict_ok)

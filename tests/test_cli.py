@@ -270,10 +270,14 @@ class TestExitCodes:
         (("foel", "--spin1-beta", "0.4", "--L", "1"), "--L"),
         (("foel", "--random-trials", "0"), "--random-trials"),
         (("foel", "--random-trials", "2", "--L", "1"), "--L"),
+        (("droplet", "--q", "0.5", "--n", "1,1"), "--n"),
+        (("droplet", "--q", "0.5", "--n", "5", "--Lmax", "10"), "n=5"),
+        (("foel", "--random-trials", "2", "--max-dim", "3"), "--max-dim"),
     ], ids=["tl-q-negative", "tl-q-nan", "tl-2n-above-k", "tl-n-negative", "tl-k-zero",
             "tl-too-few-J", "tl-too-many-J", "qfoel-q-zero", "qfoel-q-one",
             "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative",
-            "foel-sweep-L-one", "foel-zero-trials", "foel-trials-L-one"])
+            "foel-sweep-L-one", "foel-zero-trials", "foel-trials-L-one",
+            "droplet-repeated-n", "droplet-n-one-length", "foel-trials-max-dim-3"])
     def test_range_errors_exit_before_any_library_call(self, tmp_path, monkeypatch,
                                                        capsys, args, named):
         import foelab.cli as cli
@@ -301,7 +305,7 @@ class TestExitCodes:
         code, out = run(tmp_path, *args)
         assert code == 2
         assert named in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_ssep_gap_tol_used_as_given(self, tmp_path, monkeypatch):
         import foelab.cli as cli
@@ -329,7 +333,7 @@ class TestExitCodes:
             timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
-        assert "max_dim=3" in proc.stderr
+        assert "argument --max-dim: must be at least 4, got 3" in proc.stderr
 
     def test_parser_reused_after_parse_error(self, tmp_path):
         assert main(["foel", "--L", "not-an-int"]) == 2

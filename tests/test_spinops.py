@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import build_xxz_chain, casimir, kron_embed, xxz_bond
 
 from foelab.hamiltonians import (
     ChainSpec,
@@ -10,16 +13,11 @@ from foelab.hamiltonians import (
     build_heisenberg,
     build_normalized_chain,
     build_spin1_beta_chain,
-    build_xxz_chain,
-    xxz_bond,
 )
 from foelab.spinops import (
     HalfInt,
     HilbertShape,
     _local_sum,
-    casimir,
-    embed_product,
-    embed_site,
     heisenberg_bond,
     spin_matrices,
     total_spin_ops,
@@ -86,32 +84,23 @@ class TestSpinMatrices:
 class TestEmbedSite:
     def test_first_site(self):
         shape = HilbertShape([HalfInt(1), HalfInt(1)])
-        op = embed_site(shape, 0, spin_matrices(HalfInt(1)).sz)
-        assert np.allclose(op.dense(), np.diag([0.5, 0.5, -0.5, -0.5]))
+        op = _local_sum(shape, [((0,), spin_matrices(HalfInt(1)).sz)])
+        assert np.allclose(op.toarray(), np.diag([0.5, 0.5, -0.5, -0.5]))
 
     def test_identity(self):
         shape = HilbertShape([HalfInt(1)])
-        op = embed_site(shape, 0, np.eye(2))
-        assert np.array_equal(op.dense(), np.eye(2))
+        op = _local_sum(shape, [((0,), np.eye(2))])
+        assert np.array_equal(op.toarray(), np.eye(2))
 
     def test_mixed_dims(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
-        op = embed_site(shape, 1, spin_matrices(HalfInt(2)).sz)
-        assert np.allclose(op.dense(), np.diag([1, 0, -1, 1, 0, -1]))
+        op = _local_sum(shape, [((1,), spin_matrices(HalfInt(2)).sz)])
+        assert np.allclose(op.toarray(), np.diag([1, 0, -1, 1, 0, -1]))
 
     def test_size_mismatch(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
         with pytest.raises(ValueError):
-            embed_site(shape, 0, np.eye(3))
-
-
-def kron_embed(shape, factors):
-    """Reference: one sparse Kronecker factor per site, identity elsewhere."""
-    ref = None
-    for site, d in enumerate(shape.local_dims):
-        f = sp.csr_matrix(factors[site]) if site in factors else sp.identity(d, format="csr")
-        ref = f if ref is None else sp.kron(ref, f, format="csr")
-    return ref
+            _local_sum(shape, [((0,), np.eye(3))])
 
 
 def assert_same_csr(out, ref):
@@ -132,7 +121,8 @@ class TestEmbedProduct:
         # the mixed-radix assembler gives the same CSR arrays as one kron per site
         shape = HilbertShape([HalfInt(t) for t in twice])
         factors = {s: spin_matrices(shape.spins[s]).splus for s in sites}
-        assert_same_csr(embed_product(shape, factors), kron_embed(shape, factors))
+        local = functools.reduce(np.kron, (factors[s] for s in sorted(factors)), np.ones((1, 1)))
+        assert_same_csr(_local_sum(shape, [(sorted(factors), local)]), kron_embed(shape, factors))
 
 
 ASSEMBLER_MAX_DIM = 1024

@@ -6,12 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
+from reference import random_connected_graph
 
 import foelab.ssep as ssep
 from foelab.errors import NumericalError
-from foelab.hamiltonians import SpinGraph, build_heisenberg, random_connected_graph
+from foelab.hamiltonians import SpinGraph, build_heisenberg
 from foelab.linalg import eigvalsh_full
 from foelab.sectors import s3_blocks
 from foelab.spinops import HalfInt, RealOperator
@@ -191,6 +192,7 @@ class TestGapRoutes:
     @settings(max_examples=30, deadline=None, database=None)
     @given(g=connected_graphs())
     def test_both_routes_match_dense_spectrum(self, g):
+        note(f"twice-spins {[s.twice for _, s in g.sites]}, edges {list(g.edges)}")
         for n in range(1, g.nsites):
             gen = ssep_generator(g, n=n)
             ref = dense_gap(gen)

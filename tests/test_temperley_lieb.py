@@ -9,11 +9,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (build_xxz_chain, highest_weight_space, kernel_basis,
+                       min_spec_comparison, suq2_generators)
 
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
-from foelab.sectors import SectorEntry, highest_weight_space, sector_energies, sector_labels
+from foelab.sectors import SectorEntry, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, _local_sum, total_spin_ops
 from foelab.temperley_lieb import (
     check_dominance,
@@ -21,7 +23,6 @@ from foelab.temperley_lieb import (
     expand_diagram_to_tensor,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
-    min_spec_comparison,
     perron_ground_vector,
     tl_basis_csv_rows,
     tl_hamiltonian_matrix,
@@ -159,7 +160,7 @@ class TestTLMatrix:
         h = build_normalized_chain(ChainSpec([HalfInt(1)] * k, js))
         for n in range(0, k // 2 + 1):
             tl = tl_hamiltonian_matrix(k, n, js)
-            v = highest_weight_space(shape, HalfInt(k - 2 * n)).vectors
+            v = highest_weight_space(shape, HalfInt(k - 2 * n))
             hs = v.T @ (h.matrix @ v)
             w_sector = np.sort(np.linalg.eigvalsh(0.5 * (hs + hs.T)))
             w_tl = np.sort(np.linalg.eigvals(tl.A).real)
@@ -680,9 +681,7 @@ class TestQDeformedSpectra:
     def test_tl_matrix_matches_xxz_sector_spectrum(self, k, q):
         """With couplings 1/(2(q + 1/q)) the diagram matrix carries exactly
         the deformed chain's sector spectrum."""
-        from foelab.hamiltonians import build_xxz_chain
-        from foelab.linalg import kernel_basis
-        from foelab.qgroup import QParam, suq2_generators
+        from foelab.qgroup import QParam
         from foelab.sectors import s3_blocks
 
         qp = QParam(q)
@@ -735,7 +734,7 @@ class TestExpansion:
 
     @pytest.mark.parametrize("q", [0.3, 0.7])
     def test_annihilated_by_q_raising(self, q):
-        from foelab.qgroup import QParam, suq2_generators
+        from foelab.qgroup import QParam
 
         k = 5
         gen = suq2_generators(k, QParam(q))
@@ -836,7 +835,7 @@ class TestFKMatrix:
             off = a - np.diag(np.diag(a))
             assert off.max() <= 1e-10
 
-    def test_ill_conditioned_gram_refused(self):
+    def test_ill_conditioned_gram_refused(self, monkeypatch):
+        monkeypatch.setattr(tlmod, "FK_GRAM_COND_LIMIT", 1e-1)
         with pytest.raises(NumericalError, match="condition"):
-            fk_hamiltonian_matrix([HalfInt(1)] * 4, [1.0] * 3, HalfInt(0),
-                                  cond_limit=1e-1)
+            fk_hamiltonian_matrix([HalfInt(1)] * 4, [1.0] * 3, HalfInt(0))
