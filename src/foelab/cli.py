@@ -183,6 +183,9 @@ def _margins_json(margins):
 
 
 def _out(args, name):
+    """Path of an output file.  The directory is made with the first file,
+    so a run that fails before writing any leaves none behind."""
+    os.makedirs(args.output, exist_ok=True)
     return os.path.join(args.output, name)
 
 
@@ -455,7 +458,6 @@ _HANDLERS = {
 def run(args):
     """Dispatch a parsed namespace; returns the process exit code."""
     try:
-        os.makedirs(args.output, exist_ok=True)
         return _HANDLERS[args.command](args)
     except (GraphSpecError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

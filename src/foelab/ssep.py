@@ -9,11 +9,17 @@ bit-vector, vertex i contributing bit i.
 
 Everything is sparse: a sector generator is one CSR matrix assembled from
 per-edge index arrays, and the spin map compares the 2^N-dimensional
-generator with the Heisenberg matrix as sparse matrices.  Each gap comes from the two lowest eigenvalues of
-a sector: dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM, Lanczos ``eigsh``
-above it.  Both routes certify the result: the configuration graph is
-connected (so the zero mode is simple), the lowest eigenvalue is zero to
-ZERO_MODE_TOL and the gap eigenpair has a small residual.  Memory
+generator with the Heisenberg matrix as sparse matrices.
+
+Sector N - n is sector n under the complement map eta -> ~eta (the same
+matrix with its index order reversed), so the gap tables solve n <= N/2
+and copy each row n > N/2 from row N - n.  A gap is certified from one
+eigenpair: dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM; above it Lanczos
+``eigsh`` for the one lowest pair of the generator with its known zero mode,
+the uniform vector, deflated (shifted above the whole spectrum).  The
+certificates: the configuration graph is connected (so the zero mode is
+simple), the uniform vector has residual at most ZERO_MODE_TOL, the gap
+pair has a small residual and is orthogonal to the uniform vector.  Memory
 estimates made before assembly turn requests larger than physical memory
 into NumericalError.
 """
@@ -49,9 +55,12 @@ __all__ = [
 
 ZERO_MODE_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-# Certified dense eigvalsh is faster below this sector dimension, Lanczos
-# above it (measured: 9.3 vs 11.3 ms at m = 330, 21 vs 11 ms at m = 462).
-GAP_SPARSE_MIN_DIM = 400
+# Certified dense eigvalsh is faster below this sector dimension, the
+# deflated one-pair Lanczos above it.  Best of 5 on path-graph sectors,
+# dense vs Lanczos (2-vCPU VM): 5.3 vs 6.1 ms at m = 220, 6.8 vs 6.3 ms at
+# m = 252, 11.4 vs 7.0 ms at m = 330, 22.6 vs 8.4 ms at m = 462 and
+# 26.5 vs 8.8 ms at m = 495.
+GAP_SPARSE_MIN_DIM = 250
 # Memory estimate: bytes per row entry bound (1 + edges per row), and the
 # number of 2^N-row matrices alive at once in the spin map; an upper bound,
 # about 3x the tracemalloc peak at N = 12..16.
@@ -129,21 +138,30 @@ def ssep_generator(g: SpinGraph, rates=None, n=1):
     return SSEPGenerator(n=n, configs=configs, L=RealOperator(_assemble(edge_rates, configs)))
 
 
-def _lowest_two(a):
-    """Certified (lambda_0, lambda_1) of a symmetric generator-like matrix.
+def _certified_gap(a):
+    """Certified smallest positive eigenvalue of a generator-like matrix.
 
     a must be a sparse symmetric matrix with nonpositive off-diagonal entries
-    and zero row sums (a weighted graph Laplacian), so its zero eigenvalue is
-    simple exactly when the off-diagonal graph is connected.  Dense
-    ``eigvalsh`` below GAP_SPARSE_MIN_DIM, Lanczos ``eigsh`` above it from a
-    fixed random start vector (the uniform vector is the zero mode and spans
-    an invariant subspace on its own).  Certified, else NumericalError:
-    a connected graph, |lambda_0| <= ZERO_MODE_TOL and
-    ||a v - lambda_1 v|| <= RESIDUAL_TOL ||a||_inf ||v||.
+    and zero row sums (a weighted graph Laplacian): the uniform vector 1 is
+    its zero mode, simple exactly when the off-diagonal graph is connected.
+    Dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM.  Above it, Lanczos ``eigsh``
+    for the one lowest pair of the deflated operator
+    x -> a x + sigma mean(x) 1 with sigma = 2 ||a||_inf, from a fixed random
+    start vector: the shift lifts the zero mode above the whole spectrum
+    (Gershgorin), so the lowest Ritz pair is the gap.  Certified, else
+    NumericalError:
+    - the off-diagonal graph is connected with no positive entry;
+    - ||a 1||_inf <= ZERO_MODE_TOL, the residual of the exact zero mode
+      (it bounds |lambda_0|);
+    - ||a v - theta v|| <= RESIDUAL_TOL ||a||_inf ||v|| on the unshifted a;
+    - |<1, v>| <= RESIDUAL_TOL sqrt(m) ||v|| and theta > ZERO_MODE_TOL, so
+      the zero mode cannot pass as the gap.
     """
     m = a.shape[0]
     upper = sp.triu(a, k=1, format="csr")
     upper.eliminate_zeros()
+    if upper.nnz and upper.data.max() > 0.0:
+        raise NumericalError("positive off-diagonal entry: not a generator")
     ncomp, _ = connected_components(upper, directed=False)
     if ncomp != 1:
         raise NumericalError(
@@ -152,26 +170,34 @@ def _lowest_two(a):
         )
     if m < 2:
         raise NumericalError("sector too small to have a gap")
-    if m < max(GAP_SPARSE_MIN_DIM, 3):  # eigsh needs k < m
+    drift = float(np.abs(a @ np.ones(m)).max())
+    if drift > ZERO_MODE_TOL:
+        raise NumericalError(f"the uniform vector is not the zero mode "
+                             f"(row sums up to {drift:.3e})")
+    scale = float(abs(a).sum(axis=1).max())
+    if m < GAP_SPARSE_MIN_DIM:
         dense = a.toarray()
-        w = eigvalsh_full(dense)
+        theta = float(eigvalsh_full(dense)[1])
         v = la.eigh(dense, subset_by_index=[1, 1])[1][:, 0]
     else:
+        shift = 2.0 * scale / m  # sigma / m
+        deflated = sla.LinearOperator((m, m), dtype=float,
+                                      matvec=lambda x: a @ x + shift * x.sum())
         v0 = np.random.default_rng(0).standard_normal(m)
         try:
-            w, vecs = sla.eigsh(a, k=2, which="SA", v0=v0, tol=0)
+            w, vecs = sla.eigsh(deflated, k=1, which="SA", v0=v0, tol=0)
         except sla.ArpackNoConvergence as exc:
             raise NumericalError(f"Lanczos eigsh did not converge: {exc}") from exc
-        order = np.argsort(w)
-        w, v = w[order], vecs[:, order[1]]
-    lam0, lam1 = float(w[0]), float(w[1])
-    if abs(lam0) > ZERO_MODE_TOL:
-        raise NumericalError(f"lowest eigenvalue {lam0:.3e} is not the zero mode")
-    scale = float(abs(a).sum(axis=1).max())
-    residual = float(np.linalg.norm(a @ v - lam1 * v))
-    if residual > RESIDUAL_TOL * scale * np.linalg.norm(v):
+        theta, v = float(w[0]), vecs[:, 0]
+    norm_v = np.linalg.norm(v)
+    residual = float(np.linalg.norm(a @ v - theta * v))
+    if residual > RESIDUAL_TOL * scale * norm_v:
         raise NumericalError(f"gap eigenpair residual {residual:.3e} too large")
-    return lam0, lam1
+    overlap = abs(float(v.sum()))
+    if overlap > RESIDUAL_TOL * np.sqrt(m) * norm_v or theta <= ZERO_MODE_TOL:
+        raise NumericalError(f"gap eigenpair (theta = {theta:.3e}, overlap "
+                             f"{overlap:.3e} with the uniform vector) is the zero mode")
+    return theta
 
 
 def spectral_gap(gen: SSEPGenerator):
@@ -180,7 +206,24 @@ def spectral_gap(gen: SSEPGenerator):
     The zero eigenvalue must be simple (uniform measure on a connected
     graph); otherwise a diagnostic error is raised.
     """
-    return _lowest_two(gen.L.matrix)[1]
+    return _certified_gap(gen.L.matrix)
+
+
+def _mirrored(nsites, solve):
+    """[solve(n) for n = 1 .. N - 1], calling solve only for n <= N/2.
+
+    The complement map eta -> ~eta carries the n-particle configurations
+    onto the (N - n)-particle ones in reversed index order and the
+    generator onto itself, so sector N - n repeats the solved sector n.
+    """
+    solved = [solve(n) for n in range(1, nsites // 2 + 1)]
+    return [solved[min(n, nsites - n) - 1] for n in range(1, nsites)]
+
+
+def _require_two_sites(g, what):
+    if g.nsites < 2:
+        raise ValueError(f"{what} needs a graph with at least two sites, "
+                         f"got {g.nsites}")
 
 
 @dataclass(frozen=True)
@@ -192,16 +235,20 @@ class AldousReport:
 
 
 def check_aldous(g: SpinGraph, rel_tol=1e-9):
-    """Gap table over all particle numbers and the gap-equality verdict."""
+    """Gap table over all particle numbers and the gap-equality verdict.
+
+    Sectors n <= N/2 are solved; sector N - n has the same gap
+    (particle-hole symmetry) and keeps its own n and C(N, n).
+    """
+    _require_two_sites(g, "gap equality")
     if not g.is_connected():
         raise ValueError("gap equality is stated for connected graphs")
-    rows = []
-    for n in range(1, g.nsites):
-        gen = ssep_generator(g, n=n)
-        rows.append((n, len(gen.configs), spectral_gap(gen)))
+    nsites = g.nsites
+    gaps = _mirrored(nsites, lambda n: spectral_gap(ssep_generator(g, n=n)))
+    rows = tuple((n, comb(nsites, n), lam) for n, lam in enumerate(gaps, start=1))
     lam1 = rows[0][2]
     max_rel = max(abs(lam - lam1) / lam1 for _, _, lam in rows)
-    return AldousReport(rows=tuple(rows), lambda_1=lam1,
+    return AldousReport(rows=rows, lambda_1=lam1,
                         max_rel_deviation=max_rel, ok=max_rel <= rel_tol)
 
 
@@ -220,8 +267,12 @@ def verify_spin_map(g: SpinGraph):
     with product states via S3_x |eta> = (eta_x - 1/2) |eta>.  The gap in the
     n-particle sector then equals the second-lowest H eigenvalue in the
     S^3 = n - |graph|/2 block.  ``ok`` needs every entry to agree to 1e-12
-    and every gap to 1e-9 relative.
+    and every gap to 1e-9 relative.  Sectors n <= N/2 are solved; row N - n
+    repeats row n: particle-hole symmetry on the generator side, and on the
+    spin side the spin flip, which maps the H block at S^3 = M onto the block
+    at -M (exact for the generator, so for H to the entrywise deviation).
     """
+    _require_two_sites(g, "the spin map")
     if any(s != HalfInt(1) for _, s in g.sites):
         raise ValueError("the spin map needs every site to carry spin 1/2")
     nsites = g.nsites
@@ -249,20 +300,19 @@ def verify_spin_map(g: SpinGraph):
     del mapped
 
     blocks = s3_blocks(g.shape)
-    rows = []
-    gaps_ok = True
-    for n in range(1, nsites):
-        gen = ssep_generator(g, {(u, v): 0.5 * j for u, v, j in g.edges}, n)
-        lam = spectral_gap(gen)
+    rates = {(u, v): 0.5 * j for u, v, j in g.edges}
+
+    def solve(n):
+        lam = spectral_gap(ssep_generator(g, rates, n=n))
         idx = blocks[HalfInt(2 * n - nsites)]
-        second = _lowest_two(h[idx][:, idx])[1]
-        diff = abs(lam - second)
-        rows.append((n, lam, second, diff))
-        if diff > 1e-9 * max(1.0, lam):
-            gaps_ok = False
+        second = _certified_gap(h[idx][:, idx])
+        return lam, second, abs(lam - second)
+
+    rows = tuple((n,) + row for n, row in enumerate(_mirrored(nsites, solve), start=1))
+    gaps_ok = all(diff <= 1e-9 * max(1.0, lam) for _, lam, _, diff in rows)
     return SpinMapResult(max_deviation=float(dev),
                          ok=dev <= 1e-12 and gaps_ok,
-                         sector_rows=tuple(rows))
+                         sector_rows=rows)
 
 
 def ssep_csv_rows(report: AldousReport):

@@ -307,6 +307,16 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ssep-gap", "spinmap"])
+    def test_one_site_graph_is_usage_error(self, tmp_path, capsys, command):
+        # one site has no particle sector 1 <= n <= N - 1 to compare
+        graph = tmp_path / "one.g"
+        graph.write_text("site 0 1\n")
+        code, out = run(tmp_path, command, "--graph", str(graph))
+        assert code == 2
+        assert "at least two sites, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ssep_gap_tol_used_as_given(self, tmp_path, monkeypatch):
         import foelab.cli as cli
 

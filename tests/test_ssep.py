@@ -1,5 +1,6 @@
 import runpy
 import tracemalloc
+from math import comb
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +28,7 @@ from foelab.ssep import (
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "exclusion_gaps.py"
 DENSE, SPARSE = 10 ** 9, 0  # GAP_SPARSE_MIN_DIM values forcing one route
+REAL_EIGSH = ssep.sla.eigsh
 
 
 def path_graph(n, rate=1.0):
@@ -266,6 +268,102 @@ class TestGapRoutes:
             spectral_gap(ssep_generator(path_graph(5), n=2))
 
 
+def spin_block(g, n):
+    """S^3 = n - N/2 block of sum_edges J (1/4 - S.S), built independently."""
+    dim = 2 ** g.nsites
+    h = build_heisenberg(g).matrix
+    h = h + 0.25 * sum(j for _, _, j in g.edges) * sp.identity(dim, format="csr")
+    idx = s3_blocks(g.shape)[HalfInt(2 * n - g.nsites)]
+    return h[idx][:, idx]
+
+
+class TestParticleHoleMirror:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(g=connected_graphs(), min_dim=st.sampled_from([DENSE, SPARSE]))
+    def test_rows_match_independent_solves(self, g, min_dim):
+        note(f"edges {list(g.edges)}, GAP_SPARSE_MIN_DIM {min_dim}")
+        nsites = g.nsites
+        half_rates = {(u, v): 0.5 * j for u, v, j in g.edges}
+        with forced_route(min_dim):
+            with mock.patch.object(ssep, "ssep_generator",
+                                   wraps=ssep.ssep_generator) as spy:
+                report = check_aldous(g)
+                spin = verify_spin_map(g)
+            solved = [c.kwargs["n"] for c in spy.call_args_list]
+            assert sorted(solved) == sorted(2 * list(range(1, nsites // 2 + 1)))
+            assert [r[0] for r in report.rows] == list(range(1, nsites))
+            for n, dim, lam in report.rows:
+                ref = spectral_gap(ssep_generator(g, n=n))
+                assert dim == comb(nsites, n)
+                assert abs(lam - ref) <= 1e-12 * ref
+            assert [r[0] for r in spin.sector_rows] == list(range(1, nsites))
+            for n, lam, second, _ in spin.sector_rows:
+                ref = spectral_gap(ssep_generator(g, half_rates, n=n))
+                assert abs(lam - ref) <= 1e-12 * ref
+                ref = ssep._certified_gap(spin_block(g, n))
+                assert abs(second - ref) <= 1e-12 * ref
+
+
+class TestGapCertificates:
+    """Each certificate of the gap fires on its own kind of bad answer."""
+
+    @staticmethod
+    def zero_mode_eigsh(op, k, **kw):
+        m = op.shape[0]
+        return np.zeros(1), np.full((m, 1), 1 / np.sqrt(m))
+
+    @staticmethod
+    def large_residual_eigsh(op, k, **kw):
+        w, _ = REAL_EIGSH(op, k=k, **kw)
+        v = np.random.default_rng(2).standard_normal(op.shape[0])
+        return w, (v - v.mean())[:, None]
+
+    @staticmethod
+    def uniform_component_eigsh(op, k, **kw):
+        # on path6, n = 2: theta = 0.27 and ||a||_inf = 8, so a component
+        # c 1 adds 0.27 c sqrt(m) to the residual (allowed 8e-9) and c m to
+        # <1, v> (allowed 1e-9 sqrt(m)): c = 5e-9 / sqrt(m) passes the first
+        w, v = REAL_EIGSH(op, k=k, **kw)
+        m = op.shape[0]
+        return w, v + 5e-9 / np.sqrt(m)
+
+    @pytest.mark.parametrize("fake, message", [
+        ("zero_mode_eigsh", "zero mode"),
+        ("large_residual_eigsh", "residual"),
+        ("uniform_component_eigsh", "zero mode"),
+    ])
+    def test_bad_ritz_pair_raises(self, fake, message):
+        gen = ssep_generator(path_graph(6), n=2)
+        with forced_route(SPARSE), mock.patch.object(ssep.sla, "eigsh",
+                                                     getattr(self, fake)), \
+                pytest.raises(NumericalError, match=message):
+            spectral_gap(gen)
+
+    @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
+    def test_nonzero_row_sums_rejected(self, min_dim):
+        # rows sum to +-1e-6 but the lowest eigenvalue is still 0 to 1e-11:
+        # only the residual of the uniform vector shows it is not the zero mode
+        a = ssep_generator(path_graph(6), n=2).L.matrix.tolil()
+        a[0, 0] += 1e-6
+        a[1, 1] -= 1e-6
+        a = a.tocsr()
+        assert abs(np.linalg.eigvalsh(a.toarray())[0]) <= ssep.ZERO_MODE_TOL
+        with forced_route(min_dim), pytest.raises(NumericalError, match="zero mode"):
+            ssep._certified_gap(a)
+
+    def test_positive_off_diagonal_rejected(self):
+        a = ssep_generator(path_graph(6), n=2).L.matrix.tolil()
+        j = a[0].nonzero()[1][-1]  # a configuration one jump from the first
+        rate = -a[0, j]
+        a[0, j] = a[j, 0] = rate  # positive; the diagonal keeps rows at sum 0
+        a[0, 0] -= 2 * rate
+        a[j, j] -= 2 * rate
+        a = a.tocsr()
+        assert np.abs(a @ np.ones(a.shape[0])).max() <= 1e-15
+        with pytest.raises(NumericalError, match="positive off-diagonal"):
+            ssep._certified_gap(a)
+
+
 class TestAldous:
     @pytest.mark.parametrize("nv", [3, 4, 5, 6])
     def test_paths_random_rates(self, nv):
@@ -321,7 +419,16 @@ class TestSpinMap:
         res = verify_spin_map(g)
         assert res.ok
         assert res.max_deviation == dev
-        assert list(res.sector_rows) == rows  # all sectors on the dense route
+        # sectors n <= N/2 are solved, all on the dense route; row n > N/2
+        # is a copy of row N - n, an ulp away from its own dense solve
+        half = nsites // 2
+        assert list(res.sector_rows[:half]) == rows[:half]
+        for (n, lam, second, diff), (_, lam_ref, second_ref, diff_ref) in zip(
+                res.sector_rows[half:], rows[half:]):
+            assert (lam, second, diff) == res.sector_rows[nsites - n - 1][1:]
+            assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+            assert abs(second - second_ref) <= 1e-12 * second_ref
+            assert abs(diff - diff_ref) <= 1e-12 * lam_ref
         with forced_route(SPARSE):
             sparse_rows = verify_spin_map(g).sector_rows
         for (_, lam, second, _), (_, lam_ref, second_ref, _) in zip(sparse_rows, rows):
