@@ -347,11 +347,11 @@ def cmd_fk_basis(args):
     spins = [HalfInt(t) for t in args.spins]
     S = HalfInt(args.S2)
     basis = fk_highest_weight_basis(spins, S)
+    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), S)  # usage errors first
     rows = [(i, ",".join(str(b.n_down) for b in v.blocks),
              ";".join(f"{x}-{y}" for x, y in v.arcs) or "empty")
             for i, v in enumerate(basis)]
     write_csv(_out(args, "fk_basis.csv"), ("vector_id", "n_down", "arcs"), rows)
-    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), S)
     write_csv(_out(args, "fk_matrix.csv"), ("row", "col", "value"),
               tl_matrix_csv_rows(a))
     off = a - np.diag(np.diag(a))

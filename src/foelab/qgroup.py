@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .sectors import SectorReport, sector_labels
 from .spinops import HalfInt, HilbertShape
 from .temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
@@ -48,12 +46,6 @@ class QParam:
     @property
     def delta(self):
         return 0.5 * (self.q + 1.0 / self.q)
-
-    @classmethod
-    def from_delta(cls, delta):
-        if delta <= 1.0:
-            raise ValueError("Delta must be > 1")
-        return cls(q=delta - np.sqrt(delta * delta - 1.0))
 
 
 class QSectorEntry(NamedTuple):

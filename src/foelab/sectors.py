@@ -2,7 +2,10 @@
 
 Sector energies E(H,S) are the spectrum of H on the highest-weight space
 V^(S) = ker(S+) within the S^3 = S block; the label set and dim V^(S) come
-from S^3 block-count differences.  The solve extracts no kernel.  On the
+from S^3 block-count differences, counted from the site spins without the
+product space.  Each call permutes H and S+ into S^3 order once, checks
+their commutators there, and reads every M block as a contiguous slice of
+that sorted copy.  The solve extracts no kernel.  On the
 M = S block, B^T B = S-S+ (B = S+ from M = S to M = S+1) commutes with H, is
 0 on V^(S) and S'(S'+1) - S(S+1) >= 2S+2 on every multiplet S' > S.  With
 g_lo, g_hi the Gershgorin bounds of H_MM and c = (g_hi - g_lo + 1)/(2S+2),
@@ -144,47 +147,62 @@ def s3_blocks(shape):
     return blocks
 
 
-def sector_labels(shape, blocks=None):
-    """Total-spin labels present, with highest-weight dimensions.
+def sector_labels(shape):
+    """Total-spin labels present, S descending, with highest-weight dimensions.
 
     dim V^(S) = N(M=S) - N(M=S+1) where N is the S^3 block size; labels with
-    zero difference do not occur in the decomposition.
+    zero difference do not occur in the decomposition.  N is counted, not
+    read off the product space: the per-site multiplicities (one state for
+    each m = s, ..., -s) convolved as exact integers.
     """
-    blocks = s3_blocks(shape) if blocks is None else blocks
-    sizes = {m.twice: len(idx) for m, idx in blocks.items()}
-    out = {}
-    for tm, n in sizes.items():
-        if tm < 0:
-            continue
-        d = n - sizes.get(tm + 2, 0)
-        if d > 0:
-            out[HalfInt(tm)] = d
-    return out
+    counts = np.ones(1, dtype=np.int64)
+    for s in shape.spins:
+        counts = np.convolve(counts, np.ones(s.twice + 1, dtype=np.int64))
+    # counts[k] states have 2M = 2 s_max - 2k; keep M >= 0
+    dims = np.diff(counts[: shape.s_max.twice // 2 + 1], prepend=0)
+    return {HalfInt(shape.s_max.twice - 2 * k): int(d) for k, d in enumerate(dims) if d > 0}
 
 
-def _require_invariance(H, total_ops, su2=True):
-    scale = max(1.0, max_abs(H.matrix))
-    dz = commutator_maxabs(H.matrix, total_ops.s3tot.matrix)
-    if dz > INVARIANCE_TOL * scale:
-        raise NonInvariantOperatorError(f"[H, S3] = {dz:.3e}")
-    if su2:
-        dp = commutator_maxabs(H.matrix, total_ops.sptot.matrix)
-        if dp > INVARIANCE_TOL * scale:
-            raise NonInvariantOperatorError(f"[H, S+] = {dp:.3e}")
+def _s3_sorted(H, shape, su2=True):
+    """(h, raising, blocks): H and S+ permuted into S^3 order once, and the
+    slice of each M block in it.
+
+    The order is the concatenated ``s3_blocks`` index arrays, so every
+    M block is contiguous, and with sorted indices ``h[s, s]`` stores its
+    entries as the product-order submatrix would.  A permutation leaves
+    every max |entry| unchanged, so [H, S3] (and with su2 [H, S+]) is
+    checked here against INVARIANCE_TOL max(1, max |H|), else
+    NonInvariantOperatorError.
+    """
+    index = s3_blocks(shape)
+    order = np.concatenate(list(index.values()))
+    starts = np.cumsum([0] + [len(idx) for idx in index.values()]).tolist()
+    blocks = {m: slice(a, b) for m, a, b in zip(index, starts, starts[1:])}
+    total_ops = total_spin_ops(shape)
+    h, s3, raising = (sp.csr_matrix(op.matrix)[order][:, order]
+                      for op in (H, total_ops.s3tot, total_ops.sptot))
+    h.sort_indices()
+    raising.sort_indices()
+    scale = max(1.0, max_abs(h))
+    for name, op in [("S3", s3)] + [("S+", raising)] * su2:
+        dz = commutator_maxabs(h, op)
+        if dz > INVARIANCE_TOL * scale:
+            raise NonInvariantOperatorError(f"[H, {name}] = {dz:.3e}")
+    return h, raising, blocks
 
 
-def _sector_spectrum(H, total_ops, blocks, S, d):
+def _sector_spectrum(h, raising, blocks, S, d):
     """The d eigenvalues of H on V^(S), ascending: the certified penalized
     solve on the M = S block described in the module docstring."""
-    cols = blocks[S]
-    require_memory(DENSE_BLOCK_ARRAYS * 8 * len(cols) ** 2, _physical_memory_bytes(),
-                   f"the dense S={S} block of dimension {len(cols)}")
-    rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-    raising = total_ops.sptot.matrix[rows][:, cols]
-    hb = H.sub(cols)
+    s = blocks[S]
+    m = s.stop - s.start
+    require_memory(DENSE_BLOCK_ARRAYS * 8 * m ** 2, _physical_memory_bytes(),
+                   f"the dense S={S} block of dimension {m}")
+    b = raising[blocks.get(S + HalfInt(2), slice(0, 0)), s]  # no rows above the top
+    hb = h[s, s].toarray()
     diag = np.diag(hb)
     g_lo, g_hi, c, slack = _penalty(diag, np.abs(hb).sum(axis=1) - np.abs(diag), S)
-    w = la.eigvalsh(hb + c * (raising.T @ raising).toarray())
+    w = la.eigvalsh(hb + c * (b.T @ b).toarray())
     if w[d - 1] > g_hi + slack or (len(w) > d and w[d] < g_hi + 1.0 - slack):
         raise NumericalError(f"penalized solve at S={S} does not isolate {d} levels")
     return w[:d]
@@ -198,7 +216,7 @@ def _penalty(diag, radius, S):
     return g_lo, g_hi, c, 1e-9 * max(1.0, abs(g_lo), abs(g_hi))
 
 
-def _sector_extremes(H, total_ops, blocks, S):
+def _sector_extremes(h, raising, blocks, S):
     """(min, max) of H on V^(S) by Lanczos, without a dense block.
 
     The lowest eigenvalue of H_MM + c B^T B and the highest of
@@ -208,16 +226,15 @@ def _sector_extremes(H, total_ops, blocks, S):
     pair (theta, v) has ||H_MM v - theta v|| and ||B v|| at most
     RESIDUAL_TOL max(1, |g_lo|, |g_hi|) ||v||, min <= g_hi and max >= g_lo.
     """
-    cols = blocks[S]
-    rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-    m = len(cols)
-    h, raising = sp.csr_matrix(H.matrix), sp.csr_matrix(total_ops.sptot.matrix)
+    s, r = blocks[S], blocks.get(S + HalfInt(2), slice(0, 0))
+    m = s.stop - s.start
     # H and S+ conserve S^3, so their M = S (M = S + 1) rows hold exactly the block
-    nnz = int(np.diff(h.indptr)[cols].sum() + np.diff(raising.indptr)[rows].sum())
+    nnz = int(h.indptr[s.stop] - h.indptr[s.start]
+              + raising.indptr[r.stop] - raising.indptr[r.start])
     require_memory(SPARSE_BYTES_PER_ENTRY * nnz + LANCZOS_VECTORS * 8 * m,
                    _physical_memory_bytes(), f"the sparse S={S} block of dimension {m}")
-    hb = h[cols][:, cols]
-    b = raising[rows][:, cols]
+    hb = h[s, s]
+    b = raising[r, s]
     bt = b.T.tocsr()
     diag = hb.diagonal()
     g_lo, g_hi, c, slack = _penalty(diag, abs(hb) @ np.ones(m) - np.abs(diag), S)
@@ -253,15 +270,13 @@ def sector_energies(H, shape):
     commute with the total-spin operators (checked; raises
     NonInvariantOperatorError otherwise).
     """
-    total_ops = total_spin_ops(shape)
-    _require_invariance(H, total_ops)
-    blocks = s3_blocks(shape)
+    h, raising, blocks = _s3_sorted(H, shape)
     entries = {}
-    for S, d in sorted(sector_labels(shape, blocks).items(), reverse=True):
-        if len(blocks[S]) >= max(SECTOR_SPARSE_MIN_DIM, 2):  # eigsh needs k < m
-            lo, hi = _sector_extremes(H, total_ops, blocks, S)
+    for S, d in sector_labels(shape).items():
+        if blocks[S].stop - blocks[S].start >= max(SECTOR_SPARSE_MIN_DIM, 2):  # eigsh needs k < m
+            lo, hi = _sector_extremes(h, raising, blocks, S)
         else:
-            w = _sector_spectrum(H, total_ops, blocks, S, d)
+            w = _sector_spectrum(h, raising, blocks, S, d)
             lo, hi = w[0], w[-1]
         entries[S] = SectorEntry(float(lo), float(hi), d)
     return SectorReport(entries=entries)
@@ -311,11 +326,8 @@ def full_spectrum_by_s3(H, shape, offset=False):
 
     With offset=True the ground energy is shifted to exactly 0.
     """
-    total_ops = total_spin_ops(shape)
-    _require_invariance(H, total_ops, su2=False)
-    out = []
-    for m, idx in s3_blocks(shape).items():
-        out.append((m, eigvalsh_full(H.sub(idx))))
+    h, _, blocks = _s3_sorted(H, shape, su2=False)
+    out = [(m, eigvalsh_full(h[s, s])) for m, s in blocks.items()]
     if offset:
         e0 = min(w[0] for _, w in out)
         out = [(m, w - e0) for m, w in out]
@@ -332,18 +344,16 @@ def low_energy_by_deviation(H, shape, N):
     result is cross-checked against the truncated full spectrum; a mismatch
     means the FOEL precondition failed.
     """
-    total_ops = total_spin_ops(shape)
-    _require_invariance(H, total_ops)
-    blocks = s3_blocks(shape)
-    dims = sector_labels(shape, blocks)
-    labels = sorted(dims, reverse=True)
+    h, raising, blocks = _s3_sorted(H, shape)
+    dims = sector_labels(shape)
+    labels = list(dims)
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
     tol = 1e-9 * max(1.0, max_abs(H.matrix))
     collected = []
     cutoff = None
     for S in labels[: N + 1]:
-        w = _sector_spectrum(H, total_ops, blocks, S, dims[S])
+        w = _sector_spectrum(h, raising, blocks, S, dims[S])
         if S == labels[N]:
             cutoff = float(w[0])
         collected.extend((float(e), S.twice + 1) for e in w)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import max_abs, max_asymmetry, to_dense
+from .linalg import to_dense
 
 __all__ = [
     "HalfInt",
@@ -67,9 +67,6 @@ class HalfInt:
     def value(self):
         return self.twice / 2.0
 
-    def is_integer(self):
-        return self.twice % 2 == 0
-
     def __add__(self, other):
         return HalfInt(self.twice + HalfInt.coerce(other).twice)
 
@@ -108,14 +105,9 @@ class LocalSpinOps:
 
 
 class RealOperator:
-    """Real matrix on a fixed basis; dense ndarray or scipy sparse.
+    """Real matrix on a fixed basis; dense ndarray or scipy sparse."""
 
-    ``symmetric`` is detected on first read and cached (raising/lowering
-    totals are legitimately non-symmetric, Hamiltonians must come out
-    symmetric).
-    """
-
-    __slots__ = ("matrix", "_symmetric")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         if sp.issparse(matrix):
@@ -127,15 +119,6 @@ class RealOperator:
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("operator must be square")
         self.matrix = matrix
-        self._symmetric = None
-
-    @property
-    def symmetric(self):
-        """max |M - M^T| <= 1e-12 max(1, max |M|)."""
-        if self._symmetric is None:
-            scale = 1.0 if self.dim == 0 else max(1.0, max_abs(self.matrix))
-            self._symmetric = max_asymmetry(self.matrix) <= 1e-12 * scale
-        return self._symmetric
 
     @property
     def dim(self):
@@ -143,13 +126,6 @@ class RealOperator:
 
     def dense(self):
         return to_dense(self.matrix)
-
-    def sub(self, idx):
-        """Dense submatrix on the given basis indices."""
-        idx = np.asarray(idx, dtype=int)
-        if sp.issparse(self.matrix):
-            return self.matrix[idx][:, idx].toarray()
-        return self.matrix[np.ix_(idx, idx)]
 
     def __repr__(self):
         kind = "sparse" if sp.issparse(self.matrix) else "dense"
@@ -248,11 +224,10 @@ def _local_sum(shape, terms):
 class TotalSpinOps:
     s3tot: RealOperator
     sptot: RealOperator
-    smtot: RealOperator
 
 
 def total_spin_ops(shape):
-    """Total S^3, S^+, S^- as sums of one-site operators."""
+    """Total S^3 and S^+ as sums of one-site operators (S^- is S^+ transposed)."""
     s3 = sp.diags(shape.total_m(), format="csr")
     s3.eliminate_zeros()
     splus = _local_sum(shape, [((x,), spin_matrices(s).splus)
@@ -260,7 +235,6 @@ def total_spin_ops(shape):
     return TotalSpinOps(
         s3tot=RealOperator(s3),
         sptot=RealOperator(splus),
-        smtot=RealOperator(splus.T.tocsr()),
     )
 
 

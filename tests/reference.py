@@ -58,7 +58,7 @@ def highest_weight_space(shape, S, total_ops=None, blocks=None):
     blocks = s3_blocks(shape) if blocks is None else blocks
     if S not in blocks:
         raise ValueError(f"total spin {S} not present for this shape")
-    d = sector_labels(shape, blocks).get(S, 0)
+    d = sector_labels(shape).get(S, 0)
     if d == 0:
         raise ValueError(f"total spin {S} has an empty highest-weight space")
     cols = blocks[S]
@@ -74,7 +74,8 @@ def highest_weight_space(shape, S, total_ops=None, blocks=None):
 def casimir(shape):
     """Total-spin Casimir S3^2 + (S+S- + S-S+)/2; eigenvalues S(S+1)."""
     tot = total_spin_ops(shape)
-    s3, spl, smn = tot.s3tot.matrix, tot.sptot.matrix, tot.smtot.matrix
+    s3, spl = tot.s3tot.matrix, tot.sptot.matrix
+    smn = spl.T.tocsr()
     c = s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
     return RealOperator(c)
 

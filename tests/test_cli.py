@@ -317,6 +317,27 @@ class TestExitCodes:
         assert "at least two sites, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,named", [
+        (("--spins", "1,1,1", "--S2", "1", "--J", "1"), "one coupling per bond"),
+        (("--spins", "1,1", "--S2", "-2"), "empty basis"),
+        (("--spins", "0,1", "--S2", "1"), "every s_x > 0"),
+    ], ids=["J-count", "negative-S", "spin-zero"])
+    def test_fk_basis_usage_error_writes_nothing(self, tmp_path, capsys, args, named):
+        code, out = run(tmp_path, "fk-basis", *args)
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [("qfoel", "--L", "12", "--q", "0.5"),
+                                      ("fk-basis", "--spins", "2,2,2", "--S2", "2")])
+    def test_label_counts_need_no_product_space(self, tmp_path, monkeypatch, args):
+        def product_space(self):
+            raise AssertionError("the product space was built")
+
+        monkeypatch.setattr(HilbertShape, "total_m", product_space)
+        code, _ = run(tmp_path, *args)
+        assert code == 0
+
     def test_ssep_gap_tol_used_as_given(self, tmp_path, monkeypatch):
         import foelab.cli as cli
 

@@ -86,3 +86,28 @@ def test_every_export_is_run_by_the_cli_or_a_demo():
                  for name in getattr(importlib.import_module(f"foelab.{module}"), "__all__", ())
                  if (module, name) not in reached]
     assert not unreached, f"exported but run by neither the CLI nor a demo: {unreached}"
+
+
+def public_members():
+    """(module, class, name) of every public method or property defined in
+    the body of a src class.  Dataclass fields are not methods and stay out."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                yield from ((path.stem, node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def attributes_read():
+    """Every attribute name read as ``obj.name`` in src or a demo."""
+    return {node.attr for path in [*SRC.glob("*.py"), *DEMOS.glob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_member_is_read_by_src_or_a_demo():
+    read = attributes_read()
+    unread = [f"{module}.{cls}.{name}" for module, cls, name in public_members()
+              if name not in read]
+    assert not unread, f"members no src module or demo reads: {unread}"

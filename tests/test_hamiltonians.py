@@ -118,7 +118,7 @@ class TestXXZChain:
         # the 4x4 bond is the orthogonal projector onto q|+-> - |-+>
         from foelab.qgroup import QParam
 
-        qp = QParam.from_delta(1.25)
+        qp = QParam(0.5)  # Delta = 1.25
         xi = np.array([0.0, qp.q, -1.0, 0.0])
         proj = np.outer(xi, xi) / (1.0 + qp.q ** 2)
         assert np.abs(xxz_bond(1.25) - proj).max() <= 1e-12

@@ -29,15 +29,12 @@ class TestQParam:
     def test_delta_roundtrip(self):
         qp = QParam(0.5)
         assert np.isclose(qp.delta, 1.25, atol=1e-15)
-        back = QParam.from_delta(qp.delta)
-        assert abs(back.q - 0.5) <= 1e-14
+        assert abs(qp.delta - np.sqrt(qp.delta ** 2 - 1.0) - 0.5) <= 1e-14
 
     def test_invalid(self):
         for bad in (0.0, 1.0, 1.5, -0.3):
             with pytest.raises(ValueError):
                 QParam(bad)
-        with pytest.raises(ValueError):
-            QParam.from_delta(1.0)
 
 
 class TestGenerators:
@@ -149,7 +146,7 @@ def svd_sector_minima(L, qp):
     gen = suq2_generators(L, qp)
     blocks = s3_blocks(shape)
     out = {}
-    for S, d in sector_labels(shape, blocks).items():
+    for S, d in sector_labels(shape).items():
         cols = blocks[S]
         rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
         kern = kernel_basis(gen.sqplus.matrix[rows][:, cols])

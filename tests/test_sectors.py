@@ -8,7 +8,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
-from reference import build_xxz_chain, casimir_sector_energies, highest_weight_space
+from reference import (build_xxz_chain, casimir_sector_energies, highest_weight_space,
+                       kron_embed)
 
 import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
@@ -24,6 +25,7 @@ from foelab.linalg import max_abs
 from foelab.sectors import (
     SectorEntry,
     SectorReport,
+    _s3_sorted,
     _sector_spectrum,
     check_foel,
     check_max_ordering,
@@ -38,6 +40,7 @@ from foelab.spinops import (
     HilbertShape,
     RealOperator,
     TotalSpinOps,
+    spin_matrices,
     total_spin_ops,
 )
 
@@ -165,10 +168,43 @@ class TestSectorEnergies:
             v = highest_weight_space(shape, S, tot, blocks)
             hs = v.T @ (h.matrix @ v)
             w_sector = np.linalg.eigvalsh(0.5 * (hs + hs.T))
-            w_block = np.linalg.eigvalsh(h.sub(blocks[S]))
+            w_block = np.linalg.eigvalsh(h.matrix[blocks[S]][:, blocks[S]].toarray())
             # every sector eigenvalue appears in the block spectrum
             for e in w_sector:
                 assert np.min(np.abs(w_block - e)) <= 1e-8
+
+
+class TestInvarianceAndCounts:
+    """The invariance check and the label counts of the S^3-sorted route."""
+
+    @staticmethod
+    def transverse_chain():
+        """Spin-1/2 chain plus a one-site transverse field (S+ + S-)/2 on
+        site 1: real, SU(2)-breaking, and not S^3-conserving."""
+        chain = ChainSpec([HalfInt(1)] * 3, [1.0, 0.5])
+        ops = spin_matrices(HalfInt(1))
+        field = kron_embed(chain.shape, {1: 0.5 * (ops.splus + ops.sminus)})
+        return RealOperator(build_normalized_chain(chain).matrix + 0.3 * field), chain.shape
+
+    @pytest.mark.parametrize("solve", [sector_energies, full_spectrum_by_s3,
+                                       lambda h, shape: low_energy_by_deviation(h, shape, 0)],
+                             ids=["sector_energies", "full_spectrum_by_s3",
+                                  "low_energy_by_deviation"])
+    def test_transverse_field_breaks_s3(self, solve):
+        h, shape = self.transverse_chain()
+        with pytest.raises(NonInvariantOperatorError, match=r"\[H, S3\]"):
+            solve(h, shape)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(twice=st.lists(st.integers(0, 4), max_size=6))
+    def test_labels_are_block_size_differences(self, twice):
+        shape = HilbertShape([HalfInt(t) for t in twice])
+        sizes = {m.twice: len(idx) for m, idx in s3_blocks(shape).items()}
+        diffs = {HalfInt(tm): n - sizes.get(tm + 2, 0) for tm, n in sizes.items() if tm >= 0}
+        expected = {s: d for s, d in diffs.items() if d > 0}
+        labels = sector_labels(shape)
+        assert labels == expected
+        assert list(labels) == sorted(expected, reverse=True)
 
 
 class TestWrongRaisingOperator:
@@ -178,8 +214,7 @@ class TestWrongRaisingOperator:
     @staticmethod
     def broken_ops():
         tot = total_spin_ops(TWO_HALVES)
-        zero = RealOperator(sp.csr_matrix((4, 4)))
-        return TotalSpinOps(s3tot=tot.s3tot, sptot=zero, smtot=zero)
+        return TotalSpinOps(s3tot=tot.s3tot, sptot=RealOperator(sp.csr_matrix((4, 4))))
 
     def test_svd_route_checks_kernel_dimension(self):
         with pytest.raises(NumericalError):
@@ -187,8 +222,9 @@ class TestWrongRaisingOperator:
 
     def test_penalty_certificate_fails(self):
         h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
+        h_sorted, _, blocks = _s3_sorted(h, TWO_HALVES)
         with pytest.raises(NumericalError):
-            _sector_spectrum(h, self.broken_ops(), s3_blocks(TWO_HALVES), HalfInt(0), 1)
+            _sector_spectrum(h_sorted, sp.csr_matrix((4, 4)), blocks, HalfInt(0), 1)
 
 
 CROSS_ROUTE_MAX_DIM = 512
@@ -301,9 +337,9 @@ class TestSparseRoute:
         calls = []
         real = sectors._sector_extremes
 
-        def spy(H, total_ops, blocks, S):
-            calls.append(len(blocks[S]))
-            return real(H, total_ops, blocks, S)
+        def spy(h, raising, blocks, S):
+            calls.append(blocks[S].stop - blocks[S].start)
+            return real(h, raising, blocks, S)
 
         with mock.patch.object(sectors, "_sector_extremes", spy):
             rep = sector_energies(h, chain.shape)

@@ -482,13 +482,18 @@ class TestSparseBuilder:
     @settings(max_examples=30, database=None, deadline=None)
     @given(tl_inputs())
     def test_represents_the_operator(self, inputs):
-        """H V = V A: V has the expanded basis diagrams as columns."""
+        """H V = V A: V has the expanded basis diagrams as columns.
+
+        Subnormal products round in absolute steps of the smallest
+        subnormal, one per product, and each entry sums at most k of them
+        on either side; the bound adds that floor to the relative one."""
         k, n, q, js = inputs
         tl = tl_hamiltonian_matrix(k, n, js, q)
         v = np.column_stack([expand_diagram_to_tensor(k, arcs, q)
                              for arcs in enumerate_arc_diagrams(k, n)])
         hv, va = tl_operator(k, js, q) @ v, v @ tl.A
-        assert np.abs(hv - va).max() <= 1e-12 * max(np.abs(hv).max(), np.abs(va).max())
+        floor = 4 * k * np.finfo(float).smallest_subnormal
+        assert np.abs(hv - va).max() <= 1e-12 * max(np.abs(hv).max(), np.abs(va).max()) + floor
 
     @settings(max_examples=30, database=None, deadline=None)
     @given(tl_inputs())
