@@ -3,9 +3,11 @@
 Sector energies E(H,S) are the spectrum of H on the highest-weight space
 V^(S) = ker(S+) within the S^3 = S block; the label set and dim V^(S) come
 from S^3 block-count differences, counted from the site spins without the
-product space.  Each call permutes H and S+ into S^3 order once, checks
-their commutators there, and reads every M block as a contiguous slice of
-that sorted copy.  The solve extracts no kernel.  On the
+product space.  Each call relabels the indices of H and S+ into S^3 order
+once, checks [H, S3] from H's stored entries and [H, S+] as a sparse
+commutator, and reads every M block as a contiguous range of that sorted
+copy's CSR arrays, with no scipy indexing and no sparse object per dense
+block.  The solve extracts no kernel.  On the
 M = S block, B^T B = S-S+ (B = S+ from M = S to M = S+1) commutes with H, is
 0 on V^(S) and S'(S'+1) - S(S+1) >= 2S+2 on every multiplet S' > S.  With
 g_lo, g_hi the Gershgorin bounds of H_MM and c = (g_hi - g_lo + 1)/(2S+2),
@@ -16,12 +18,16 @@ eigenvalue is the sector maximum.
 
 Blocks below SECTOR_SPARSE_MIN_DIM are solved densely: one ``eigvalsh``,
 certified by isolation (d-th eigenvalue <= g_hi, next one >= g_hi + 1).
-Larger blocks need only the two extremes, from Lanczos ``eigsh`` on
-H_MM +- c B^T B applied as sparse products; each Ritz pair is certified by
-its residual, by ||B v|| ~ 0 (v is a highest-weight vector) and by
-min <= g_hi, max >= g_lo.  A failed certificate or ARPACK non-convergence
-raises NumericalError.  Both routes check a memory estimate before they
-assemble the block.
+They are the top blocks (block sizes grow from M = S_max down to 0), so
+one sparse product R^T R, R the rows of S+ above the lowest of them, holds
+S-S+ on all of them.  Larger blocks need only the two extremes, from
+Lanczos ``eigsh`` on H_MM +- c B^T B applied as sparse products.  There
+S+ is certified first (it raises M by one and [S+, S-] = 2 S3 on a random
+vector of the M = S + 1 block), then each Ritz pair by its residual, by
+||B v|| ~ 0 (v is a highest-weight vector) and by min <= g_hi,
+max >= g_lo.  A failed certificate or ARPACK non-convergence raises
+NumericalError.  Both routes check a memory estimate before they assemble
+the block.
 
 The q-deformed sectors avoid the penalty, because (S+_q)^T S+_q has a
 condition number growing like q^-L, which would drown the penalty gap in
@@ -77,10 +83,11 @@ INVARIANCE_TOL = 1e-10
 # Dense m x m float64 arrays estimated per block solve (tracemalloc peak: ~3)
 DENSE_BLOCK_ARRAYS = 4
 # Lanczos ``eigsh`` for both extremes beats the dense ``eigvalsh`` from about
-# this S^3 block dimension.  Best of 5, 2-vCPU x86 VM, sparse vs dense:
-# 0.051 vs 0.052 s at m = 792, 0.066 vs 0.070 s at m = 924 (random J),
-# 0.074 vs 0.078 s at m = 1016 (spin 1), 0.069 vs 0.17 s at m = 1287,
-# 0.11 vs 0.36 s at m = 1716.
+# this S^3 block dimension.  Best of 5, 2 BLAS threads, 2-vCPU x86 VM,
+# sparse vs dense (the dense time includes the S-S+ product down to the
+# block): 0.050 vs 0.046 s at m = 792, 0.061 vs 0.067 s at m = 924 (random
+# J), 0.071 vs 0.081 s at m = 1016 (spin 1), 0.070 vs 0.17 s at m = 1287,
+# 0.084 vs 0.33 s at m = 1716.
 SECTOR_SPARSE_MIN_DIM = 1000
 # Sparse-route memory estimate: bytes per stored entry of the H_MM and S+
 # blocks (values and indices of the row slice, the block and B^T) and the
@@ -164,45 +171,101 @@ def sector_labels(shape):
 
 
 def _s3_sorted(H, shape, su2=True):
-    """(h, raising, blocks): H and S+ permuted into S^3 order once, and the
-    slice of each M block in it.
+    """(h, raising, blocks): H and, with su2, S+ relabelled into S^3 order
+    once (raising is None without su2), and the slice of each M block in it.
 
     The order is the concatenated ``s3_blocks`` index arrays, so every
-    M block is contiguous, and with sorted indices ``h[s, s]`` stores its
-    entries as the product-order submatrix would.  A permutation leaves
-    every max |entry| unchanged, so [H, S3] (and with su2 [H, S+]) is
-    checked here against INVARIANCE_TOL max(1, max |H|), else
-    NonInvariantOperatorError.
+    M block is contiguous; ``_relabelled`` gives the CSR that
+    ``matrix[order][:, order]`` gives, with sorted indices.  [H, S3] is
+    max |H_ij| |m_i - m_j| over H's stored entries, and with su2 [H, S+]
+    is the chunked sparse commutator (a permutation leaves every max
+    |entry| unchanged); each is checked against INVARIANCE_TOL
+    max(1, max |H|), else NonInvariantOperatorError.  Entries of h off
+    the M blocks that pass the check are dropped before [H, S+] is formed,
+    so the rows of each M block store only its own columns.
     """
     index = s3_blocks(shape)
+    sizes = [len(idx) for idx in index.values()]
     order = np.concatenate(list(index.values()))
-    starts = np.cumsum([0] + [len(idx) for idx in index.values()]).tolist()
+    starts = np.cumsum([0] + sizes).tolist()
     blocks = {m: slice(a, b) for m, a, b in zip(index, starts, starts[1:])}
-    total_ops = total_spin_ops(shape)
-    h, s3, raising = (sp.csr_matrix(op.matrix)[order][:, order]
-                      for op in (H, total_ops.s3tot, total_ops.sptot))
-    h.sort_indices()
-    raising.sort_indices()
-    scale = max(1.0, max_abs(h))
-    for name, op in [("S3", s3)] + [("S+", raising)] * su2:
-        dz = commutator_maxabs(h, op)
-        if dz > INVARIANCE_TOL * scale:
-            raise NonInvariantOperatorError(f"[H, {name}] = {dz:.3e}")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    # S+ first: its assembly is the memory peak, best reached with one copy of H
+    raising = _relabelled(total_spin_ops(shape).sptot.matrix, order, inverse) if su2 else None
+    h = _relabelled(sp.csr_matrix(H.matrix), order, inverse)
+    tol = INVARIANCE_TOL * max(1.0, max_abs(h))
+    twice_m = np.repeat([m.twice for m in index], sizes)
+    dm = np.abs(np.repeat(twice_m, np.diff(h.indptr)) - twice_m[h.indices])
+    off = np.flatnonzero(dm)
+    if off.size:
+        dz = float(np.max(np.abs(h.data[off]) * dm[off])) / 2
+        if dz > tol:
+            raise NonInvariantOperatorError(f"[H, S3] = {dz:.3e}")
+        h.data[off] = 0.0
+        h.eliminate_zeros()
+    del dm
+    if su2:
+        dz = commutator_maxabs(h, raising)
+        if dz > tol:
+            raise NonInvariantOperatorError(f"[H, S+] = {dz:.3e}")
     return h, raising, blocks
 
 
-def _sector_spectrum(h, raising, blocks, S, d):
+def _relabelled(a, order, inverse):
+    """CSR a[order][:, order] with sorted indices, gathered from a's arrays
+    (``inverse`` is the inverse permutation of ``order``)."""
+    counts = np.diff(a.indptr)[order]
+    indptr = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    pos = np.arange(indptr[-1])
+    pos += np.repeat(a.indptr[order] - indptr[:-1], counts)
+    out = sp.csr_matrix((a.data[pos], inverse[a.indices[pos]], indptr), shape=a.shape)
+    out.sort_indices()
+    return out
+
+
+def _dense_block(a, s):
+    """The (s, s) block of the CSR ``a`` as an array, read from its arrays;
+    the rows s of ``a`` store only columns in s."""
+    m = s.stop - s.start
+    lo, hi = a.indptr[s.start], a.indptr[s.stop]
+    out = np.zeros((m, m))
+    out[np.repeat(np.arange(m), np.diff(a.indptr[s.start:s.stop + 1])),
+        a.indices[lo:hi] - s.start] = a.data[lo:hi]
+    return out
+
+
+def _block_csr(a, rows, cols):
+    """CSR of a[rows, cols], sliced from the arrays of the CSR ``a``, whose
+    rows ``rows`` store only columns in ``cols``."""
+    lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
+    return sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi] - cols.start,
+                          a.indptr[rows.start:rows.stop + 1] - lo),
+                         shape=(rows.stop - rows.start, cols.stop - cols.start))
+
+
+def _sminus_splus(raising, blocks, S):
+    """S-S+ = R^T R as one sparse product, with R the rows of S+ above the
+    M = S block: its M blocks for M >= S are those of S-S+, and it has no
+    entries below them."""
+    r = _block_csr(raising, slice(0, blocks[S].start), slice(0, raising.shape[1]))
+    return r.T.tocsr() @ r
+
+
+def _sector_spectrum(h, sms, blocks, S, d):
     """The d eigenvalues of H on V^(S), ascending: the certified penalized
-    solve on the M = S block described in the module docstring."""
+    solve on the M = S block described in the module docstring, with the
+    blocks of H and of S-S+ (``sms``, from ``_sminus_splus``) read from
+    their CSR arrays."""
     s = blocks[S]
     m = s.stop - s.start
     require_memory(DENSE_BLOCK_ARRAYS * 8 * m ** 2, _physical_memory_bytes(),
                    f"the dense S={S} block of dimension {m}")
-    b = raising[blocks.get(S + HalfInt(2), slice(0, 0)), s]  # no rows above the top
-    hb = h[s, s].toarray()
+    hb = _dense_block(h, s)
     diag = np.diag(hb)
     g_lo, g_hi, c, slack = _penalty(diag, np.abs(hb).sum(axis=1) - np.abs(diag), S)
-    w = la.eigvalsh(hb + c * (b.T @ b).toarray())
+    w = la.eigvalsh(hb + c * _dense_block(sms, s))
     if w[d - 1] > g_hi + slack or (len(w) > d and w[d] < g_hi + 1.0 - slack):
         raise NumericalError(f"penalized solve at S={S} does not isolate {d} levels")
     return w[:d]
@@ -216,14 +279,29 @@ def _penalty(diag, radius, S):
     return g_lo, g_hi, c, 1e-9 * max(1.0, abs(g_lo), abs(g_hi))
 
 
+def _raising_block(raising, blocks, M):
+    """B: the S+ block from M to M + 1 (0 x dim when M is the top), checked
+    from its stored entries to raise S^3 by exactly one, else NumericalError."""
+    s, r = blocks[M], blocks.get(M + HalfInt(2), slice(0, 0))
+    cols = raising.indices[raising.indptr[r.start]:raising.indptr[r.stop]]
+    if cols.size and (cols.min() < s.start or cols.max() >= s.stop):
+        raise NumericalError(f"S+ does not map the M={M} block to M={M + HalfInt(2)}")
+    return _block_csr(raising, r, s)
+
+
 def _sector_extremes(h, raising, blocks, S):
     """(min, max) of H on V^(S) by Lanczos, without a dense block.
 
     The lowest eigenvalue of H_MM + c B^T B and the highest of
     H_MM - c B^T B (module docstring), each from ``eigsh`` with k = 1, a
     fixed random start vector and tol = 0, applied as H_MM x +- c B^T (B x)
-    so B^T B is never formed.  Certified, else NumericalError: each Ritz
-    pair (theta, v) has ||H_MM v - theta v|| and ||B v|| at most
+    so B^T B is never formed.  S+ is certified first: B and B' (from
+    M = S + 1 to S + 2) raise S^3 by one, and on a seeded random x in the
+    M = S + 1 block ||B B^T x - B'^T B' x - (2S + 2) x|| is at most
+    INVARIANCE_TOL S_max (S_max + 1) ||x||, i.e. [S+, S-] = 2 S3 there.
+    Then B B^T >= 2S + 2, so dim ker B = d and every other multiplet of
+    B^T B sits at 2S + 2 or above.  Each Ritz pair (theta, v) is certified
+    too, else NumericalError: ||H_MM v - theta v|| and ||B v|| at most
     RESIDUAL_TOL max(1, |g_lo|, |g_hi|) ||v||, min <= g_hi and max >= g_lo.
     """
     s, r = blocks[S], blocks.get(S + HalfInt(2), slice(0, 0))
@@ -233,9 +311,17 @@ def _sector_extremes(h, raising, blocks, S):
               + raising.indptr[r.stop] - raising.indptr[r.start])
     require_memory(SPARSE_BYTES_PER_ENTRY * nnz + LANCZOS_VECTORS * 8 * m,
                    _physical_memory_bytes(), f"the sparse S={S} block of dimension {m}")
-    hb = h[s, s]
-    b = raising[r, s]
+    b = _raising_block(raising, blocks, S)
     bt = b.T.tocsr()
+    if b.shape[0]:
+        b2 = _raising_block(raising, blocks, S + HalfInt(2))
+        x = np.random.default_rng(0).standard_normal(b.shape[0])
+        top = next(iter(blocks)).value
+        dev = float(np.linalg.norm(b @ (bt @ x) - b2.T @ (b2 @ x) - (S.twice + 2) * x))
+        if dev > INVARIANCE_TOL * max(1.0, top * (top + 1)) * np.linalg.norm(x):
+            raise NumericalError(f"S+ is not a raising operator at M={S + HalfInt(2)}: "
+                                 f"||([S+, S-] - 2 S3) x|| = {dev:.3e}")
+    hb = _block_csr(h, s, s)
     diag = hb.diagonal()
     g_lo, g_hi, c, slack = _penalty(diag, abs(hb) @ np.ones(m) - np.abs(diag), S)
     bound = RESIDUAL_TOL * max(1.0, abs(g_lo), abs(g_hi))
@@ -271,13 +357,19 @@ def sector_energies(H, shape):
     NonInvariantOperatorError otherwise).
     """
     h, raising, blocks = _s3_sorted(H, shape)
+    labels = sector_labels(shape)
+    # eigsh needs k < m; block sizes grow from the top down to M = 0, so the
+    # dense blocks are the top ones and one S-S+ product serves them all
+    dense = [S for S in labels
+             if blocks[S].stop - blocks[S].start < max(SECTOR_SPARSE_MIN_DIM, 2)]
+    sms = _sminus_splus(raising, blocks, min(dense)) if dense else None
     entries = {}
-    for S, d in sector_labels(shape).items():
-        if blocks[S].stop - blocks[S].start >= max(SECTOR_SPARSE_MIN_DIM, 2):  # eigsh needs k < m
-            lo, hi = _sector_extremes(h, raising, blocks, S)
-        else:
-            w = _sector_spectrum(h, raising, blocks, S, d)
+    for S, d in labels.items():
+        if S in dense:
+            w = _sector_spectrum(h, sms, blocks, S, d)
             lo, hi = w[0], w[-1]
+        else:
+            lo, hi = _sector_extremes(h, raising, blocks, S)
         entries[S] = SectorEntry(float(lo), float(hi), d)
     return SectorReport(entries=entries)
 
@@ -327,7 +419,7 @@ def full_spectrum_by_s3(H, shape, offset=False):
     With offset=True the ground energy is shifted to exactly 0.
     """
     h, _, blocks = _s3_sorted(H, shape, su2=False)
-    out = [(m, eigvalsh_full(h[s, s])) for m, s in blocks.items()]
+    out = [(m, eigvalsh_full(_dense_block(h, s))) for m, s in blocks.items()]
     if offset:
         e0 = min(w[0] for _, w in out)
         out = [(m, w - e0) for m, w in out]
@@ -350,10 +442,11 @@ def low_energy_by_deviation(H, shape, N):
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
     tol = 1e-9 * max(1.0, max_abs(H.matrix))
+    sms = _sminus_splus(raising, blocks, labels[N])
     collected = []
     cutoff = None
     for S in labels[: N + 1]:
-        w = _sector_spectrum(h, raising, blocks, S, dims[S])
+        w = _sector_spectrum(h, sms, blocks, S, dims[S])
         if S == labels[N]:
             cutoff = float(w[0])
         collected.extend((float(e), S.twice + 1) for e in w)

@@ -13,6 +13,11 @@ into one vector in term order, which rounds exactly like adding the
 embedded terms one after another; off-diagonal entries of one-site and
 S^3-conserving two-site terms change every digit they act on, so terms on
 different sites never share a position.  Exact zeros are dropped.
+
+The total-spin operators are S^+ (``total_spin_ops``; S^- is its
+transpose) and S^3, which is diagonal and read from ``HilbertShape.total_m``
+without a matrix.  ``spin_matrices`` and the ``heisenberg_bond`` matrix are
+cached per spin, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -172,8 +177,13 @@ class HilbertShape:
         return f"HilbertShape({list(self.spins)!r})"
 
 
+@functools.lru_cache(maxsize=64)
 def spin_matrices(s):
-    """Standard spin-s matrices sz, s+, s- via the ladder-operator formula."""
+    """Standard spin-s matrices sz, s+, s- via the ladder-operator formula.
+
+    Cached per spin; the arrays are read-only, so no caller can change
+    the cached copy.
+    """
     s = HalfInt.coerce(s)
     if s.twice < 0:
         raise ValueError("spin must be >= 0")
@@ -184,7 +194,10 @@ def spin_matrices(s):
     for i in range(d - 1):
         m = sval - i - 1  # <m+1| S+ |m>
         splus[i, i + 1] = np.sqrt(sval * (sval + 1) - m * (m + 1))
-    return LocalSpinOps(s=s, sz=sz, splus=splus, sminus=splus.T.copy())
+    ops = LocalSpinOps(s=s, sz=sz, splus=splus, sminus=splus.T.copy())
+    for a in (ops.sz, ops.splus, ops.sminus):
+        a.flags.writeable = False
+    return ops
 
 
 def _local_sum(shape, terms):
@@ -222,28 +235,28 @@ def _local_sum(shape, terms):
 
 @dataclass(frozen=True)
 class TotalSpinOps:
-    s3tot: RealOperator
     sptot: RealOperator
 
 
 def total_spin_ops(shape):
-    """Total S^3 and S^+ as sums of one-site operators (S^- is S^+ transposed)."""
-    s3 = sp.diags(shape.total_m(), format="csr")
-    s3.eliminate_zeros()
-    splus = _local_sum(shape, [((x,), spin_matrices(s).splus)
-                               for x, s in enumerate(shape.spins)])
-    return TotalSpinOps(
-        s3tot=RealOperator(s3),
-        sptot=RealOperator(splus),
-    )
+    """Total S^+ as a sum of one-site operators.  S^- is its transpose and
+    S^3 is diagonal, read from ``HilbertShape.total_m``."""
+    return TotalSpinOps(sptot=RealOperator(_local_sum(
+        shape, [((x,), spin_matrices(s).splus) for x, s in enumerate(shape.spins)])))
 
 
 def heisenberg_bond(s1, s2):
-    """S.S on two sites, built as sz*sz + (s+ s- + s- s+)/2."""
+    """S.S on two sites, built as sz*sz + (s+ s- + s- s+)/2 (cached, read-only)."""
+    return RealOperator(_bond_matrix(HalfInt.coerce(s1), HalfInt.coerce(s2)))
+
+
+@functools.lru_cache(maxsize=64)
+def _bond_matrix(s1, s2):
     a, b = spin_matrices(s1), spin_matrices(s2)
     m = (
         np.kron(a.sz, b.sz)
         + 0.5 * np.kron(a.splus, b.sminus)
         + 0.5 * np.kron(a.sminus, b.splus)
     )
-    return RealOperator(m)
+    m.flags.writeable = False
+    return m

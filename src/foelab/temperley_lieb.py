@@ -290,9 +290,10 @@ PERRON_SPARSE_MIN_DIM = 100
 # Most Jacobi sweeps spent narrowing a bracket that comes out too wide.
 PERRON_REFINE_SWEEPS = 30
 
-# Ulps of the bracket's end by which the solver's root may fall outside it.
-# A root from eig or Arnoldi carries its own rounding; on every TL matrix
-# with k <= 14 at q = 0.03 ... 1 it fell outside by at most one ulp.
+# Ulps of max(1, ||A||_inf) (multiples of eps times it) by which the
+# solver's root may fall outside its bracket.  eig and Arnoldi return a
+# root only to about eps ||A||_inf, not to ulps of the root itself, which
+# can be far smaller (couplings 6e-8 ... 0.6 give a root of 1.2e-7).
 PERRON_BRACKET_ULPS = 4
 
 # Largest max(J)/min(J) of a chain that ``foel`` solves in the diagram basis.
@@ -432,15 +433,15 @@ def perron_ground_vector(A):
     1e-9 ||A||_inf ||v||, no entry of v below -1e-10 times the largest (a
     vector of both signs belongs to another eigenvalue), and a
     Collatz-Wielandt bracket at most 1e-9 max(1, ||A||_inf) wide that holds
-    the solver's eigenvalue to PERRON_BRACKET_ULPS ulps.  The bracket comes
-    from v clamped to positive values and sharpened, which must stay
-    strictly positive: entries that span more than 1e10, or that rounding
-    left a hair below zero, are the solver's noise, and the sweeps rebuild
-    them.  Perron-Frobenius makes the root simple and its vector the only
+    the solver's eigenvalue to PERRON_BRACKET_ULPS eps max(1, ||A||_inf).
+    The bracket comes from v clamped to positive values and sharpened,
+    which must stay strictly positive: entries that span more than 1e10,
+    or that rounding left a hair below zero, are the solver's noise, and
+    the sweeps rebuild them.  Perron-Frobenius makes the root simple and its vector the only
     positive one, so a positive vector with a tight bracket is the
     certificate.
     The returned eigenvalue is the solver's; when its rounding put it
-    those few ulps outside, the bracket is widened to take it in (a wider
+    that little outside, the bracket is widened to take it in (a wider
     enclosure of the root is still one).  Every check reads the CSR
     matrix; only the dense route forms an m x m array.
     """
@@ -462,7 +463,7 @@ def perron_ground_vector(A):
         raise NumericalError("ground vector is not strictly positive")
     tol = 1e-9 * scale
     v, (lo, hi) = _sharpen(a, np.maximum(v, _TINY), lam, tol)
-    slack = PERRON_BRACKET_ULPS * np.spacing(max(abs(lo), abs(hi)))
+    slack = PERRON_BRACKET_ULPS * np.finfo(float).eps * scale
     if not lo - slack <= lam <= hi + slack:
         raise NumericalError(f"eigenvalue {lam!r} outside the "
                              f"Collatz-Wielandt bracket [{lo!r}, {hi!r}]")

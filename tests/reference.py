@@ -71,10 +71,14 @@ def highest_weight_space(shape, S, total_ops=None, blocks=None):
     return vectors
 
 
+def total_s3(shape):
+    """Total S^3, the diagonal of ``HilbertShape.total_m``, as a CSR matrix."""
+    return sp.diags(shape.total_m(), format="csr")
+
+
 def casimir(shape):
     """Total-spin Casimir S3^2 + (S+S- + S-S+)/2; eigenvalues S(S+1)."""
-    tot = total_spin_ops(shape)
-    s3, spl = tot.s3tot.matrix, tot.sptot.matrix
+    s3, spl = total_s3(shape), total_spin_ops(shape).sptot.matrix
     smn = spl.T.tocsr()
     c = s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
     return RealOperator(c)

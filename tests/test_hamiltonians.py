@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from reference import (BondPolynomial, build_general_bond_chain, build_xxz_chain, casimir,
-                       xxz_bond, xxz_boundary_coeff)
+                       total_s3, xxz_bond, xxz_boundary_coeff)
 
 from foelab.errors import GraphSpecError
 from foelab.hamiltonians import (
@@ -179,9 +179,9 @@ class TestGeneralBondChain:
     def test_commutes_with_totals(self):
         polys = [BondPolynomial((0.3, -1.0, 0.2))]
         h = build_general_bond_chain([HalfInt(2), HalfInt(2)], [1.0], polys)
-        tot = total_spin_ops(HilbertShape([HalfInt(2)] * 2))
-        assert commutator_maxabs(h.matrix, tot.sptot.matrix) <= 1e-10
-        assert commutator_maxabs(h.matrix, tot.s3tot.matrix) <= 1e-10
+        shape = HilbertShape([HalfInt(2)] * 2)
+        assert commutator_maxabs(h.matrix, total_spin_ops(shape).sptot.matrix) <= 1e-10
+        assert commutator_maxabs(h.matrix, total_s3(shape)) <= 1e-10
 
 
 class TestGraphSpec:
@@ -227,9 +227,8 @@ class TestBuilderInvariance:
         rng = np.random.default_rng(seed)
         chain = random_chain(rng, max_sites=5, max_dim=300)
         h = build_normalized_chain(chain)
-        tot = total_spin_ops(chain.shape)
-        assert commutator_maxabs(h.matrix, tot.s3tot.matrix) <= 1e-10
-        assert commutator_maxabs(h.matrix, tot.sptot.matrix) <= 1e-10
+        assert commutator_maxabs(h.matrix, total_s3(chain.shape)) <= 1e-10
+        assert commutator_maxabs(h.matrix, total_spin_ops(chain.shape).sptot.matrix) <= 1e-10
 
     @pytest.mark.parametrize("kwargs", [
         {"max_sites": 1},
@@ -246,6 +245,6 @@ class TestBuilderInvariance:
 
     def test_xxz_commutes_with_s3_only(self):
         h = build_xxz_chain(4, 1.3)
-        tot = total_spin_ops(HilbertShape([HalfInt(1)] * 4))
-        assert commutator_maxabs(h.matrix, tot.s3tot.matrix) <= 1e-12
-        assert commutator_maxabs(h.matrix, tot.sptot.matrix) > 1e-3
+        shape = HilbertShape([HalfInt(1)] * 4)
+        assert commutator_maxabs(h.matrix, total_s3(shape)) <= 1e-12
+        assert commutator_maxabs(h.matrix, total_spin_ops(shape).sptot.matrix) > 1e-3

@@ -1,4 +1,6 @@
 import runpy
+import sys
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +11,7 @@ import scipy.sparse.linalg as sla
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 from reference import (build_xxz_chain, casimir_sector_energies, highest_weight_space,
-                       kron_embed)
+                       kron_embed, total_s3)
 
 import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
@@ -25,8 +27,10 @@ from foelab.linalg import max_abs
 from foelab.sectors import (
     SectorEntry,
     SectorReport,
+    _dense_block,
     _s3_sorted,
     _sector_spectrum,
+    _sminus_splus,
     check_foel,
     check_max_ordering,
     full_spectrum_by_s3,
@@ -100,7 +104,7 @@ class TestHighestWeightSpace:
             v = highest_weight_space(shape, S, tot)
             assert v.shape[1] == dim
             assert np.abs(tot.sptot.matrix @ v).max() <= 1e-10
-            assert np.abs(tot.s3tot.matrix @ v - S.value * v).max() <= 1e-10
+            assert np.abs(total_s3(shape) @ v - S.value * v).max() <= 1e-10
 
     def test_missing_label_raises(self):
         with pytest.raises(ValueError):
@@ -178,13 +182,14 @@ class TestInvarianceAndCounts:
     """The invariance check and the label counts of the S^3-sorted route."""
 
     @staticmethod
-    def transverse_chain():
+    def transverse_chain(strength=0.3):
         """Spin-1/2 chain plus a one-site transverse field (S+ + S-)/2 on
         site 1: real, SU(2)-breaking, and not S^3-conserving."""
         chain = ChainSpec([HalfInt(1)] * 3, [1.0, 0.5])
         ops = spin_matrices(HalfInt(1))
         field = kron_embed(chain.shape, {1: 0.5 * (ops.splus + ops.sminus)})
-        return RealOperator(build_normalized_chain(chain).matrix + 0.3 * field), chain.shape
+        return (RealOperator(build_normalized_chain(chain).matrix + strength * field),
+                chain.shape)
 
     @pytest.mark.parametrize("solve", [sector_energies, full_spectrum_by_s3,
                                        lambda h, shape: low_energy_by_deviation(h, shape, 0)],
@@ -194,6 +199,14 @@ class TestInvarianceAndCounts:
         h, shape = self.transverse_chain()
         with pytest.raises(NonInvariantOperatorError, match=r"\[H, S3\]"):
             solve(h, shape)
+
+    def test_field_below_the_tolerance_is_dropped(self):
+        # its entries lie off the S^3 blocks, which are read without them
+        (weak, shape), (h, _) = self.transverse_chain(1e-13), self.transverse_chain(0.0)
+        assert sector_energies(weak, shape) == sector_energies(h, shape)
+        for (m, w), (m0, w0) in zip(full_spectrum_by_s3(weak, shape),
+                                    full_spectrum_by_s3(h, shape), strict=True):
+            assert m == m0 and np.array_equal(w, w0)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(twice=st.lists(st.integers(0, 4), max_size=6))
@@ -213,8 +226,7 @@ class TestWrongRaisingOperator:
 
     @staticmethod
     def broken_ops():
-        tot = total_spin_ops(TWO_HALVES)
-        return TotalSpinOps(s3tot=tot.s3tot, sptot=RealOperator(sp.csr_matrix((4, 4))))
+        return TotalSpinOps(sptot=RealOperator(sp.csr_matrix((4, 4))))
 
     def test_svd_route_checks_kernel_dimension(self):
         with pytest.raises(NumericalError):
@@ -225,6 +237,24 @@ class TestWrongRaisingOperator:
         h_sorted, _, blocks = _s3_sorted(h, TWO_HALVES)
         with pytest.raises(NumericalError):
             _sector_spectrum(h_sorted, sp.csr_matrix((4, 4)), blocks, HalfInt(0), 1)
+
+    @pytest.mark.parametrize("twice", [[1, 1], [1, 2, 3, 2]])
+    @pytest.mark.parametrize("wrong", ["zero", "double", "plus_s3"])
+    def test_sparse_route_certifies_raising(self, twice, wrong):
+        # S+ = 0 gives the singlet no penalty, and every Ritz certificate
+        # passed with it; 2 S+ (wrong gap) and S+ + S3 (not raising M by
+        # one) commute with H as well
+        chain = ChainSpec([HalfInt(t) for t in twice], [1.0, 0.6, 1.4][:len(twice) - 1])
+        h, shape = build_normalized_chain(chain), chain.shape
+        splus = total_spin_ops(shape).sptot.matrix
+        op = {"zero": 0.0 * splus, "double": 2.0 * splus,
+              "plus_s3": splus + total_s3(shape)}[wrong]
+        with forced_route(2):
+            sector_energies(h, shape)  # the true S+ passes
+            with mock.patch.object(sectors, "total_spin_ops",
+                                   lambda shape: TotalSpinOps(sptot=RealOperator(op))), \
+                    pytest.raises(NumericalError, match="S\\+"):
+                sector_energies(h, shape)
 
 
 CROSS_ROUTE_MAX_DIM = 512
@@ -305,6 +335,69 @@ class TestCrossRoute:
     def test_beta_one_third_crossing_chain(self, L):
         shape = HilbertShape([HalfInt(2)] * L)
         assert_routes_agree(build_spin1_beta_chain(L, 1.0 / 3.0), shape)
+
+
+@st.composite
+def su2_operators(draw):
+    """(H, shape): a normalized mixed chain or a Heisenberg graph."""
+    if draw(st.booleans()):
+        g = draw(connected_graphs())
+        return build_heisenberg(g), g.shape
+    spins = draw(mixed_spins())
+    chain = ChainSpec(spins, draw(st.lists(couplings, min_size=len(spins) - 1,
+                                           max_size=len(spins) - 1)))
+    return build_normalized_chain(chain), chain.shape
+
+
+class TestS3SortedCopy:
+    """The relabelled copy and the block reads against scipy's indexing,
+    bit for bit: the solves see the same numbers as the indexed blocks."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(problem=su2_operators())
+    def test_same_bytes_as_fancy_indexing(self, problem):
+        H, shape = problem
+        h, raising, blocks = _s3_sorted(H, shape)
+        order = np.concatenate(list(s3_blocks(shape).values()))
+        for got, op in ((h, H.matrix), (raising, total_spin_ops(shape).sptot.matrix)):
+            ref = sp.csr_matrix(op)[order][:, order]
+            ref.sort_indices()
+            assert got.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+        # a CSR input whose rows store their entries in reverse gives the same copy
+        ip = H.matrix.indptr
+        rev = np.concatenate([np.arange(j - 1, i - 1, -1) for i, j in zip(ip[:-1], ip[1:])])
+        unsorted = sp.csr_matrix((H.matrix.data[rev], H.matrix.indices[rev], ip),
+                                 shape=H.matrix.shape)
+        assert _s3_sorted(RealOperator(unsorted), shape)[0].data.tobytes() == h.data.tobytes()
+        for s in blocks.values():
+            assert _dense_block(h, s).tobytes() == h[s, s].toarray().tobytes()
+        labels = sector_labels(shape)
+        sms = _sminus_splus(raising, blocks, min(labels))
+        for S in labels:
+            s = blocks[S]
+            b = raising[blocks.get(S + HalfInt(2), slice(0, 0)), s]
+            assert _dense_block(sms, s).tobytes() == (b.T @ b).toarray().tobytes()
+
+    def test_dense_route_indexes_no_sparse_block(self):
+        # every block of this 144-state chain takes the dense route; the
+        # only indexing left is the one row chunk of the [H, S+] commutator
+        chain = ChainSpec([HalfInt(t) for t in (1, 2, 3, 2, 1)], [1.0, 0.7, 1.3, 0.9])
+        callers = []
+
+        def spy(real):
+            def getitem(self, key):
+                callers.append(Path(sys._getframe(1).f_code.co_filename).name)
+                return real(self, key)
+            return getitem
+
+        with ExitStack() as stack:
+            for cls in (sp.csr_matrix, sp.csc_matrix):
+                stack.enter_context(mock.patch.object(cls, "__getitem__",
+                                                      spy(cls.__getitem__)))
+            sector_energies(build_normalized_chain(chain), chain.shape)
+        assert callers == ["linalg.py", "linalg.py"]
 
 
 REAL_EIGSH = sla.eigsh

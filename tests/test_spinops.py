@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import build_xxz_chain, casimir, kron_embed, xxz_bond
+from reference import build_xxz_chain, casimir, kron_embed, total_s3, xxz_bond
 
 from foelab.hamiltonians import (
     ChainSpec,
@@ -180,9 +180,8 @@ class TestLocalSum:
             ops = spin_matrices(s)
             s3 = s3 + kron_embed(shape, {x: ops.sz})
             splus = splus + kron_embed(shape, {x: ops.splus})
-        tot = total_spin_ops(shape)
-        assert_same_csr(tot.s3tot.matrix, s3)
-        assert_same_csr(tot.sptot.matrix, splus)
+        assert np.array_equal(s3.toarray(), np.diag(shape.total_m()))
+        assert_same_csr(total_spin_ops(shape).sptot.matrix, splus)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(spins=mixed_spins().filter(lambda s: len(s) >= 2), data=st.data())
@@ -245,17 +244,18 @@ class TestLocalSum:
 
 class TestTotalSpinOps:
     def test_s3_two_halves(self):
-        tot = total_spin_ops(HilbertShape([HalfInt(1), HalfInt(1)]))
-        assert np.allclose(tot.s3tot.dense(), np.diag([1.0, 0.0, 0.0, -1.0]))
+        assert np.array_equal(HilbertShape([HalfInt(1), HalfInt(1)]).total_m(),
+                              [1.0, 0.0, 0.0, -1.0])
 
     def test_single_site_is_local(self):
         tot = total_spin_ops(HilbertShape([HalfInt(1)]))
         assert np.allclose(tot.sptot.dense(), spin_matrices(HalfInt(1)).splus)
 
     def test_su2_commutator(self):
-        tot = total_spin_ops(HilbertShape([HalfInt(1), HalfInt(1)]))
+        shape = HilbertShape([HalfInt(1), HalfInt(1)])
+        tot = total_spin_ops(shape)
         lhs = comm(tot.sptot.dense(), tot.sptot.matrix.T.toarray())
-        assert np.allclose(lhs, 2 * tot.s3tot.dense(), atol=1e-12)
+        assert np.allclose(lhs, 2 * np.diag(shape.total_m()), atol=1e-12)
 
 
 def cg_multiplicities(spins):
@@ -306,8 +306,20 @@ class TestCasimir:
         shape = HilbertShape([HalfInt(t) for t in spins])
         c = casimir(shape).dense()
         tot = total_spin_ops(shape)
-        for op in (tot.s3tot.matrix, tot.sptot.matrix, tot.sptot.matrix.T):
+        for op in (total_s3(shape), tot.sptot.matrix, tot.sptot.matrix.T):
             assert np.abs(comm(c, op.toarray())).max() <= 1e-10
+
+
+class TestCachedMatrices:
+    def test_cached_arrays_are_read_only(self):
+        ops = spin_matrices(HalfInt(3))
+        assert spin_matrices(HalfInt(3)) is ops
+        bond = heisenberg_bond(HalfInt(3), HalfInt(2)).matrix
+        assert heisenberg_bond(HalfInt(3), HalfInt(2)).matrix is bond
+        for a in (ops.sz, ops.splus, ops.sminus, bond):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
 
 class TestHeisenbergBond:
@@ -339,6 +351,6 @@ class TestHeisenbergBond:
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
         bond = heisenberg_bond(HalfInt(1), HalfInt(2)).dense()
         tot = total_spin_ops(shape)
-        for op in (tot.s3tot.matrix, tot.sptot.matrix, tot.sptot.matrix.T):
+        for op in (total_s3(shape), tot.sptot.matrix, tot.sptot.matrix.T):
             assert np.abs(comm(bond, op.toarray())).max() <= 1e-12
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (build_xxz_chain, highest_weight_space, kernel_basis,
-                       min_spec_comparison, suq2_generators)
+                       min_spec_comparison, suq2_generators, total_s3)
 
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
@@ -558,6 +558,19 @@ class TestDiagramSectorEnergies:
             assert lo <= got.min_energy <= hi
             assert e.bracket is None
 
+    def test_root_far_below_the_norm_is_certified(self):
+        # couplings spanning 1e7 put the S = 3/2 root at 1.2e-7, far below
+        # ||A||_inf; the solver returns it only to about eps ||A||_inf, which
+        # a slack in ulps of the root itself refused
+        js = [5.960464477539063e-08, 0.25, 0.6142023984502939, 5.960464477539063e-08]
+        report = tlmod.diagram_sector_energies(js)
+        for s, e in report.entries.items():
+            a = tl_hamiltonian_matrix(len(js) + 1, (len(js) + 1 - s.twice) // 2, js, 1.0)
+            lo, hi = e.bracket
+            assert lo <= e.min_energy <= hi
+            assert hi - lo <= 1e-9 * max(1.0, abs(a.matrix).sum(axis=1).max())
+        assert report.entries[HalfInt(3)].bracket[0] == pytest.approx(1.192e-7, rel=1e-3)
+
     def test_one_site(self):
         report = tlmod.diagram_sector_energies([])
         assert report.entries == {HalfInt(1): SectorEntry(0.0, 0.0, 1, (0.0, 0.0))}
@@ -802,7 +815,7 @@ class TestFKBasis:
             if basis:
                 v = np.column_stack([b.expanded for b in basis])
                 assert np.abs(tot.sptot.matrix @ v).max() <= 1e-10
-                assert np.abs(tot.s3tot.matrix @ v - S.value * v).max() <= 1e-10
+                assert np.abs(total_s3(shape) @ v - S.value * v).max() <= 1e-10
                 assert np.linalg.matrix_rank(v.T @ v) == dim
 
     def test_invalid_label_rejected(self):
