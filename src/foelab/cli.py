@@ -161,13 +161,16 @@ def _model(args):
     return build_normalized_chain(chain), chain.shape
 
 
-def _reject_unused_flags(args):
-    """Usage error for a flag given without any input it applies to."""
+def _model_usage(args):
+    """Usage error of foel or spectrum that no single flag shows, or None."""
     given = {dest for dest, value in vars(args).items() if value is not None}
     for dest, inputs in _FLAG_INPUTS.items():
         if dest in given and given.isdisjoint(inputs):
             flags = ["--" + d.replace("_", "-") for d in (dest,) + inputs]
-            raise ValueError(f"{flags[0]} applies only with {' or '.join(flags[1:])}")
+            return f"{flags[0]} applies only with {' or '.join(flags[1:])}"
+    if args.J is not None and len(args.J) != len(args.chain) - 1:
+        return f"--J gives {len(args.J)} couplings; --chain needs {len(args.chain) - 1}"
+    return None
 
 
 def _load_graph(path):
@@ -190,7 +193,6 @@ def _out(args, name):
 
 
 def cmd_spectrum(args):
-    _reject_unused_flags(args)
     h, shape = _model(args)
     spec = full_spectrum_by_s3(h, shape, offset=args.offset)
     write_csv(_out(args, "spectrum.csv"), ("M_times2", "energy"),
@@ -205,7 +207,6 @@ def cmd_spectrum(args):
 
 
 def cmd_foel(args):
-    _reject_unused_flags(args)
     if args.spin1_beta is not None:
         return _foel_beta_sweep(args)
     if args.random_trials is not None:
@@ -437,6 +438,7 @@ def cmd_spinmap(args):
               result.sector_rows)
     write_json(_out(args, "spinmap.json"), {
         "max_entry_deviation": result.max_deviation,
+        "eigenvalue_bound": result.eigenvalue_bound,
         "ok": result.ok,
     })
     return EXIT_OK if result.ok else EXIT_VIOLATION
@@ -569,7 +571,8 @@ def main(argv=None):
     parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
-        check = {"tl-matrix": _tl_matrix_usage, "droplet": _droplet_usage}.get(args.command)
+        check = {"tl-matrix": _tl_matrix_usage, "droplet": _droplet_usage,
+                 "foel": _model_usage, "spectrum": _model_usage}.get(args.command)
         problem = check and check(args)
         if problem:
             parser.error(f"{args.command}: {problem}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphSpecError
 from .spinops import (
@@ -79,20 +81,10 @@ class SpinGraph:
         return HilbertShape([s for _, s in self.sites])
 
     def is_connected(self):
-        if self.nsites == 0:
-            return True
-        adj = {i: [] for i, _ in self.sites}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        start = self.sites[0][0]
-        seen, stack = {start}, [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.nsites
+        ends = np.array([(self._index[u], self._index[v]) for u, v, _ in self.edges],
+                        dtype=np.int64).reshape(-1, 2)
+        adj = sp.csr_matrix((np.ones(len(ends)), tuple(ends.T)), shape=(self.nsites,) * 2)
+        return self.nsites < 2 or connected_components(adj, directed=False)[0] == 1
 
     @classmethod
     def path(cls, spins, couplings):

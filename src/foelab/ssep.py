@@ -9,7 +9,8 @@ bit-vector, vertex i contributing bit i.
 
 Everything is sparse: a sector generator is one CSR matrix assembled from
 per-edge index arrays, and the spin map compares the 2^N-dimensional
-generator with the Heisenberg matrix as sparse matrices.
+generator with the Heisenberg matrix as sparse matrices; each spin-map
+sector is solved once, as the generator (see ``verify_spin_map``).
 
 Sector N - n is sector n under the complement map eta -> ~eta (the same
 matrix with its index order reversed), so the gap tables solve n <= N/2
@@ -39,7 +40,6 @@ from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
 from .linalg import eigvalsh_full, max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
-from .sectors import s3_blocks
 from .spinops import HalfInt, RealOperator
 
 __all__ = [
@@ -139,7 +139,7 @@ def ssep_generator(g: SpinGraph, rates=None, n=1):
 
 
 def _certified_gap(a):
-    """Certified smallest positive eigenvalue of a generator-like matrix.
+    """Certified smallest positive eigenpair (theta, v) of a generator-like matrix.
 
     a must be a sparse symmetric matrix with nonpositive off-diagonal entries
     and zero row sums (a weighted graph Laplacian): the uniform vector 1 is
@@ -197,7 +197,7 @@ def _certified_gap(a):
     if overlap > RESIDUAL_TOL * np.sqrt(m) * norm_v or theta <= ZERO_MODE_TOL:
         raise NumericalError(f"gap eigenpair (theta = {theta:.3e}, overlap "
                              f"{overlap:.3e} with the uniform vector) is the zero mode")
-    return theta
+    return theta, v
 
 
 def spectral_gap(gen: SSEPGenerator):
@@ -206,7 +206,7 @@ def spectral_gap(gen: SSEPGenerator):
     The zero eigenvalue must be simple (uniform measure on a connected
     graph); otherwise a diagnostic error is raised.
     """
-    return _certified_gap(gen.L.matrix)
+    return _certified_gap(gen.L.matrix)[0]
 
 
 def _mirrored(nsites, solve):
@@ -255,8 +255,9 @@ def check_aldous(g: SpinGraph, rel_tol=1e-9):
 @dataclass(frozen=True)
 class SpinMapResult:
     max_deviation: float
+    eigenvalue_bound: float  # ||mapped generator - H||_inf, at least its 2-norm
     ok: bool
-    sector_rows: tuple  # (n, lambda_n, second H eigenvalue in the block, diff)
+    sector_rows: tuple  # (n, lambda_n, x.Hx / x.x at the mapped gap vector x, diff)
 
 
 def verify_spin_map(g: SpinGraph):
@@ -266,11 +267,14 @@ def verify_spin_map(g: SpinGraph):
     with rates J/2 agree entrywise once configurations eta are identified
     with product states via S3_x |eta> = (eta_x - 1/2) |eta>.  The gap in the
     n-particle sector then equals the second-lowest H eigenvalue in the
-    S^3 = n - |graph|/2 block.  ``ok`` needs every entry to agree to 1e-12
-    and every gap to 1e-9 relative.  Sectors n <= N/2 are solved; row N - n
-    repeats row n: particle-hole symmetry on the generator side, and on the
-    spin side the spin flip, which maps the H block at S^3 = M onto the block
-    at -M (exact for the generator, so for H to the entrywise deviation).
+    S^3 = n - |graph|/2 block.  Each sector is solved once, as the
+    generator; the row's H value is x.Hx / x.x at its certified gap vector
+    v mapped to product states as x.  E = mapped generator - H is
+    symmetric, so ``eigenvalue_bound`` = ||E||_inf >= ||E||_2 and Weyl's
+    inequality give |x.Hx / x.x - lambda_2(H block)| <= 2 eigenvalue_bound
+    + ||L v - lambda_n v|| / ||v||.  ``ok`` needs every entry to agree to
+    1e-12 and every gap to 1e-9 relative.  Row N - n repeats the solved row
+    n <= N/2 (particle-hole symmetry; the spin flip M -> -M on the H side).
     """
     _require_two_sites(g, "the spin map")
     if any(s != HalfInt(1) for _, s in g.sites):
@@ -296,23 +300,24 @@ def verify_spin_map(g: SpinGraph):
     # J (1/4 - S.S) summed over edges; the builder already carries -J S.S
     h = build_heisenberg(g).matrix
     h = h + 0.25 * sum(j for _, _, j in g.edges) * sp.identity(dim, format="csr")
-    dev = max_abs(mapped - h)
+    delta = mapped - h
     del mapped
-
-    blocks = s3_blocks(g.shape)
+    dev, bound = max_abs(delta), float(abs(delta).sum(axis=1).max())
+    del delta
     rates = {(u, v): 0.5 * j for u, v, j in g.edges}
 
     def solve(n):
-        lam = spectral_gap(ssep_generator(g, rates, n=n))
-        idx = blocks[HalfInt(2 * n - nsites)]
-        second = _certified_gap(h[idx][:, idx])
+        gen = ssep_generator(g, rates, n=n)
+        lam, v = _certified_gap(gen.L.matrix)
+        x = np.zeros(dim)
+        x[perm[gen.configs]] = v
+        second = float(x @ (h @ x) / (x @ x))
         return lam, second, abs(lam - second)
 
     rows = tuple((n,) + row for n, row in enumerate(_mirrored(nsites, solve), start=1))
     gaps_ok = all(diff <= 1e-9 * max(1.0, lam) for _, lam, _, diff in rows)
-    return SpinMapResult(max_deviation=float(dev),
-                         ok=dev <= 1e-12 and gaps_ok,
-                         sector_rows=rows)
+    return SpinMapResult(max_deviation=float(dev), eigenvalue_bound=bound,
+                         ok=dev <= 1e-12 and gaps_ok, sector_rows=rows)
 
 
 def ssep_csv_rows(report: AldousReport):

@@ -273,11 +273,14 @@ class TestExitCodes:
         (("droplet", "--q", "0.5", "--n", "1,1"), "--n"),
         (("droplet", "--q", "0.5", "--n", "5", "--Lmax", "10"), "n=5"),
         (("foel", "--random-trials", "2", "--max-dim", "3"), "--max-dim"),
+        (("foel", "--chain", "1,1,1", "--J", "1"), "--J"),
+        (("foel", "--chain", "1,1", "--seed", "4"), "--seed"),
     ], ids=["tl-q-negative", "tl-q-nan", "tl-2n-above-k", "tl-n-negative", "tl-k-zero",
             "tl-too-few-J", "tl-too-many-J", "qfoel-q-zero", "qfoel-q-one",
             "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative",
             "foel-sweep-L-one", "foel-zero-trials", "foel-trials-L-one",
-            "droplet-repeated-n", "droplet-n-one-length", "foel-trials-max-dim-3"])
+            "droplet-repeated-n", "droplet-n-one-length", "foel-trials-max-dim-3",
+            "foel-J-count", "foel-chain-seed"])
     def test_range_errors_exit_before_any_library_call(self, tmp_path, monkeypatch,
                                                        capsys, args, named):
         import foelab.cli as cli
@@ -540,6 +543,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads(read(out2 / "spinmap.json"))
         assert payload["ok"] and payload["max_entry_deviation"] <= 1e-12
+        assert payload["max_entry_deviation"] <= payload["eigenvalue_bound"] <= 1e-11
 
     def test_random_trials(self, tmp_path):
         code, out = run(tmp_path, "foel", "--random-trials", "5", "--L", "5",

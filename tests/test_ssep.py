@@ -18,6 +18,7 @@ from foelab.linalg import eigvalsh_full
 from foelab.sectors import s3_blocks
 from foelab.spinops import HalfInt, RealOperator
 from foelab.ssep import (
+    GAP_SPARSE_MIN_DIM,
     SSEPGenerator,
     check_aldous,
     spectral_gap,
@@ -82,7 +83,7 @@ def dense_assemble(nsites, edge_rates, config_ints):
 
 
 def dense_spin_map(g):
-    """Reference spin map on dense 2^N x 2^N arrays: (deviation, rows)."""
+    """Reference spin map on dense 2^N x 2^N arrays: (deviation, bound, rows)."""
     nsites = g.nsites
     half = [(g.site_position(u), g.site_position(v), 0.5 * j) for u, v, j in g.edges]
     full = dense_assemble(nsites, half, list(range(2 ** nsites)))
@@ -104,7 +105,8 @@ def dense_spin_map(g):
         idx = blocks[HalfInt(2 * n - nsites)]
         second = float(eigvalsh_full(h[np.ix_(idx, idx)])[1])
         rows.append((n, lam, second, abs(lam - second)))
-    return float(np.abs(mapped - h).max()), rows
+    delta = np.abs(mapped - h)
+    return float(delta.max()), float(delta.sum(axis=1).max()), rows
 
 
 class TestGenerator:
@@ -300,8 +302,9 @@ class TestParticleHoleMirror:
             for n, lam, second, _ in spin.sector_rows:
                 ref = spectral_gap(ssep_generator(g, half_rates, n=n))
                 assert abs(lam - ref) <= 1e-12 * ref
-                ref = ssep._certified_gap(spin_block(g, n))
+                ref = ssep._certified_gap(spin_block(g, n))[0]
                 assert abs(second - ref) <= 1e-12 * ref
+                assert abs(second - ref) <= spin.eigenvalue_bound + 1e-12 * lam
 
 
 class TestGapCertificates:
@@ -415,18 +418,24 @@ class TestSpinMap:
     def test_matches_dense_reference(self, nsites, seed):
         g = random_connected_graph(np.random.default_rng(seed), nsites,
                                    extra_edges=3, spin=HalfInt(1))
-        dev, rows = dense_spin_map(g)
+        dev, bound, rows = dense_spin_map(g)
         res = verify_spin_map(g)
         assert res.ok
         assert res.max_deviation == dev
+        assert abs(res.eigenvalue_bound - bound) <= 1e-15 * max(1.0, bound)
         # sectors n <= N/2 are solved, all on the dense route; row n > N/2
-        # is a copy of row N - n, an ulp away from its own dense solve
+        # is a copy of row N - n, an ulp away from its own dense solve.  The
+        # H value is a Rayleigh quotient at the generator's gap vector, not
+        # an eigensolve of the H block, so it agrees to rounding only
         half = nsites // 2
-        assert list(res.sector_rows[:half]) == rows[:half]
-        for (n, lam, second, diff), (_, lam_ref, second_ref, diff_ref) in zip(
-                res.sector_rows[half:], rows[half:]):
-            assert (lam, second, diff) == res.sector_rows[nsites - n - 1][1:]
-            assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+        for (n, lam, second, diff), (n_ref, lam_ref, second_ref, diff_ref) in zip(
+                res.sector_rows, rows):
+            assert n == n_ref
+            if n <= half:
+                assert lam == lam_ref
+            else:
+                assert (lam, second, diff) == res.sector_rows[nsites - n - 1][1:]
+                assert abs(lam - lam_ref) <= 1e-12 * lam_ref
             assert abs(second - second_ref) <= 1e-12 * second_ref
             assert abs(diff - diff_ref) <= 1e-12 * lam_ref
         with forced_route(SPARSE):
@@ -434,6 +443,42 @@ class TestSpinMap:
         for (_, lam, second, _), (_, lam_ref, second_ref, _) in zip(sparse_rows, rows):
             assert abs(lam - lam_ref) <= 1e-10 * lam_ref
             assert abs(second - second_ref) <= 1e-10 * second_ref
+
+    @pytest.mark.parametrize("nsites, min_dim", [(2, DENSE), (5, DENSE), (8, DENSE),
+                                                 (9, SPARSE), (10, GAP_SPARSE_MIN_DIM)])
+    def test_one_solve_per_sector(self, nsites, min_dim):
+        # the H side is read off the generator's gap vector: no second solve
+        with forced_route(min_dim), mock.patch.object(
+                ssep, "_certified_gap", wraps=ssep._certified_gap) as spy:
+            res = verify_spin_map(path_graph(nsites))
+        assert res.ok
+        assert spy.call_count == nsites // 2
+
+    def test_perturbed_hamiltonian_fails(self):
+        # one bond of H scaled by 1 + 1e-6: the spin map must fail on the
+        # entries and on every row's gap (the H value is read off H, not off
+        # the generator), and each H value stays within Weyl's bound of the
+        # perturbed block's own eigenvalue
+        g = path_graph(6)
+        edges = list(g.edges)
+        u, v, j = edges[2]
+        edges[2] = (u, v, j * (1 + 1e-6))
+        perturbed = SpinGraph(g.sites, edges)
+        real_build = ssep.build_heisenberg
+        with mock.patch.object(ssep, "build_heisenberg",
+                               lambda _: real_build(perturbed)):
+            res = verify_spin_map(g)
+        assert not res.ok
+        assert res.max_deviation > 1e-12
+        assert res.eigenvalue_bound >= res.max_deviation
+        shift = 0.25 * sum(j for _, _, j in g.edges)
+        h = build_heisenberg(perturbed).dense() + shift * np.eye(2 ** 6)
+        blocks = s3_blocks(g.shape)
+        for n, lam, second, diff in res.sector_rows:
+            assert diff > 1e-9 * max(1.0, lam)
+            idx = blocks[HalfInt(2 * n - 6)]
+            exact = np.linalg.eigvalsh(h[np.ix_(idx, idx)])[1]
+            assert abs(second - exact) <= 2 * res.eigenvalue_bound + 1e-9 * lam
 
     def test_path12_traced_memory(self):
         tracemalloc.start()
