@@ -11,10 +11,11 @@ default is stated once, in ``build_parser``, and a given value is used or
 rejected, never replaced.  A subcommand takes only the flags its handler
 reads, and a ``foel``/``spectrum`` flag given without an input it applies
 to is a usage error.  The parser rejects out-of-range ``tl-matrix``,
-``qfoel`` and ``droplet`` values, ``foel --L`` < 2, ``--random-trials`` < 1
-and ``--max-dim`` < 4 before any library call or output (exit 2).  ``foel``
-hands a chain to ``temperley_lieb.chain_sector_energies``, which picks the
-diagram basis or the SU(2) route; graphs take ``sectors.sector_energies``.
+``qfoel``, ``droplet`` and ``fk-basis`` values, ``foel --L`` < 2,
+``--random-trials`` < 1 and ``--max-dim`` < 4 before any library call or
+output (exit 2).  ``foel`` hands a chain to
+``temperley_lieb.chain_sector_energies``, which picks the diagram basis
+or the SU(2) route; graphs take ``sectors.sector_energies``.
 """
 
 from __future__ import annotations
@@ -139,6 +140,18 @@ def _droplet_usage(args):
         if sum(1 <= n <= L / 2 for L in lengths) < 2:
             return (f"droplet size n={n} has fewer than two lengths "
                     f"L >= 2n in --Lmin..--Lmax")
+    return None
+
+
+def _fk_basis_usage(args):
+    """Usage error of fk-basis, or None."""
+    spins, js = args.spins, args.J
+    if not spins or min(spins) < 1:
+        return f"--spins needs one or more sites, each spin positive, got {spins}"
+    if js is not None and (len(js) != len(spins) - 1 or not all(j > 0 for j in js)):
+        return f"--J needs {len(spins) - 1} positive couplings, got {js}"
+    if HalfInt(args.S2) not in sector_labels(HilbertShape([HalfInt(t) for t in spins])):
+        return f"--S2 {args.S2} is not twice a total-spin label of --spins {spins}"
     return None
 
 
@@ -348,7 +361,7 @@ def cmd_fk_basis(args):
     spins = [HalfInt(t) for t in args.spins]
     S = HalfInt(args.S2)
     basis = fk_highest_weight_basis(spins, S)
-    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), S)  # usage errors first
+    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), S)
     rows = [(i, ",".join(str(b.n_down) for b in v.blocks),
              ";".join(f"{x}-{y}" for x, y in v.arcs) or "empty")
             for i, v in enumerate(basis)]
@@ -357,7 +370,7 @@ def cmd_fk_basis(args):
               tl_matrix_csv_rows(a))
     off = a - np.diag(np.diag(a))
     off_max = float(off.max()) if off.size else 0.0
-    expected = sector_labels(HilbertShape(spins)).get(S, 0)
+    expected = sector_labels(HilbertShape(spins))[S]
     payload = {
         "spins_times2": [s.twice for s in spins],
         "S_times2": S.twice,
@@ -572,7 +585,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         check = {"tl-matrix": _tl_matrix_usage, "droplet": _droplet_usage,
-                 "foel": _model_usage, "spectrum": _model_usage}.get(args.command)
+                 "foel": _model_usage, "spectrum": _model_usage,
+                 "fk-basis": _fk_basis_usage}.get(args.command)
         problem = check and check(args)
         if problem:
             parser.error(f"{args.command}: {problem}")

@@ -37,9 +37,9 @@ projector, live in ``tests/reference.py``.
 
 Spin-1/2 chains need neither route: ``temperley_lieb.diagram_sector_energies``
 reads each sector from its arc-diagram basis, with no 2^L product space,
-and ``temperley_lieb.chain_sector_energies`` sends them there (unless their
-couplings span more than ``temperley_lieb.DIAGRAM_COUPLING_SPREAD``).
-Graphs, higher and mixed spins come here.
+and ``temperley_lieb.chain_sector_energies`` sends them there.  Graphs,
+higher and mixed spins come here, and so do the spin-1/2 chains whose
+diagram-route certificates are refused.
 
 A ``SectorReport`` holds energies only, here, in ``qgroup`` and on the
 diagram route; a ``SectorEntry`` carries the Collatz-Wielandt bracket of its

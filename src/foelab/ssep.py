@@ -77,14 +77,9 @@ class SSEPGenerator:
     L: RealOperator
 
 
-def _edge_rates(g, rates):
-    out = []
-    for u, v, j in g.edges:
-        r = j if rates is None else float(rates[(u, v)])
-        if r <= 0:
-            raise ValueError(f"nonpositive rate on edge ({u},{v})")
-        out.append((g.site_position(u), g.site_position(v), r))
-    return out
+def _edge_rates(g):
+    """(position u, position v, J) of every edge; ``SpinGraph`` has J > 0."""
+    return [(g.site_position(u), g.site_position(v), j) for u, v, j in g.edges]
 
 
 def _config_ints(nsites, n):
@@ -122,16 +117,13 @@ def _matrix_bytes(dim, nedges):
     return BYTES_PER_ENTRY * dim * (1 + nedges)
 
 
-def ssep_generator(g: SpinGraph, rates=None, n=1):
-    """Exclusion-process generator on the n-particle sector of a graph.
-
-    rates maps (u, v) edge ids to positive jump rates; by default the
-    graph's couplings are used.
-    """
+def ssep_generator(g: SpinGraph, n=1):
+    """Exclusion-process generator on the n-particle sector of a graph,
+    with the graph's couplings as jump rates."""
     nsites = g.nsites
     if not 0 <= n <= nsites:
         raise ValueError(f"particle number {n} out of range")
-    edge_rates = _edge_rates(g, rates)
+    edge_rates = _edge_rates(g)
     require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 24 * 2 ** nsites,
                    _physical_memory_bytes(), f"the {n}-particle generator")
     configs = _config_ints(nsites, n)
@@ -281,7 +273,7 @@ def verify_spin_map(g: SpinGraph):
         raise ValueError("the spin map needs every site to carry spin 1/2")
     nsites = g.nsites
     dim = 2 ** nsites
-    half_rates = [(pu, pv, 0.5 * r) for pu, pv, r in _edge_rates(g, None)]
+    half_rates = [(pu, pv, 0.5 * r) for pu, pv, r in _edge_rates(g)]
     require_memory(SPIN_MAP_MATRICES * _matrix_bytes(dim, len(half_rates)),
                    _physical_memory_bytes(), f"the {nsites}-site spin map")
     configs = np.arange(dim, dtype=np.int64)
@@ -304,13 +296,12 @@ def verify_spin_map(g: SpinGraph):
     del mapped
     dev, bound = max_abs(delta), float(abs(delta).sum(axis=1).max())
     del delta
-    rates = {(u, v): 0.5 * j for u, v, j in g.edges}
 
     def solve(n):
-        gen = ssep_generator(g, rates, n=n)
-        lam, v = _certified_gap(gen.L.matrix)
+        sector = _config_ints(nsites, n)
+        lam, v = _certified_gap(_assemble(half_rates, sector))
         x = np.zeros(dim)
-        x[perm[gen.configs]] = v
+        x[perm[sector]] = v
         second = float(x @ (h @ x) / (x @ x))
         return lam, second, abs(lam - second)
 

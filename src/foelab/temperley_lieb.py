@@ -27,10 +27,10 @@ At q = 1 the n-arc matrix of the chain with couplings J has exactly the
 spectrum of the normalized spin-1/2 chain sum_x J_x (1 - 4 S_x.S_{x+1}) on
 V^(L/2 - n), so ``diagram_sector_energies`` gives every sector of that
 chain from matrices of dimension C(L,n) - C(L,n-1): the minimum is the
-certified Perron root with its Collatz-Wielandt bracket, the maximum the
-top eigenvalue with a residual and a Gershgorin check.
-``chain_sector_energies`` takes any ChainSpec and sends it there when every
-spin is 1/2 and its couplings span at most DIAGRAM_COUPLING_SPREAD, else to
+certified Perron root with its Collatz-Wielandt bracket, the maximum minus
+the bottom eigenvalue of the sign-flipped -DAD (``_top_eigenvalue``).
+``chain_sector_energies`` sends a ChainSpec there when every spin is 1/2,
+and every other chain, or one whose certificates are refused there, to
 ``sectors.sector_energies``.
 
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
@@ -296,15 +296,6 @@ PERRON_REFINE_SWEEPS = 30
 # can be far smaller (couplings 6e-8 ... 0.6 give a root of 1.2e-7).
 PERRON_BRACKET_ULPS = 4
 
-# Largest max(J)/min(J) of a chain that ``foel`` solves in the diagram basis.
-# Near a vanishing coupling the TL matrix is nearly reducible: the entries
-# of its Perron vector span many decades, which neither the solvers nor the
-# Jacobi sweeps resolve, and the certificate refuses the sector.  Random
-# spin-1/2 chains of 3-18 sites with one or two couplings that far below
-# the largest: no sector refused up to a spread of 1e10, 1 chain in 40 at
-# 1e11, a fifth of all sectors from 1e12 on.
-DIAGRAM_COUPLING_SPREAD = 1e8
-
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = np.finfo(float).tiny
 
@@ -376,35 +367,30 @@ def _sharpen(a, x, lam, width):
     return x, (lo, hi)
 
 
-def _extremal_pair(a, which):
-    """Bottom (which="SR") or top ("LR") eigenpair of a CSR matrix: dense
-    ``eig`` below PERRON_SPARSE_MIN_DIM, Arnoldi (``eigs``, k = 1, tol = 0)
-    from there on.  Returns (eigenvalue, v, scale, gap): v real with its
-    largest entry positive, scale = max(1, ||A||_inf), gap the distance to
-    the next eigenvalue on the dense route (inf for a 1 x 1 matrix) and None
-    on Arnoldi's, which computes no second eigenpair.
+def _extremal_pair(a, end):
+    """Bottom eigenpair of a CSR matrix: dense ``eig`` below
+    PERRON_SPARSE_MIN_DIM, Arnoldi (``eigs``, k = 1, smallest real part,
+    start vector of ones, tol = 0) from there on.  Returns
+    (eigenvalue, v, scale, gap): v real with its largest entry positive,
+    scale = max(1, ||A||_inf), gap the distance to the next eigenvalue on the
+    dense route (inf for a 1 x 1 matrix) and None on Arnoldi's, which
+    computes no second eigenpair.  Each caller's matrix has nonpositive
+    off-diagonal entries, so the ones overlap its nonnegative bottom vector.
 
-    NumericalError unless ARPACK converges, the eigenvalue is real to
-    1e-9 scale and ||Av - lambda v|| <= 1e-9 scale ||v||; which eigenvalue
-    the solver found is the caller's to check.  Arnoldi starts from ones at
-    the bottom, where they overlap the positive Perron vector, and from a
-    fixed-seed random vector at the top: ones can be orthogonal to the top
-    eigenvector (on a mirror-symmetric chain with L and n odd it is odd
-    under the mirror), and a Krylov space that never sees it converges to a
-    lower eigenvalue that every check here passes.
+    NumericalError, naming the ``end`` solved ("ground" or "top"), unless
+    ARPACK converges, the eigenvalue is real to 1e-9 scale and
+    ||Av - lambda v|| <= 1e-9 scale ||v||; which eigenvalue the solver
+    found is the caller's to check.
     """
-    end = {"SR": "ground", "LR": "top"}[which]
     m = a.shape[0]
     if m < PERRON_SPARSE_MIN_DIM:
         w, vecs = np.linalg.eig(a.toarray())
         order = np.argsort(w.real)
-        order = order if which == "SR" else order[::-1]
         value, v = w[order[0]], vecs[:, order[0]]
         gap = float(abs(w[order[1]].real - value.real)) if m > 1 else np.inf
     else:
-        v0 = np.ones(m) if which == "SR" else np.random.default_rng(0).standard_normal(m)
         try:
-            w, vecs = sla.eigs(a, k=1, which=which, v0=v0, tol=0)
+            w, vecs = sla.eigs(a, k=1, which="SR", v0=np.ones(m), tol=0)
         except sla.ArpackNoConvergence as exc:
             raise NumericalError(f"Arnoldi eigs ({end}) did not converge: {exc}") from exc
         value, v, gap = w[0], vecs[:, 0], None
@@ -425,10 +411,9 @@ def perron_ground_vector(A):
 
     Irreducibility is tested as strong connectivity of the off-diagonal
     nonzero pattern (equivalent to irreducibility of c*I - A for the
-    nonnegative matrix obtained after the diagonal shift).  The solver
-    (``_extremal_pair``) is dense ``eig`` below PERRON_SPARSE_MIN_DIM and
-    unshifted Arnoldi (``eigs``, smallest real part, start vector of ones)
-    above it; neither is trusted for which eigenvalue it found.  Certified, else
+    nonnegative matrix obtained after the diagonal shift).  The solver,
+    ``_extremal_pair`` (also the one ``_top_eigenvalue`` runs on -DAD), is
+    not trusted for which eigenvalue it found.  Certified, else
     NumericalError: a real eigenvalue with ||Av - lambda v|| <=
     1e-9 ||A||_inf ||v||, no entry of v below -1e-10 times the largest (a
     vector of both signs belongs to another eigenvalue), and a
@@ -458,7 +443,7 @@ def perron_ground_vector(A):
             f"irreducibility failed ({ncomp} strongly connected components); "
             "no positivity claim"
         )
-    lam, v, scale, gap = _extremal_pair(a, "SR")
+    lam, v, scale, gap = _extremal_pair(a, "ground")
     if np.min(v) < -1e-10 * np.max(np.abs(v)):
         raise NumericalError("ground vector is not strictly positive")
     tol = 1e-9 * scale
@@ -473,18 +458,24 @@ def perron_ground_vector(A):
     return PerronResult(vector=v, eigenvalue=lam, gap=gap, bracket=(lo, hi))
 
 
-def _top_eigenvalue(a, floor):
-    """Largest eigenvalue of a CSR TL matrix (``_extremal_pair``, "LR"),
-    NumericalError unless floor (the Perron root) <= theta <= the Gershgorin
-    upper bound + 1e-9 max(1, ||A||_inf).  Nothing certifies that no
-    eigenvalue lies above theta.
+def _top_eigenvalue(tl, floor):
+    """Largest eigenvalue theta of a TLMatrix: minus the bottom eigenvalue of
+    -DAD, D = diag((-1)^(arcs opening at an odd vertex)), an exact scaling.
+    A bond move that is not a bubble swaps an arc opener for a vertex of the
+    other parity (an arc spans an even number of paired vertices), so no
+    off-diagonal entry of -DAD is positive, at any q.  NumericalError
+    unless floor (the Perron root) <= theta <= the Gershgorin upper bound
+    + 1e-9 max(1, ||A||_inf).
     """
-    theta, _, scale, _ = _extremal_pair(a, "LR")
+    a = tl.matrix
+    opens_odd = tl.partners[:, 1::2] > np.arange(1, tl.k + 2, 2)
+    d = sp.diags((-1.0) ** opens_odd.sum(axis=1))
+    bottom, _, scale, _ = _extremal_pair(-(d @ a @ d), "top")
     diag = a.diagonal()
     g_hi = float(np.max(diag + np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)))
-    if not floor <= theta <= g_hi + 1e-9 * scale:
-        raise NumericalError(f"top eigenvalue {theta!r} outside [{floor!r}, {g_hi!r}]")
-    return theta
+    if not floor <= -bottom <= g_hi + 1e-9 * scale:
+        raise NumericalError(f"top eigenvalue {-bottom!r} outside [{floor!r}, {g_hi!r}]")
+    return -bottom
 
 
 def diagram_sector_energies(couplings):
@@ -493,8 +484,8 @@ def diagram_sector_energies(couplings):
 
     For S = L/2 - n, n = 0 ... L/2, the n-arc TL matrix at q = 1 spans
     V^(S) and has exactly the sector's spectrum: its certified Perron root
-    (with its bracket) is the sector minimum and its certified top
-    eigenvalue (``_top_eigenvalue``) the maximum.  No 2^L-dimensional
+    (with its bracket) is the sector minimum and its top eigenvalue
+    (``_top_eigenvalue``) the maximum.  No 2^L-dimensional
     operator, S^3 block or invariance check: the basis is invariant by
     construction.
     """
@@ -505,20 +496,22 @@ def diagram_sector_energies(couplings):
         tl = tl_hamiltonian_matrix(L, n, couplings, 1.0)
         pf = perron_ground_vector(tl)
         entries[HalfInt(L - 2 * n)] = SectorEntry(
-            pf.eigenvalue, _top_eigenvalue(tl.matrix, pf.eigenvalue),
+            pf.eigenvalue, _top_eigenvalue(tl, pf.eigenvalue),
             diagram_count(L, n), pf.bracket)
     return SectorReport(entries=entries)
 
 
 def chain_sector_energies(chain):
     """SectorReport of the normalized chain of a ChainSpec: from the
-    diagram bases (``diagram_sector_energies``) when every spin is 1/2 and
-    the couplings span at most DIAGRAM_COUPLING_SPREAD, else by the SU(2)
-    route of ``sectors.sector_energies`` on the product space."""
-    js = chain.couplings
-    spread_ok = max(js, default=1.0) <= DIAGRAM_COUPLING_SPREAD * min(js, default=1.0)
-    if spread_ok and all(s.twice == 1 for s in chain.spins):
-        return diagram_sector_energies(js)
+    diagram bases (``diagram_sector_energies``) when every spin is 1/2,
+    else, or when that route raises NumericalError (a refused certificate
+    or ARPACK non-convergence), by the SU(2) route of
+    ``sectors.sector_energies`` on the product space."""
+    if all(s.twice == 1 for s in chain.spins):
+        try:
+            return diagram_sector_energies(chain.couplings)
+        except NumericalError:
+            pass
     return sector_energies(build_normalized_chain(chain), chain.shape)
 
 

@@ -10,6 +10,7 @@ import scipy.linalg as la
 
 import foelab
 from foelab.cli import _HANDLERS, build_parser, main
+from foelab.errors import NumericalError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.reports import csv_text, write_csv, write_json
 from foelab.sectors import sector_energies
@@ -84,7 +85,6 @@ class TestExitCodes:
 
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch):
         import foelab.cli as cli
-        from foelab.errors import NumericalError
 
         def boom(*a, **k):
             raise NumericalError("synthetic failure")
@@ -175,15 +175,19 @@ class TestExitCodes:
         real = sla.eigs
 
         def no_top(a, k, which, **kw):
-            if which == "LR":
+            # the top solve is the one on -DAD, whose diagonal is negative
+            if a.diagonal().max() < 0:
                 raise sla.ArpackNoConvergence("synthetic", np.zeros(0), np.zeros((0, 0)))
             return real(a, k=k, which=which, **kw)
 
         # 13 sites: the n = 3 ... 6 diagram bases (208 ... 572) take Arnoldi
         monkeypatch.setattr(tlmod.sla, "eigs", no_top)
+        with pytest.raises(NumericalError, match=r"Arnoldi eigs \(top\) did not converge"):
+            tlmod.diagram_sector_energies([1.0] * 12)
         code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 13))
-        assert code == 3
-        assert not (out / "foel.json").exists()
+        assert code == 0
+        payload = json.loads(read(out / "foel.json"))
+        assert {b["bracket"] is None for b in payload["brackets"]} == {True}
 
     def test_spin_half_chain_builds_no_product_space(self, tmp_path, monkeypatch):
         import foelab.sectors as sectors
@@ -202,20 +206,56 @@ class TestExitCodes:
         with pytest.raises(AssertionError, match="total_spin_ops"):
             run(tmp_path, "foel", "--chain", "1,2,1")
 
-    def test_widely_spread_couplings_take_the_su2_route(self, tmp_path):
+    def test_widely_spread_couplings_certified_in_the_diagram_basis(self, tmp_path):
         # a coupling 1e-12 of the others nearly splits the chain; the
-        # diagram route cannot certify that, the SU(2) route can
+        # diagram route's certificates still hold
         js = [1.0, 1e-12, 1.0, 2.0, 1.0]
         code, out = run(tmp_path, "foel", "--chain", "1,1,1,1,1,1",
                         "--J", ",".join(map(repr, js)))
         assert code == 1  # the nearly free spins leave sector minima 1e-12 apart
         payload = json.loads(read(out / "foel.json"))
         assert len(payload["crossings"]) == 2 and payload["violations"] == []
+        chain = ChainSpec([HalfInt(1)] * 6, js)
+        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        for b, s in zip(payload["brackets"], ref.labels):
+            lo, hi = b["bracket"]
+            # slack: the SU(2) route's own rounding, about eps ||H||
+            assert lo - 1e-13 <= ref.entries[s].min_energy <= hi + 1e-13
+
+    def test_refused_certificate_takes_the_su2_route(self, tmp_path):
+        import foelab.temperley_lieb as tlmod
+
+        # dense eig balances this matrix and returns (1, 0, 0) for a ground
+        # vector near (1, 2/3, 1/3)
+        js = [1e-300, 1.0, 2.0]
+        with pytest.raises(NumericalError, match="ground pair residual"):
+            tlmod.diagram_sector_energies(js)
+        code, out = run(tmp_path, "foel", "--chain", "1,1,1,1", "--J", ",".join(map(repr, js)))
+        assert code == 1  # the free end spin leaves S = 2 and S = 1 tied
+        payload = json.loads(read(out / "foel.json"))
         assert {b["bracket"] is None for b in payload["brackets"]} == {True}
-        ref = sector_energies(build_normalized_chain(
-            ChainSpec([HalfInt(1)] * 6, js)), HilbertShape([HalfInt(1)] * 6))
+        chain = ChainSpec([HalfInt(1)] * 4, js)
+        ref = sector_energies(build_normalized_chain(chain), chain.shape)
         assert [r[2] for r in sector_rows(out)] == [
             ref.entries[s].min_energy for s in ref.labels]
+
+    def test_nearly_reducible_chain_falls_back_to_su2(self, tmp_path):
+        # Arnoldi does not converge on sectors n = 3, 4, 5 of this chain;
+        # the SU(2) route solves it
+        js = [1.048991447806502, 3.266779238025661e-05, 4.6015488935716694e-06,
+              0.11940347348284738, 1.980216412784292e-07, 0.014782697305182778,
+              6.362502063376838e-07, 2.7603503280651305e-05, 1.4329433566904994e-06,
+              0.10736282667878805]
+        code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 11),
+                        "--J", ",".join(map(repr, js)))
+        assert code == 0
+        payload = json.loads(read(out / "foel.json"))
+        assert {b["bracket"] is None for b in payload["brackets"]} == {True}
+        chain = ChainSpec([HalfInt(1)] * 11, js)
+        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        for (_, _, e_min, e_max), s in zip(sector_rows(out), ref.labels):
+            assert abs(e_min - ref.entries[s].min_energy) <= 1e-10
+            assert abs(e_max - ref.entries[s].max_energy) <= 1e-10
 
     def test_internal_key_error_is_not_usage(self, tmp_path, monkeypatch):
         import foelab.cli as cli
@@ -275,12 +315,16 @@ class TestExitCodes:
         (("foel", "--random-trials", "2", "--max-dim", "3"), "--max-dim"),
         (("foel", "--chain", "1,1,1", "--J", "1"), "--J"),
         (("foel", "--chain", "1,1", "--seed", "4"), "--seed"),
+        (("fk-basis", "--spins", "1,1,1", "--S2", "1", "--J", "1"), "--J"),
+        (("fk-basis", "--spins", "1,1", "--S2", "-2"), "--S2"),
+        (("fk-basis", "--spins", "0,1", "--S2", "1"), "--spins"),
     ], ids=["tl-q-negative", "tl-q-nan", "tl-2n-above-k", "tl-n-negative", "tl-k-zero",
             "tl-too-few-J", "tl-too-many-J", "qfoel-q-zero", "qfoel-q-one",
             "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative",
             "foel-sweep-L-one", "foel-zero-trials", "foel-trials-L-one",
             "droplet-repeated-n", "droplet-n-one-length", "foel-trials-max-dim-3",
-            "foel-J-count", "foel-chain-seed"])
+            "foel-J-count", "foel-chain-seed", "fk-J-count", "fk-negative-S",
+            "fk-spin-zero"])
     def test_range_errors_exit_before_any_library_call(self, tmp_path, monkeypatch,
                                                        capsys, args, named):
         import foelab.cli as cli
@@ -290,7 +334,8 @@ class TestExitCodes:
 
         for name in ("tl_hamiltonian_matrix", "QParam", "q_sector_energies",
                      "droplet_csv_rows", "random_chain", "sector_energies",
-                     "chain_sector_energies"):
+                     "chain_sector_energies", "fk_highest_weight_basis",
+                     "fk_hamiltonian_matrix"):
             monkeypatch.setattr(cli, name, reached)
         code, out = run(tmp_path, *args)
         assert code == 2
@@ -321,9 +366,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("args,named", [
-        (("--spins", "1,1,1", "--S2", "1", "--J", "1"), "one coupling per bond"),
-        (("--spins", "1,1", "--S2", "-2"), "empty basis"),
-        (("--spins", "0,1", "--S2", "1"), "every s_x > 0"),
+        (("--spins", "1,1,1", "--S2", "1", "--J", "1"), "--J needs 2 positive couplings"),
+        (("--spins", "1,1", "--S2", "-2"), "--S2 -2 is not"),
+        (("--spins", "0,1", "--S2", "1"), "each spin positive"),
     ], ids=["J-count", "negative-S", "spin-zero"])
     def test_fk_basis_usage_error_writes_nothing(self, tmp_path, capsys, args, named):
         code, out = run(tmp_path, "fk-basis", *args)
@@ -488,9 +533,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("L", [11, 13])
     def test_uniform_chain_matches_the_su2_route(self, tmp_path, L):
-        # uniform couplings read the same backwards: with n odd the top
-        # eigenvector of the diagram matrix is odd under the mirror (n = 3, 5
-        # take Arnoldi); every sector against the 2^L product space
+        # every sector against the 2^L product space; n = 3, 5 take Arnoldi
         code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * L))
         assert code == 0
         chain = ChainSpec([HalfInt(1)] * L, [1.0] * (L - 1))
