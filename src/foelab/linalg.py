@@ -43,7 +43,10 @@ COMMUTATOR_ROWS = 4096
 
 
 def commutator_maxabs(a, b):
-    """Largest entry of |AB - BA| (sparse-aware), COMMUTATOR_ROWS rows at a time."""
+    """Largest entry of |AB - BA| (sparse-aware), COMMUTATOR_ROWS rows at a
+    time; an ``a`` of at most that many rows is not sliced."""
+    if a.shape[0] <= COMMUTATOR_ROWS:
+        return max_abs(a @ b - b @ a)
     return max((max_abs(a[i:i + COMMUTATOR_ROWS] @ b - b[i:i + COMMUTATOR_ROWS] @ a)
                 for i in range(0, a.shape[0], COMMUTATOR_ROWS)), default=0.0)
 

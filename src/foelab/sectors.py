@@ -7,33 +7,41 @@ product space.  Each call relabels the indices of H and S+ into S^3 order
 once, checks [H, S3] from H's stored entries and [H, S+] as a sparse
 commutator, and reads every M block as a contiguous range of that sorted
 copy's CSR arrays, with no scipy indexing and no sparse object per dense
-block.  The solve extracts no kernel.  On the
-M = S block, B^T B = S-S+ (B = S+ from M = S to M = S+1) commutes with H, is
-0 on V^(S) and S'(S'+1) - S(S+1) >= 2S+2 on every multiplet S' > S.  With
-g_lo, g_hi the Gershgorin bounds of H_MM and c = (g_hi - g_lo + 1)/(2S+2),
-the other multiplets of H_MM + c B^T B sit at or above g_hi + 1, so its
-lowest d = dim V^(S) eigenvalues are the sector spectrum.  Mirrored, the
-other multiplets of H_MM - c B^T B sit at or below g_lo - 1, so its highest
-eigenvalue is the sector maximum.
+block.  The solve extracts no kernel.  On the M block, B^T B = S-S+
+(B = S+ from M to M+1) commutes with H and is lambda_S = S(S+1) - M(M+1)
+on every spin-S multiplet, S >= M; lambda_{S+1} - lambda_S = 2S+2 >= 2M+2.
+With g_lo, g_hi the Gershgorin bounds of H_MM (every sector S >= M has its
+spectrum in [g_lo, g_hi]) and mu = (g_hi - g_lo + 1)/(2M+2), the spectrum
+of H_MM + mu B^T B is the disjoint union over S >= M of
+spec H|V^(S) + mu lambda_S: bands in increasing S, consecutive ones at
+least 1 apart.
 
-Blocks below SECTOR_SPARSE_MIN_DIM are solved densely: one ``eigvalsh``,
-certified by isolation (d-th eigenvalue <= g_hi, next one >= g_hi + 1).
-They are the top blocks (block sizes grow from M = S_max down to 0), so
-one sparse product R^T R, R the rows of S+ above the lowest of them, holds
-S-S+ on all of them.  Larger blocks need only the two extremes, from
-Lanczos ``eigsh`` on H_MM +- c B^T B applied as sparse products.  There
-S+ is certified first (it raises M by one and [S+, S-] = 2 S3 on a random
-vector of the M = S + 1 block), then each Ritz pair by its residual, by
-||B v|| ~ 0 (v is a highest-weight vector) and by min <= g_hi,
-max >= g_lo.  A failed certificate or ARPACK non-convergence raises
-NumericalError.  Both routes check a memory estimate before they assemble
-the block.
+Blocks below SECTOR_SPARSE_MIN_DIM are solved densely.  They are the top
+blocks (block sizes grow from M = S_max down to 0), so one ``eigvalsh`` on
+the lowest of them, M*, gives every dense sector at once: its ascending
+eigenvalues split into runs of dim V^(S), S = M*, M*+1, ... upward, and
+run S minus mu lambda_S is the spectrum of H on V^(S).  mu B^T B is added
+to the dense H block from B's stored entries (mu v_i v_j for each pair in
+a row), with no sparse or dense matrix product, and the solve overwrites
+that one array.  The certificate: the dimensions fill the block, and each
+shifted run lies in [g_lo - tol_S, g_hi + tol_S], tol_S = 1e-9 max(1,
+|g_lo|, |g_hi|, mu lambda_S); else NumericalError.  Larger blocks need
+only the two extremes, from Lanczos ``eigsh`` on H_MM +- c B^T B with
+M = S and c = mu, applied as sparse products: the other multiplets of the
+first sit at or above g_hi + 1, those of the second at or below g_lo - 1.
+There S+ is certified first (it raises M by one and [S+, S-] = 2 S3 on a
+random vector of the M = S + 1 block), then each Ritz pair by its
+residual, by ||B v|| ~ 0 (v is a highest-weight vector) and by
+min <= g_hi, max >= g_lo.  A failed certificate or ARPACK non-convergence
+raises NumericalError.  Both routes check a memory estimate before they
+assemble the block.
 
 The q-deformed sectors avoid the penalty, because (S+_q)^T S+_q has a
 condition number growing like q^-L, which would drown the penalty gap in
 rounding; ``qgroup`` uses the diagram basis.  The oracles the tests
-compare both routes against, the SVD basis of ker(S+) and the Casimir
-projector, live in ``tests/reference.py``.
+compare both routes against, the SVD basis of ker(S+), the Casimir
+projector and one penalized solve per sector on its own block, live in
+``tests/reference.py``.
 
 Spin-1/2 chains need neither route: ``temperley_lieb.diagram_sector_energies``
 reads each sector from its arc-diagram basis, with no 2^L product space,
@@ -80,14 +88,19 @@ __all__ = [
 
 STRICT_FOEL_TOL = 1e-8
 INVARIANCE_TOL = 1e-10
-# Dense m x m float64 arrays estimated per block solve (tracemalloc peak: ~3)
-DENSE_BLOCK_ARRAYS = 4
-# Lanczos ``eigsh`` for both extremes beats the dense ``eigvalsh`` from about
-# this S^3 block dimension.  Best of 5, 2 BLAS threads, 2-vCPU x86 VM,
-# sparse vs dense (the dense time includes the S-S+ product down to the
-# block): 0.050 vs 0.046 s at m = 792, 0.061 vs 0.067 s at m = 924 (random
-# J), 0.071 vs 0.081 s at m = 1016 (spin 1), 0.070 vs 0.17 s at m = 1287,
-# 0.084 vs 0.33 s at m = 1716.
+# Dense m x m float64 arrays estimated per banded solve: the block, which
+# the solve overwrites in place, plus index arrays (tracemalloc peak: 1.33
+# at m = 924)
+DENSE_BLOCK_ARRAYS = 2
+# S^3 blocks from about this dimension take Lanczos ``eigsh`` for both
+# extremes; the smaller (top) ones share one banded ``eigvalsh`` on the
+# lowest of them.  ``sector_energies`` with this constant at m + 1 vs m
+# (block m dense vs Lanczos), best of 5, 2 BLAS threads, 2-vCPU x86 VM:
+# 0.043 vs 0.067 s at m = 924 (12 spin-1/2), 0.43 vs 0.44 s at m = 1001
+# (14 spin-1/2), 0.081 vs 0.113 s at m = 1107 and 0.11 vs 0.12 s at
+# m = 1016 (8 spin-1), 0.19 vs 0.17 s at m = 1137 and 1177 (mixed spins),
+# 0.19 vs 0.14 s at m = 1287 (13 spin-1/2, uniform).  The crossover lies
+# between about 1000 and 1300 depending on the chain, so the constant stays.
 SECTOR_SPARSE_MIN_DIM = 1000
 # Sparse-route memory estimate: bytes per stored entry of the H_MM and S+
 # blocks (values and indices of the row slice, the block and B^T) and the
@@ -144,14 +157,14 @@ class MaxOrderingVerdict:
 def s3_blocks(shape):
     """Partition of product-basis indices by total S^3 eigenvalue M.
 
-    Returns {HalfInt M: index array}, M descending.
+    Returns {HalfInt M: index array}, M descending: consecutive pieces of
+    one stable argsort of -2M, so each piece is ascending.
     """
-    m = shape.total_m()
-    twice_m = np.rint(2 * m).astype(int)
-    blocks = {}
-    for tm in np.unique(twice_m)[::-1]:
-        blocks[HalfInt(int(tm))] = np.nonzero(twice_m == tm)[0]
-    return blocks
+    top = shape.s_max.twice
+    k = (top - np.rint(2 * shape.total_m()).astype(np.int64)) // 2  # S_max - M
+    order = np.argsort(k, kind="stable")
+    ends = np.cumsum(np.bincount(k)).tolist()
+    return {HalfInt(top - 2 * i): order[a:b] for i, (a, b) in enumerate(zip([0] + ends, ends))}
 
 
 def sector_labels(shape):
@@ -193,7 +206,8 @@ def _s3_sorted(H, shape, su2=True):
     inverse[order] = np.arange(order.size)
     # S+ first: its assembly is the memory peak, best reached with one copy of H
     raising = _relabelled(total_spin_ops(shape).sptot.matrix, order, inverse) if su2 else None
-    h = _relabelled(sp.csr_matrix(H.matrix), order, inverse)
+    h = _relabelled(H.matrix if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix),
+                    order, inverse)
     tol = INVARIANCE_TOL * max(1.0, max_abs(h))
     twice_m = np.repeat([m.twice for m in index], sizes)
     dm = np.abs(np.repeat(twice_m, np.diff(h.indptr)) - twice_m[h.indices])
@@ -245,30 +259,47 @@ def _block_csr(a, rows, cols):
                          shape=(rows.stop - rows.start, cols.stop - cols.start))
 
 
-def _sminus_splus(raising, blocks, S):
-    """S-S+ = R^T R as one sparse product, with R the rows of S+ above the
-    M = S block: its M blocks for M >= S are those of S-S+, and it has no
-    entries below them."""
-    r = _block_csr(raising, slice(0, blocks[S].start), slice(0, raising.shape[1]))
-    return r.T.tocsr() @ r
-
-
-def _sector_spectrum(h, sms, blocks, S, d):
-    """The d eigenvalues of H on V^(S), ascending: the certified penalized
-    solve on the M = S block described in the module docstring, with the
-    blocks of H and of S-S+ (``sms``, from ``_sminus_splus``) read from
-    their CSR arrays."""
-    s = blocks[S]
+def _sector_bands(h, raising, blocks, labels, M):
+    """{S: ascending spectrum of H on V^(S)} for every label S >= M, from
+    the certified banded ``eigvalsh`` on the M block (module docstring);
+    NumericalError if the certificate fails."""
+    s = blocks[M]
     m = s.stop - s.start
     require_memory(DENSE_BLOCK_ARRAYS * 8 * m ** 2, _physical_memory_bytes(),
-                   f"the dense S={S} block of dimension {m}")
+                   f"the dense M={M} block of dimension {m}")
+    present = sorted(S for S in labels if S >= M)
+    if sum(labels[S] for S in present) != m:
+        raise NumericalError(f"sector dimensions {[labels[S] for S in present]} "
+                             f"do not fill the M={M} block of dimension {m}")
+    b = _raising_block(raising, blocks, M)
     hb = _dense_block(h, s)
-    diag = np.diag(hb)
-    g_lo, g_hi, c, slack = _penalty(diag, np.abs(hb).sum(axis=1) - np.abs(diag), S)
-    w = la.eigvalsh(hb + c * _dense_block(sms, s))
-    if w[d - 1] > g_hi + slack or (len(w) > d and w[d] < g_hi + 1.0 - slack):
-        raise NumericalError(f"penalized solve at S={S} does not isolate {d} levels")
-    return w[:d]
+    lo, hi = h.indptr[s.start], h.indptr[s.stop]
+    rowsum = np.bincount(np.repeat(np.arange(m), np.diff(h.indptr[s.start:s.stop + 1])),
+                         weights=np.abs(h.data[lo:hi]), minlength=m)
+    diag = hb.diagonal().copy()
+    g_lo, g_hi, mu, slack = _penalty(diag, rowsum - np.abs(diag), M)
+    # every pair (i, j) of stored entries in one row of B adds mu v_i v_j
+    k = np.diff(b.indptr)
+    first = np.repeat(b.indptr[:-1], k * k)
+    width = np.repeat(k, k * k)
+    t = np.arange(width.size) - np.repeat(np.cumsum(k * k) - k * k, k * k)
+    i, j = first + t // width, first + t % width
+    np.add.at(hb, (b.indices[i], b.indices[j]), mu * b.data[i] * b.data[j])
+    # hb is symmetric, so its transpose is the same matrix, in the Fortran
+    # order LAPACK overwrites without a copy
+    w = la.eigvalsh(hb.T, overwrite_a=True)
+    bands, start = {}, 0
+    for S in present:
+        # lambda_S = S(S+1) - M(M+1), exact from the twice-values
+        shift = mu * ((S.twice * (S.twice + 2) - M.twice * (M.twice + 2)) // 4)
+        run = w[start:start + labels[S]] - shift
+        start += labels[S]
+        tol = max(slack, 1e-9 * shift)
+        if run[0] < g_lo - tol or run[-1] > g_hi + tol:
+            raise NumericalError(f"S+ penalty band S={S} on the M={M} block leaves "
+                                 f"[{g_lo:.6g}, {g_hi:.6g}]: [{run[0]:.6g}, {run[-1]:.6g}]")
+        bands[S] = run
+    return bands
 
 
 def _penalty(diag, radius, S):
@@ -352,22 +383,21 @@ def sector_energies(H, shape):
     """Min/max energy of H in every total-spin sector.
 
     S^3 blocks of dimension >= SECTOR_SPARSE_MIN_DIM take the sparse
-    Lanczos route, smaller ones the dense solve (module docstring).  H must
-    commute with the total-spin operators (checked; raises
+    Lanczos route; the smaller ones are the top blocks, and one banded solve
+    on the lowest of them gives all their sectors (module docstring).  H
+    must commute with the total-spin operators (checked; raises
     NonInvariantOperatorError otherwise).
     """
     h, raising, blocks = _s3_sorted(H, shape)
     labels = sector_labels(shape)
-    # eigsh needs k < m; block sizes grow from the top down to M = 0, so the
-    # dense blocks are the top ones and one S-S+ product serves them all
+    # eigsh needs k < m; block sizes grow from the top down to M = 0
     dense = [S for S in labels
              if blocks[S].stop - blocks[S].start < max(SECTOR_SPARSE_MIN_DIM, 2)]
-    sms = _sminus_splus(raising, blocks, min(dense)) if dense else None
+    bands = _sector_bands(h, raising, blocks, labels, min(dense)) if dense else {}
     entries = {}
     for S, d in labels.items():
-        if S in dense:
-            w = _sector_spectrum(h, sms, blocks, S, d)
-            lo, hi = w[0], w[-1]
+        if S in bands:
+            lo, hi = bands[S][0], bands[S][-1]
         else:
             lo, hi = _sector_extremes(h, raising, blocks, S)
         entries[S] = SectorEntry(float(lo), float(hi), d)
@@ -431,10 +461,11 @@ def low_energy_by_deviation(H, shape, N):
 
     Assumes H has the FOEL property, so the sectors S_max, ..., S_max - N
     contain every eigenvalue below the cutoff.  It needs all d eigenvalues
-    of each sector, so every block takes the dense solve, whatever its size.
-    Each multiplet eigenvalue is expanded with multiplicity 2S+1.  On spaces of dimension <= 1024 the
-    result is cross-checked against the truncated full spectrum; a mismatch
-    means the FOEL precondition failed.
+    of each sector: one banded solve on the M = S_max - N block gives them,
+    whatever its size.  Each multiplet eigenvalue is expanded with
+    multiplicity 2S+1.  On spaces of dimension <= 1024 the result is
+    cross-checked against the truncated full spectrum; a mismatch means the
+    FOEL precondition failed.
     """
     h, raising, blocks = _s3_sorted(H, shape)
     dims = sector_labels(shape)
@@ -442,17 +473,10 @@ def low_energy_by_deviation(H, shape, N):
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
     tol = 1e-9 * max(1.0, max_abs(H.matrix))
-    sms = _sminus_splus(raising, blocks, labels[N])
-    collected = []
-    cutoff = None
-    for S in labels[: N + 1]:
-        w = _sector_spectrum(h, sms, blocks, S, dims[S])
-        if S == labels[N]:
-            cutoff = float(w[0])
-        collected.extend((float(e), S.twice + 1) for e in w)
-    if N == len(labels) - 1:
-        # every sector was diagonalized; the union is the whole spectrum
-        cutoff = np.inf
+    bands = _sector_bands(h, raising, blocks, dims, labels[N])
+    collected = [(float(e), S.twice + 1) for S in labels[: N + 1] for e in bands[S]]
+    # with N the last label every sector was diagonalized: the whole spectrum
+    cutoff = np.inf if N == len(labels) - 1 else float(bands[labels[N]][0])
     keep = [e for e, mult in collected for _ in range(mult) if e <= cutoff + tol]
     keep = np.array(sorted(keep))
     if shape.dim <= 1024:

@@ -5,7 +5,7 @@ ladder operators S+ and S-, so no matrix in the package is ever complex.
 The tensor index is mixed-radix with site 0 slowest (leftmost Kronecker
 factor), a bit-exact basis convention for all cross-module checks: state
 (m_0, ..., m_{L-1}), digit m_x < d_x, sits at sum_x m_x stride_x with
-stride_x = d_{x+1} ... d_{L-1}.  Every tensor-product operator comes from
+stride_x = d_{x+1} ... d_{L-1}.  Every Hamiltonian comes from
 ``_local_sum``: a nonzero (a, b) <- (c, d) of a matrix on sites x, y moves
 column j to row j + (a - c) stride_x + (b - d) stride_y, so all terms are
 emitted as COO triples and compressed to CSR once.  Diagonals are summed
@@ -14,10 +14,11 @@ embedded terms one after another; off-diagonal entries of one-site and
 S^3-conserving two-site terms change every digit they act on, so terms on
 different sites never share a position.  Exact zeros are dropped.
 
-The total-spin operators are S^+ (``total_spin_ops``; S^- is its
-transpose) and S^3, which is diagonal and read from ``HilbertShape.total_m``
-without a matrix.  ``spin_matrices`` and the ``heisenberg_bond`` matrix are
-cached per spin, as read-only arrays.
+The total-spin operators are S^+ (``total_spin_ops``, read from the
+digits of the product index; S^- is its transpose) and S^3, which is
+diagonal and read from ``HilbertShape.total_m`` without a matrix.
+``spin_matrices`` and the ``heisenberg_bond`` matrix are cached per spin,
+as read-only arrays.
 """
 
 from __future__ import annotations
@@ -239,10 +240,34 @@ class TotalSpinOps:
 
 
 def total_spin_ops(shape):
-    """Total S^+ as a sum of one-site operators.  S^- is its transpose and
-    S^3 is diagonal, read from ``HilbertShape.total_m``."""
-    return TotalSpinOps(sptot=RealOperator(_local_sum(
-        shape, [((x,), spin_matrices(s).splus) for x, s in enumerate(shape.spins)])))
+    """Total S^+ = sum_x S^+_x, read from the digits of the product index.
+    S^- is its transpose and S^3 is diagonal, read from
+    ``HilbertShape.total_m``.
+
+    Row r has one entry per site x whose digit a_x is below 2 s_x (digit 0
+    is m = s): column r + stride_x, value ``spin_matrices(s_x).splus``
+    [a_x, a_x + 1].  Sites are visited from the last
+    (stride 1) to the first, so every row's columns come out ascending and
+    the CSR arrays are those of the ``_local_sum`` build, with no COO pass.
+    """
+    dims = shape.local_dims
+    strides = np.cumprod((1,) + dims[:0:-1])[::-1]
+    index = np.arange(shape.dim)
+    digits = [index // stride % d for stride, d in zip(strides, dims)]
+    raisable = [digit < d - 1 for digit, d in zip(digits, dims)]
+    indptr = np.zeros(shape.dim + 1, dtype=np.int64)
+    np.cumsum(sum(raisable, np.zeros(shape.dim, dtype=np.int64)), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    filled = indptr[:-1].copy()
+    for x in reversed(range(shape.nsites)):
+        rows = np.flatnonzero(raisable[x])
+        pos = filled[rows]
+        indices[pos] = rows + strides[x]
+        data[pos] = np.diagonal(spin_matrices(shape.spins[x]).splus, 1)[digits[x][rows]]
+        filled[rows] += 1
+    return TotalSpinOps(sptot=RealOperator(
+        sp.csr_matrix((data, indices, indptr), shape=(shape.dim, shape.dim))))
 
 
 def heisenberg_bond(s1, s2):

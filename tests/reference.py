@@ -14,9 +14,10 @@ from scipy.sparse.csgraph import connected_components
 from foelab.errors import NumericalError
 from foelab.hamiltonians import SpinGraph
 from foelab.linalg import max_abs, to_dense
-from foelab.sectors import SectorEntry, SectorReport, s3_blocks, sector_labels
-from foelab.spinops import (HalfInt, HilbertShape, RealOperator, _local_sum, heisenberg_bond,
-                            spin_matrices, total_spin_ops)
+from foelab.sectors import (SectorEntry, SectorReport, _block_csr, _dense_block, _penalty,
+                            _s3_sorted, s3_blocks, sector_labels)
+from foelab.spinops import (HalfInt, HilbertShape, RealOperator, TotalSpinOps, _local_sum,
+                            heisenberg_bond, spin_matrices, total_spin_ops)
 from foelab.temperley_lieb import ENTRY_TOL, TLMatrix
 
 KERNEL_REL_TOL = 1e-8
@@ -69,6 +70,44 @@ def highest_weight_space(shape, S, total_ops=None, blocks=None):
     vectors = np.zeros((shape.dim, d))
     vectors[cols] = kern
     return vectors
+
+
+def local_sum_total_spin_ops(shape):
+    """Total S^+ assembled by ``_local_sum``, one one-site term per site."""
+    return TotalSpinOps(sptot=RealOperator(_local_sum(
+        shape, [((x,), spin_matrices(s).splus) for x, s in enumerate(shape.spins)])))
+
+
+def _sminus_splus(raising, blocks, S):
+    """S-S+ = R^T R as one sparse product, with R the rows of S+ above the
+    M = S block: its M blocks for M >= S are those of S-S+, and it has no
+    entries below them."""
+    r = _block_csr(raising, slice(0, blocks[S].start), slice(0, raising.shape[1]))
+    return r.T.tocsr() @ r
+
+
+def _sector_spectrum(h, sms, blocks, S, d):
+    """The d eigenvalues of H on V^(S), ascending, from the penalized solve
+    on the M = S block alone: eigvalsh of H_SS + c (S-S+)_SS with
+    c = (g_hi - g_lo + 1)/(2S + 2), certified by isolation (d-th eigenvalue
+    <= g_hi, the next one >= g_hi + 1), else NumericalError."""
+    s = blocks[S]
+    hb = _dense_block(h, s)
+    diag = np.diag(hb)
+    g_lo, g_hi, c, slack = _penalty(diag, np.abs(hb).sum(axis=1) - np.abs(diag), S)
+    w = la.eigvalsh(hb + c * _dense_block(sms, s))
+    if w[d - 1] > g_hi + slack or (len(w) > d and w[d] < g_hi + 1.0 - slack):
+        raise NumericalError(f"penalized solve at S={S} does not isolate {d} levels")
+    return w[:d]
+
+
+def penalized_sector_spectra(H, shape):
+    """{S: ascending spectrum of H on V^(S)}: one penalized dense solve per
+    sector on its own S^3 = S block, the oracle for the banded solve."""
+    h, raising, blocks = _s3_sorted(H, shape)
+    labels = sector_labels(shape)
+    sms = _sminus_splus(raising, blocks, min(labels))
+    return {S: _sector_spectrum(h, sms, blocks, S, d) for S, d in labels.items()}
 
 
 def total_s3(shape):

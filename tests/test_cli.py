@@ -107,20 +107,21 @@ class TestExitCodes:
     def test_foel_dense_block_memory_guard(self, tmp_path, monkeypatch, capsys):
         import foelab.sectors as sectors
 
-        # the M = 1 block of a 12-site spin-1/2 chain has 792 states:
-        # 4 dense 792 x 792 float64 arrays are estimated at 19 MB
-        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 16 * 2 ** 20)
+        # one banded solve on the M = 0 block of a 12-site spin-1/2 chain
+        # (924 states) serves every sector: 2 dense 924 x 924 float64
+        # arrays are estimated at 13 MB
+        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 8 * 2 ** 20)
         code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 11))
         assert code == 3
         err = capsys.readouterr().err
-        assert "dimension 792 needs an estimated 19 MB" in err
+        assert "dimension 924 needs an estimated 13 MB" in err
         assert not (out / "foel.json").exists()
 
     def test_foel_sparse_blocks_under_dense_memory_limit(self, tmp_path, monkeypatch):
         import foelab.sectors as sectors
 
-        # 4 dense 3432 x 3432 arrays (the M = 0 block of 14 spin-1/2 sites)
-        # are estimated at 377 MB; the sparse route needs about 3 MB
+        # 2 dense 3432 x 3432 arrays (the M = 0 block of 14 spin-1/2 sites)
+        # are estimated at 188 MB; the sparse route needs about 3 MB
         monkeypatch.setattr(sectors, "_physical_memory_bytes",
                             lambda: sectors.DENSE_BLOCK_ARRAYS * 8 * 3432 ** 2 - 1)
         js = [float(j) for j in np.random.default_rng(14).uniform(0.1, 2.0, 13)]
@@ -605,6 +606,10 @@ class TestDeterminism:
             ("qfoel", "--L", "4", "--q", "0.3"),
             ("tl-matrix", "--k", "11", "--n", "3", "--q", "0.5"),
             ("droplet", "--q", "0.5", "--n", "1,4", "--Lmax", "12"),
+            ("foel", "--chain", "1,2,3,2,1", "--J", "1,0.7,1.3,0.9"),
+            ("foel", "--spin1-beta", "0.4", "--L", "5"),
+            ("figure1",),
+            ("foel", "--random-trials", "5", "--max-dim", "256"),
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
-from reference import (build_xxz_chain, casimir_sector_energies, highest_weight_space,
-                       kron_embed, total_s3)
+from reference import (_sminus_splus, build_xxz_chain, casimir_sector_energies,
+                       highest_weight_space, kron_embed, penalized_sector_spectra, total_s3)
 
 import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
@@ -29,8 +29,7 @@ from foelab.sectors import (
     SectorReport,
     _dense_block,
     _s3_sorted,
-    _sector_spectrum,
-    _sminus_splus,
+    _sector_bands,
     check_foel,
     check_max_ordering,
     full_spectrum_by_s3,
@@ -233,14 +232,24 @@ class TestWrongRaisingOperator:
             highest_weight_space(TWO_HALVES, HalfInt(0), self.broken_ops())
 
     def test_penalty_certificate_fails(self):
+        # no penalty: the triplet's run, shifted down by the S = 1 band
+        # offset, lands below g_lo
         h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
         h_sorted, _, blocks = _s3_sorted(h, TWO_HALVES)
-        with pytest.raises(NumericalError):
-            _sector_spectrum(h_sorted, sp.csr_matrix((4, 4)), blocks, HalfInt(0), 1)
+        with pytest.raises(NumericalError, match="band S=1"):
+            _sector_bands(h_sorted, sp.csr_matrix((4, 4)), blocks,
+                          sector_labels(TWO_HALVES), HalfInt(0))
 
-    @pytest.mark.parametrize("twice", [[1, 1], [1, 2, 3, 2]])
-    @pytest.mark.parametrize("wrong", ["zero", "double", "plus_s3"])
-    def test_sparse_route_certifies_raising(self, twice, wrong):
+    def test_band_dimensions_must_fill_the_block(self):
+        h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
+        h_sorted, raising, blocks = _s3_sorted(h, TWO_HALVES)
+        _sector_bands(h_sorted, raising, blocks, sector_labels(TWO_HALVES), HalfInt(0))
+        with pytest.raises(NumericalError, match="do not fill"):
+            _sector_bands(h_sorted, raising, blocks, {HalfInt(2): 1, HalfInt(0): 2},
+                          HalfInt(0))
+
+    @staticmethod
+    def assert_raising_certified(twice, wrong, min_dim):
         # S+ = 0 gives the singlet no penalty, and every Ritz certificate
         # passed with it; 2 S+ (wrong gap) and S+ + S3 (not raising M by
         # one) commute with H as well
@@ -249,12 +258,23 @@ class TestWrongRaisingOperator:
         splus = total_spin_ops(shape).sptot.matrix
         op = {"zero": 0.0 * splus, "double": 2.0 * splus,
               "plus_s3": splus + total_s3(shape)}[wrong]
-        with forced_route(2):
+        with forced_route(min_dim):
             sector_energies(h, shape)  # the true S+ passes
             with mock.patch.object(sectors, "total_spin_ops",
                                    lambda shape: TotalSpinOps(sptot=RealOperator(op))), \
                     pytest.raises(NumericalError, match="S\\+"):
                 sector_energies(h, shape)
+
+    @pytest.mark.parametrize("twice", [[1, 1], [1, 2, 3, 2]])
+    @pytest.mark.parametrize("wrong", ["zero", "double", "plus_s3"])
+    def test_sparse_route_certifies_raising(self, twice, wrong):
+        self.assert_raising_certified(twice, wrong, 2)
+
+    @pytest.mark.parametrize("twice", [[1, 1], [1, 2, 3, 2]])
+    @pytest.mark.parametrize("wrong", ["zero", "double", "plus_s3"])
+    def test_dense_route_certifies_raising(self, twice, wrong):
+        # the route forced dense: the banded solve must refuse the wrong S+
+        self.assert_raising_certified(twice, wrong, DENSE)
 
 
 CROSS_ROUTE_MAX_DIM = 512
@@ -381,8 +401,9 @@ class TestS3SortedCopy:
             assert _dense_block(sms, s).tobytes() == (b.T @ b).toarray().tobytes()
 
     def test_dense_route_indexes_no_sparse_block(self):
-        # every block of this 144-state chain takes the dense route; the
-        # only indexing left is the one row chunk of the [H, S+] commutator
+        # every block of this 144-state chain takes the dense route, and
+        # the [H, S+] commutator of fewer than COMMUTATOR_ROWS rows is not
+        # sliced either
         chain = ChainSpec([HalfInt(t) for t in (1, 2, 3, 2, 1)], [1.0, 0.7, 1.3, 0.9])
         callers = []
 
@@ -397,7 +418,35 @@ class TestS3SortedCopy:
                 stack.enter_context(mock.patch.object(cls, "__getitem__",
                                                       spy(cls.__getitem__)))
             sector_energies(build_normalized_chain(chain), chain.shape)
-        assert callers == ["linalg.py", "linalg.py"]
+        assert callers == []
+
+
+class TestBandedSolve:
+    """One eigvalsh on the lowest dense block against one penalized solve
+    per sector on its own block (``reference.penalized_sector_spectra``)."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(problem=su2_operators())
+    def test_matches_per_sector_solves(self, problem):
+        H, shape = problem
+        oracle = penalized_sector_spectra(H, shape)
+        labels = sector_labels(shape)
+        h, raising, blocks = _s3_sorted(H, shape)
+        bands = _sector_bands(h, raising, blocks, labels, min(labels))
+        with forced_route(DENSE):
+            report = sector_energies(H, shape).entries
+        assert set(bands) == set(report) == set(oracle)
+        for S, w in oracle.items():
+            assert bands[S].shape == w.shape
+            assert np.max(np.abs(bands[S] - w)) <= CROSS_ROUTE_TOL
+            assert abs(report[S].min_energy - w[0]) <= CROSS_ROUTE_TOL
+            assert abs(report[S].max_energy - w[-1]) <= CROSS_ROUTE_TOL
+        # every sector at full depth: each level with multiplicity 2S + 1
+        every = np.sort(np.concatenate([np.repeat(w, S.twice + 1)
+                                        for S, w in oracle.items()]))
+        low = low_energy_by_deviation(H, shape, len(labels) - 1)
+        assert low.shape == every.shape
+        assert np.max(np.abs(low - every)) <= CROSS_ROUTE_TOL
 
 
 REAL_EIGSH = sla.eigsh

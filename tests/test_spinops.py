@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import build_xxz_chain, casimir, kron_embed, total_s3, xxz_bond
+from reference import (build_xxz_chain, casimir, kron_embed, local_sum_total_spin_ops,
+                       total_s3, xxz_bond)
 
 from foelab.hamiltonians import (
     ChainSpec,
@@ -256,6 +257,18 @@ class TestTotalSpinOps:
         tot = total_spin_ops(shape)
         lhs = comm(tot.sptot.dense(), tot.sptot.matrix.T.toarray())
         assert np.allclose(lhs, 2 * np.diag(shape.total_m()), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(twice=st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(
+        lambda t: np.prod([x + 1 for x in t]) <= 2 ** 16))
+    def test_digits_match_the_local_sum_build(self, twice):
+        # the same CSR arrays, index dtypes included, as the COO assembly
+        shape = HilbertShape([HalfInt(t) for t in twice])
+        out = total_spin_ops(shape).sptot.matrix
+        ref = local_sum_total_spin_ops(shape).sptot.matrix
+        assert_same_csr(out, ref)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(out, attr).dtype == getattr(ref, attr).dtype
 
 
 def cg_multiplicities(spins):
