@@ -12,8 +12,15 @@ rejected, never replaced.  A subcommand takes only the flags its handler
 reads, and a ``foel``/``spectrum`` flag given without an input it applies
 to is a usage error.  The parser rejects out-of-range ``tl-matrix``,
 ``qfoel``, ``droplet`` and ``fk-basis`` values, ``foel --L`` < 2,
-``--random-trials`` < 1 and ``--max-dim`` < 4 before any library call or
-output (exit 2).  ``foel`` hands a chain to
+``--random-trials`` < 1, ``--max-dim`` < 4, a ``--chain`` without sites
+or with a spin 0, a coupling that is not positive and finite and a
+non-finite ``--spin1-beta`` or ``--tol`` before any library call or output
+(exit 2).
+``ssep-gap`` and ``spinmap`` check their graph (two or more sites,
+connected, and for ``spinmap`` every spin 1/2) right after reading it and
+raise ``UsageError``, also exit 2; so does an unreadable or malformed
+graph file.  Nothing else is a usage error: a ``ValueError`` from the
+library is a program bug.  ``foel`` hands a chain to
 ``temperley_lieb.chain_sector_energies``, which picks the diagram basis
 or the SU(2) route; graphs take ``sectors.sector_energies``.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -91,6 +99,10 @@ _FLAG_INPUTS = {
 }
 
 
+class UsageError(Exception):
+    """A usage error seen only once an input file is read (exit 2)."""
+
+
 def _int_list(text):
     """Comma-separated integers; empty items are skipped."""
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -118,6 +130,12 @@ def _at_least(low):
 
 
 _open_unit_float = _checked(float, lambda q: 0.0 < q < 1.0, "must lie strictly between 0 and 1")
+_finite_float = _checked(float, math.isfinite, "must be finite")
+# twice-spins of --chain and --spins; couplings of every --J
+_twice_spins = _checked(_int_list, lambda t: bool(t) and min(t) > 0,
+                        "needs one or more sites, each spin positive")
+_couplings_list = _checked(_float_list, lambda js: all(0.0 < j < math.inf for j in js),
+                           "couplings must be positive and finite")
 
 
 def _tl_matrix_usage(args):
@@ -146,9 +164,7 @@ def _droplet_usage(args):
 def _fk_basis_usage(args):
     """Usage error of fk-basis, or None."""
     spins, js = args.spins, args.J
-    if not spins or min(spins) < 1:
-        return f"--spins needs one or more sites, each spin positive, got {spins}"
-    if js is not None and (len(js) != len(spins) - 1 or not all(j > 0 for j in js)):
+    if js is not None and len(js) != len(spins) - 1:
         return f"--J needs {len(spins) - 1} positive couplings, got {js}"
     if HalfInt(args.S2) not in sector_labels(HilbertShape([HalfInt(t) for t in spins])):
         return f"--S2 {args.S2} is not twice a total-spin label of --spins {spins}"
@@ -187,8 +203,28 @@ def _model_usage(args):
 
 
 def _load_graph(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph_spec(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"--graph: {exc}") from None
+    return parse_graph_spec(text)
+
+
+def _gap_graph(args, spin_half=False):
+    """--graph of ssep-gap or spinmap, read and checked against the
+    preconditions of gap equality and of the spin map; UsageError if it
+    fails one."""
+    g = _load_graph(args.graph)
+    if g.nsites < 2:
+        problem = f"needs at least two sites, got {g.nsites}"
+    elif not g.is_connected():
+        problem = "is disconnected; it needs a connected graph"
+    elif spin_half and any(s != HalfInt(1) for _, s in g.sites):
+        problem = "needs every site to carry spin 1/2"
+    else:
+        return g
+    raise UsageError(f"{args.command}: --graph {args.graph} {problem}")
 
 
 def _margins_json(margins):
@@ -430,7 +466,7 @@ def cmd_droplet(args):
 
 
 def cmd_ssep_gap(args):
-    g = _load_graph(args.graph)
+    g = _gap_graph(args)
     report = check_aldous(g, rel_tol=args.tol)
     write_csv(_out(args, "ssep_gap.csv"),
               ("n", "sector_dim", "lambda_n", "lambda_1", "relative_deviation"),
@@ -444,7 +480,7 @@ def cmd_ssep_gap(args):
 
 
 def cmd_spinmap(args):
-    g = _load_graph(args.graph)
+    g = _gap_graph(args, spin_half=True)
     result = verify_spin_map(g)
     write_csv(_out(args, "spinmap.csv"),
               ("n", "lambda_n", "h_second_eigenvalue", "deviation"),
@@ -474,7 +510,7 @@ def run(args):
     """Dispatch a parsed namespace; returns the process exit code."""
     try:
         return _HANDLERS[args.command](args)
-    except (GraphSpecError, FileNotFoundError, ValueError) as exc:
+    except (GraphSpecError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericalError, NonInvariantOperatorError) as exc:
@@ -493,15 +529,16 @@ def build_parser():
         """--output, and --tol (default 1e-8) described by ``tol`` if given."""
         p.add_argument("--output", default=".", help="output directory")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8, help=f"{tol} (default 1e-8)")
+            p.add_argument("--tol", type=_finite_float, default=1e-8,
+                           help=f"{tol} (default 1e-8)")
 
     def model(p):
         """Required input group {--chain, --graph}, plus --J for --chain."""
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--chain", type=_int_list,
+        group.add_argument("--chain", type=_twice_spins,
                            help="comma-separated twice-spin integers")
         group.add_argument("--graph", help="graph-spec file")
-        p.add_argument("--J", type=_float_list,
+        p.add_argument("--J", type=_couplings_list,
                        help="comma-separated --chain couplings (default all 1)")
         return group
 
@@ -513,7 +550,7 @@ def build_parser():
 
     p = sub.add_parser("foel", help="sector minima and the FOEL verdict")
     group = model(p)
-    group.add_argument("--spin1-beta", type=float, dest="spin1_beta",
+    group.add_argument("--spin1-beta", type=_finite_float, dest="spin1_beta",
                        help="sweep the spin-1 chain with this quartic weight")
     group.add_argument("--random-trials", type=_at_least(1), dest="random_trials",
                        help="number of random chains to test")
@@ -533,18 +570,19 @@ def build_parser():
                    required=True, help="number of vertices")
     p.add_argument("--n", type=_at_least(0),
                    required=True, help="number of arcs, 2n <= k")
-    p.add_argument("--J", type=_float_list,
+    p.add_argument("--J", type=_couplings_list,
                    help="comma-separated couplings, k-1 values (default all 1)")
-    p.add_argument("--q", type=_checked(float, lambda q: q > 0.0, "must be positive"),
+    p.add_argument("--q", type=_checked(float, lambda q: 0.0 < q < math.inf,
+                                        "must be positive and finite"),
                    default=1.0)
     common(p, "largest off-diagonal entry accepted as nonpositive")
 
     p = sub.add_parser("fk-basis", help="higher-spin highest-weight basis")
-    p.add_argument("--spins", type=_int_list, required=True,
+    p.add_argument("--spins", type=_twice_spins, required=True,
                    help="comma-separated twice-spin integers")
     p.add_argument("--S2", type=int, required=True,
                    help="twice the total-spin label")
-    p.add_argument("--J", type=_float_list,
+    p.add_argument("--J", type=_couplings_list,
                    help="comma-separated couplings (default all 1)")
     common(p)
 

@@ -92,6 +92,9 @@ INVARIANCE_TOL = 1e-10
 # the solve overwrites in place, plus index arrays (tracemalloc peak: 1.33
 # at m = 924)
 DENSE_BLOCK_ARRAYS = 2
+# The same for one full-spectrum ``eigvalsh`` of an S^3 block, which copies
+# it (tracemalloc peak: 2.16, 2.04 and 2.02 at m = 252, 924 and 1716)
+SPECTRUM_BLOCK_ARRAYS = 3
 # S^3 blocks from about this dimension take Lanczos ``eigsh`` for both
 # extremes; the smaller (top) ones share one banded ``eigvalsh`` on the
 # lowest of them.  ``sector_energies`` with this constant at m + 1 vs m
@@ -446,9 +449,14 @@ def check_max_ordering(report, s_low=HalfInt(2)):
 def full_spectrum_by_s3(H, shape, offset=False):
     """Complete spectrum per S^3 block: list of (M, sorted eigenvalues).
 
-    With offset=True the ground energy is shifted to exactly 0.
+    With offset=True the ground energy is shifted to exactly 0.  The
+    memory estimate of the largest block is checked before any is formed.
     """
     h, _, blocks = _s3_sorted(H, shape, su2=False)
+    top_m, top = max(blocks.items(), key=lambda item: item[1].stop - item[1].start)
+    dim = top.stop - top.start
+    require_memory(SPECTRUM_BLOCK_ARRAYS * 8 * dim ** 2, _physical_memory_bytes(),
+                   f"the dense M={top_m} block of dimension {dim}")
     out = [(m, eigvalsh_full(_dense_block(h, s))) for m, s in blocks.items()]
     if offset:
         e0 = min(w[0] for _, w in out)

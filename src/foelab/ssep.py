@@ -4,21 +4,26 @@ The generator acts on functions of particle configurations (at most one
 particle per vertex); an edge with rate r exchanges the endpoint occupations.
 Everything here is spectral; no trajectories are ever sampled.
 
-Configurations are ordered by the integer value of their occupation
-bit-vector, vertex i contributing bit i.
+A configuration is indexed by its spin-1/2 product state, in the
+convention of ``spinops``: vertex x is bit N - 1 - x, and digit 0, spin
+up, means occupied.  The n-particle configurations are the S^3 = n - N/2
+block of ``sectors.s3_blocks``, in increasing index order.  With rates
+J/2 the generator is then the matrix of sum_edges J (1/4 - S_x.S_y) index
+for index (Caputo-Liggett-Richthammer), so the spin map compares the two
+with no relabelling.
 
 Everything is sparse: a sector generator is one CSR matrix assembled from
 per-edge index arrays, and the spin map compares the 2^N-dimensional
 generator with the Heisenberg matrix as sparse matrices; each spin-map
 sector is solved once, as the generator (see ``verify_spin_map``).
 
-Sector N - n is sector n under the complement map eta -> ~eta (the same
-matrix with its index order reversed), so the gap tables solve n <= N/2
-and copy each row n > N/2 from row N - n.  A gap is certified from one
-eigenpair: dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM; above it Lanczos
-``eigsh`` for the one lowest pair of the generator with its known zero mode,
-the uniform vector, deflated (shifted above the whole spectrum).  The
-certificates: the configuration graph is connected (so the zero mode is
+Sector N - n is sector n under the complement map eta -> ~eta, which
+reverses the index order (index i goes to 2^N - 1 - i), so the gap tables
+solve n <= N/2 and copy each row n > N/2 from row N - n.  A gap is
+certified from one eigenpair: dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM;
+above it Lanczos ``eigsh`` for the one lowest pair of the generator with
+its known zero mode, the uniform vector, deflated (shifted above the whole
+spectrum).  The certificates: the configuration graph is connected (so the zero mode is
 simple), the uniform vector has residual at most ZERO_MODE_TOL, the gap
 pair has a small residual and is orthogonal to the uniform vector.  Memory
 estimates made before assembly turn requests larger than physical memory
@@ -40,7 +45,8 @@ from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
 from .linalg import eigvalsh_full, max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
-from .spinops import HalfInt, RealOperator
+from .sectors import s3_blocks
+from .spinops import HalfInt, HilbertShape, RealOperator
 
 __all__ = [
     "SSEPGenerator",
@@ -73,26 +79,26 @@ class SSEPGenerator:
     """Generator matrix restricted to the n-particle configurations."""
 
     n: int
-    configs: np.ndarray  # int64 occupation integers (bit i = vertex i), sorted
+    configs: np.ndarray  # int64 spin-1/2 product indices (module docstring), sorted
     L: RealOperator
 
 
 def _edge_rates(g):
-    """(position u, position v, J) of every edge; ``SpinGraph`` has J > 0."""
-    return [(g.site_position(u), g.site_position(v), j) for u, v, j in g.edges]
+    """(bit of u, bit of v, J) of every edge, vertex x at bit N - 1 - x;
+    ``SpinGraph`` has J > 0."""
+    top = g.nsites - 1
+    return [(top - g.site_position(u), top - g.site_position(v), j) for u, v, j in g.edges]
 
 
-def _config_ints(nsites, n):
-    """Occupation integers with n particles, in increasing order."""
-    ints = np.arange(2 ** nsites, dtype=np.int64)
-    count = np.zeros(ints.shape, dtype=np.int64)
-    for p in range(nsites):
-        count += (ints >> p) & 1
-    return ints[count == n]
+def _configs(nsites, n):
+    """Indices of the n-particle configurations, increasing: the
+    S^3 = n - N/2 block of N spins 1/2, copied out of the 2^N-long array
+    it is a slice of."""
+    return s3_blocks(HilbertShape([HalfInt(1)] * nsites))[HalfInt(2 * n - nsites)].copy()
 
 
 def _assemble(edge_rates, configs):
-    """Sparse generator on sorted occupation integers.
+    """Sparse generator on sorted configuration indices.
 
     The diagonal is accumulated edge by edge in edge order, the same
     floating-point sums as a per-configuration loop over the edges.
@@ -124,9 +130,11 @@ def ssep_generator(g: SpinGraph, n=1):
     if not 0 <= n <= nsites:
         raise ValueError(f"particle number {n} out of range")
     edge_rates = _edge_rates(g)
-    require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 24 * 2 ** nsites,
+    # + the enumeration of the configurations: 16 bytes per product state at its
+    # tracemalloc peak (N = 16..20)
+    require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 16 * 2 ** nsites,
                    _physical_memory_bytes(), f"the {n}-particle generator")
-    configs = _config_ints(nsites, n)
+    configs = _configs(nsites, n)
     return SSEPGenerator(n=n, configs=configs, L=RealOperator(_assemble(edge_rates, configs)))
 
 
@@ -212,10 +220,13 @@ def _mirrored(nsites, solve):
     return [solved[min(n, nsites - n) - 1] for n in range(1, nsites)]
 
 
-def _require_two_sites(g, what):
+def _require_connected(g, what):
+    """ValueError unless g has at least two sites and is connected."""
     if g.nsites < 2:
         raise ValueError(f"{what} needs a graph with at least two sites, "
                          f"got {g.nsites}")
+    if not g.is_connected():
+        raise ValueError(f"{what} is stated for connected graphs")
 
 
 @dataclass(frozen=True)
@@ -232,9 +243,7 @@ def check_aldous(g: SpinGraph, rel_tol=1e-9):
     Sectors n <= N/2 are solved; sector N - n has the same gap
     (particle-hole symmetry) and keeps its own n and C(N, n).
     """
-    _require_two_sites(g, "gap equality")
-    if not g.is_connected():
-        raise ValueError("gap equality is stated for connected graphs")
+    _require_connected(g, "gap equality")
     nsites = g.nsites
     gaps = _mirrored(nsites, lambda n: spectral_gap(ssep_generator(g, n=n)))
     rows = tuple((n, comb(nsites, n), lam) for n, lam in enumerate(gaps, start=1))
@@ -256,19 +265,19 @@ def verify_spin_map(g: SpinGraph):
     """Unitary equivalence of the exclusion generator and the spin chain.
 
     With all spins 1/2, H = sum_edges J (1/4 - S_x.S_y) and the generator
-    with rates J/2 agree entrywise once configurations eta are identified
-    with product states via S3_x |eta> = (eta_x - 1/2) |eta>.  The gap in the
+    with rates J/2 agree entrywise on the shared index of the module
+    docstring, where S3_x |eta> = (eta_x - 1/2) |eta>.  The gap in the
     n-particle sector then equals the second-lowest H eigenvalue in the
     S^3 = n - |graph|/2 block.  Each sector is solved once, as the
     generator; the row's H value is x.Hx / x.x at its certified gap vector
-    v mapped to product states as x.  E = mapped generator - H is
+    v, placed at the sector's indices as x.  E = generator - H is
     symmetric, so ``eigenvalue_bound`` = ||E||_inf >= ||E||_2 and Weyl's
     inequality give |x.Hx / x.x - lambda_2(H block)| <= 2 eigenvalue_bound
     + ||L v - lambda_n v|| / ||v||.  ``ok`` needs every entry to agree to
     1e-12 and every gap to 1e-9 relative.  Row N - n repeats the solved row
     n <= N/2 (particle-hole symmetry; the spin flip M -> -M on the H side).
     """
-    _require_two_sites(g, "the spin map")
+    _require_connected(g, "the spin map")
     if any(s != HalfInt(1) for _, s in g.sites):
         raise ValueError("the spin map needs every site to carry spin 1/2")
     nsites = g.nsites
@@ -276,32 +285,18 @@ def verify_spin_map(g: SpinGraph):
     half_rates = [(pu, pv, 0.5 * r) for pu, pv, r in _edge_rates(g)]
     require_memory(SPIN_MAP_MATRICES * _matrix_bytes(dim, len(half_rates)),
                    _physical_memory_bytes(), f"the {nsites}-site spin map")
-    configs = np.arange(dim, dtype=np.int64)
-    full = _assemble(half_rates, configs).tocoo()
-
-    # eta -> tensor index: occupied means spin up, site 0 varies slowest,
-    # i.e. the bit reversal of the complement of eta
-    holes = configs ^ (dim - 1)
-    perm = np.zeros(dim, dtype=np.int64)
-    for p in range(nsites):
-        perm |= ((holes >> p) & 1) << (nsites - 1 - p)
-    mapped = sp.csr_matrix((full.data, (perm[full.row], perm[full.col])),
-                           shape=full.shape)
-    del full
-
     # J (1/4 - S.S) summed over edges; the builder already carries -J S.S
     h = build_heisenberg(g).matrix
     h = h + 0.25 * sum(j for _, _, j in g.edges) * sp.identity(dim, format="csr")
-    delta = mapped - h
-    del mapped
+    delta = _assemble(half_rates, np.arange(dim, dtype=np.int64)) - h
     dev, bound = max_abs(delta), float(abs(delta).sum(axis=1).max())
     del delta
 
     def solve(n):
-        sector = _config_ints(nsites, n)
+        sector = _configs(nsites, n)
         lam, v = _certified_gap(_assemble(half_rates, sector))
         x = np.zeros(dim)
-        x[perm[sector]] = v
+        x[sector] = v
         second = float(x @ (h @ x) / (x @ x))
         return lam, second, abs(lam - second)
 

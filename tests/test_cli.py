@@ -18,6 +18,14 @@ from foelab.spinops import HalfInt, HilbertShape
 from foelab.temperley_lieb import tl_hamiltonian_matrix
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
+# graph-spec files that test arguments name: "g" is valid, the others each
+# fail one precondition of ssep-gap or spinmap
+GRAPHS = {
+    "g": PATH3,
+    "one.g": "site 0 1\n",
+    "split.g": "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 1.0\n",
+    "spin1.g": "site 0 2\nsite 1 2\nedge 0 1 1.0\n",
+}
 
 
 def read(path):
@@ -31,6 +39,14 @@ def reject_constant(name):
 def run(tmp_path, *args):
     out = tmp_path / "out"
     return main(list(args) + ["--output", str(out)]), out
+
+
+def with_graphs(tmp_path, args):
+    """args with each GRAPHS name replaced by the path of that file,
+    written under tmp_path."""
+    for name, text in GRAPHS.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a) if a in GRAPHS else a for a in args]
 
 
 def path_graph(tmp_path, js):
@@ -116,6 +132,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "dimension 924 needs an estimated 13 MB" in err
         assert not (out / "foel.json").exists()
+
+    def test_spectrum_block_memory_guard(self, tmp_path, monkeypatch, capsys):
+        import foelab.sectors as sectors
+
+        # the largest S^3 block of 12 spin-1/2 sites, M = 0 with 924 states,
+        # is checked before any block is solved: 3 dense arrays are 20 MB
+        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 8 * 2 ** 20)
+        code, out = run(tmp_path, "spectrum", "--chain", ",".join(["1"] * 12))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "the dense M=0 block of dimension 924 needs an estimated 20 MB" in err
+        assert not out.exists()
 
     def test_foel_sparse_blocks_under_dense_memory_limit(self, tmp_path, monkeypatch):
         import foelab.sectors as sectors
@@ -268,6 +296,18 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             run(tmp_path, "qfoel", "--L", "3", "--q", "0.5")
 
+    def test_internal_value_error_is_not_usage(self, tmp_path, monkeypatch):
+        # usage errors are caught before the library: a ValueError it
+        # raises is a bug, not exit 2
+        import foelab.cli as cli
+
+        def bug(g, rel_tol):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "check_aldous", bug)
+        with pytest.raises(ValueError, match="internal"):
+            run(tmp_path, *with_graphs(tmp_path, ["ssep-gap", "--graph", "g"]))
+
     @pytest.mark.parametrize("args", [
         ("tl-matrix", "--k", "4", "--n", "1", "--q", "0"),
         ("tl-matrix", "--k", "4", "--n", "1", "--J", ""),
@@ -283,15 +323,28 @@ class TestExitCodes:
         ("spectrum", "--graph", "g", "--J", "1,1"),
         ("spectrum", "--chain", "1,1", "--tol", "7"),
         ("spinmap", "--graph", "g", "--seed", "1"),
+        ("foel", "--chain", "0,1"),
+        ("foel", "--chain", ""),
+        ("foel", "--chain", "1,1", "--J", "-1"),
+        ("spectrum", "--chain", "1,1", "--J", "0"),
+        ("tl-matrix", "--k", "3", "--n", "1", "--J", "1,0"),
+        ("foel", "--spin1-beta", "nan"),
+        ("foel", "--chain", "1,1", "--tol", "nan"),
+        ("ssep-gap", "--graph", "one.g"),
+        ("ssep-gap", "--graph", "split.g"),
+        ("spinmap", "--graph", "one.g"),
+        ("spinmap", "--graph", "split.g"),
+        ("spinmap", "--graph", "spin1.g"),
     ], ids=["q-zero", "empty-J", "sweep-L0", "zero-trials", "chain-and-beta",
             "no-model", "bad-int-list", "foel-graph-J", "foel-chain-L",
             "foel-chain-seed", "foel-beta-max-dim", "spectrum-graph-J",
-            "spectrum-tol", "spinmap-seed"])
+            "spectrum-tol", "spinmap-seed", "foel-spin-zero", "foel-no-sites",
+            "foel-J-negative", "spectrum-J-zero", "tl-J-zero", "foel-beta-nan",
+            "foel-tol-nan", "ssep-one-site", "ssep-disconnected", "spinmap-one-site",
+            "spinmap-disconnected", "spinmap-spin-one"])
     def test_given_value_rejected_not_replaced(self, tmp_path, args):
-        # "g" stands for a valid graph-spec file
-        (tmp_path / "g").write_text(PATH3)
-        args = [str(tmp_path / "g") if a == "g" else a for a in args]
-        code, out = run(tmp_path, *args)
+        # "g" and the other GRAPHS names stand for graph-spec files
+        code, out = run(tmp_path, *with_graphs(tmp_path, args))
         assert code == 2
         assert not out.exists() or not any(out.iterdir())
 
@@ -319,13 +372,32 @@ class TestExitCodes:
         (("fk-basis", "--spins", "1,1,1", "--S2", "1", "--J", "1"), "--J"),
         (("fk-basis", "--spins", "1,1", "--S2", "-2"), "--S2"),
         (("fk-basis", "--spins", "0,1", "--S2", "1"), "--spins"),
+        (("foel", "--chain", "0,1"), "--chain"),
+        (("foel", "--chain", ""), "--chain"),
+        (("spectrum", "--chain", "1,0"), "--chain"),
+        (("foel", "--chain", "1,1", "--J", "-1"), "--J"),
+        (("spectrum", "--chain", "1,1,1", "--J", "1,0"), "--J"),
+        (("tl-matrix", "--k", "3", "--n", "1", "--J", "1,-2"), "--J"),
+        (("tl-matrix", "--k", "3", "--n", "1", "--q", "inf"), "--q"),
+        (("fk-basis", "--spins", "1,1", "--S2", "0", "--J", "0"), "--J"),
+        (("foel", "--spin1-beta", "nan"), "--spin1-beta"),
+        (("foel", "--chain", "1,1", "--tol", "nan"), "--tol"),
+        (("ssep-gap", "--graph", "g", "--tol", "inf"), "--tol"),
+        (("ssep-gap", "--graph", "one.g"), "at least two sites, got 1"),
+        (("ssep-gap", "--graph", "split.g"), "disconnected"),
+        (("spinmap", "--graph", "one.g"), "at least two sites, got 1"),
+        (("spinmap", "--graph", "split.g"), "disconnected"),
+        (("spinmap", "--graph", "spin1.g"), "spin 1/2"),
     ], ids=["tl-q-negative", "tl-q-nan", "tl-2n-above-k", "tl-n-negative", "tl-k-zero",
             "tl-too-few-J", "tl-too-many-J", "qfoel-q-zero", "qfoel-q-one",
             "qfoel-L-one", "droplet-q-above-one", "droplet-q-negative",
             "foel-sweep-L-one", "foel-zero-trials", "foel-trials-L-one",
             "droplet-repeated-n", "droplet-n-one-length", "foel-trials-max-dim-3",
             "foel-J-count", "foel-chain-seed", "fk-J-count", "fk-negative-S",
-            "fk-spin-zero"])
+            "fk-spin-zero", "foel-spin-zero", "foel-no-sites", "spectrum-spin-zero",
+            "foel-J-negative", "spectrum-J-zero", "tl-J-negative", "tl-q-inf",
+            "fk-J-zero", "foel-beta-nan", "foel-tol-nan", "ssep-tol-inf", "ssep-one-site", "ssep-disconnected",
+            "spinmap-one-site", "spinmap-disconnected", "spinmap-spin-one"])
     def test_range_errors_exit_before_any_library_call(self, tmp_path, monkeypatch,
                                                        capsys, args, named):
         import foelab.cli as cli
@@ -336,9 +408,11 @@ class TestExitCodes:
         for name in ("tl_hamiltonian_matrix", "QParam", "q_sector_energies",
                      "droplet_csv_rows", "random_chain", "sector_energies",
                      "chain_sector_energies", "fk_highest_weight_basis",
-                     "fk_hamiltonian_matrix"):
+                     "fk_hamiltonian_matrix", "ChainSpec", "build_normalized_chain",
+                     "build_spin1_beta_chain", "full_spectrum_by_s3",
+                     "check_aldous", "verify_spin_map"):
             monkeypatch.setattr(cli, name, reached)
-        code, out = run(tmp_path, *args)
+        code, out = run(tmp_path, *with_graphs(tmp_path, args))
         assert code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -597,6 +671,18 @@ class TestCommands:
         assert payload["trials"] == 5 and payload["failures"] == 0
 
 
+def assert_byte_identical_reruns(tmp_path, args):
+    """Two runs of args write the same files with the same bytes."""
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert main(args + ["--output", str(out1)]) == main(args + ["--output", str(out2)])
+    files1 = sorted(p.name for p in out1.iterdir())
+    files2 = sorted(p.name for p in out2.iterdir())
+    assert files1 == files2
+    for name in files1:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -610,19 +696,17 @@ class TestDeterminism:
             ("foel", "--spin1-beta", "0.4", "--L", "5"),
             ("figure1",),
             ("foel", "--random-trials", "5", "--max-dim", "256"),
+            ("spectrum", "--chain", "1,1,1,1", "--offset"),
         ],
     )
     def test_byte_identical_reruns(self, tmp_path, args):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        assert main(list(args) + ["--output", str(out1)]) == main(
-            list(args) + ["--output", str(out2)]
-        )
-        files1 = sorted(p.name for p in out1.iterdir())
-        files2 = sorted(p.name for p in out2.iterdir())
-        assert files1 == files2
-        for name in files1:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert_byte_identical_reruns(tmp_path, list(args))
+
+    @pytest.mark.parametrize("command", ["ssep-gap", "spinmap"])
+    def test_graph_commands_byte_identical_reruns(self, tmp_path, command):
+        # 10 sites: the n = 5 sector (252 states) takes the Lanczos gap route
+        graph = path_graph(tmp_path, [0.5, 1.5, 1, 0.25, 2, 1, 0.75, 1.25, 1])
+        assert_byte_identical_reruns(tmp_path, [command, "--graph", graph])
 
     def test_sparse_route_byte_identical_reruns(self, tmp_path):
         import foelab.sectors as sectors

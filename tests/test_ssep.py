@@ -99,7 +99,9 @@ def dense_spin_map(g):
     blocks = s3_blocks(g.shape)
     rows = []
     for n in range(1, nsites):
-        ints = [c for c in range(2 ** nsites) if bin(c).count("1") == n]
+        # the sector in product-index order, as ``ssep`` orders it
+        ints = sorted((c for c in range(2 ** nsites) if bin(c).count("1") == n),
+                      key=lambda c: perm[c])
         sector = dense_assemble(nsites, half, ints)
         lam = float(eigvalsh_full(sector)[1])
         idx = blocks[HalfInt(2 * n - nsites)]
@@ -142,19 +144,43 @@ class TestGenerator:
     def test_config_order_is_integer_order(self):
         gen = ssep_generator(path_graph(3), n=1)
         assert gen.configs.dtype == np.int64
-        assert gen.configs.tolist() == [1, 2, 4]
+        # product indices, vertex x at bit 2 - x: the particle is the one 0 digit
+        assert gen.configs.tolist() == [3, 5, 6]
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_sparse_matches_dense_loop(self, seed):
         g = random_connected_graph(np.random.default_rng(seed), 7, extra_edges=4,
                                    spin=HalfInt(1))
-        pos = [(g.site_position(u), g.site_position(v), j) for u, v, j in g.edges]
+        pos = [(6 - g.site_position(u), 6 - g.site_position(v), j) for u, v, j in g.edges]
         for n in range(8):
             gen = ssep_generator(g, n=n)
             assert sp.issparse(gen.L.matrix)
             ints = gen.configs.tolist()
-            assert ints == [c for c in range(2 ** 7) if bin(c).count("1") == n]
+            # n particles are n spins up: n zero digits
+            assert ints == [c for c in range(2 ** 7) if bin(c).count("1") == 7 - n]
             assert np.array_equal(gen.L.dense(), dense_assemble(7, pos, ints))
+
+
+class TestSharedIndex:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(g=connected_graphs())
+    def test_generator_is_the_heisenberg_block(self, g):
+        # configuration index = product-state index: the n-particle sector
+        # is the S^3 = n - N/2 block, and the generator with rates J is
+        # 2 (H + 1/4 sum J) on it, entry by entry up to the rounding of
+        # diagonals summed in another order
+        note(f"edges {list(g.edges)}")
+        nsites = g.nsites
+        shift = 0.25 * sum(j for _, _, j in g.edges)
+        h = 2.0 * (build_heisenberg(g).matrix
+                   + shift * sp.identity(2 ** nsites, format="csr"))
+        blocks = s3_blocks(g.shape)
+        for n in range(nsites + 1):
+            gen = ssep_generator(g, n=n)
+            idx = blocks[HalfInt(2 * n - nsites)]
+            assert np.array_equal(gen.configs, idx)
+            ref = h[idx][:, idx].toarray()
+            assert np.abs(gen.L.dense() - ref).max() <= 1e-14 * max(1.0, shift)
 
 
 class TestSpectralGap:
@@ -282,8 +308,7 @@ class TestParticleHoleMirror:
         nsites = g.nsites
         halved = SpinGraph(g.sites, [(u, v, 0.5 * j) for u, v, j in g.edges])
         with forced_route(min_dim):
-            with mock.patch.object(ssep, "_config_ints",
-                                   wraps=ssep._config_ints) as spy:
+            with mock.patch.object(ssep, "_configs", wraps=ssep._configs) as spy:
                 report = check_aldous(g)
                 spin = verify_spin_map(g)
             solved = [c.args[1] for c in spy.call_args_list]
@@ -494,6 +519,15 @@ class TestSpinMap:
         g = SpinGraph([(0, HalfInt(2)), (1, HalfInt(2))], [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             verify_spin_map(g)
+
+    def test_disconnected_rejected(self):
+        # the same precondition as the gap table: no sector is solved
+        with pytest.warns(UserWarning):
+            g = SpinGraph([(i, HalfInt(1)) for i in range(3)], [(0, 1, 1.0)])
+        with mock.patch.object(ssep, "_certified_gap") as solve, \
+                pytest.raises(ValueError, match="connected graphs"):
+            verify_spin_map(g)
+        solve.assert_not_called()
 
 
 def test_exclusion_demo_runs(tmp_path, monkeypatch, capsys):
