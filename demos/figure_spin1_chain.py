@@ -15,20 +15,19 @@ from foelab import (
 )
 from foelab.reports import write_csv
 from foelab.sectors import full_spectrum_by_s3, spectrum_csv_rows
-from foelab.spinops import HalfInt, HilbertShape
+from foelab.spinops import HalfInt
 
 
 def main():
-    shape = HilbertShape([HalfInt(2)] * 5)
     g = SpinGraph.path([HalfInt(2)] * 5, [1.0] * 4)
     h = build_heisenberg(g)
 
-    spectrum = full_spectrum_by_s3(h, shape, offset=True)
+    spectrum = full_spectrum_by_s3(h, offset=True)
     path = write_csv("figure_spin1_L5.csv", ("M_times2", "energy"),
                      spectrum_csv_rows(spectrum))
     print(f"wrote {sum(len(w) for _, w in spectrum)} levels to {path}")
 
-    report = sector_energies(h, shape)
+    report = sector_energies(h)
     print("\nsector minima (offset by the ground energy):")
     e0 = report.entries[report.s_max].min_energy
     for s in report.labels:

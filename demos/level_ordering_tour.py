@@ -24,7 +24,7 @@ from foelab.spinops import HalfInt
 
 def show(title, chain):
     h = build_normalized_chain(chain)
-    report = sector_energies(h, chain.shape)
+    report = sector_energies(h)
     print(f"\n{title}")
     print(f"  spins 2s = {[s.twice for s in chain.spins]}, "
           f"J = {np.round(chain.couplings, 3).tolist()}, dim = {chain.shape.dim}")
@@ -45,7 +45,7 @@ def levels(w):
 
 def show_low_spectrum(chain, N):
     h = build_normalized_chain(chain)
-    low = low_energy_by_deviation(h, chain.shape, N)
+    low = low_energy_by_deviation(h, N)
     full = np.linalg.eigvalsh(h.dense())
     top = f"levels up to E(S_max - {N}) from the top {N + 1} sectors"
     print(f"  {top}: {levels(low)}")
@@ -68,7 +68,7 @@ def main():
 
     ring = SpinGraph([(i, HalfInt(1)) for i in range(6)],
                      [(i, (i + 1) % 6, 1.0) for i in range(6)])
-    report = sector_energies(build_heisenberg(ring), ring.shape)
+    report = sector_energies(build_heisenberg(ring))
     for s in report.labels:
         print(f"  S = {str(s):>2}:  E_min = {report.entries[s].min_energy:10.6f}")
     verdict = check_foel(report)

@@ -11,12 +11,11 @@ spectral-gap equality via the spin map.
 from .spinops import (
     HalfInt,
     HilbertShape,
+    LocalHamiltonian,
     LocalSpinOps,
     RealOperator,
-    TotalSpinOps,
     heisenberg_bond,
     spin_matrices,
-    total_spin_ops,
 )
 from .hamiltonians import (
     ChainSpec,

@@ -184,10 +184,8 @@ def _chain(args):
 def _model(args):
     """Heisenberg operator of --graph, or normalized chain of --chain."""
     if args.graph is not None:
-        g = _load_graph(args.graph)
-        return build_heisenberg(g), g.shape
-    chain = _chain(args)
-    return build_normalized_chain(chain), chain.shape
+        return build_heisenberg(_load_graph(args.graph))
+    return build_normalized_chain(_chain(args))
 
 
 def _model_usage(args):
@@ -242,12 +240,12 @@ def _out(args, name):
 
 
 def cmd_spectrum(args):
-    h, shape = _model(args)
-    spec = full_spectrum_by_s3(h, shape, offset=args.offset)
+    h = _model(args)
+    spec = full_spectrum_by_s3(h, offset=args.offset)
     write_csv(_out(args, "spectrum.csv"), ("M_times2", "energy"),
               spectrum_csv_rows(spec))
     write_json(_out(args, "spectrum.json"), {
-        "dim": shape.dim,
+        "dim": h.dim,
         "offset": args.offset,
         "block_sizes": {str(m.twice): len(w) for m, w in spec},
         "ground_energy": min(float(w[0]) for _, w in spec),
@@ -261,7 +259,7 @@ def cmd_foel(args):
     if args.random_trials is not None:
         return _foel_random_trials(args)
     if args.graph is not None:
-        report = sector_energies(*_model(args))
+        report = sector_energies(_model(args))
     else:
         report = chain_sector_energies(_chain(args))
     verdict = check_foel(report, args.tol)
@@ -288,8 +286,7 @@ def _foel_beta_sweep(args):
     found_violation = False
     found_crossing = False
     for L in range(2, l_max + 1):
-        shape = HilbertShape([HalfInt(2)] * L)
-        report = sector_energies(build_spin1_beta_chain(L, beta), shape)
+        report = sector_energies(build_spin1_beta_chain(L, beta))
         verdict = check_foel(report, args.tol)
         rows.extend((L,) + r for r in sector_csv_rows(report))
         summary.append({
@@ -343,13 +340,12 @@ def _foel_random_trials(args):
 
 
 def cmd_figure1(args):
-    shape = HilbertShape([HalfInt(2)] * 5)
     g = SpinGraph.path([HalfInt(2)] * 5, [1.0] * 4)
     h = build_heisenberg(g)
-    spec = full_spectrum_by_s3(h, shape, offset=True)
+    spec = full_spectrum_by_s3(h, offset=True)
     write_csv(_out(args, "figure1.csv"), ("M_times2", "energy"),
               spectrum_csv_rows(spec))
-    report = sector_energies(h, shape)
+    report = sector_energies(h)
     foel_ok = check_foel(report, args.tol).ok
     max_verdict = check_max_ordering(report, s_low=HalfInt(2))
     ground = min(float(w[0]) for _, w in spec)

@@ -1,8 +1,10 @@
 """Hamiltonian families on graphs and chains, plus the graph-spec parser.
 
-All builders return RealOperator on the tensor-product basis with site 0
-slowest.  Couplings are strictly positive (ferromagnetic convention); the
-sign conventions are:
+All builders return a ``LocalHamiltonian`` whose terms are its bonds, each
+a polynomial in S_x.S_y: each term commutes with its own sites' S^3 and
+S^+, the precondition of the term-by-term invariance check in
+``sectors``.  Couplings are strictly positive (ferromagnetic convention);
+the sign conventions are:
 
     build_heisenberg        H = -sum_edges J_xy S_x.S_y
     build_normalized_chain  H = sum_x J_x (1 - S_x.S_{x+1}/(s_x s_{x+1}))
@@ -21,8 +23,7 @@ from .errors import GraphSpecError
 from .spinops import (
     HalfInt,
     HilbertShape,
-    RealOperator,
-    _local_sum,
+    LocalHamiltonian,
     heisenberg_bond,
 )
 
@@ -124,7 +125,7 @@ def build_heisenberg(g: SpinGraph):
         x, y = g.site_position(u), g.site_position(v)
         bond = heisenberg_bond(shape.spins[x], shape.spins[y]).matrix
         terms.append(((x, y), -j * bond))
-    return RealOperator(_local_sum(shape, terms))
+    return LocalHamiltonian(shape, terms)
 
 
 def build_normalized_chain(c: ChainSpec):
@@ -140,7 +141,7 @@ def build_normalized_chain(c: ChainSpec):
         s1, s2 = c.spins[x], c.spins[x + 1]
         ss = heisenberg_bond(s1, s2).dense()
         terms.append(((x, x + 1), j * (np.eye(len(ss)) - ss / (s1.value * s2.value))))
-    return RealOperator(_local_sum(shape, terms))
+    return LocalHamiltonian(shape, terms)
 
 
 def build_spin1_beta_chain(L, beta):
@@ -156,7 +157,7 @@ def build_spin1_beta_chain(L, beta):
     shape = HilbertShape([HalfInt(2)] * L)
     ss = heisenberg_bond(HalfInt(2), HalfInt(2)).dense()
     bond = (np.eye(9) - ss) + beta * (np.eye(9) - ss @ ss)
-    return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
+    return LocalHamiltonian(shape, [((x, x + 1), bond) for x in range(L - 1)])
 
 
 def parse_graph_spec(text):

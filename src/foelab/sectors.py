@@ -3,11 +3,12 @@
 Sector energies E(H,S) are the spectrum of H on the highest-weight space
 V^(S) = ker(S+) within the S^3 = S block; the label set and dim V^(S) come
 from S^3 block-count differences, counted from the site spins without the
-product space.  Each call relabels the indices of H and S+ into S^3 order
-once, checks [H, S3] from H's stored entries and [H, S+] as a sparse
-commutator, and reads every M block as a contiguous range of that sorted
-copy's CSR arrays, with no scipy indexing and no sparse object per dense
-block.  The solve extracts no kernel.  On the M block, B^T B = S-S+
+product space.  No product-space matrix is formed: invariance is checked
+per local term of the ``LocalHamiltonian`` H (against its own sites' S3
+and S+), and each route assembles from the terms only the blocks it
+solves, H_MM on the sorted indices of the M block and the S+ maps between
+blocks (``spinops._local_sum``); a term within the tolerance that changes
+M drops out.  The solve extracts no kernel.  On the M block, B^T B = S-S+
 (B = S+ from M to M+1) commutes with H and is lambda_S = S(S+1) - M(M+1)
 on every spin-S multiplet, S >= M; lambda_{S+1} - lambda_S = 2S+2 >= 2M+2.
 With g_lo, g_hi the Gershgorin bounds of H_MM (every sector S >= M has its
@@ -29,12 +30,13 @@ shifted run lies in [g_lo - tol_S, g_hi + tol_S], tol_S = 1e-9 max(1,
 only the two extremes, from Lanczos ``eigsh`` on H_MM +- c B^T B with
 M = S and c = mu, applied as sparse products: the other multiplets of the
 first sit at or above g_hi + 1, those of the second at or below g_lo - 1.
-There S+ is certified first (it raises M by one and [S+, S-] = 2 S3 on a
-random vector of the M = S + 1 block), then each Ritz pair by its
-residual, by ||B v|| ~ 0 (v is a highest-weight vector) and by
-min <= g_hi, max >= g_lo.  A failed certificate or ARPACK non-convergence
+There S+ is certified first ([S+, S-] = 2 S3 on a random vector of the
+M = S + 1 block, with B' the S+ map from M = S + 1 to S + 2), then each
+Ritz pair by its residual, by ||B v|| ~ 0 (v is a highest-weight vector)
+and by min <= g_hi, max >= g_lo.  A failed certificate or ARPACK non-convergence
 raises NumericalError.  Both routes check a memory estimate before they
-assemble the block.
+assemble the block; the sparse one bounds the stored entries from the
+terms (per term, its most off-diagonal entries in one local column).
 
 The q-deformed sectors avoid the penalty, because (S+_q)^T S+_q has a
 condition number growing like q^-L, which would drown the penalty gap in
@@ -58,17 +60,17 @@ comes from ``check_max_ordering``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from .errors import NonInvariantOperatorError, NumericalError
-from .linalg import commutator_maxabs, eigvalsh_full, max_abs, require_memory
+from .linalg import eigvalsh_full, max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
-from .spinops import HalfInt, total_spin_ops
+from .spinops import HalfInt, _local_sum, spin_matrices
 
 __all__ = [
     "SectorEntry",
@@ -105,12 +107,12 @@ SPECTRUM_BLOCK_ARRAYS = 3
 # 0.19 vs 0.14 s at m = 1287 (13 spin-1/2, uniform).  The crossover lies
 # between about 1000 and 1300 depending on the chain, so the constant stays.
 SECTOR_SPARSE_MIN_DIM = 1000
-# Sparse-route memory estimate: bytes per stored entry of the H_MM and S+
-# blocks (values and indices of the row slice, the block and B^T) and the
-# length-m float64 vectors alive in ARPACK (20 Lanczos vectors plus work
-# vectors); an upper bound, 1.17-1.34x the tracemalloc peak on spin-1/2
-# chains at L = 13, 14, 16 and on the spin-1 chain at L = 8.
-SPARSE_BYTES_PER_ENTRY = 40
+# Sparse-route memory estimate: bytes per ``_entry_bound`` entry of H_MM,
+# B and B' and the length-m float64 vectors alive in ARPACK (20 Lanczos
+# vectors plus work vectors); 1.47-1.95x the tracemalloc peak (at most 16.0
+# B per bounded entry) on spin-1/2 chains at L = 13-16, a 14-site graph,
+# spin-1 chains at L = 8 (beta = 0, 0.4) and a mixed 9-site chain.
+SPARSE_BYTES_PER_ENTRY = 24
 LANCZOS_VECTORS = 32
 RESIDUAL_TOL = 1e-9
 
@@ -165,7 +167,8 @@ def s3_blocks(shape):
     """
     top = shape.s_max.twice
     k = (top - np.rint(2 * shape.total_m()).astype(np.int64)) // 2  # S_max - M
-    order = np.argsort(k, kind="stable")
+    # the narrowest integer type sorts fastest, in the same stable order
+    order = np.argsort(k.astype(np.min_scalar_type(top)), kind="stable")
     ends = np.cumsum(np.bincount(k)).tolist()
     return {HalfInt(top - 2 * i): order[a:b] for i, (a, b) in enumerate(zip([0] + ends, ends))}
 
@@ -186,99 +189,75 @@ def sector_labels(shape):
     return {HalfInt(shape.s_max.twice - 2 * k): int(d) for k, d in enumerate(dims) if d > 0}
 
 
-def _s3_sorted(H, shape, su2=True):
-    """(h, raising, blocks): H and, with su2, S+ relabelled into S^3 order
-    once (raising is None without su2), and the slice of each M block in it.
+def _raising_terms(shape):
+    """Total S^+ as one one-site term per site."""
+    return [((x,), spin_matrices(s).splus) for x, s in enumerate(shape.spins)]
 
-    The order is the concatenated ``s3_blocks`` index arrays, so every
-    M block is contiguous; ``_relabelled`` gives the CSR that
-    ``matrix[order][:, order]`` gives, with sorted indices.  [H, S3] is
-    max |H_ij| |m_i - m_j| over H's stored entries, and with su2 [H, S+]
-    is the chunked sparse commutator (a permutation leaves every max
-    |entry| unchanged); each is checked against INVARIANCE_TOL
-    max(1, max |H|), else NonInvariantOperatorError.  Entries of h off
-    the M blocks that pass the check are dropped before [H, S+] is formed,
-    so the rows of each M block store only its own columns.
-    """
-    index = s3_blocks(shape)
-    sizes = [len(idx) for idx in index.values()]
-    order = np.concatenate(list(index.values()))
-    starts = np.cumsum([0] + sizes).tolist()
-    blocks = {m: slice(a, b) for m, a, b in zip(index, starts, starts[1:])}
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    # S+ first: its assembly is the memory peak, best reached with one copy of H
-    raising = _relabelled(total_spin_ops(shape).sptot.matrix, order, inverse) if su2 else None
-    h = _relabelled(H.matrix if sp.issparse(H.matrix) else sp.csr_matrix(H.matrix),
-                    order, inverse)
-    tol = INVARIANCE_TOL * max(1.0, max_abs(h))
-    twice_m = np.repeat([m.twice for m in index], sizes)
-    dm = np.abs(np.repeat(twice_m, np.diff(h.indptr)) - twice_m[h.indices])
-    off = np.flatnonzero(dm)
-    if off.size:
-        dz = float(np.max(np.abs(h.data[off]) * dm[off])) / 2
-        if dz > tol:
-            raise NonInvariantOperatorError(f"[H, S3] = {dz:.3e}")
-        h.data[off] = 0.0
-        h.eliminate_zeros()
-    del dm
+
+@functools.lru_cache(maxsize=64)
+def _site_totals(twice):
+    """(2 S^3 diagonal, S^+) on the tensor product of sites with these
+    twice-spins, in ``np.kron`` order (cached, read-only)."""
+    twice_m, splus = np.zeros(1, dtype=np.int64), np.zeros((1, 1))
+    for t in twice:
+        twice_m = (twice_m[:, None] + np.arange(t, -t - 1, -2)).ravel()
+        splus = (np.kron(splus, np.eye(t + 1))
+                 + np.kron(np.eye(len(splus)), spin_matrices(HalfInt(t)).splus))
+    for a in (twice_m, splus):
+        a.flags.writeable = False
+    return twice_m, splus
+
+
+def _check_invariance(H, su2=True):
+    """NonInvariantOperatorError unless every term of H commutes with its
+    own sites' S^3 (checked first, as max |h_ab| |m_a - m_b|) and, with su2,
+    S^+, to INVARIANCE_TOL max(1, largest |term entry|)."""
+    tol = INVARIANCE_TOL * max([1.0] + [max_abs(local) for _, local in H.terms])
+    totals = [_site_totals(tuple(H.shape.spins[x].twice for x in sites))
+              for sites, _ in H.terms]
+    dz = max([max_abs(np.abs(local) * np.subtract.outer(m, m)) / 2
+              for (_, local), (m, _) in zip(H.terms, totals)], default=0.0)
+    if dz > tol:
+        raise NonInvariantOperatorError(f"[H, S3] = {dz:.3e}")
     if su2:
-        dz = commutator_maxabs(h, raising)
+        dz = max([max_abs(local @ splus - splus @ local)
+                  for (_, local), (_, splus) in zip(H.terms, totals)], default=0.0)
         if dz > tol:
             raise NonInvariantOperatorError(f"[H, S+] = {dz:.3e}")
-    return h, raising, blocks
 
 
-def _relabelled(a, order, inverse):
-    """CSR a[order][:, order] with sorted indices, gathered from a's arrays
-    (``inverse`` is the inverse permutation of ``order``)."""
-    counts = np.diff(a.indptr)[order]
-    indptr = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    pos = np.arange(indptr[-1])
-    pos += np.repeat(a.indptr[order] - indptr[:-1], counts)
-    out = sp.csr_matrix((a.data[pos], inverse[a.indices[pos]], indptr), shape=a.shape)
-    out.sort_indices()
-    return out
+def _raising(shape, index, M):
+    """B: S^+ from the M block to the M + 1 block (0 x dim at the top),
+    assembled from the one-site S^+ terms."""
+    return _local_sum(shape, _raising_terms(shape), index[M],
+                      index.get(M + HalfInt(2), index[M][:0]))
 
 
-def _dense_block(a, s):
-    """The (s, s) block of the CSR ``a`` as an array, read from its arrays;
-    the rows s of ``a`` store only columns in s."""
-    m = s.stop - s.start
-    lo, hi = a.indptr[s.start], a.indptr[s.stop]
-    out = np.zeros((m, m))
-    out[np.repeat(np.arange(m), np.diff(a.indptr[s.start:s.stop + 1])),
-        a.indices[lo:hi] - s.start] = a.data[lo:hi]
-    return out
+def _entry_bound(terms, m):
+    """Upper bound on the stored entries of a sum of ``terms`` on m states:
+    the diagonal and, per term, its most off-diagonal entries in a column."""
+    per_column = [np.count_nonzero(local - np.diag(np.diagonal(local)), axis=0).max(initial=0)
+                  for _, local in terms]
+    return m * (1 + int(sum(per_column)))
 
 
-def _block_csr(a, rows, cols):
-    """CSR of a[rows, cols], sliced from the arrays of the CSR ``a``, whose
-    rows ``rows`` store only columns in ``cols``."""
-    lo, hi = a.indptr[rows.start], a.indptr[rows.stop]
-    return sp.csr_matrix((a.data[lo:hi], a.indices[lo:hi] - cols.start,
-                          a.indptr[rows.start:rows.stop + 1] - lo),
-                         shape=(rows.stop - rows.start, cols.stop - cols.start))
-
-
-def _sector_bands(h, raising, blocks, labels, M):
+def _sector_bands(H, index, labels, M):
     """{S: ascending spectrum of H on V^(S)} for every label S >= M, from
     the certified banded ``eigvalsh`` on the M block (module docstring);
     NumericalError if the certificate fails."""
-    s = blocks[M]
-    m = s.stop - s.start
+    m = len(index[M])
     require_memory(DENSE_BLOCK_ARRAYS * 8 * m ** 2, _physical_memory_bytes(),
                    f"the dense M={M} block of dimension {m}")
     present = sorted(S for S in labels if S >= M)
     if sum(labels[S] for S in present) != m:
         raise NumericalError(f"sector dimensions {[labels[S] for S in present]} "
                              f"do not fill the M={M} block of dimension {m}")
-    b = _raising_block(raising, blocks, M)
-    hb = _dense_block(h, s)
-    lo, hi = h.indptr[s.start], h.indptr[s.stop]
-    rowsum = np.bincount(np.repeat(np.arange(m), np.diff(h.indptr[s.start:s.stop + 1])),
-                         weights=np.abs(h.data[lo:hi]), minlength=m)
+    b = _raising(H.shape, index, M)
+    h = _local_sum(H.shape, H.terms, index[M])
+    hb = h.toarray()
+    rowsum = np.bincount(np.repeat(np.arange(m), np.diff(h.indptr)),
+                         weights=np.abs(h.data), minlength=m)
+    del h
     diag = hb.diagonal().copy()
     g_lo, g_hi, mu, slack = _penalty(diag, rowsum - np.abs(diag), M)
     # every pair (i, j) of stored entries in one row of B adds mu v_i v_j
@@ -313,49 +292,39 @@ def _penalty(diag, radius, S):
     return g_lo, g_hi, c, 1e-9 * max(1.0, abs(g_lo), abs(g_hi))
 
 
-def _raising_block(raising, blocks, M):
-    """B: the S+ block from M to M + 1 (0 x dim when M is the top), checked
-    from its stored entries to raise S^3 by exactly one, else NumericalError."""
-    s, r = blocks[M], blocks.get(M + HalfInt(2), slice(0, 0))
-    cols = raising.indices[raising.indptr[r.start]:raising.indptr[r.stop]]
-    if cols.size and (cols.min() < s.start or cols.max() >= s.stop):
-        raise NumericalError(f"S+ does not map the M={M} block to M={M + HalfInt(2)}")
-    return _block_csr(raising, r, s)
-
-
-def _sector_extremes(h, raising, blocks, S):
+def _sector_extremes(H, index, S):
     """(min, max) of H on V^(S) by Lanczos, without a dense block.
 
     The lowest eigenvalue of H_MM + c B^T B and the highest of
     H_MM - c B^T B (module docstring), each from ``eigsh`` with k = 1, a
     fixed random start vector and tol = 0, applied as H_MM x +- c B^T (B x)
-    so B^T B is never formed.  S+ is certified first: B and B' (from
-    M = S + 1 to S + 2) raise S^3 by one, and on a seeded random x in the
-    M = S + 1 block ||B B^T x - B'^T B' x - (2S + 2) x|| is at most
+    so B^T B is never formed.  S+ is certified first: on a seeded random x
+    in the M = S + 1 block, with B' the S+ map from M = S + 1 to S + 2,
+    ||B B^T x - B'^T B' x - (2S + 2) x|| is at most
     INVARIANCE_TOL S_max (S_max + 1) ||x||, i.e. [S+, S-] = 2 S3 there.
     Then B B^T >= 2S + 2, so dim ker B = d and every other multiplet of
     B^T B sits at 2S + 2 or above.  Each Ritz pair (theta, v) is certified
     too, else NumericalError: ||H_MM v - theta v|| and ||B v|| at most
     RESIDUAL_TOL max(1, |g_lo|, |g_hi|) ||v||, min <= g_hi and max >= g_lo.
     """
-    s, r = blocks[S], blocks.get(S + HalfInt(2), slice(0, 0))
-    m = s.stop - s.start
-    # H and S+ conserve S^3, so their M = S (M = S + 1) rows hold exactly the block
-    nnz = int(h.indptr[s.stop] - h.indptr[s.start]
-              + raising.indptr[r.stop] - raising.indptr[r.start])
+    shape = H.shape
+    m = len(index[S])
+    # H_MM, and S+ on the M = S and S + 1 blocks (B and B')
+    nnz = (_entry_bound(H.terms, m)
+           + _entry_bound(_raising_terms(shape), m + len(index.get(S + HalfInt(2), ()))))
     require_memory(SPARSE_BYTES_PER_ENTRY * nnz + LANCZOS_VECTORS * 8 * m,
                    _physical_memory_bytes(), f"the sparse S={S} block of dimension {m}")
-    b = _raising_block(raising, blocks, S)
+    b = _raising(shape, index, S)
     bt = b.T.tocsr()
     if b.shape[0]:
-        b2 = _raising_block(raising, blocks, S + HalfInt(2))
+        b2 = _raising(shape, index, S + HalfInt(2))
         x = np.random.default_rng(0).standard_normal(b.shape[0])
-        top = next(iter(blocks)).value
+        top = shape.s_max.value
         dev = float(np.linalg.norm(b @ (bt @ x) - b2.T @ (b2 @ x) - (S.twice + 2) * x))
         if dev > INVARIANCE_TOL * max(1.0, top * (top + 1)) * np.linalg.norm(x):
             raise NumericalError(f"S+ is not a raising operator at M={S + HalfInt(2)}: "
                                  f"||([S+, S-] - 2 S3) x|| = {dev:.3e}")
-    hb = _block_csr(h, s, s)
+    hb = _local_sum(shape, H.terms, index[S])
     diag = hb.diagonal()
     g_lo, g_hi, c, slack = _penalty(diag, abs(hb) @ np.ones(m) - np.abs(diag), S)
     bound = RESIDUAL_TOL * max(1.0, abs(g_lo), abs(g_hi))
@@ -382,27 +351,27 @@ def _sector_extremes(h, raising, blocks, S):
     return lo, hi
 
 
-def sector_energies(H, shape):
-    """Min/max energy of H in every total-spin sector.
+def sector_energies(H):
+    """Min/max energy of the LocalHamiltonian H in every total-spin sector.
 
     S^3 blocks of dimension >= SECTOR_SPARSE_MIN_DIM take the sparse
     Lanczos route; the smaller ones are the top blocks, and one banded solve
     on the lowest of them gives all their sectors (module docstring).  H
-    must commute with the total-spin operators (checked; raises
-    NonInvariantOperatorError otherwise).
+    must commute with the total-spin operators (checked term by term;
+    raises NonInvariantOperatorError otherwise).
     """
-    h, raising, blocks = _s3_sorted(H, shape)
-    labels = sector_labels(shape)
+    _check_invariance(H)
+    index = s3_blocks(H.shape)
+    labels = sector_labels(H.shape)
     # eigsh needs k < m; block sizes grow from the top down to M = 0
-    dense = [S for S in labels
-             if blocks[S].stop - blocks[S].start < max(SECTOR_SPARSE_MIN_DIM, 2)]
-    bands = _sector_bands(h, raising, blocks, labels, min(dense)) if dense else {}
+    dense = [S for S in labels if len(index[S]) < max(SECTOR_SPARSE_MIN_DIM, 2)]
+    bands = _sector_bands(H, index, labels, min(dense)) if dense else {}
     entries = {}
     for S, d in labels.items():
         if S in bands:
             lo, hi = bands[S][0], bands[S][-1]
         else:
-            lo, hi = _sector_extremes(h, raising, blocks, S)
+            lo, hi = _sector_extremes(H, index, S)
         entries[S] = SectorEntry(float(lo), float(hi), d)
     return SectorReport(entries=entries)
 
@@ -446,26 +415,28 @@ def check_max_ordering(report, s_low=HalfInt(2)):
     return MaxOrderingVerdict(ok=ok, margins=margins)
 
 
-def full_spectrum_by_s3(H, shape, offset=False):
-    """Complete spectrum per S^3 block: list of (M, sorted eigenvalues).
+def full_spectrum_by_s3(H, offset=False):
+    """Complete spectrum of the LocalHamiltonian H per S^3 block: list of
+    (M, sorted eigenvalues).  H must commute with S^3 (checked term by term).
 
     With offset=True the ground energy is shifted to exactly 0.  The
     memory estimate of the largest block is checked before any is formed.
     """
-    h, _, blocks = _s3_sorted(H, shape, su2=False)
-    top_m, top = max(blocks.items(), key=lambda item: item[1].stop - item[1].start)
-    dim = top.stop - top.start
-    require_memory(SPECTRUM_BLOCK_ARRAYS * 8 * dim ** 2, _physical_memory_bytes(),
-                   f"the dense M={top_m} block of dimension {dim}")
-    out = [(m, eigvalsh_full(_dense_block(h, s))) for m, s in blocks.items()]
+    _check_invariance(H, su2=False)
+    index = s3_blocks(H.shape)
+    top_m, top = max(index.items(), key=lambda item: len(item[1]))
+    require_memory(SPECTRUM_BLOCK_ARRAYS * 8 * len(top) ** 2, _physical_memory_bytes(),
+                   f"the dense M={top_m} block of dimension {len(top)}")
+    out = [(m, eigvalsh_full(_local_sum(H.shape, H.terms, idx))) for m, idx in index.items()]
     if offset:
         e0 = min(w[0] for _, w in out)
         out = [(m, w - e0) for m, w in out]
     return out
 
 
-def low_energy_by_deviation(H, shape, N):
-    """All eigenvalues of H up to E(H, S_max - N), from N+1 sectors only.
+def low_energy_by_deviation(H, N):
+    """All eigenvalues of the LocalHamiltonian H up to E(H, S_max - N),
+    from N+1 sectors only.
 
     Assumes H has the FOEL property, so the sectors S_max, ..., S_max - N
     contain every eigenvalue below the cutoff.  It needs all d eigenvalues
@@ -475,19 +446,19 @@ def low_energy_by_deviation(H, shape, N):
     cross-checked against the truncated full spectrum; a mismatch means the
     FOEL precondition failed.
     """
-    h, raising, blocks = _s3_sorted(H, shape)
-    dims = sector_labels(shape)
+    _check_invariance(H)
+    dims = sector_labels(H.shape)
     labels = list(dims)
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
-    tol = 1e-9 * max(1.0, max_abs(H.matrix))
-    bands = _sector_bands(h, raising, blocks, dims, labels[N])
+    bands = _sector_bands(H, s3_blocks(H.shape), dims, labels[N])
+    tol = 1e-9 * max(1.0, max(float(np.max(np.abs(w))) for w in bands.values()))
     collected = [(float(e), S.twice + 1) for S in labels[: N + 1] for e in bands[S]]
     # with N the last label every sector was diagonalized: the whole spectrum
     cutoff = np.inf if N == len(labels) - 1 else float(bands[labels[N]][0])
     keep = [e for e, mult in collected for _ in range(mult) if e <= cutoff + tol]
     keep = np.array(sorted(keep))
-    if shape.dim <= 1024:
+    if H.dim <= 1024:
         full = eigvalsh_full(H.matrix)
         truncated = full[full <= cutoff + tol]
         if len(truncated) != len(keep) or max_abs(truncated - keep) > 1e-8:

@@ -5,18 +5,22 @@ ladder operators S+ and S-, so no matrix in the package is ever complex.
 The tensor index is mixed-radix with site 0 slowest (leftmost Kronecker
 factor), a bit-exact basis convention for all cross-module checks: state
 (m_0, ..., m_{L-1}), digit m_x < d_x, sits at sum_x m_x stride_x with
-stride_x = d_{x+1} ... d_{L-1}.  Every Hamiltonian comes from
-``_local_sum``: a nonzero (a, b) <- (c, d) of a matrix on sites x, y moves
-column j to row j + (a - c) stride_x + (b - d) stride_y, so all terms are
-emitted as COO triples and compressed to CSR once.  Diagonals are summed
-into one vector in term order, which rounds exactly like adding the
-embedded terms one after another; off-diagonal entries of one-site and
-S^3-conserving two-site terms change every digit they act on, so terms on
-different sites never share a position.  Exact zeros are dropped.
+stride_x = d_{x+1} ... d_{L-1}.
 
-The total-spin operators are S^+ (``total_spin_ops``, read from the
-digits of the product index; S^- is its transpose) and S^3, which is
-diagonal and read from ``HilbertShape.total_m`` without a matrix.
+A ``LocalHamiltonian`` keeps its local terms (sites, local matrix), and
+``_local_sum`` assembles a sum of terms between sorted sets of product
+indices: the whole space, one S^3 block, or (for S^+) one block to the
+next.  A nonzero (a, b) <- (c, d) of a matrix on sites x, y moves column
+j to j + (a - c) stride_x + (b - d) stride_y, and the row is that
+image's rank among the targets (on the whole space the image itself);
+images outside the targets are left out.  Diagonals are summed into one
+vector in term order, which rounds like adding the embedded terms one
+after another, so a block is bit for bit the slice of the full matrix;
+off-diagonal entries of one-site and S^3-conserving two-site terms change
+every digit they act on, so terms on different sites never share a
+position.  Exact zeros are dropped.  S^3 is diagonal, read from
+``HilbertShape.total_m``.
+
 ``spin_matrices`` and the ``heisenberg_bond`` matrix are cached per spin,
 as read-only arrays.
 """
@@ -36,9 +40,8 @@ __all__ = [
     "LocalSpinOps",
     "RealOperator",
     "HilbertShape",
-    "TotalSpinOps",
+    "LocalHamiltonian",
     "spin_matrices",
-    "total_spin_ops",
     "heisenberg_bond",
 ]
 
@@ -178,6 +181,31 @@ class HilbertShape:
         return f"HilbertShape({list(self.spins)!r})"
 
 
+@dataclass(frozen=True, eq=False)
+class LocalHamiltonian:
+    """Sum of local terms (sites, local matrix) on a tensor-product space;
+    ``matrix``, its CSR on the whole product basis, is assembled on first
+    read and kept (the sector routes assemble S^3 blocks from ``terms``)."""
+
+    shape: HilbertShape
+    terms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(
+            _checked_term(self.shape, sites, local) for sites, local in self.terms))
+
+    @functools.cached_property
+    def matrix(self):
+        return _local_sum(self.shape, self.terms)
+
+    @property
+    def dim(self):
+        return self.shape.dim
+
+    def dense(self):
+        return to_dense(self.matrix)
+
+
 @functools.lru_cache(maxsize=64)
 def spin_matrices(s):
     """Standard spin-s matrices sz, s+, s- via the ladder-operator formula.
@@ -201,73 +229,66 @@ def spin_matrices(s):
     return ops
 
 
-def _local_sum(shape, terms):
-    """CSR sum over ``terms`` of (sites, local matrix), identity elsewhere.
-
-    ``local`` acts on the tensor product of ``sites`` (distinct, in the
-    index order of ``np.kron`` over them); see the module docstring.
-    """
-    grid = np.arange(shape.dim).reshape(shape.local_dims)  # C order: site 0 slowest
-    diag = np.zeros(shape.dim)
-    rows, cols, vals = [], [], []
-    for sites, local in terms:
-        sites = tuple(sites)
-        if len(set(sites)) != len(sites) or not set(sites) <= set(range(grid.ndim)):
-            raise ValueError(f"sites {sites} are not distinct sites of {shape}")
-        # offsets[a]: index of local state a with every other digit 0;
-        # bases: the indices whose digits on these sites are all 0
-        on = tuple(slice(None) if x in sites else 0 for x in range(grid.ndim))
-        offsets = grid[on].transpose(np.argsort(np.argsort(sites))).ravel()
-        bases = grid[tuple(0 if x in sites else slice(None) for x in range(grid.ndim))].ravel()
-        local = np.asarray(local, dtype=float)
-        if local.shape != (offsets.size,) * 2:
-            raise ValueError(f"local matrix is {local.shape}, sites {sites} "
-                             f"have dimension {offsets.size}")
-        diag[offsets[:, None] + bases] += np.diagonal(local)[:, None]
-        r, c = np.nonzero(local - np.diag(np.diagonal(local)))
-        rows.append((offsets[r, None] + bases).ravel())
-        cols.append((offsets[c, None] + bases).ravel())
-        vals.append(np.repeat(local[r, c], bases.size))
-    nonzero = np.flatnonzero(diag)
-    data = np.concatenate(vals + [diag[nonzero]])
-    ij = (np.concatenate(rows + [nonzero]), np.concatenate(cols + [nonzero]))
-    return sp.csr_matrix((data, ij), shape=(shape.dim, shape.dim))
+def _checked_term(shape, sites, local):
+    """(sites, local) as a tuple and a float array, or ValueError unless the
+    sites are distinct sites of ``shape`` and ``local`` acts on them."""
+    sites = tuple(sites)
+    if len(set(sites)) != len(sites) or not set(sites) <= set(range(shape.nsites)):
+        raise ValueError(f"sites {sites} are not distinct sites of {shape}")
+    local = np.asarray(local, dtype=float)
+    d = int(np.prod([shape.local_dims[x] for x in sites], dtype=np.int64))
+    if local.shape != (d, d):
+        raise ValueError(f"local matrix is {local.shape}, sites {sites} have dimension {d}")
+    return sites, local
 
 
-@dataclass(frozen=True)
-class TotalSpinOps:
-    sptot: RealOperator
-
-
-def total_spin_ops(shape):
-    """Total S^+ = sum_x S^+_x, read from the digits of the product index.
-    S^- is its transpose and S^3 is diagonal, read from
-    ``HilbertShape.total_m``.
-
-    Row r has one entry per site x whose digit a_x is below 2 s_x (digit 0
-    is m = s): column r + stride_x, value ``spin_matrices(s_x).splus``
-    [a_x, a_x + 1].  Sites are visited from the last
-    (stride 1) to the first, so every row's columns come out ascending and
-    the CSR arrays are those of the ``_local_sum`` build, with no COO pass.
+def _local_sum(shape, terms, states=None, targets=None):
+    """CSR sum over ``terms`` of (sites, local matrix), identity elsewhere,
+    from the sorted product indices ``states`` (column i: the i-th) to
+    ``targets`` (row i: the i-th; default ``states``), all states by
+    default.  An image outside ``targets`` is left out, and only a square
+    sum (no ``targets``) has diagonal entries.  ``local`` acts on the
+    tensor product of ``sites`` (distinct, in ``np.kron`` order).
     """
     dims = shape.local_dims
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]
-    index = np.arange(shape.dim)
-    digits = [index // stride % d for stride, d in zip(strides, dims)]
-    raisable = [digit < d - 1 for digit, d in zip(digits, dims)]
-    indptr = np.zeros(shape.dim + 1, dtype=np.int64)
-    np.cumsum(sum(raisable, np.zeros(shape.dim, dtype=np.int64)), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    filled = indptr[:-1].copy()
-    for x in reversed(range(shape.nsites)):
-        rows = np.flatnonzero(raisable[x])
-        pos = filled[rows]
-        indices[pos] = rows + strides[x]
-        data[pos] = np.diagonal(spin_matrices(shape.spins[x]).splus, 1)[digits[x][rows]]
-        filled[rows] += 1
-    return TotalSpinOps(sptot=RealOperator(
-        sp.csr_matrix((data, indices, indptr), shape=(shape.dim, shape.dim))))
+    src = np.arange(shape.dim) if states is None else np.asarray(states)
+    diag = np.zeros(src.size)
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for sites, local in terms:
+        sites, local = _checked_term(shape, sites, local)
+        # c: each source's local state on these sites; offsets[a]: the index
+        # of local state a with every other digit 0
+        c, offsets = 0, np.zeros(1, dtype=np.int64)
+        for x in sites:
+            c = c * dims[x] + src // strides[x] % dims[x]
+            offsets = (offsets[:, None] + strides[x] * np.arange(dims[x])).ravel()
+        diag += np.diagonal(local)[c]
+        # the off-diagonal nonzeros (a, b), ordered by column b: source i
+        # emits the count[i] of column c_i, from number first[i] on
+        b, a = np.nonzero((local - np.diag(np.diagonal(local))).T)
+        count = np.bincount(b, minlength=offsets.size)[c]
+        first = np.searchsorted(b, np.arange(offsets.size))[c]
+        source = np.repeat(np.arange(src.size), count)
+        entry = np.arange(source.size) + np.repeat(first - np.cumsum(count) + count, count)
+        rows.append(src[source] + (offsets[a] - offsets[b])[entry])
+        cols.append(source)
+        vals.append(local[a, b][entry])
+    image, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if states is None and targets is None:
+        rows = image  # on the full space an index is its own rank
+    else:
+        tgt = src if targets is None else np.asarray(targets)
+        rows = np.searchsorted(tgt, image)
+        found = rows < tgt.size
+        found[found] = tgt[rows[found]] == image[found]
+        rows, cols, vals = rows[found], cols[found], vals[found]
+    if targets is None:
+        nonzero = np.flatnonzero(diag)
+        rows, cols = np.concatenate((rows, nonzero)), np.concatenate((cols, nonzero))
+        vals = np.concatenate((vals, diag[nonzero]))
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(src.size if targets is None else len(targets), src.size))
 
 
 def heisenberg_bond(s1, s2):

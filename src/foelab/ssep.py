@@ -68,10 +68,15 @@ RESIDUAL_TOL = 1e-9
 # 26.5 vs 8.8 ms at m = 495.
 GAP_SPARSE_MIN_DIM = 250
 # Memory estimate: bytes per row entry bound (1 + edges per row), and the
-# number of 2^N-row matrices alive at once in the spin map; an upper bound,
-# about 3x the tracemalloc peak at N = 12..16.
-BYTES_PER_ENTRY = 32
+# number of 2^N-row matrices alive at once in the spin map.  A generator
+# peaks at 61-67 B per stored entry; at half filling about half the edges
+# act, so up to 37.3 B per bounded entry (tracemalloc, path, star and
+# complete graphs, N = 12-18, where the estimate is 1.10-2.9x the peak).
+BYTES_PER_ENTRY = 40
 SPIN_MAP_MATRICES = 4
+# Bytes per product state of the configuration enumeration (the S^3
+# partition of all 2^N states): 17.0-28 at its tracemalloc peak, N = 18-12.
+ENUMERATION_BYTES_PER_STATE = 32
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,12 @@ def _matrix_bytes(dim, nedges):
     return BYTES_PER_ENTRY * dim * (1 + nedges)
 
 
+def _generator_bytes(nsites, n, nedges):
+    """Upper estimate of the peak of ``ssep_generator``: the enumeration of
+    the configurations, or the generator's assembly."""
+    return _matrix_bytes(comb(nsites, n), nedges) + ENUMERATION_BYTES_PER_STATE * 2 ** nsites
+
+
 def ssep_generator(g: SpinGraph, n=1):
     """Exclusion-process generator on the n-particle sector of a graph,
     with the graph's couplings as jump rates."""
@@ -130,9 +141,7 @@ def ssep_generator(g: SpinGraph, n=1):
     if not 0 <= n <= nsites:
         raise ValueError(f"particle number {n} out of range")
     edge_rates = _edge_rates(g)
-    # + the enumeration of the configurations: 16 bytes per product state at its
-    # tracemalloc peak (N = 16..20)
-    require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)) + 16 * 2 ** nsites,
+    require_memory(_generator_bytes(nsites, n, len(edge_rates)),
                    _physical_memory_bytes(), f"the {n}-particle generator")
     configs = _configs(nsites, n)
     return SSEPGenerator(n=n, configs=configs, L=RealOperator(_assemble(edge_rates, configs)))

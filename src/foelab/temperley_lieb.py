@@ -324,6 +324,8 @@ def collatz_wielandt_bracket(A, x):
     Each row's ratio is widened by its rounding allowance
     gamma_k (|A|x)_i/x_i, gamma_k = k u/(1 - k u) with u the unit roundoff
     and k the largest row nnz + 1 (the row's products and the division).
+    An entry of x far below its row's products can make an end infinite
+    or nan, which certifies nothing.
     ValueError unless x has one strictly positive entry per row.
     """
     a = _as_csr(A)
@@ -332,9 +334,10 @@ def collatz_wielandt_bracket(A, x):
         raise ValueError("a Collatz-Wielandt bracket needs a strictly positive vector")
     k = int(np.diff(a.indptr).max()) + 1
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    ratio = (a @ x) / x
-    slack = gamma * (abs(a) @ x) / x
-    return float(np.min(ratio - slack)), float(np.max(ratio + slack))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (a @ x) / x
+        slack = gamma * (abs(a) @ x) / x
+        return float(np.min(ratio - slack)), float(np.max(ratio + slack))
 
 
 def _sharpen(a, x, lam, width):
@@ -399,9 +402,10 @@ def _extremal_pair(a, end):
         raise NumericalError(f"{end} eigenvalue came out complex")
     value = float(value.real)
     v = v.real / np.sign(v.real[np.argmax(np.abs(v.real))])
-    residual = float(np.linalg.norm(a @ v - value * v))
-    if residual > 1e-9 * scale * np.linalg.norm(v):
-        raise NumericalError(f"{end} pair residual {residual:.3e} too large")
+    # in units of scale, so entries near 1/q at tiny q do not overflow the norm
+    residual = float(np.linalg.norm((a @ v - value * v) / scale))
+    if residual > 1e-9 * np.linalg.norm(v):
+        raise NumericalError(f"{end} pair residual {residual:.3e} (of ||A||_inf) too large")
     return value, v, scale, gap
 
 
@@ -448,6 +452,9 @@ def perron_ground_vector(A):
         raise NumericalError("ground vector is not strictly positive")
     tol = 1e-9 * scale
     v, (lo, hi) = _sharpen(a, np.maximum(v, _TINY), lam, tol)
+    if not np.isfinite(hi - lo):
+        raise NumericalError("no finite Collatz-Wielandt bracket: the ground vector's "
+                             "entries span more than the floating-point range")
     slack = PERRON_BRACKET_ULPS * np.finfo(float).eps * scale
     if not lo - slack <= lam <= hi + slack:
         raise NumericalError(f"eigenvalue {lam!r} outside the "
@@ -512,7 +519,7 @@ def chain_sector_energies(chain):
             return diagram_sector_energies(chain.couplings)
         except NumericalError:
             pass
-    return sector_energies(build_normalized_chain(chain), chain.shape)
+    return sector_energies(build_normalized_chain(chain))
 
 
 def expand_diagram_to_tensor(k, arcs, q=1.0):

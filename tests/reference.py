@@ -1,7 +1,9 @@
 """Reference implementations the tests compare foelab against: direct, slow
-constructions (Kronecker products, SVD kernels, Casimir filtering, the XXZ
-chain and its quantum-group generators on 2^L states) and criterion 5's
-comparison-theorem checker.  Neither the CLI nor the demos run them.
+constructions (Kronecker products, total S^+ and commutators on the whole
+product space, blocks sliced by scipy's fancy indexing, SVD kernels,
+Casimir filtering, the XXZ chain and its quantum-group generators on 2^L
+states) and criterion 5's comparison-theorem checker.  Neither the CLI nor
+the demos run them.
 """
 
 from dataclasses import dataclass
@@ -14,10 +16,9 @@ from scipy.sparse.csgraph import connected_components
 from foelab.errors import NumericalError
 from foelab.hamiltonians import SpinGraph
 from foelab.linalg import max_abs, to_dense
-from foelab.sectors import (SectorEntry, SectorReport, _block_csr, _dense_block, _penalty,
-                            _s3_sorted, s3_blocks, sector_labels)
-from foelab.spinops import (HalfInt, HilbertShape, RealOperator, TotalSpinOps, _local_sum,
-                            heisenberg_bond, spin_matrices, total_spin_ops)
+from foelab.sectors import SectorEntry, SectorReport, _penalty, s3_blocks, sector_labels
+from foelab.spinops import (HalfInt, HilbertShape, LocalHamiltonian, RealOperator, _local_sum,
+                            heisenberg_bond, spin_matrices)
 from foelab.temperley_lieb import ENTRY_TOL, TLMatrix
 
 KERNEL_REL_TOL = 1e-8
@@ -50,12 +51,36 @@ def kernel_basis(block):
     return vt[rank:].T.copy()
 
 
-def highest_weight_space(shape, S, total_ops=None, blocks=None):
+def total_splus(shape):
+    """Total S^+ on the whole product space, one one-site term per site."""
+    return _local_sum(shape, [((x,), spin_matrices(s).splus) for x, s in enumerate(shape.spins)])
+
+
+def commutator_maxabs(a, b):
+    """Largest entry of |AB - BA|, sparse or dense."""
+    return max_abs(a @ b - b @ a)
+
+
+def fancy_block(a, rows, cols=None):
+    """a[rows][:, cols] (cols defaults to rows) by scipy's fancy indexing,
+    as a CSR matrix with sorted indices."""
+    out = sp.csr_matrix(a)[rows][:, rows if cols is None else cols]
+    out.sort_indices()
+    return out
+
+
+def raising_slice(splus, index, S):
+    """Fancy-indexed S^+ block from the M = S block to the M = S + 1 block
+    (0 rows at the top), ``index`` from ``s3_blocks``."""
+    return fancy_block(splus, index.get(S + HalfInt(2), index[S][:0]), index[S])
+
+
+def highest_weight_space(shape, S, splus=None, blocks=None):
     """Orthonormal basis of ker(S+) inside the S^3 = S block, by SVD, as the
     dim x d array of its full-space columns.  Raises NumericalError if d
     differs from ``sector_labels``."""
     S = HalfInt.coerce(S)
-    total_ops = total_spin_ops(shape) if total_ops is None else total_ops
+    splus = total_splus(shape) if splus is None else splus
     blocks = s3_blocks(shape) if blocks is None else blocks
     if S not in blocks:
         raise ValueError(f"total spin {S} not present for this shape")
@@ -64,7 +89,7 @@ def highest_weight_space(shape, S, total_ops=None, blocks=None):
         raise ValueError(f"total spin {S} has an empty highest-weight space")
     cols = blocks[S]
     rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-    kern = kernel_basis(total_ops.sptot.matrix[rows][:, cols])
+    kern = kernel_basis(splus[rows][:, cols])
     if kern.shape[1] != d:
         raise NumericalError(f"kernel dimension {kern.shape[1]} != {d} at S={S}")
     vectors = np.zeros((shape.dim, d))
@@ -72,42 +97,30 @@ def highest_weight_space(shape, S, total_ops=None, blocks=None):
     return vectors
 
 
-def local_sum_total_spin_ops(shape):
-    """Total S^+ assembled by ``_local_sum``, one one-site term per site."""
-    return TotalSpinOps(sptot=RealOperator(_local_sum(
-        shape, [((x,), spin_matrices(s).splus) for x, s in enumerate(shape.spins)])))
-
-
-def _sminus_splus(raising, blocks, S):
-    """S-S+ = R^T R as one sparse product, with R the rows of S+ above the
-    M = S block: its M blocks for M >= S are those of S-S+, and it has no
-    entries below them."""
-    r = _block_csr(raising, slice(0, blocks[S].start), slice(0, raising.shape[1]))
-    return r.T.tocsr() @ r
-
-
-def _sector_spectrum(h, sms, blocks, S, d):
+def _sector_spectrum(hb, sms, S, d):
     """The d eigenvalues of H on V^(S), ascending, from the penalized solve
     on the M = S block alone: eigvalsh of H_SS + c (S-S+)_SS with
     c = (g_hi - g_lo + 1)/(2S + 2), certified by isolation (d-th eigenvalue
     <= g_hi, the next one >= g_hi + 1), else NumericalError."""
-    s = blocks[S]
-    hb = _dense_block(h, s)
     diag = np.diag(hb)
     g_lo, g_hi, c, slack = _penalty(diag, np.abs(hb).sum(axis=1) - np.abs(diag), S)
-    w = la.eigvalsh(hb + c * _dense_block(sms, s))
+    w = la.eigvalsh(hb + c * sms)
     if w[d - 1] > g_hi + slack or (len(w) > d and w[d] < g_hi + 1.0 - slack):
         raise NumericalError(f"penalized solve at S={S} does not isolate {d} levels")
     return w[:d]
 
 
-def penalized_sector_spectra(H, shape):
+def penalized_sector_spectra(H):
     """{S: ascending spectrum of H on V^(S)}: one penalized dense solve per
-    sector on its own S^3 = S block, the oracle for the banded solve."""
-    h, raising, blocks = _s3_sorted(H, shape)
-    labels = sector_labels(shape)
-    sms = _sminus_splus(raising, blocks, min(labels))
-    return {S: _sector_spectrum(h, sms, blocks, S, d) for S, d in labels.items()}
+    sector on its own S^3 = S block, sliced from the full H and S^+, the
+    oracle for the banded solve."""
+    index, splus = s3_blocks(H.shape), total_splus(H.shape)
+    out = {}
+    for S, d in sector_labels(H.shape).items():
+        b = raising_slice(splus, index, S)
+        out[S] = _sector_spectrum(fancy_block(H.matrix, index[S]).toarray(),
+                                  (b.T @ b).toarray(), S, d)
+    return out
 
 
 def total_s3(shape):
@@ -117,7 +130,7 @@ def total_s3(shape):
 
 def casimir(shape):
     """Total-spin Casimir S3^2 + (S+S- + S-S+)/2; eigenvalues S(S+1)."""
-    s3, spl = total_s3(shape), total_spin_ops(shape).sptot.matrix
+    s3, spl = total_s3(shape), total_splus(shape)
     smn = spl.T.tocsr()
     c = s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
     return RealOperator(c)
@@ -234,7 +247,7 @@ def build_xxz_chain(L, delta):
         raise ValueError("anisotropy Delta must be > 1")
     shape = HilbertShape([HalfInt(1)] * L)
     bond = xxz_bond(delta)
-    return RealOperator(_local_sum(shape, [((x, x + 1), bond) for x in range(L - 1)]))
+    return LocalHamiltonian(shape, [((x, x + 1), bond) for x in range(L - 1)])
 
 
 @dataclass(frozen=True)
@@ -275,7 +288,7 @@ def build_general_bond_chain(spins, couplings, polys):
             )
         ss = heisenberg_bond(spins[x], spins[x + 1]).dense()
         terms.append(((x, x + 1), j * poly.of_matrix(ss)))
-    return RealOperator(_local_sum(shape, terms))
+    return LocalHamiltonian(shape, terms)
 
 
 def random_connected_graph(rng, nsites, extra_edges=2, spin=HalfInt(1), j_max=2.0):

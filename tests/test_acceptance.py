@@ -59,7 +59,7 @@ def test_criterion_1_foel_random_chains():
     for _ in range(100):
         chain = random_chain(rng, max_sites=8, max_dim=4096,
                              spin_choices=(1, 2, 3), j_max=2.0)
-        rep = sector_energies(build_normalized_chain(chain), chain.shape)
+        rep = sector_energies(build_normalized_chain(chain))
         v = check_foel(rep, strict_tol=1e-8)
         worst = min(worst, v.min_margin)
         failures += 0 if v.ok else 1
@@ -69,13 +69,12 @@ def test_criterion_1_foel_random_chains():
 
 def test_criterion_2_figure_one():
     """Five spin-1 sites, constant coupling: both orderings plus exact offset."""
-    shape = HilbertShape([HalfInt(2)] * 5)
     g = SpinGraph.path([HalfInt(2)] * 5, [1.0] * 4)
     h = build_heisenberg(g)
-    rep = sector_energies(h, shape)
+    rep = sector_energies(h)
     foel_ok = check_foel(rep, strict_tol=1e-8).ok
     max_ok = check_max_ordering(rep, s_low=HalfInt(2)).ok
-    spec = full_spectrum_by_s3(h, shape, offset=True)
+    spec = full_spectrum_by_s3(h, offset=True)
     ground = min(float(w[0]) for _, w in spec)
     ok = foel_ok and max_ok and abs(ground) <= 1e-10
     verdict("2 (figure system)", ok,
@@ -321,20 +320,17 @@ def test_criterion_10_spin1_quartic_chain():
     strict_ok = True
     for beta in (0.0, 0.1, 0.3):
         for L in range(2, 6):
-            rep = sector_energies(build_spin1_beta_chain(L, beta),
-                                  HilbertShape([HalfInt(2)] * L))
+            rep = sector_energies(build_spin1_beta_chain(L, beta))
             v = check_foel(rep, strict_tol=1e-8)
             strict_ok &= v.ok and v.min_margin > 1e-8
     crossing_found = False
     for L in range(2, 6):
-        rep = sector_energies(build_spin1_beta_chain(L, 1.0 / 3.0),
-                              HilbertShape([HalfInt(2)] * L))
+        rep = sector_energies(build_spin1_beta_chain(L, 1.0 / 3.0))
         v = check_foel(rep, strict_tol=1e-8)
         crossing_found |= bool(v.crossings)
     witness = None
     for L in range(2, 7):
-        rep = sector_energies(build_spin1_beta_chain(L, 0.4),
-                              HilbertShape([HalfInt(2)] * L))
+        rep = sector_energies(build_spin1_beta_chain(L, 0.4))
         v = check_foel(rep, strict_tol=1e-8)
         if v.violations:
             witness = (L, v.violations[0])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ class TestExitCodes:
         assert "needs an estimated" in capsys.readouterr().err
         assert not (out / "spinmap.json").exists()
 
+    def test_tiny_q_refused_with_finite_numbers(self, tmp_path, capsys):
+        # at q = 1e-200 the diagonal is about 1/q and the ground vector's
+        # entries span past the floating-point range: refused, with no
+        # overflow on the way and no infinite number in the message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _ = run(tmp_path, "tl-matrix", "--k", "7", "--n", "3", "--q", "1e-200")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "inf" not in err
+
     def test_foel_dense_block_memory_guard(self, tmp_path, monkeypatch, capsys):
         import foelab.sectors as sectors
 
@@ -149,7 +161,7 @@ class TestExitCodes:
         import foelab.sectors as sectors
 
         # 2 dense 3432 x 3432 arrays (the M = 0 block of 14 spin-1/2 sites)
-        # are estimated at 188 MB; the sparse route needs about 3 MB
+        # are estimated at 188 MB; the sparse route needs about 4 MB
         monkeypatch.setattr(sectors, "_physical_memory_bytes",
                             lambda: sectors.DENSE_BLOCK_ARRAYS * 8 * 3432 ** 2 - 1)
         js = [float(j) for j in np.random.default_rng(14).uniform(0.1, 2.0, 13)]
@@ -171,13 +183,13 @@ class TestExitCodes:
         import foelab.sectors as sectors
 
         # every block on the sparse route; the estimate for the M = 0 block
-        # of 14 spin-1/2 sites (3432 states) is 2.8 MB, the M = 1 one 2.3 MB
+        # of 14 spin-1/2 sites (3432 states) is 4.1 MB, the M = 1 one 3.4 MB
         monkeypatch.setattr(sectors, "SECTOR_SPARSE_MIN_DIM", 0)
-        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 5 * 2 ** 19)
+        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 15 * 2 ** 18)
         code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 13))
         assert code == 3
         err = capsys.readouterr().err
-        assert "sparse S=0 block of dimension 3432 needs an estimated 3 MB" in err
+        assert "sparse S=0 block of dimension 3432 needs an estimated 4 MB" in err
         assert not (out / "foel.json").exists()
 
     def test_uncertified_sparse_solve_exit_code(self, tmp_path, monkeypatch):
@@ -223,16 +235,16 @@ class TestExitCodes:
         import foelab.spinops as spinops
 
         def reached(*a, **k):
-            raise AssertionError("total_spin_ops was called")
+            raise AssertionError("_local_sum was called")
 
-        monkeypatch.setattr(sectors, "total_spin_ops", reached)
-        monkeypatch.setattr(spinops, "total_spin_ops", reached)
+        monkeypatch.setattr(sectors, "_local_sum", reached)
+        monkeypatch.setattr(spinops, "_local_sum", reached)
         code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * 9),
                         "--J", "0.5,1.5,1,0.25,2,1,0.75,1.25")
         assert code == 0
         assert [r[1] for r in sector_rows(out)] == [1, 8, 27, 48, 42]
         # a mixed chain still takes the SU(2) route
-        with pytest.raises(AssertionError, match="total_spin_ops"):
+        with pytest.raises(AssertionError, match="_local_sum"):
             run(tmp_path, "foel", "--chain", "1,2,1")
 
     def test_widely_spread_couplings_certified_in_the_diagram_basis(self, tmp_path):
@@ -245,7 +257,7 @@ class TestExitCodes:
         payload = json.loads(read(out / "foel.json"))
         assert len(payload["crossings"]) == 2 and payload["violations"] == []
         chain = ChainSpec([HalfInt(1)] * 6, js)
-        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        ref = sector_energies(build_normalized_chain(chain))
         for b, s in zip(payload["brackets"], ref.labels):
             lo, hi = b["bracket"]
             # slack: the SU(2) route's own rounding, about eps ||H||
@@ -264,7 +276,7 @@ class TestExitCodes:
         payload = json.loads(read(out / "foel.json"))
         assert {b["bracket"] is None for b in payload["brackets"]} == {True}
         chain = ChainSpec([HalfInt(1)] * 4, js)
-        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        ref = sector_energies(build_normalized_chain(chain))
         assert [r[2] for r in sector_rows(out)] == [
             ref.entries[s].min_energy for s in ref.labels]
 
@@ -281,7 +293,7 @@ class TestExitCodes:
         payload = json.loads(read(out / "foel.json"))
         assert {b["bracket"] is None for b in payload["brackets"]} == {True}
         chain = ChainSpec([HalfInt(1)] * 11, js)
-        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        ref = sector_energies(build_normalized_chain(chain))
         for (_, _, e_min, e_max), s in zip(sector_rows(out), ref.labels):
             assert abs(e_min - ref.entries[s].min_energy) <= 1e-10
             assert abs(e_max - ref.entries[s].max_energy) <= 1e-10
@@ -612,7 +624,7 @@ class TestCommands:
         code, out = run(tmp_path, "foel", "--chain", ",".join(["1"] * L))
         assert code == 0
         chain = ChainSpec([HalfInt(1)] * L, [1.0] * (L - 1))
-        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        ref = sector_energies(build_normalized_chain(chain))
         rows = sector_rows(out)
         assert [r[:2] for r in rows] == [(s.twice, ref.entries[s].dimension)
                                          for s in ref.labels]

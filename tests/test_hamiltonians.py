@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from reference import (BondPolynomial, build_general_bond_chain, build_xxz_chain, casimir,
-                       total_s3, xxz_bond, xxz_boundary_coeff)
+                       commutator_maxabs, total_s3, total_splus, xxz_bond, xxz_boundary_coeff)
 
 from foelab.errors import GraphSpecError
 from foelab.hamiltonians import (
@@ -13,8 +13,7 @@ from foelab.hamiltonians import (
     parse_graph_spec,
     random_chain,
 )
-from foelab.linalg import commutator_maxabs
-from foelab.spinops import HalfInt, HilbertShape, total_spin_ops
+from foelab.spinops import HalfInt, HilbertShape
 
 HALVES = [HalfInt(1), HalfInt(1)]
 
@@ -52,8 +51,7 @@ class TestBuildHeisenberg:
         g = SpinGraph([(i, HalfInt(1)) for i in range(3)],
                       [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         h = build_heisenberg(g)
-        tot = total_spin_ops(g.shape)
-        assert commutator_maxabs(h.matrix, tot.sptot.matrix) <= 1e-12
+        assert commutator_maxabs(h.matrix, total_splus(g.shape)) <= 1e-12
         # total spin 3/2 multiplet at -3/4 * (number of edges) / ... oracle:
         # S.S summed over all pairs = (C - 3*3/4)/2, so H = -(C - 9/4)/2
         c = casimir(g.shape).dense()
@@ -180,7 +178,7 @@ class TestGeneralBondChain:
         polys = [BondPolynomial((0.3, -1.0, 0.2))]
         h = build_general_bond_chain([HalfInt(2), HalfInt(2)], [1.0], polys)
         shape = HilbertShape([HalfInt(2)] * 2)
-        assert commutator_maxabs(h.matrix, total_spin_ops(shape).sptot.matrix) <= 1e-10
+        assert commutator_maxabs(h.matrix, total_splus(shape)) <= 1e-10
         assert commutator_maxabs(h.matrix, total_s3(shape)) <= 1e-10
 
 
@@ -228,7 +226,7 @@ class TestBuilderInvariance:
         chain = random_chain(rng, max_sites=5, max_dim=300)
         h = build_normalized_chain(chain)
         assert commutator_maxabs(h.matrix, total_s3(chain.shape)) <= 1e-10
-        assert commutator_maxabs(h.matrix, total_spin_ops(chain.shape).sptot.matrix) <= 1e-10
+        assert commutator_maxabs(h.matrix, total_splus(chain.shape)) <= 1e-10
 
     @pytest.mark.parametrize("kwargs", [
         {"max_sites": 1},
@@ -247,4 +245,4 @@ class TestBuilderInvariance:
         h = build_xxz_chain(4, 1.3)
         shape = HilbertShape([HalfInt(1)] * 4)
         assert commutator_maxabs(h.matrix, total_s3(shape)) <= 1e-12
-        assert commutator_maxabs(h.matrix, total_spin_ops(shape).sptot.matrix) > 1e-3
+        assert commutator_maxabs(h.matrix, total_splus(shape)) > 1e-3

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (build_xxz_chain, kernel_basis, q_casimir, q_casimir_value,
-                       suq2_generators, xxz_bond)
+from reference import (build_xxz_chain, commutator_maxabs, kernel_basis, q_casimir,
+                       q_casimir_value, suq2_generators, xxz_bond)
 
 import foelab.temperley_lieb as tlmod
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
-from foelab.linalg import commutator_maxabs
 from foelab.qgroup import (
     QParam,
     droplet_bandwidth,
@@ -134,7 +133,7 @@ class TestQSectorEnergies:
         L = 4
         report = q_sector_energies(L, QParam(1.0 - 1e-3))
         iso = build_normalized_chain(ChainSpec([HalfInt(1)] * L, [0.25] * (L - 1)))
-        iso_report = sector_energies(iso, HilbertShape([HalfInt(1)] * L))
+        iso_report = sector_energies(iso)
         for S, e in report.entries.items():
             assert abs(e.min_energy - iso_report.entries[S].min_energy) <= 1e-2
 

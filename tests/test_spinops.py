@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (build_xxz_chain, casimir, kron_embed, local_sum_total_spin_ops,
-                       total_s3, xxz_bond)
+from reference import build_xxz_chain, casimir, kron_embed, total_s3, total_splus, xxz_bond
 
 from foelab.hamiltonians import (
     ChainSpec,
@@ -21,7 +20,6 @@ from foelab.spinops import (
     _local_sum,
     heisenberg_bond,
     spin_matrices,
-    total_spin_ops,
 )
 
 
@@ -182,7 +180,7 @@ class TestLocalSum:
             s3 = s3 + kron_embed(shape, {x: ops.sz})
             splus = splus + kron_embed(shape, {x: ops.splus})
         assert np.array_equal(s3.toarray(), np.diag(shape.total_m()))
-        assert_same_csr(total_spin_ops(shape).sptot.matrix, splus)
+        assert_same_csr(total_splus(shape), splus)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(spins=mixed_spins().filter(lambda s: len(s) >= 2), data=st.data())
@@ -227,6 +225,32 @@ class TestLocalSum:
         assert_same_csr(build_xxz_chain(L, delta).matrix,
                         kron_chain_sum(shape, [xxz_bond(delta)] * (L - 1)))
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(spins=mixed_spins(), data=st.data())
+    def test_state_subset_is_the_sliced_full_build(self, spins, data):
+        # up to two terms of any kind (here not S^3-conserving) on random
+        # sorted sources and targets: the full build sliced, bit for bit;
+        # a rectangular sum has no diagonal entries
+        shape = HilbertShape(spins)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        terms = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            sites = data.draw(st.lists(st.integers(0, len(spins) - 1), min_size=1,
+                                       max_size=min(2, len(spins)), unique=True))
+            d = int(np.prod([shape.local_dims[x] for x in sites]))
+            terms.append((sites, rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.5)))
+        states, targets = (np.flatnonzero(rng.random(shape.dim) < 0.5) for _ in range(2))
+        full = _local_sum(shape, terms)
+        square = full[states][:, states]
+        square.sort_indices()
+        assert_same_csr(_local_sum(shape, terms, states), square)
+        coo = full.tocoo()
+        off = coo.row != coo.col
+        rect = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])),
+                             shape=full.shape)[targets][:, states]
+        rect.sort_indices()
+        assert_same_csr(_local_sum(shape, terms, states, targets), rect)
+
     def test_site_order_follows_kron_order(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2), HalfInt(3)])
         a, b = spin_matrices(HalfInt(1)).splus, spin_matrices(HalfInt(3)).sz
@@ -249,26 +273,15 @@ class TestTotalSpinOps:
                               [1.0, 0.0, 0.0, -1.0])
 
     def test_single_site_is_local(self):
-        tot = total_spin_ops(HilbertShape([HalfInt(1)]))
-        assert np.allclose(tot.sptot.dense(), spin_matrices(HalfInt(1)).splus)
+        splus = total_splus(HilbertShape([HalfInt(1)]))
+        assert np.allclose(splus.toarray(), spin_matrices(HalfInt(1)).splus)
 
     def test_su2_commutator(self):
         shape = HilbertShape([HalfInt(1), HalfInt(1)])
-        tot = total_spin_ops(shape)
-        lhs = comm(tot.sptot.dense(), tot.sptot.matrix.T.toarray())
+        splus = total_splus(shape).toarray()
+        lhs = comm(splus, splus.T)
         assert np.allclose(lhs, 2 * np.diag(shape.total_m()), atol=1e-12)
 
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(twice=st.lists(st.integers(1, 4), min_size=1, max_size=8).filter(
-        lambda t: np.prod([x + 1 for x in t]) <= 2 ** 16))
-    def test_digits_match_the_local_sum_build(self, twice):
-        # the same CSR arrays, index dtypes included, as the COO assembly
-        shape = HilbertShape([HalfInt(t) for t in twice])
-        out = total_spin_ops(shape).sptot.matrix
-        ref = local_sum_total_spin_ops(shape).sptot.matrix
-        assert_same_csr(out, ref)
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(out, attr).dtype == getattr(ref, attr).dtype
 
 
 def cg_multiplicities(spins):
@@ -318,8 +331,8 @@ class TestCasimir:
     def test_commutes_with_totals(self, spins):
         shape = HilbertShape([HalfInt(t) for t in spins])
         c = casimir(shape).dense()
-        tot = total_spin_ops(shape)
-        for op in (total_s3(shape), tot.sptot.matrix, tot.sptot.matrix.T):
+        splus = total_splus(shape)
+        for op in (total_s3(shape), splus, splus.T):
             assert np.abs(comm(c, op.toarray())).max() <= 1e-10
 
 
@@ -363,7 +376,7 @@ class TestHeisenbergBond:
     def test_commutes_with_two_site_totals(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
         bond = heisenberg_bond(HalfInt(1), HalfInt(2)).dense()
-        tot = total_spin_ops(shape)
-        for op in (total_s3(shape), tot.sptot.matrix, tot.sptot.matrix.T):
+        splus = total_splus(shape)
+        for op in (total_s3(shape), splus, splus.T):
             assert np.abs(comm(bond, op.toarray())).max() <= 1e-12
 

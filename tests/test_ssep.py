@@ -141,6 +141,19 @@ class TestGenerator:
             assert off.max() <= 0.0
             assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_memory_estimate_bounds_the_traced_peak(self, n):
+        # complete graph, 12 sites: the half-filled sector acts on the most
+        # edges per configuration (peak about 2.3 MB)
+        g = complete_graph(12)
+        tracemalloc.start()
+        try:
+            ssep_generator(g, n=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ssep._generator_bytes(12, n, len(g.edges))
+
     def test_config_order_is_integer_order(self):
         gen = ssep_generator(path_graph(3), n=1)
         assert gen.configs.dtype == np.int64

@@ -10,13 +10,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (build_xxz_chain, highest_weight_space, kernel_basis,
-                       min_spec_comparison, suq2_generators, total_s3)
+                       min_spec_comparison, suq2_generators, total_s3, total_splus)
 
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.sectors import SectorEntry, sector_energies, sector_labels
-from foelab.spinops import HalfInt, HilbertShape, _local_sum, total_spin_ops
+from foelab.spinops import HalfInt, HilbertShape, _local_sum
 from foelab.temperley_lieb import (
     check_dominance,
     enumerate_arc_diagrams,
@@ -546,7 +546,7 @@ class TestDiagramSectorEnergies:
     def test_matches_the_su2_route(self, js):
         chain = ChainSpec([HalfInt(1)] * (len(js) + 1), js)
         report = tlmod.diagram_sector_energies(js)
-        ref = sector_energies(build_normalized_chain(chain), chain.shape)
+        ref = sector_energies(build_normalized_chain(chain))
         assert {s: e.dimension for s, e in report.entries.items()} == sector_labels(chain.shape)
         for s, e in ref.entries.items():
             got = report.entries[s]
@@ -701,8 +701,8 @@ class TestConsequenceChain:
         js = 2.0 * (1.0 - rng.random(k))
         h_k = build_normalized_chain(ChainSpec([HalfInt(1)] * k, js[: k - 1]))
         h_k1 = build_normalized_chain(ChainSpec([HalfInt(1)] * (k + 1), js))
-        rep_k = sector_energies(h_k, HilbertShape([HalfInt(1)] * k))
-        rep_k1 = sector_energies(h_k1, HilbertShape([HalfInt(1)] * (k + 1)))
+        rep_k = sector_energies(h_k)
+        rep_k1 = sector_energies(h_k1)
         for n in range(0, k // 2 + 1):
             a = tl_hamiltonian_matrix(k, n, js[: k - 1])
             b = tl_hamiltonian_matrix(k + 1, n, js)
@@ -830,13 +830,13 @@ class TestFKBasis:
     def test_counts_and_highest_weight(self, spins):
         spins = [HalfInt(t) for t in spins]
         shape = HilbertShape(spins)
-        tot = total_spin_ops(shape)
+        splus = total_splus(shape)
         for S, dim in sector_labels(shape).items():
             basis = fk_highest_weight_basis(spins, S)
             assert len(basis) == dim
             if basis:
                 v = np.column_stack([b.expanded for b in basis])
-                assert np.abs(tot.sptot.matrix @ v).max() <= 1e-10
+                assert np.abs(splus @ v).max() <= 1e-10
                 assert np.abs(total_s3(shape) @ v - S.value * v).max() <= 1e-10
                 assert np.linalg.matrix_rank(v.T @ v) == dim
 
@@ -861,7 +861,7 @@ class TestFKMatrix:
         js = 2.0 * (1.0 - rng.random(len(spins) - 1))
         shape = HilbertShape(spins)
         h = build_normalized_chain(ChainSpec(spins, js))
-        rep = sector_energies(h, shape)
+        rep = sector_energies(h)
         for S in sector_labels(shape):
             a = fk_hamiltonian_matrix(spins, js, S)
             w = np.sort(np.linalg.eigvals(a).real)
