@@ -54,12 +54,16 @@ class QSectorEntry(NamedTuple):
     bracket: tuple  # Collatz-Wielandt enclosure (lo, hi) of min_energy
 
 
-def _sector_perron(L, n, qp):
-    """Certified Perron result of the spin-deviation-n TL matrix, whose
-    root is E(H_L, S = L/2 - n)."""
+def _sector_matrix(L, n, qp):
+    """The spin-deviation-n TL matrix of H_L, whose Perron root is
+    E(H_L, S = L/2 - n)."""
     j = 1.0 / (2.0 * (qp.q + 1.0 / qp.q))
-    tl = tl_hamiltonian_matrix(L, n, [j] * (L - 1), qp.q)
-    return perron_ground_vector(tl)
+    return tl_hamiltonian_matrix(L, n, [j] * (L - 1), qp.q)
+
+
+def _sector_perron(L, n, qp):
+    """Certified Perron result of ``_sector_matrix(L, n, qp)``."""
+    return perron_ground_vector(_sector_matrix(L, n, qp))
 
 
 def q_sector_energies(L, qp):
@@ -119,12 +123,24 @@ def droplet_csv_rows(l_values, n_values, qp):
     """(L, n, q, finite_energy, E_infinity, bandwidth, bracket) sweep rows,
     sorted by (n, L); pairs with 2n > L are skipped.  ``bracket`` is the
     Collatz-Wielandt enclosure (lo, hi) of finite_energy; the first six
-    items are the droplet.csv columns."""
+    items are the droplet.csv columns.
+
+    One TL matrix is built per droplet size n, at the largest length of the
+    sweep that admits it; every shorter chain is its leading block
+    (``TLMatrix.leading_block``).  The sectors are solved L by L, n by n
+    within each L.
+    """
+    l_values, n_values = [int(L) for L in l_values], [int(n) for n in n_values]
+    top = {}
+    for n in n_values:
+        lengths = [L for L in l_values if 1 <= n <= L / 2]
+        if lengths and n not in top:
+            top[n] = _sector_matrix(max(lengths), n, qp)
     rows = []
-    for L in map(int, l_values):
-        for n in map(int, n_values):
+    for L in l_values:
+        for n in n_values:
             if 1 <= n <= L / 2:
-                pf = _sector_perron(L, n, qp)
+                pf = perron_ground_vector(top[n].leading_block(L))
                 rows.append((L, n, qp.q, pf.eigenvalue, droplet_energy(n, qp),
                              droplet_bandwidth(n, qp), pf.bracket))
     rows.sort(key=lambda r: (r[1], r[0]))

@@ -23,9 +23,11 @@ def format_value(x):
 
 
 def csv_text(header, rows):
+    """CSV text of the rows: each a sequence of values (``format_value``)
+    or a line already formatted (str)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(x) for x in row))
+        lines.append(row if isinstance(row, str) else ",".join(format_value(x) for x in row))
     return "\n".join(lines) + "\n"
 
 

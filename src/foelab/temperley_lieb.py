@@ -12,7 +12,8 @@ vertex is appended.
 Diagrams are ordered by (last paired vertex, arc list); diagrams whose tail
 vertices are unpaired therefore come first, in exactly the order of the
 shorter chain's basis, which turns the submatrix statement into an index-wise
-prefix comparison.
+prefix comparison and lets a shorter chain's matrix be read off a longer
+one (``TLMatrix.leading_block``).
 
 A basis is an m x (k+2) partner array (column v holds the partner of vertex
 v, 0 if unpaired) in canonical order; at the API a diagram is its sorted arc
@@ -64,7 +65,6 @@ __all__ = [
     "DominanceVerdict",
     "perron_ground_vector",
     "PerronResult",
-    "collatz_wielandt_bracket",
     "diagram_sector_energies",
     "chain_sector_energies",
     "expand_diagram_to_tensor",
@@ -88,43 +88,49 @@ def _diagram_basis(k, n):
 
     A diagram is a left-to-right walk where each vertex opens an arc, closes
     the most recent open arc, or stays unpaired; the no-span rule allows an
-    unpaired vertex only at nesting depth zero.  Row i lists the partners of
-    diagram i (column v for vertex v, 0 = unpaired; columns 0 and k+1 are
-    padding).
+    unpaired vertex only at nesting depth zero.  All walks take each vertex
+    together, as arrays, and a walk is dropped once its open arcs and the
+    arcs it has yet to open no longer fit on the vertices left.  Row i lists
+    the partners of diagram i (column v for vertex v, 0 = unpaired; columns
+    0 and k+1 are padding).
     """
     k, n = int(k), int(n)
     if n < 0 or 2 * n > k:
         raise ValueError(f"need 0 <= 2n <= k, got k={k}, n={n}")
-    rows = []
-
-    def walk(pos, stack, opened, row):
-        if len(stack) + 2 * (n - opened) > k - pos + 1:
-            return
-        if pos > k:
-            rows.append(row)
-            return
-        if opened < n:
-            walk(pos + 1, stack + [pos], opened + 1, row)
-        if stack:
-            row = row.copy()
-            row[stack[-1]], row[pos] = pos, stack[-1]
-            walk(pos + 1, stack[:-1], opened, row)
-        else:
-            walk(pos + 1, stack, opened, row)
-
-    walk(1, [], 0, [0] * (k + 2))
-    m = len(rows)
+    partners = np.zeros((1, k + 2), dtype=np.int64)
+    stack = np.zeros((1, n), dtype=np.int64)  # open vertices, innermost at depth - 1
+    depth, opened = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for pos in range(1, k + 1):
+        o = np.flatnonzero(opened < n)  # the walks that can open an arc at pos
+        o_partners, o_stack = partners[o], stack[o]
+        o_stack[np.arange(len(o)), depth[o]] = pos
+        o_depth, o_opened = depth[o] + 1, opened[o] + 1
+        c = np.flatnonzero(depth > 0)  # the others leave pos unpaired
+        top = stack[c, depth[c] - 1]
+        partners[c, top], partners[c, pos] = pos, top
+        depth[c] -= 1
+        partners = np.concatenate((o_partners, partners))
+        stack = np.concatenate((o_stack, stack))
+        depth, opened = np.concatenate((o_depth, depth)), np.concatenate((o_opened, opened))
+        fits = depth + 2 * (n - opened) <= k - pos
+        partners, stack, depth, opened = partners[fits], stack[fits], depth[fits], opened[fits]
+    m = partners.shape[0]
     if m != diagram_count(k, n):
         raise AssertionError("diagram enumeration does not match the count formula")
-    partners = np.array(rows, dtype=np.int64).reshape(m, k + 2)
     # canonical order: (last paired vertex, x1, y1, ..., xn, yn)
-    vertex = np.arange(k + 2)
-    openers = np.nonzero(partners > vertex)[1].reshape(m, n)
-    closers = np.take_along_axis(partners, openers, axis=1)
-    keys = [np.max(np.where(partners > 0, vertex, 0), axis=1)]
+    openers, closers = _arc_ends(partners, n)
+    keys = [np.max(np.where(partners > 0, np.arange(k + 2), 0), axis=1)]
     for i in range(n):
         keys += [openers[:, i], closers[:, i]]
     return partners[np.lexsort(keys[::-1])]
+
+
+def _arc_ends(partners, n):
+    """m x n arrays of the openers x1 < ... < xn of each diagram's n arcs
+    and of their closers y1, ..., yn."""
+    vertex = np.arange(partners.shape[1])
+    openers = np.nonzero(partners > vertex)[1].reshape(partners.shape[0], n)
+    return openers, np.take_along_axis(partners, openers, axis=1)
 
 
 def _arc_lists(partners):
@@ -161,6 +167,33 @@ class TLMatrix:
     @functools.cached_property
     def A(self):
         return self.matrix.toarray()
+
+    def leading_block(self, k):
+        """The TLMatrix of the first k vertices, read off this one.
+
+        Appending a vertex appends diagrams, so the first diagram_count(k, n)
+        diagrams are the k-vertex basis with every vertex above k unpaired,
+        and a bond from k on maps each of them outside that prefix or not at
+        all: the k-vertex matrix is the leading block, entry for entry
+        (Nachtergaele-Spitzer-Starr, J. Stat. Phys. 116 (2004)).
+        ValueError unless 2n <= k <= self.k and the prefix leaves every
+        vertex above k unpaired.
+        """
+        if not 2 * self.n <= k <= self.k:
+            raise ValueError(f"need 2n <= k <= {self.k} for n={self.n}, got k={k}")
+        if k == self.k:
+            return self
+        m = diagram_count(k, self.n)
+        if self.partners[:m, k + 1:].any():
+            raise ValueError(f"a leading diagram pairs a vertex above k={k}")
+        a = self.matrix
+        end = a.indptr[m]
+        keep = a.indices[:end] < m
+        indptr = np.concatenate(([0], np.cumsum(keep)))[a.indptr[:m + 1]]
+        block = sp.csr_matrix((a.data[:end][keep], a.indices[:end][keep], indptr),
+                              shape=(m, m))
+        return TLMatrix(k=k, n=self.n, q=self.q, couplings=self.couplings[:k - 1],
+                        partners=self.partners[:m, :k + 2], matrix=block)
 
     def off_diagonal_max(self):
         """Largest off-diagonal entry, counting the zero ones (so >= 0)."""
@@ -303,10 +336,13 @@ _TINY = np.finfo(float).tiny
 def _as_csr(a):
     """Canonical CSR matrix (sorted indices, duplicates summed, no stored
     zeros) of a TLMatrix, a sparse matrix or a dense array, so every input
-    form reaches the same arrays."""
+    form reaches the same arrays.  A TLMatrix's own matrix, which the
+    builder makes canonical, is returned as it is."""
     if isinstance(a, TLMatrix):
-        return a.matrix
-    if not sp.issparse(a):
+        a = a.matrix
+        if a.has_canonical_format and a.data.all():
+            return a
+    elif not sp.issparse(a):
         return sp.csr_matrix(np.asarray(a, dtype=float))
     out = sp.csr_matrix(a, dtype=float, copy=True)
     out.sum_duplicates()
@@ -314,8 +350,9 @@ def _as_csr(a):
     return out
 
 
-def collatz_wielandt_bracket(A, x):
-    """Enclosure (lo, hi) of the Perron root of A from any x > 0.
+def _collatz_wielandt_bracket(a, absa, x):
+    """Enclosure (lo, hi) of the Perron root of a canonical CSR matrix a
+    (``_as_csr``) from any x > 0; absa is the entrywise |a|.
 
     For A irreducible with nonpositive off-diagonal entries (the caller's
     hypothesis; ``perron_ground_vector`` checks it),
@@ -328,7 +365,6 @@ def collatz_wielandt_bracket(A, x):
     or nan, which certifies nothing.
     ValueError unless x has one strictly positive entry per row.
     """
-    a = _as_csr(A)
     x = np.asarray(x, dtype=float)
     if x.shape != (a.shape[0],) or not np.all(x > 0):
         raise ValueError("a Collatz-Wielandt bracket needs a strictly positive vector")
@@ -336,11 +372,11 @@ def collatz_wielandt_bracket(A, x):
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = (a @ x) / x
-        slack = gamma * (abs(a) @ x) / x
+        slack = gamma * (absa @ x) / x
         return float(np.min(ratio - slack)), float(np.max(ratio + slack))
 
 
-def _sharpen(a, x, lam, width):
+def _sharpen(a, absa, off, x, lam, width):
     """x and its bracket, after Jacobi sweeps
     x_i <- sum_{j != i} (-a_ij) x_j / (a_ii - lam) while the bracket is
     wider than ``width`` (at most PERRON_REFINE_SWEEPS of them).
@@ -351,31 +387,38 @@ def _sharpen(a, x, lam, width):
     to normwise accuracy, and their row ratios spread the bracket (at
     q = 0.05 past 1e-9).  A sweep rebuilds each entry from its neighbours
     as a sum of nonnegative terms, so the entries become accurate relative
-    to themselves and the bracket narrows.
+    to themselves and the bracket narrows.  ``absa`` is |a| and ``off``
+    masks a's off-diagonal entries, all negative: the sweep's matrix is
+    |a| without its diagonal.
     """
-    lo, hi = collatz_wielandt_bracket(a, x)
-    diag = a.diagonal()
-    denom = diag - lam
+    lo, hi = _collatz_wielandt_bracket(a, absa, x)
+    denom = a.diagonal() - lam
     if hi - lo <= width or np.min(denom) <= 0.0:
         return x, (lo, hi)
-    neighbours = sp.diags(diag) - a
+    kept = np.concatenate(([0], np.cumsum(off)))[a.indptr]
+    neighbours = sp.csr_matrix((absa.data[off], a.indices[off], kept), shape=a.shape)
     for _ in range(PERRON_REFINE_SWEEPS):
         x = (neighbours @ x) / denom
         x = x / np.linalg.norm(x)
         if not np.all(x > 0.0):  # only underflow can zero an entry
             raise NumericalError("ground vector is not strictly positive")
-        lo, hi = collatz_wielandt_bracket(a, x)
+        lo, hi = _collatz_wielandt_bracket(a, absa, x)
         if hi - lo <= width:
             break
     return x, (lo, hi)
 
 
-def _extremal_pair(a, end):
+def _scale(absa):
+    """max(1, ||A||_inf) from the entrywise |A| (a CSR matrix)."""
+    return max(1.0, float(absa.sum(axis=1).max()))
+
+
+def _extremal_pair(a, scale, end):
     """Bottom eigenpair of a CSR matrix: dense ``eig`` below
     PERRON_SPARSE_MIN_DIM, Arnoldi (``eigs``, k = 1, smallest real part,
-    start vector of ones, tol = 0) from there on.  Returns
-    (eigenvalue, v, scale, gap): v real with its largest entry positive,
-    scale = max(1, ||A||_inf), gap the distance to the next eigenvalue on the
+    start vector of ones, tol = 0) from there on; scale = max(1, ||A||_inf).
+    Returns (eigenvalue, v, gap): v real with its largest entry positive,
+    gap the distance to the next eigenvalue on the
     dense route (inf for a 1 x 1 matrix) and None on Arnoldi's, which
     computes no second eigenpair.  Each caller's matrix has nonpositive
     off-diagonal entries, so the ones overlap its nonnegative bottom vector.
@@ -397,7 +440,6 @@ def _extremal_pair(a, end):
         except sla.ArpackNoConvergence as exc:
             raise NumericalError(f"Arnoldi eigs ({end}) did not converge: {exc}") from exc
         value, v, gap = w[0], vecs[:, 0], None
-    scale = max(1.0, float(abs(a).sum(axis=1).max()))
     if abs(value.imag) > 1e-9 * scale:
         raise NumericalError(f"{end} eigenvalue came out complex")
     value = float(value.real)
@@ -406,7 +448,7 @@ def _extremal_pair(a, end):
     residual = float(np.linalg.norm((a @ v - value * v) / scale))
     if residual > 1e-9 * np.linalg.norm(v):
         raise NumericalError(f"{end} pair residual {residual:.3e} (of ||A||_inf) too large")
-    return value, v, scale, gap
+    return value, v, gap
 
 
 def perron_ground_vector(A):
@@ -436,22 +478,23 @@ def perron_ground_vector(A):
     """
     a = _as_csr(A)
     m = a.shape[0]
-    coo = a.tocoo()
-    off = (coo.row != coo.col) & (coo.data != 0.0)
-    if coo.data[off].max(initial=0.0) > 0.0:
+    off = a.indices != np.repeat(np.arange(m), np.diff(a.indptr))
+    if a.data[off].max(initial=0.0) > 0.0:
         raise ValueError("positive off-diagonal entry; no Perron-Frobenius claim")
-    pattern = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(m, m))
-    ncomp, _ = connected_components(pattern, directed=True, connection="strong")
+    # a stores no zeros, and self-loops do not join components
+    ncomp, _ = connected_components(a, directed=True, connection="strong")
     if ncomp != 1:
         raise ReducibleMatrixError(
             f"irreducibility failed ({ncomp} strongly connected components); "
             "no positivity claim"
         )
-    lam, v, scale, gap = _extremal_pair(a, "ground")
+    absa = abs(a)
+    scale = _scale(absa)
+    lam, v, gap = _extremal_pair(a, scale, "ground")
     if np.min(v) < -1e-10 * np.max(np.abs(v)):
         raise NumericalError("ground vector is not strictly positive")
     tol = 1e-9 * scale
-    v, (lo, hi) = _sharpen(a, np.maximum(v, _TINY), lam, tol)
+    v, (lo, hi) = _sharpen(a, absa, off, np.maximum(v, _TINY), lam, tol)
     if not np.isfinite(hi - lo):
         raise NumericalError("no finite Collatz-Wielandt bracket: the ground vector's "
                              "entries span more than the floating-point range")
@@ -477,7 +520,9 @@ def _top_eigenvalue(tl, floor):
     a = tl.matrix
     opens_odd = tl.partners[:, 1::2] > np.arange(1, tl.k + 2, 2)
     d = sp.diags((-1.0) ** opens_odd.sum(axis=1))
-    bottom, _, scale, _ = _extremal_pair(-(d @ a @ d), "top")
+    flipped = -(d @ a @ d)
+    scale = _scale(abs(flipped))
+    bottom, _, _ = _extremal_pair(flipped, scale, "top")
     diag = a.diagonal()
     g_hi = float(np.max(diag + np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)))
     if not floor <= -bottom <= g_hi + 1e-9 * scale:
@@ -679,14 +724,21 @@ def fk_hamiltonian_matrix(spins, couplings, S):
 
 
 def tl_matrix_csv_rows(tl):
-    """(row, col, value) triplets of the nonzero entries of a TLMatrix, a
-    sparse or a dense matrix, in row-major order."""
+    """``row,col,value`` CSV lines of the nonzero entries of a TLMatrix, a
+    sparse or a dense matrix, in row-major order, each formatted from the
+    COO arrays at once (``reports.format_value``'s digits)."""
     coo = _as_csr(tl).tocoo()
-    return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    return list(map("%d,%d,%.17g".__mod__,
+                    zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())))
 
 
 def tl_basis_csv_rows(tl):
-    """(diagram id, arc list) rows of a TLMatrix's basis; arcs rendered like
-    ``1-2;3-4``."""
-    return [(i, ";".join(f"{x}-{y}" for x, y in arcs) or "empty")
-            for i, arcs in enumerate(_arc_lists(tl.partners))]
+    """``diagram_id,arcs`` CSV lines of a TLMatrix's basis, arcs rendered
+    like ``1-2;3-4`` and no arc as ``empty``.  Every diagram has exactly n
+    arcs, so one format takes each row of the partner array's (opener,
+    closer) columns."""
+    arcs = np.empty((tl.dim, 2 * tl.n + 1), dtype=np.int64)
+    arcs[:, 0] = np.arange(tl.dim)
+    arcs[:, 1::2], arcs[:, 2::2] = _arc_ends(tl.partners, tl.n)
+    fmt = "%d," + (";".join(["%d-%d"] * tl.n) or "empty")
+    return list(map(fmt.__mod__, map(tuple, arcs.tolist())))

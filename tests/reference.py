@@ -2,7 +2,8 @@
 constructions (Kronecker products, total S^+ and commutators on the whole
 product space, blocks sliced by scipy's fancy indexing, SVD kernels,
 Casimir filtering, the XXZ chain and its quantum-group generators on 2^L
-states) and criterion 5's comparison-theorem checker.  Neither the CLI nor
+states, droplet sweeps built length by length, CSV rows formatted cell by
+cell) and criterion 5's comparison-theorem checker.  Neither the CLI nor
 the demos run them.
 """
 
@@ -19,7 +20,9 @@ from foelab.linalg import max_abs, to_dense
 from foelab.sectors import SectorEntry, SectorReport, _penalty, s3_blocks, sector_labels
 from foelab.spinops import (HalfInt, HilbertShape, LocalHamiltonian, RealOperator, _local_sum,
                             heisenberg_bond, spin_matrices)
-from foelab.temperley_lieb import ENTRY_TOL, TLMatrix
+from foelab.qgroup import droplet_bandwidth, droplet_energy
+from foelab.temperley_lieb import (ENTRY_TOL, TLMatrix, _as_csr, _collatz_wielandt_bracket,
+                                   perron_ground_vector, tl_hamiltonian_matrix)
 
 KERNEL_REL_TOL = 1e-8
 
@@ -156,6 +159,43 @@ def casimir_sector_energies(H, shape):
             float(ew[0]), float(ew[-1]), sel.shape[1] // (ts + 1)
         )
     return SectorReport(entries=entries)
+
+
+def droplet_rows_per_length(l_values, n_values, qp):
+    """Reference: ``qgroup.droplet_csv_rows`` with each (L, n) sector's TL
+    matrix built from scratch, L by L and n by n within each L."""
+    j = 1.0 / (2.0 * (qp.q + 1.0 / qp.q))
+    rows = []
+    for L in map(int, l_values):
+        for n in map(int, n_values):
+            if 1 <= n <= L / 2:
+                pf = perron_ground_vector(tl_hamiltonian_matrix(L, n, [j] * (L - 1), qp.q))
+                rows.append((L, n, qp.q, pf.eigenvalue, droplet_energy(n, qp),
+                             droplet_bandwidth(n, qp), pf.bracket))
+    rows.sort(key=lambda r: (r[1], r[0]))
+    return rows
+
+
+def collatz_wielandt_bracket(A, x):
+    """The Collatz-Wielandt bracket ``perron_ground_vector`` certifies with,
+    for a TLMatrix, a sparse or a dense matrix and any x > 0."""
+    a = _as_csr(A)
+    return _collatz_wielandt_bracket(a, abs(a), x)
+
+
+def matrix_csv_tuples(a):
+    """Reference: (row, col, value) of the nonzero entries of a TLMatrix, a
+    sparse or a dense matrix, in row-major order, for ``reports.csv_text``
+    to format cell by cell."""
+    coo = _as_csr(a).tocoo()
+    return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+
+
+def basis_csv_tuples(arc_lists):
+    """Reference: (diagram id, arcs like ``1-2;3-4`` or ``empty``) of a list
+    of arc tuples."""
+    return [(i, ";".join(f"{x}-{y}" for x, y in arcs) or "empty")
+            for i, arcs in enumerate(arc_lists)]
 
 
 @dataclass(frozen=True)

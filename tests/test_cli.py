@@ -3,11 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import basis_csv_tuples, matrix_csv_tuples
 
 import foelab
 from foelab.cli import _HANDLERS, build_parser, main
@@ -16,7 +21,8 @@ from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.reports import csv_text, write_csv, write_json
 from foelab.sectors import sector_energies
 from foelab.spinops import HalfInt, HilbertShape
-from foelab.temperley_lieb import tl_hamiltonian_matrix
+from foelab.temperley_lieb import (enumerate_arc_diagrams, fk_hamiltonian_matrix,
+                                   tl_hamiltonian_matrix)
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
 # graph-spec files that test arguments name: "g" is valid, the others each
@@ -794,3 +800,59 @@ class TestReports:
     def test_json_rejects_non_finite(self, tmp_path, bad):
         with pytest.raises(ValueError):
             write_json(tmp_path / "x.json", {"gap": bad})
+
+
+MATRIX_HEADER, BASIS_HEADER = ("row", "col", "value"), ("diagram_id", "arcs")
+
+
+@st.composite
+def tl_matrix_args(draw):
+    k = draw(st.integers(2, 16))
+    n = draw(st.integers(0, k // 2))
+    q = draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0]))
+    js = draw(st.none() | st.lists(st.floats(0.0, 2.0, exclude_min=True),
+                                   min_size=k - 1, max_size=k - 1))
+    return k, n, q, js
+
+
+class TestArrayCsvWriters:
+    """tl_matrix.csv, tl_basis.csv and fk_matrix.csv, formatted a row at a
+    time from arrays, against ``csv_text`` of the cell-by-cell rows."""
+
+    @settings(max_examples=25, database=None, deadline=None)
+    @given(tl_matrix_args())
+    def test_tl_files(self, inputs):
+        k, n, q, js = inputs
+        args = ["tl-matrix", "--k", str(k), "--n", str(n), "--q", repr(q)]
+        if js is not None:
+            args += ["--J", ",".join(map(repr, js))]
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = run(Path(tmp), *args)
+            assert code in (0, 1, 3)  # the files come before the Perron solve
+            tl = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1) if js is None else js, q)
+            assert read(out / "tl_matrix.csv") == csv_text(MATRIX_HEADER, matrix_csv_tuples(tl))
+            assert read(out / "tl_basis.csv") == csv_text(
+                BASIS_HEADER, basis_csv_tuples(enumerate_arc_diagrams(k, n)))
+
+    def test_no_arc_basis_is_empty(self, tmp_path):
+        code, out = run(tmp_path, "tl-matrix", "--k", "3", "--n", "0")
+        assert code == 0
+        assert read(out / "tl_basis.csv") == "diagram_id,arcs\n0,empty\n"
+
+    @pytest.mark.parametrize("spins,S2,js", [
+        ("2,2,2,2", "0", None),  # a dense matrix with an exact zero
+        ("1,3,2", "2", "0.4,1.9"),
+        ("2,1,2,1", "2", "1.3,0.2,0.7"),
+    ])
+    def test_fk_matrix(self, tmp_path, spins, S2, js):
+        args = ["fk-basis", "--spins", spins, "--S2", S2] + ([] if js is None else ["--J", js])
+        code, out = run(tmp_path, *args)
+        assert code in (0, 1)
+        twice = [int(t) for t in spins.split(",")]
+        couplings = [1.0] * (len(twice) - 1) if js is None else [float(j) for j in js.split(",")]
+        a = fk_hamiltonian_matrix([HalfInt(t) for t in twice], couplings, HalfInt(int(S2)))
+        if js is None:
+            assert (a == 0.0).any()
+        rows = matrix_csv_tuples(a)
+        assert len(rows) == np.count_nonzero(a)
+        assert read(out / "fk_matrix.csv") == csv_text(MATRIX_HEADER, rows)

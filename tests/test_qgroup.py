@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (build_xxz_chain, commutator_maxabs, kernel_basis, q_casimir,
-                       q_casimir_value, suq2_generators, xxz_bond)
+from reference import (build_xxz_chain, commutator_maxabs, droplet_rows_per_length,
+                       kernel_basis, q_casimir, q_casimir_value, suq2_generators,
+                       xxz_bond)
 
+import foelab.qgroup as qgroup
 import foelab.temperley_lieb as tlmod
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.qgroup import (
@@ -271,6 +273,46 @@ class TestFiniteDroplet:
         for seq in by_n.values():
             es = [e for _, e in sorted(seq)]
             assert all(b < a for a, b in zip(es, es[1:]))
+
+
+class TestDropletSweep:
+    """droplet_csv_rows reads every length from one TL matrix per droplet
+    size, against the sweep that builds each (L, n) sector from scratch and
+    against the SVD projection on the 2^L space."""
+
+    # n = 7 has no length in 0..11; L = 0, 1 admit no n
+    LENGTHS, SIZES = range(0, 12), [2, 7, 1, 3]
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    def test_rows_match_the_per_length_sweep(self, q, monkeypatch):
+        qp = QParam(q)
+        builds = []
+
+        def spy(k, n, couplings, q):
+            builds.append((k, n))
+            return tlmod.tl_hamiltonian_matrix(k, n, couplings, q)
+
+        monkeypatch.setattr(qgroup, "tl_hamiltonian_matrix", spy)
+        rows = droplet_csv_rows(self.LENGTHS, self.SIZES, qp)
+        assert builds == [(11, 2), (11, 1), (11, 3)]
+        monkeypatch.undo()
+        assert rows == droplet_rows_per_length(self.LENGTHS, self.SIZES, qp)
+        assert sorted((L, n) for L, n, *_ in rows) == sorted(
+            (L, n) for n in (1, 2, 3) for L in range(2 * n, 12))
+
+    def test_no_admissible_length_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr(qgroup, "tl_hamiltonian_matrix", None)
+        assert droplet_csv_rows(range(0, 5), [3, 4], QParam(0.5)) == []
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+    def test_energies_match_svd_projection(self, q):
+        qp = QParam(q)
+        rows = droplet_csv_rows(range(2, 11), [1, 2, 3, 4, 5], qp)
+        minima = {L: svd_sector_minima(L, qp) for L in range(2, 11)}
+        for L, n, _, e, _, _, (lo, hi) in rows:
+            ref = minima[L][HalfInt(L - 2 * n)]
+            assert abs(e - ref) <= 1e-10 * max(1.0, abs(ref))
+            assert lo <= e <= hi
 
 
 def test_droplet_demo_runs(tmp_path, monkeypatch, capsys):

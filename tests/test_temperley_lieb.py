@@ -9,12 +9,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import (build_xxz_chain, highest_weight_space, kernel_basis,
+from reference import (basis_csv_tuples, build_xxz_chain, collatz_wielandt_bracket,
+                       highest_weight_space, kernel_basis, matrix_csv_tuples,
                        min_spec_comparison, suq2_generators, total_s3, total_splus)
 
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
+from foelab.reports import csv_text
 from foelab.sectors import SectorEntry, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, _local_sum
 from foelab.temperley_lieb import (
@@ -30,6 +32,7 @@ from foelab.temperley_lieb import (
 )
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "diagram_basis_tour.py"
+MATRIX_HEADER, BASIS_HEADER = ("row", "col", "value"), ("diagram_id", "arcs")
 
 
 def brute_force_diagrams(k, n):
@@ -87,6 +90,50 @@ class TestEnumeration:
             basis_k1 = enumerate_arc_diagrams(k + 1, n)
             # the same arcs, the new last vertex unpaired
             assert basis_k1[: len(basis_k)] == basis_k
+
+
+@st.composite
+def leading_block_inputs(draw):
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(0, k // 2))
+    length = draw(st.integers(max(2 * n, 1), k))
+    q = draw(st.sampled_from([0.05, 0.5, 1.0, 2.0]))
+    js = draw(st.lists(st.floats(0.0, 2.0, exclude_min=True),
+                       min_size=k - 1, max_size=k - 1))
+    return k, n, length, q, js
+
+
+class TestLeadingBlock:
+    """The L-vertex TL matrix is the leading block of the K-vertex one,
+    bit for bit, which lets a droplet sweep build one matrix per n."""
+
+    @settings(max_examples=60, database=None, deadline=None)
+    @given(leading_block_inputs())
+    def test_matches_the_direct_build(self, inputs):
+        k, n, length, q, js = inputs
+        block = tl_hamiltonian_matrix(k, n, js, q).leading_block(length)
+        direct = tl_hamiltonian_matrix(length, n, js[:length - 1], q)
+        assert (block.k, block.n, block.q, block.couplings) == (
+            direct.k, direct.n, direct.q, direct.couplings)
+        assert np.array_equal(block.partners, direct.partners)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(block.matrix, name), getattr(direct.matrix, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert block.matrix.shape == direct.matrix.shape
+        assert block.matrix.has_canonical_format
+
+    @pytest.mark.parametrize("length", [7, 3, 1])
+    def test_out_of_range_length_raises(self, length):
+        # above k, or below 2n (no diagram of n = 2 arcs fits)
+        tl = tl_hamiltonian_matrix(6, 2, [1.0] * 5)
+        with pytest.raises(ValueError, match="need 2n <= k"):
+            tl.leading_block(length)
+
+    def test_prefix_pairing_a_vertex_above_length_raises(self):
+        tl = tl_hamiltonian_matrix(6, 2, [1.0] * 5, 0.5)
+        swapped = dataclasses.replace(tl, partners=tl.partners[::-1])
+        with pytest.raises(ValueError, match="pairs a vertex above k=4"):
+            swapped.leading_block(4)
 
 
 def bond_matrix(k, n, x, q):
@@ -254,7 +301,7 @@ class TestPerronRoutes:
         assert abs(sparse.eigenvalue - dense.eigenvalue) <= 1e-10 * abs(dense.eigenvalue)
         # each route's root lies in the bracket built from the other's vector
         assert sparse.bracket[0] <= dense.eigenvalue <= sparse.bracket[1]
-        lo, hi = tlmod.collatz_wielandt_bracket(a, dense.vector)
+        lo, hi = collatz_wielandt_bracket(a, dense.vector)
         assert lo <= sparse.eigenvalue <= hi
         assert dense.gap > 0 and sparse.gap is None
         for res in (dense, sparse):
@@ -277,7 +324,7 @@ class TestCollatzWielandtBracket:
         res = perron_ground_vector(tl)
         rng = np.random.default_rng(k)
         x = res.vector * (1.0 + 1e-3 * rng.random(tl.dim))
-        lo, hi = tlmod.collatz_wielandt_bracket(tl, x)
+        lo, hi = collatz_wielandt_bracket(tl, x)
         assert lo <= res.eigenvalue <= hi
         assert hi - lo > 1e3 * (res.bracket[1] - res.bracket[0])
 
@@ -287,7 +334,7 @@ class TestCollatzWielandtBracket:
         x = perron_ground_vector(tl).vector.copy()
         x[3] = entry
         with pytest.raises(ValueError, match="strictly positive"):
-            tlmod.collatz_wielandt_bracket(tl, x)
+            collatz_wielandt_bracket(tl, x)
 
     def test_k16_n5_bracket_width(self):
         tl = tl_hamiltonian_matrix(16, 5, [1.0] * 15, 0.5)
@@ -367,10 +414,12 @@ def test_matrix_csv_rows_match_double_loop():
         tl = tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), q)
         loop = [(i, j, float(tl.A[i, j])) for i in range(tl.dim)
                 for j in range(tl.dim) if tl.A[i, j] != 0.0]
-        assert tl_matrix_csv_rows(tl) == loop
-        assert tl_matrix_csv_rows(tl.matrix) == loop
+        assert matrix_csv_tuples(tl) == loop
+        text = csv_text(MATRIX_HEADER, loop)
+        assert csv_text(MATRIX_HEADER, tl_matrix_csv_rows(tl)) == text
+        assert csv_text(MATRIX_HEADER, tl_matrix_csv_rows(tl.matrix)) == text
         for form in non_canonical_forms(tl.matrix):
-            assert tl_matrix_csv_rows(form) == loop
+            assert csv_text(MATRIX_HEADER, tl_matrix_csv_rows(form)) == text
 
 
 def non_canonical_forms(csr):
@@ -450,11 +499,6 @@ def dense_reference(k, n, couplings, q):
     return basis, a
 
 
-def basis_csv_rows(basis):
-    return [(i, ";".join(f"{x}-{y}" for x, y in arcs) or "empty")
-            for i, arcs in enumerate(basis)]
-
-
 def tl_operator(k, couplings, q):
     """H = -2 sum_x J_x U_x on (C^2)^k, U_x = -xi xi^T / q on sites x, x+1,
     xi = q|+-> - |-+> (local state 0 = |+>)."""
@@ -502,7 +546,8 @@ class TestSparseBuilder:
         basis, a = dense_reference(k, n, js, q)
         tl = tl_hamiltonian_matrix(k, n, js, q)
         assert enumerate_arc_diagrams(k, n) == basis
-        assert tl_basis_csv_rows(tl) == basis_csv_rows(basis)
+        assert (csv_text(BASIS_HEADER, tl_basis_csv_rows(tl))
+                == csv_text(BASIS_HEADER, basis_csv_tuples(basis)))
         assert tl.A.tobytes() == a.tobytes()
         assert tl.matrix.has_canonical_format
         assert tl.matrix.nnz == np.count_nonzero(a)
@@ -515,7 +560,8 @@ class TestSparseBuilder:
         basis, a = dense_reference(k, n, js, 0.5)
         tl = tl_hamiltonian_matrix(k, n, js, 0.5)
         assert tl.dim == len(basis) == comb(k, n) - comb(k, n - 1)
-        assert tl_basis_csv_rows(tl) == basis_csv_rows(basis)
+        assert (csv_text(BASIS_HEADER, tl_basis_csv_rows(tl))
+                == csv_text(BASIS_HEADER, basis_csv_tuples(basis)))
         assert tl.A.tobytes() == a.tobytes()
 
     def test_long_chain_basis_matches_brute_force(self):
