@@ -13,7 +13,6 @@ from .spinops import (
     HilbertShape,
     LocalHamiltonian,
     LocalSpinOps,
-    RealOperator,
     heisenberg_bond,
     spin_matrices,
 )

@@ -17,10 +17,11 @@ or with a spin 0, a coupling that is not positive and finite and a
 non-finite ``--spin1-beta`` or ``--tol`` before any library call or output
 (exit 2).
 ``ssep-gap`` and ``spinmap`` check their graph (two or more sites,
-connected, and for ``spinmap`` every spin 1/2) right after reading it and
-raise ``UsageError``, also exit 2; so does an unreadable or malformed
-graph file.  Nothing else is a usage error: a ``ValueError`` from the
-library is a program bug.  ``foel`` hands a chain to
+connected, and for ``spinmap`` every spin 1/2: ``ssep.gap_graph_problem``)
+right after reading it and raise ``UsageError``, also exit 2; so does an
+unreadable or malformed graph file (a coupling that is not positive and
+finite, a negative spin).  Nothing else is a usage error: a ``ValueError``
+from the library is a program bug.  ``foel`` hands a chain to
 ``temperley_lieb.chain_sector_energies``, which picks the diagram basis
 or the SU(2) route; graphs take ``sectors.sector_energies``.
 """
@@ -68,7 +69,7 @@ from .sectors import (
     spectrum_csv_rows,
 )
 from .spinops import HalfInt, HilbertShape
-from .ssep import check_aldous, ssep_csv_rows, verify_spin_map
+from .ssep import check_aldous, gap_graph_problem, ssep_csv_rows, verify_spin_map
 from .temperley_lieb import (
     chain_sector_energies,
     fk_hamiltonian_matrix,
@@ -214,15 +215,9 @@ def _gap_graph(args, spin_half=False):
     preconditions of gap equality and of the spin map; UsageError if it
     fails one."""
     g = _load_graph(args.graph)
-    if g.nsites < 2:
-        problem = f"needs at least two sites, got {g.nsites}"
-    elif not g.is_connected():
-        problem = "is disconnected; it needs a connected graph"
-    elif spin_half and any(s != HalfInt(1) for _, s in g.sites):
-        problem = "needs every site to carry spin 1/2"
-    else:
-        return g
-    raise UsageError(f"{args.command}: --graph {args.graph} {problem}")
+    if problem := gap_graph_problem(g, spin_half):
+        raise UsageError(f"{args.command}: --graph {args.graph} {problem}")
+    return g
 
 
 def _margins_json(margins):

@@ -39,7 +39,8 @@ __all__ = [
 
 
 class SpinGraph:
-    """Finite graph with a spin magnitude per vertex and J > 0 per edge."""
+    """Finite graph with a spin magnitude s >= 0 per vertex and a finite
+    J > 0 per edge."""
 
     __slots__ = ("sites", "edges", "_index")
 
@@ -49,6 +50,8 @@ class SpinGraph:
         ids = [i for i, _ in sites]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate site ids")
+        if any(s.twice < 0 for _, s in sites):
+            raise ValueError("spin magnitudes must be >= 0")
         self.sites = tuple(sites)
         self._index = {i: pos for pos, (i, _) in enumerate(sites)}
         seen = set()
@@ -63,8 +66,8 @@ class SpinGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
-            if j <= 0:
-                raise ValueError(f"nonpositive coupling on edge ({u},{v})")
+            if not 0 < j < np.inf:
+                raise ValueError(f"coupling {j} on edge ({u},{v}) is not positive and finite")
             norm_edges.append((key[0], key[1], j))
         self.edges = tuple(norm_edges)
         if not self.is_connected():
@@ -109,8 +112,8 @@ class ChainSpec:
         self.couplings = tuple(float(j) for j in couplings)
         if len(self.couplings) != len(self.spins) - 1:
             raise ValueError("need exactly one coupling per bond")
-        if any(j <= 0 for j in self.couplings):
-            raise ValueError("couplings must be strictly positive")
+        if not all(0 < j < np.inf for j in self.couplings):
+            raise ValueError("couplings must be positive and finite")
 
     @property
     def shape(self):
@@ -123,8 +126,7 @@ def build_heisenberg(g: SpinGraph):
     terms = []
     for u, v, j in g.edges:
         x, y = g.site_position(u), g.site_position(v)
-        bond = heisenberg_bond(shape.spins[x], shape.spins[y]).matrix
-        terms.append(((x, y), -j * bond))
+        terms.append(((x, y), -j * heisenberg_bond(shape.spins[x], shape.spins[y])))
     return LocalHamiltonian(shape, terms)
 
 
@@ -139,7 +141,7 @@ def build_normalized_chain(c: ChainSpec):
     terms = []
     for x, j in enumerate(c.couplings):
         s1, s2 = c.spins[x], c.spins[x + 1]
-        ss = heisenberg_bond(s1, s2).dense()
+        ss = heisenberg_bond(s1, s2)
         terms.append(((x, x + 1), j * (np.eye(len(ss)) - ss / (s1.value * s2.value))))
     return LocalHamiltonian(shape, terms)
 
@@ -155,7 +157,7 @@ def build_spin1_beta_chain(L, beta):
     if L < 2:
         raise ValueError("chain needs L >= 2")
     shape = HilbertShape([HalfInt(2)] * L)
-    ss = heisenberg_bond(HalfInt(2), HalfInt(2)).dense()
+    ss = heisenberg_bond(HalfInt(2), HalfInt(2))
     bond = (np.eye(9) - ss) + beta * (np.eye(9) - ss @ ss)
     return LocalHamiltonian(shape, [((x, x + 1), bond) for x in range(L - 1)])
 
@@ -210,10 +212,7 @@ def random_chain(rng, max_sites=8, max_dim=4096, spin_choices=(1, 2, 3), j_max=2
     while True:
         L = int(rng.integers(2, max_sites + 1))
         spins = [HalfInt(int(rng.choice(spin_choices))) for _ in range(L)]
-        dim = 1
-        for s in spins:
-            dim *= s.twice + 1
-        if dim <= max_dim:
+        if HilbertShape(spins).dim <= max_dim:
             break
     couplings = j_max * (1.0 - rng.random(L - 1))  # uniform in (0, j_max]
     return ChainSpec(spins, couplings)

@@ -12,10 +12,6 @@ import scipy.sparse as sp
 from .errors import NumericalError
 
 
-def to_dense(m):
-    return m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
-
-
 def physical_memory_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -37,5 +33,5 @@ def max_abs(m):
 
 
 def eigvalsh_full(m):
-    """All eigenvalues of a symmetric matrix (dense path)."""
-    return la.eigvalsh(to_dense(m))
+    """All eigenvalues of a dense symmetric matrix."""
+    return la.eigvalsh(m)

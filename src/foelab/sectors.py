@@ -70,7 +70,7 @@ import scipy.sparse.linalg as sla
 from .errors import NonInvariantOperatorError, NumericalError
 from .linalg import eigvalsh_full, max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
-from .spinops import HalfInt, _local_sum, spin_matrices
+from .spinops import HalfInt, HilbertShape, _local_sum, spin_matrices
 
 __all__ = [
     "SectorEntry",
@@ -196,13 +196,10 @@ def _raising_terms(shape):
 
 @functools.lru_cache(maxsize=64)
 def _site_totals(twice):
-    """(2 S^3 diagonal, S^+) on the tensor product of sites with these
-    twice-spins, in ``np.kron`` order (cached, read-only)."""
-    twice_m, splus = np.zeros(1, dtype=np.int64), np.zeros((1, 1))
-    for t in twice:
-        twice_m = (twice_m[:, None] + np.arange(t, -t - 1, -2)).ravel()
-        splus = (np.kron(splus, np.eye(t + 1))
-                 + np.kron(np.eye(len(splus)), spin_matrices(HalfInt(t)).splus))
+    """(2 S^3 diagonal, dense S^+) on the tensor product of sites with
+    these twice-spins, the first slowest (cached, read-only)."""
+    shape = HilbertShape([HalfInt(t) for t in twice])
+    twice_m, splus = 2 * shape.total_m(), _local_sum(shape, _raising_terms(shape)).toarray()
     for a in (twice_m, splus):
         a.flags.writeable = False
     return twice_m, splus
@@ -427,7 +424,8 @@ def full_spectrum_by_s3(H, offset=False):
     top_m, top = max(index.items(), key=lambda item: len(item[1]))
     require_memory(SPECTRUM_BLOCK_ARRAYS * 8 * len(top) ** 2, _physical_memory_bytes(),
                    f"the dense M={top_m} block of dimension {len(top)}")
-    out = [(m, eigvalsh_full(_local_sum(H.shape, H.terms, idx))) for m, idx in index.items()]
+    out = [(m, eigvalsh_full(_local_sum(H.shape, H.terms, idx).toarray()))
+           for m, idx in index.items()]
     if offset:
         e0 = min(w[0] for _, w in out)
         out = [(m, w - e0) for m, w in out]
@@ -459,7 +457,7 @@ def low_energy_by_deviation(H, N):
     keep = [e for e, mult in collected for _ in range(mult) if e <= cutoff + tol]
     keep = np.array(sorted(keep))
     if H.dim <= 1024:
-        full = eigvalsh_full(H.matrix)
+        full = eigvalsh_full(H.dense())
         truncated = full[full <= cutoff + tol]
         if len(truncated) != len(keep) or max_abs(truncated - keep) > 1e-8:
             raise NonInvariantOperatorError(

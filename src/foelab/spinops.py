@@ -7,8 +7,9 @@ factor), a bit-exact basis convention for all cross-module checks: state
 (m_0, ..., m_{L-1}), digit m_x < d_x, sits at sum_x m_x stride_x with
 stride_x = d_{x+1} ... d_{L-1}.
 
-A ``LocalHamiltonian`` keeps its local terms (sites, local matrix), and
-``_local_sum`` assembles a sum of terms between sorted sets of product
+A ``LocalHamiltonian`` keeps its local terms (sites, local matrix),
+checked once when it is made, and ``_local_sum``, the one assembler of
+spin operators, assembles a sum of terms between sorted sets of product
 indices: the whole space, one S^3 block, or (for S^+) one block to the
 next.  A nonzero (a, b) <- (c, d) of a matrix on sites x, y moves column
 j to j + (a - c) stride_x + (b - d) stride_y, and the row is that
@@ -21,8 +22,8 @@ every digit they act on, so terms on different sites never share a
 position.  Exact zeros are dropped.  S^3 is diagonal, read from
 ``HilbertShape.total_m``.
 
-``spin_matrices`` and the ``heisenberg_bond`` matrix are cached per spin,
-as read-only arrays.
+``spin_matrices`` and ``heisenberg_bond`` are cached per spin and return
+read-only arrays.
 """
 
 from __future__ import annotations
@@ -33,12 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import to_dense
-
 __all__ = [
     "HalfInt",
     "LocalSpinOps",
-    "RealOperator",
     "HilbertShape",
     "LocalHamiltonian",
     "spin_matrices",
@@ -113,34 +111,6 @@ class LocalSpinOps:
     sminus: np.ndarray
 
 
-class RealOperator:
-    """Real matrix on a fixed basis; dense ndarray or scipy sparse."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        if sp.issparse(matrix):
-            matrix = matrix.tocsr()
-        else:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.ndim != 2:
-                raise ValueError("expected a 2-d matrix")
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("operator must be square")
-        self.matrix = matrix
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def dense(self):
-        return to_dense(self.matrix)
-
-    def __repr__(self):
-        kind = "sparse" if sp.issparse(self.matrix) else "dense"
-        return f"RealOperator(dim={self.dim}, {kind})"
-
-
 class HilbertShape:
     """Tensor-product space of spins: one factor of dimension 2s+1 per site."""
 
@@ -203,7 +173,7 @@ class LocalHamiltonian:
         return self.shape.dim
 
     def dense(self):
-        return to_dense(self.matrix)
+        return self.matrix.toarray()
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,7 +218,8 @@ def _local_sum(shape, terms, states=None, targets=None):
     ``targets`` (row i: the i-th; default ``states``), all states by
     default.  An image outside ``targets`` is left out, and only a square
     sum (no ``targets``) has diagonal entries.  ``local`` acts on the
-    tensor product of ``sites`` (distinct, in ``np.kron`` order).
+    tensor product of ``sites`` (distinct, in ``np.kron`` order), as
+    ``LocalHamiltonian`` checks; the terms are not checked again here.
     """
     dims = shape.local_dims
     strides = np.cumprod((1,) + dims[:0:-1])[::-1]
@@ -256,7 +227,6 @@ def _local_sum(shape, terms, states=None, targets=None):
     diag = np.zeros(src.size)
     rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for sites, local in terms:
-        sites, local = _checked_term(shape, sites, local)
         # c: each source's local state on these sites; offsets[a]: the index
         # of local state a with every other digit 0
         c, offsets = 0, np.zeros(1, dtype=np.int64)
@@ -291,13 +261,9 @@ def _local_sum(shape, terms, states=None, targets=None):
                          shape=(src.size if targets is None else len(targets), src.size))
 
 
+@functools.lru_cache(maxsize=64)
 def heisenberg_bond(s1, s2):
     """S.S on two sites, built as sz*sz + (s+ s- + s- s+)/2 (cached, read-only)."""
-    return RealOperator(_bond_matrix(HalfInt.coerce(s1), HalfInt.coerce(s2)))
-
-
-@functools.lru_cache(maxsize=64)
-def _bond_matrix(s1, s2):
     a, b = spin_matrices(s1), spin_matrices(s2)
     m = (
         np.kron(a.sz, b.sz)

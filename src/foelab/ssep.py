@@ -6,8 +6,9 @@ Everything here is spectral; no trajectories are ever sampled.
 
 A configuration is indexed by its spin-1/2 product state, in the
 convention of ``spinops``: vertex x is bit N - 1 - x, and digit 0, spin
-up, means occupied.  The n-particle configurations are the S^3 = n - N/2
-block of ``sectors.s3_blocks``, in increasing index order.  With rates
+up, means occupied.  The n-particle configurations, the indices with
+N - n one-bits, are the S^3 = n - N/2 block, in increasing index order
+(``_configs`` enumerates them bit by bit, with no 2^N array).  With rates
 J/2 the generator is then the matrix of sum_edges J (1/4 - S_x.S_y) index
 for index (Caputo-Liggett-Richthammer), so the spin map compares the two
 with no relabelling.
@@ -45,14 +46,14 @@ from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
 from .linalg import eigvalsh_full, max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
-from .sectors import s3_blocks
-from .spinops import HalfInt, HilbertShape, RealOperator
+from .spinops import HalfInt
 
 __all__ = [
     "SSEPGenerator",
     "ssep_generator",
     "spectral_gap",
     "check_aldous",
+    "gap_graph_problem",
     "AldousReport",
     "verify_spin_map",
     "SpinMapResult",
@@ -67,16 +68,14 @@ RESIDUAL_TOL = 1e-9
 # m = 252, 11.4 vs 7.0 ms at m = 330, 22.6 vs 8.4 ms at m = 462 and
 # 26.5 vs 8.8 ms at m = 495.
 GAP_SPARSE_MIN_DIM = 250
-# Memory estimate: bytes per row entry bound (1 + edges per row), and the
-# number of 2^N-row matrices alive at once in the spin map.  A generator
-# peaks at 61-67 B per stored entry; at half filling about half the edges
-# act, so up to 37.3 B per bounded entry (tracemalloc, path, star and
-# complete graphs, N = 12-18, where the estimate is 1.10-2.9x the peak).
+# Memory estimate: bytes per row entry bound (the configuration, the
+# diagonal and one entry per edge), per edge (the arrays each edge keeps
+# until they are joined), and the number of 2^N-row matrices alive at once
+# in the spin map.  ``ssep_generator`` peaks at 0.40-0.95x the estimate
+# (tracemalloc; path and star graphs, N = 8-18; complete graphs, N = 8-16).
 BYTES_PER_ENTRY = 40
+BYTES_PER_EDGE = 1024
 SPIN_MAP_MATRICES = 4
-# Bytes per product state of the configuration enumeration (the S^3
-# partition of all 2^N states): 17.0-28 at its tracemalloc peak, N = 18-12.
-ENUMERATION_BYTES_PER_STATE = 32
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class SSEPGenerator:
 
     n: int
     configs: np.ndarray  # int64 spin-1/2 product indices (module docstring), sorted
-    L: RealOperator
+    L: sp.csr_matrix
 
 
 def _edge_rates(g):
@@ -96,10 +95,18 @@ def _edge_rates(g):
 
 
 def _configs(nsites, n):
-    """Indices of the n-particle configurations, increasing: the
-    S^3 = n - N/2 block of N spins 1/2, copied out of the 2^N-long array
-    it is a slice of."""
-    return s3_blocks(HilbertShape([HalfInt(1)] * nsites))[HalfInt(2 * n - nsites)].copy()
+    """Indices of the n-particle configurations, increasing: the N-bit
+    integers with N - n one-bits, built from the lowest bit up.  The
+    prefixes c extend to [c, c | 1 << b], still increasing, and a prefix
+    that can no longer end with N - n one-bits is dropped, so at most
+    2 C(N, n) live at once (35-38 B per configuration at the peak)."""
+    ones = nsites - n
+    c, k = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8)  # k: one-bits of c
+    for b in range(nsites):
+        c, k = np.concatenate((c, c | 1 << b)), np.concatenate((k, k + 1))
+        keep = (k <= ones) & (k >= ones - (nsites - 1 - b))
+        c, k = c[keep], k[keep]
+    return c
 
 
 def _assemble(edge_rates, configs):
@@ -124,14 +131,9 @@ def _assemble(edge_rates, configs):
 
 
 def _matrix_bytes(dim, nedges):
-    """Upper estimate of the memory held while one generator is assembled."""
-    return BYTES_PER_ENTRY * dim * (1 + nedges)
-
-
-def _generator_bytes(nsites, n, nedges):
-    """Upper estimate of the peak of ``ssep_generator``: the enumeration of
-    the configurations, or the generator's assembly."""
-    return _matrix_bytes(comb(nsites, n), nedges) + ENUMERATION_BYTES_PER_STATE * 2 ** nsites
+    """Upper estimate of the memory held while one generator is enumerated
+    and assembled."""
+    return BYTES_PER_ENTRY * dim * (2 + nedges) + BYTES_PER_EDGE * nedges
 
 
 def ssep_generator(g: SpinGraph, n=1):
@@ -141,10 +143,10 @@ def ssep_generator(g: SpinGraph, n=1):
     if not 0 <= n <= nsites:
         raise ValueError(f"particle number {n} out of range")
     edge_rates = _edge_rates(g)
-    require_memory(_generator_bytes(nsites, n, len(edge_rates)),
+    require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)),
                    _physical_memory_bytes(), f"the {n}-particle generator")
     configs = _configs(nsites, n)
-    return SSEPGenerator(n=n, configs=configs, L=RealOperator(_assemble(edge_rates, configs)))
+    return SSEPGenerator(n=n, configs=configs, L=_assemble(edge_rates, configs))
 
 
 def _certified_gap(a):
@@ -215,7 +217,7 @@ def spectral_gap(gen: SSEPGenerator):
     The zero eigenvalue must be simple (uniform measure on a connected
     graph); otherwise a diagnostic error is raised.
     """
-    return _certified_gap(gen.L.matrix)[0]
+    return _certified_gap(gen.L)[0]
 
 
 def _mirrored(nsites, solve):
@@ -229,13 +231,16 @@ def _mirrored(nsites, solve):
     return [solved[min(n, nsites - n) - 1] for n in range(1, nsites)]
 
 
-def _require_connected(g, what):
-    """ValueError unless g has at least two sites and is connected."""
+def gap_graph_problem(g, spin_half=False):
+    """What keeps g from the gap equality (two or more sites, connected)
+    and, with spin_half, from the spin map (every spin 1/2), or None."""
     if g.nsites < 2:
-        raise ValueError(f"{what} needs a graph with at least two sites, "
-                         f"got {g.nsites}")
+        return f"needs at least two sites, got {g.nsites}"
     if not g.is_connected():
-        raise ValueError(f"{what} is stated for connected graphs")
+        return "is disconnected; it needs a connected graph"
+    if spin_half and any(s != HalfInt(1) for _, s in g.sites):
+        return "needs every site to carry spin 1/2"
+    return None
 
 
 @dataclass(frozen=True)
@@ -252,7 +257,8 @@ def check_aldous(g: SpinGraph, rel_tol=1e-9):
     Sectors n <= N/2 are solved; sector N - n has the same gap
     (particle-hole symmetry) and keeps its own n and C(N, n).
     """
-    _require_connected(g, "gap equality")
+    if problem := gap_graph_problem(g):
+        raise ValueError(f"the graph {problem}")
     nsites = g.nsites
     gaps = _mirrored(nsites, lambda n: spectral_gap(ssep_generator(g, n=n)))
     rows = tuple((n, comb(nsites, n), lam) for n, lam in enumerate(gaps, start=1))
@@ -286,9 +292,8 @@ def verify_spin_map(g: SpinGraph):
     1e-12 and every gap to 1e-9 relative.  Row N - n repeats the solved row
     n <= N/2 (particle-hole symmetry; the spin flip M -> -M on the H side).
     """
-    _require_connected(g, "the spin map")
-    if any(s != HalfInt(1) for _, s in g.sites):
-        raise ValueError("the spin map needs every site to carry spin 1/2")
+    if problem := gap_graph_problem(g, spin_half=True):
+        raise ValueError(f"the graph {problem}")
     nsites = g.nsites
     dim = 2 ** nsites
     half_rates = [(pu, pv, 0.5 * r) for pu, pv, r in _edge_rates(g)]

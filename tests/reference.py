@@ -16,10 +16,10 @@ from scipy.sparse.csgraph import connected_components
 
 from foelab.errors import NumericalError
 from foelab.hamiltonians import SpinGraph
-from foelab.linalg import max_abs, to_dense
+from foelab.linalg import max_abs
 from foelab.sectors import SectorEntry, SectorReport, _penalty, s3_blocks, sector_labels
-from foelab.spinops import (HalfInt, HilbertShape, LocalHamiltonian, RealOperator, _local_sum,
-                            heisenberg_bond, spin_matrices)
+from foelab.spinops import (HalfInt, HilbertShape, LocalHamiltonian, _local_sum, heisenberg_bond,
+                            spin_matrices)
 from foelab.qgroup import droplet_bandwidth, droplet_energy
 from foelab.temperley_lieb import (ENTRY_TOL, TLMatrix, _as_csr, _collatz_wielandt_bracket,
                                    perron_ground_vector, tl_hamiltonian_matrix)
@@ -37,12 +37,12 @@ def kron_embed(shape, factors):
 
 
 def kernel_basis(block):
-    """Orthonormal basis (columns) of the kernel of a rectangular matrix.
+    """Orthonormal basis (columns) of the kernel of a sparse rectangular matrix.
 
     Singular values below KERNEL_REL_TOL times the largest count as zero.  An empty
     row space (0 rows) makes the whole column space the kernel.
     """
-    block = to_dense(block)
+    block = block.toarray()
     rows, cols = block.shape
     if cols == 0:
         return np.zeros((0, 0))
@@ -135,8 +135,7 @@ def casimir(shape):
     """Total-spin Casimir S3^2 + (S+S- + S-S+)/2; eigenvalues S(S+1)."""
     s3, spl = total_s3(shape), total_splus(shape)
     smn = spl.T.tocsr()
-    c = s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
-    return RealOperator(c)
+    return s3 @ s3 + (spl @ smn + smn @ spl) * 0.5
 
 
 def casimir_sector_energies(H, shape):
@@ -145,7 +144,7 @@ def casimir_sector_energies(H, shape):
     Diagonalizes H and the Casimir on the full space; intended for dims
     up to about 1e3 only.
     """
-    c = casimir(shape).dense()
+    c = casimir(shape).toarray()
     w, vecs = la.eigh(c)
     s_of_eig = np.rint(np.sqrt(4 * w + 1) - 1).astype(int)  # 2S from S(S+1)
     entries = {}
@@ -200,10 +199,10 @@ def basis_csv_tuples(arc_lists):
 
 @dataclass(frozen=True)
 class QTotalOps:
-    s3: RealOperator
-    sqplus: RealOperator
-    sqminus: RealOperator
-    t: RealOperator  # t x t x ... x t
+    s3: sp.csr_matrix
+    sqplus: sp.csr_matrix
+    sqminus: sp.csr_matrix
+    t: sp.csr_matrix  # t x t x ... x t
 
 
 def suq2_generators(L, qp):
@@ -225,12 +224,8 @@ def suq2_generators(L, qp):
                 for x in range(L))
     sminus = sum(kron_embed(shape, {x: ops.sminus, **{y: tinv for y in range(x + 1, L)}})
                  for x in range(L))
-    return QTotalOps(
-        s3=RealOperator(s3),
-        sqplus=RealOperator(splus),
-        sqminus=RealOperator(sminus),
-        t=RealOperator(kron_embed(shape, {y: t for y in range(L)})),
-    )
+    return QTotalOps(s3=s3, sqplus=splus, sqminus=sminus,
+                     t=kron_embed(shape, {y: t for y in range(L)}))
 
 
 def q_casimir(L, qp):
@@ -239,11 +234,10 @@ def q_casimir(L, qp):
         raise ValueError("q too close to 1: the Casimir normalization diverges")
     gen = suq2_generators(L, qp)
     q = qp.q
-    t_diag = gen.t.matrix.diagonal()
+    t_diag = gen.t.diagonal()
     qt = q * t_diag
     diag_part = (1.0 / qt + qt) / (1.0 / q - q) ** 2
-    c = gen.sqplus.matrix @ gen.sqminus.matrix + sp.diags(diag_part)
-    return RealOperator(c)
+    return gen.sqplus @ gen.sqminus + sp.diags(diag_part)
 
 
 def q_casimir_value(S, qp):
@@ -326,7 +320,7 @@ def build_general_bond_chain(spins, couplings, polys):
             raise ValueError(
                 f"bond {x}: polynomial degree {poly.degree} exceeds 2*min(s1,s2) = {max_deg}"
             )
-        ss = heisenberg_bond(spins[x], spins[x + 1]).dense()
+        ss = heisenberg_bond(spins[x], spins[x + 1])
         terms.append(((x, x + 1), j * poly.of_matrix(ss)))
     return LocalHamiltonian(shape, terms)
 

@@ -458,6 +458,22 @@ class TestExitCodes:
         assert "at least two sites, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["foel", "spectrum", "ssep-gap", "spinmap"])
+    @pytest.mark.parametrize("text,named", [
+        ("site 0 1\nsite 1 1\nedge 0 1 nan\n", "not positive and finite"),
+        ("site 0 1\nsite 1 1\nedge 0 1 inf\n", "not positive and finite"),
+        ("site 0 1\nsite 1 -1\nedge 0 1 1.0\n", "spin magnitudes must be >= 0"),
+    ], ids=["J-nan", "J-inf", "negative-spin"])
+    def test_malformed_graph_file_is_usage_error(self, tmp_path, capsys, command, text,
+                                                 named):
+        # rejected when the file is read, not by a library call (exit 4)
+        graph = tmp_path / "bad.g"
+        graph.write_text(text)
+        code, out = run(tmp_path, command, "--graph", str(graph))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,named", [
         (("--spins", "1,1,1", "--S2", "1", "--J", "1"), "--J needs 2 positive couplings"),
         (("--spins", "1,1", "--S2", "-2"), "--S2 -2 is not"),

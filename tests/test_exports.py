@@ -44,7 +44,6 @@ def test_package_imports_are_exported():
     assert not unexported, f"foelab imports names outside their __all__: {unexported}"
 
 
-
 SRC = Path(foelab.__file__).parent
 DEMOS = SRC.parent.parent / "demos"
 
@@ -111,3 +110,25 @@ def test_every_public_member_is_read_by_src_or_a_demo():
     unread = [f"{module}.{cls}.{name}" for module, cls, name in public_members()
               if name not in read]
     assert not unread, f"members no src module or demo reads: {unread}"
+
+
+def unread_imports(path):
+    """Names a module binds by a top-level import and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_every_import_is_read(path):
+    # no linter is a dependency; __init__.py imports only to export
+    unread = unread_imports(SRC / path)
+    assert not unread, f"{path} imports names it never reads: {unread}"

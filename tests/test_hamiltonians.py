@@ -54,7 +54,7 @@ class TestBuildHeisenberg:
         assert commutator_maxabs(h.matrix, total_splus(g.shape)) <= 1e-12
         # total spin 3/2 multiplet at -3/4 * (number of edges) / ... oracle:
         # S.S summed over all pairs = (C - 3*3/4)/2, so H = -(C - 9/4)/2
-        c = casimir(g.shape).dense()
+        c = casimir(g.shape).toarray()
         expected = -(c - 2.25 * np.eye(8)) / 2.0
         assert np.abs(h.dense() - expected).max() <= 1e-12
 

@@ -42,14 +42,14 @@ class TestGenerators:
     def test_single_site_undeformed(self):
         gen = suq2_generators(1, QParam(0.4))
         ops = spin_matrices(HalfInt(1))
-        assert np.allclose(gen.sqplus.dense(), ops.splus)
-        assert np.allclose(gen.sqminus.dense(), ops.sminus)
+        assert np.allclose(gen.sqplus.toarray(), ops.splus)
+        assert np.allclose(gen.sqminus.toarray(), ops.sminus)
 
     def test_two_site_raising_action(self):
         q = 0.6
         gen = suq2_generators(2, QParam(q))
         down_down = np.array([0.0, 0.0, 0.0, 1.0])
-        out = gen.sqplus.dense() @ down_down
+        out = gen.sqplus.toarray() @ down_down
         # S+ x 1 gives |+->, t x S+ dresses |-> with q before raising site 2
         assert np.allclose(out, [0.0, 1.0, q, 0.0])
 
@@ -57,7 +57,7 @@ class TestGenerators:
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
     def test_commutation_relations(self, L, q):
         gen = suq2_generators(L, QParam(q))
-        s3, sp, sm = gen.s3.dense(), gen.sqplus.dense(), gen.sqminus.dense()
+        s3, sp, sm = gen.s3.toarray(), gen.sqplus.toarray(), gen.sqminus.toarray()
         assert np.abs((s3 @ sp - sp @ s3) - sp).max() <= 1e-10
         assert np.abs((s3 @ sm - sm @ s3) + sm).max() <= 1e-10
         m = np.diag(s3)
@@ -71,20 +71,20 @@ class TestGenerators:
         gen = suq2_generators(L, qp)
         scale = max(1.0, abs(h.dense()).max()) if L <= 6 else 10.0
         for op in (gen.sqplus, gen.sqminus, gen.s3):
-            assert commutator_maxabs(h.matrix, op.matrix) <= 1e-9 * scale
+            assert commutator_maxabs(h.matrix, op) <= 1e-9 * scale
 
 
 class TestQCasimir:
     def test_single_site_scalar(self):
         qp = QParam(0.5)
-        c = q_casimir(1, qp).dense()
+        c = q_casimir(1, qp).toarray()
         expected = (0.5 ** -2 + 0.5 ** 2) / (2.0 - 0.5) ** 2
         assert np.allclose(c, expected * np.eye(2))
         assert np.isclose(expected, q_casimir_value(HalfInt(1), qp))
 
     def test_two_site_multiplicities(self):
         qp = QParam(0.5)
-        w = np.sort(np.linalg.eigvals(q_casimir(2, qp).dense()).real)
+        w = np.sort(np.linalg.eigvals(q_casimir(2, qp).toarray()).real)
         v0, v1 = q_casimir_value(HalfInt(0), qp), q_casimir_value(HalfInt(2), qp)
         assert np.allclose(w, sorted([v0] + [v1] * 3), atol=1e-10)
 
@@ -93,12 +93,12 @@ class TestQCasimir:
         qp = QParam(0.5)
         h = build_xxz_chain(L, qp.delta)
         c = q_casimir(L, qp)
-        assert commutator_maxabs(h.matrix, c.matrix) <= 1e-9
+        assert commutator_maxabs(h.matrix, c) <= 1e-9
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_eigenvalue_family(self, L):
         qp = QParam(0.37)
-        w = np.linalg.eigvals(q_casimir(L, qp).dense()).real
+        w = np.linalg.eigvals(q_casimir(L, qp).toarray()).real
         family = [q_casimir_value(S, qp)
                   for S in sector_labels(HilbertShape([HalfInt(1)] * L))]
         for e in w:
@@ -150,7 +150,7 @@ def svd_sector_minima(L, qp):
     for S, d in sector_labels(shape).items():
         cols = blocks[S]
         rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-        kern = kernel_basis(gen.sqplus.matrix[rows][:, cols])
+        kern = kernel_basis(gen.sqplus[rows][:, cols])
         assert kern.shape[1] == d
         hs = kern.T @ h[cols][:, cols].toarray() @ kern
         out[S] = float(np.linalg.eigvalsh(0.5 * (hs + hs.T))[0])

@@ -17,6 +17,7 @@ from foelab.hamiltonians import (
 from foelab.spinops import (
     HalfInt,
     HilbertShape,
+    LocalHamiltonian,
     _local_sum,
     heisenberg_bond,
     spin_matrices,
@@ -95,7 +96,7 @@ class TestEmbedSite:
     def test_size_mismatch(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
         with pytest.raises(ValueError):
-            _local_sum(shape, [((0,), np.eye(3))])
+            LocalHamiltonian(shape, [((0,), np.eye(3))])
 
 
 def assert_same_csr(out, ref):
@@ -191,7 +192,7 @@ class TestLocalSum:
         bonds = []
         for x, j in enumerate(js):
             s1, s2 = spins[x], spins[x + 1]
-            ss = heisenberg_bond(s1, s2).dense()
+            ss = heisenberg_bond(s1, s2)
             bonds.append(j * (np.eye(len(ss)) - ss / (s1.value * s2.value)))
         assert_same_csr(build_normalized_chain(chain).matrix,
                         kron_chain_sum(chain.shape, bonds))
@@ -213,7 +214,7 @@ class TestLocalSum:
     @settings(max_examples=10, deadline=None, database=None)
     @given(L=st.integers(2, 6), beta=st.floats(-2.0, 2.0))
     def test_spin1_beta_chain(self, L, beta):
-        ss = heisenberg_bond(HalfInt(2), HalfInt(2)).dense()
+        ss = heisenberg_bond(HalfInt(2), HalfInt(2))
         bond = (np.eye(9) - ss) + beta * (np.eye(9) - ss @ ss)
         shape = HilbertShape([HalfInt(2)] * L)
         assert_same_csr(build_spin1_beta_chain(L, beta).matrix,
@@ -260,11 +261,11 @@ class TestLocalSum:
     def test_rejects_mismatched_local_matrix(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2), HalfInt(1)])
         with pytest.raises(ValueError, match="dimension 6"):
-            _local_sum(shape, [((0, 1), np.eye(4))])
+            LocalHamiltonian(shape, [((0, 1), np.eye(4))])
         with pytest.raises(ValueError, match="not distinct sites"):
-            _local_sum(shape, [((1, 1), np.eye(9))])
+            LocalHamiltonian(shape, [((1, 1), np.eye(9))])
         with pytest.raises(ValueError, match="not distinct sites"):
-            _local_sum(shape, [((2, 3), np.eye(4))])
+            LocalHamiltonian(shape, [((2, 3), np.eye(4))])
 
 
 class TestTotalSpinOps:
@@ -303,16 +304,16 @@ def cg_multiplicities(spins):
 class TestCasimir:
     def test_two_halves(self):
         c = casimir(HilbertShape([HalfInt(1), HalfInt(1)]))
-        assert np.allclose(np.linalg.eigvalsh(c.dense()), [0.0, 2.0, 2.0, 2.0])
+        assert np.allclose(np.linalg.eigvalsh(c.toarray()), [0.0, 2.0, 2.0, 2.0])
 
     def test_three_halves(self):
         c = casimir(HilbertShape([HalfInt(1)] * 3))
-        w = np.sort(np.linalg.eigvalsh(c.dense()))
+        w = np.sort(np.linalg.eigvalsh(c.toarray()))
         assert np.allclose(w, [0.75] * 4 + [3.75] * 4)
 
     def test_single_spin_one(self):
         c = casimir(HilbertShape([HalfInt(2)]))
-        assert np.allclose(np.linalg.eigvalsh(c.dense()), [2.0] * 3)
+        assert np.allclose(np.linalg.eigvalsh(c.toarray()), [2.0] * 3)
 
     @pytest.mark.parametrize(
         "spins",
@@ -320,7 +321,7 @@ class TestCasimir:
     )
     def test_spectrum_matches_clebsch_gordan(self, spins):
         shape = HilbertShape([HalfInt(t) for t in spins])
-        w = np.linalg.eigvalsh(casimir(shape).dense())
+        w = np.linalg.eigvalsh(casimir(shape).toarray())
         expected = []
         for ts, mult in cg_multiplicities(shape.spins).items():
             s = ts / 2.0
@@ -330,7 +331,7 @@ class TestCasimir:
     @pytest.mark.parametrize("spins", [(1, 1), (2, 1, 1), (1, 2, 3), (1, 1, 1, 2)])
     def test_commutes_with_totals(self, spins):
         shape = HilbertShape([HalfInt(t) for t in spins])
-        c = casimir(shape).dense()
+        c = casimir(shape).toarray()
         splus = total_splus(shape)
         for op in (total_s3(shape), splus, splus.T):
             assert np.abs(comm(c, op.toarray())).max() <= 1e-10
@@ -340,8 +341,8 @@ class TestCachedMatrices:
     def test_cached_arrays_are_read_only(self):
         ops = spin_matrices(HalfInt(3))
         assert spin_matrices(HalfInt(3)) is ops
-        bond = heisenberg_bond(HalfInt(3), HalfInt(2)).matrix
-        assert heisenberg_bond(HalfInt(3), HalfInt(2)).matrix is bond
+        bond = heisenberg_bond(HalfInt(3), HalfInt(2))
+        assert heisenberg_bond(HalfInt(3), HalfInt(2)) is bond
         for a in (ops.sz, ops.splus, ops.sminus, bond):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -350,32 +351,32 @@ class TestCachedMatrices:
 
 class TestHeisenbergBond:
     def test_two_halves_eigenvalues(self):
-        w = np.linalg.eigvalsh(heisenberg_bond(HalfInt(1), HalfInt(1)).dense())
+        w = np.linalg.eigvalsh(heisenberg_bond(HalfInt(1), HalfInt(1)))
         assert np.allclose(np.sort(w), [-0.75, 0.25, 0.25, 0.25])
 
     def test_two_ones_eigenvalues(self):
-        w = np.linalg.eigvalsh(heisenberg_bond(HalfInt(2), HalfInt(2)).dense())
+        w = np.linalg.eigvalsh(heisenberg_bond(HalfInt(2), HalfInt(2)))
         assert np.allclose(np.sort(w), [-2.0] + [-1.0] * 3 + [1.0] * 5)
 
     def test_spin_zero_partner(self):
-        assert not heisenberg_bond(HalfInt(1), HalfInt(0)).dense().any()
+        assert not heisenberg_bond(HalfInt(1), HalfInt(0)).any()
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_equals_casimir_combination(self, pair):
         s1, s2 = HalfInt(pair[0]), HalfInt(pair[1])
         shape = HilbertShape([s1, s2])
-        c2 = casimir(shape).dense()
+        c2 = casimir(shape).toarray()
         d = shape.dim
         expected = 0.5 * (
             c2
             - s1.value * (s1.value + 1) * np.eye(d)
             - s2.value * (s2.value + 1) * np.eye(d)
         )
-        assert np.abs(heisenberg_bond(s1, s2).dense() - expected).max() <= 1e-12
+        assert np.abs(heisenberg_bond(s1, s2) - expected).max() <= 1e-12
 
     def test_commutes_with_two_site_totals(self):
         shape = HilbertShape([HalfInt(1), HalfInt(2)])
-        bond = heisenberg_bond(HalfInt(1), HalfInt(2)).dense()
+        bond = heisenberg_bond(HalfInt(1), HalfInt(2))
         splus = total_splus(shape)
         for op in (total_s3(shape), splus, splus.T):
             assert np.abs(comm(bond, op.toarray())).max() <= 1e-12

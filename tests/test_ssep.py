@@ -16,7 +16,7 @@ from foelab.errors import NumericalError
 from foelab.hamiltonians import SpinGraph, build_heisenberg
 from foelab.linalg import eigvalsh_full
 from foelab.sectors import s3_blocks
-from foelab.spinops import HalfInt, RealOperator
+from foelab.spinops import HalfInt
 from foelab.ssep import (
     GAP_SPARSE_MIN_DIM,
     SSEPGenerator,
@@ -52,7 +52,7 @@ def forced_route(min_dim):
 
 
 def dense_gap(gen):
-    return float(np.linalg.eigvalsh(gen.L.dense())[1])
+    return float(np.linalg.eigvalsh(gen.L.toarray())[1])
 
 
 @st.composite
@@ -114,19 +114,19 @@ def dense_spin_map(g):
 class TestGenerator:
     def test_path3_single_particle(self):
         gen = ssep_generator(path_graph(3, 0.5), n=1)
-        w = np.linalg.eigvalsh(gen.L.dense())
+        w = np.linalg.eigvalsh(gen.L.toarray())
         assert np.allclose(w, [0.0, 0.5, 1.5])  # half the path Laplacian
 
     def test_frozen_sectors(self):
         g = path_graph(3)
         for n in (0, 3):
             gen = ssep_generator(g, n=n)
-            assert gen.L.dense().shape == (1, 1)
-            assert gen.L.dense()[0, 0] == 0.0
+            assert gen.L.toarray().shape == (1, 1)
+            assert gen.L.toarray()[0, 0] == 0.0
 
     def test_complete_graph_single_particle(self):
         gen = ssep_generator(complete_graph(3), n=1)
-        w = np.linalg.eigvalsh(gen.L.dense())
+        w = np.linalg.eigvalsh(gen.L.toarray())
         assert np.allclose(w, [0.0, 3.0, 3.0])
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -134,7 +134,7 @@ class TestGenerator:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 6, extra_edges=3, spin=HalfInt(1))
         for n in (1, 2, 3):
-            m = ssep_generator(g, n=n).L.dense()
+            m = ssep_generator(g, n=n).L.toarray()
             assert np.abs(m - m.T).max() <= 1e-14
             assert np.abs(m.sum(axis=1)).max() <= 1e-12  # uniform measure invariant
             off = m - np.diag(np.diag(m))
@@ -152,7 +152,15 @@ class TestGenerator:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= ssep._generator_bytes(12, n, len(g.edges))
+        assert peak <= ssep._matrix_bytes(comb(12, n), len(g.edges))
+
+    @pytest.mark.parametrize("nsites", [0, 1, 5, 12])
+    def test_configs_are_the_popcount_filter(self, nsites):
+        # the bit-by-bit enumeration against a scan of all 2^N indices
+        every = np.arange(2 ** nsites)
+        ones = np.array([bin(c).count("1") for c in every.tolist()])
+        for n in range(nsites + 1):
+            assert np.array_equal(ssep._configs(nsites, n), every[ones == nsites - n])
 
     def test_config_order_is_integer_order(self):
         gen = ssep_generator(path_graph(3), n=1)
@@ -167,11 +175,11 @@ class TestGenerator:
         pos = [(6 - g.site_position(u), 6 - g.site_position(v), j) for u, v, j in g.edges]
         for n in range(8):
             gen = ssep_generator(g, n=n)
-            assert sp.issparse(gen.L.matrix)
+            assert sp.issparse(gen.L)
             ints = gen.configs.tolist()
             # n particles are n spins up: n zero digits
             assert ints == [c for c in range(2 ** 7) if bin(c).count("1") == 7 - n]
-            assert np.array_equal(gen.L.dense(), dense_assemble(7, pos, ints))
+            assert np.array_equal(gen.L.toarray(), dense_assemble(7, pos, ints))
 
 
 class TestSharedIndex:
@@ -193,7 +201,7 @@ class TestSharedIndex:
             idx = blocks[HalfInt(2 * n - nsites)]
             assert np.array_equal(gen.configs, idx)
             ref = h[idx][:, idx].toarray()
-            assert np.abs(gen.L.dense() - ref).max() <= 1e-14 * max(1.0, shift)
+            assert np.abs(gen.L.toarray() - ref).max() <= 1e-14 * max(1.0, shift)
 
 
 class TestSpectralGap:
@@ -222,8 +230,8 @@ class TestSpectralGap:
             # complement bijection maps one sector onto the other exactly
             comp = {c: i for i, c in enumerate(a.configs.tolist())}
             perm = [comp[(2 ** 6 - 1) ^ c] for c in b.configs.tolist()]
-            mapped = a.L.dense()[np.ix_(perm, perm)]
-            assert np.array_equal(mapped, b.L.dense())
+            mapped = a.L.toarray()[np.ix_(perm, perm)]
+            assert np.array_equal(mapped, b.L.toarray())
 
 
 class TestGapRoutes:
@@ -260,7 +268,7 @@ class TestGapRoutes:
     def test_crossover_sectors_match(self):
         g = path_graph(12)
         gen = ssep_generator(g, n=6)
-        assert gen.L.dim >= ssep.GAP_SPARSE_MIN_DIM
+        assert gen.L.shape[0] >= ssep.GAP_SPARSE_MIN_DIM
         assert abs(spectral_gap(gen) - dense_gap(gen)) <= 1e-10 * dense_gap(gen)
 
     @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
@@ -274,8 +282,8 @@ class TestGapRoutes:
     @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
     def test_shifted_zero_mode_rejected(self, min_dim):
         gen = ssep_generator(path_graph(6), n=2)
-        shifted = gen.L.matrix + 0.5 * sp.identity(gen.L.dim, format="csr")
-        bad = SSEPGenerator(n=2, configs=gen.configs, L=RealOperator(shifted))
+        shifted = gen.L + 0.5 * sp.identity(gen.L.shape[0], format="csr")
+        bad = SSEPGenerator(n=2, configs=gen.configs, L=shifted)
         with forced_route(min_dim), pytest.raises(NumericalError, match="zero mode"):
             spectral_gap(bad)
 
@@ -379,7 +387,7 @@ class TestGapCertificates:
     def test_nonzero_row_sums_rejected(self, min_dim):
         # rows sum to +-1e-6 but the lowest eigenvalue is still 0 to 1e-11:
         # only the residual of the uniform vector shows it is not the zero mode
-        a = ssep_generator(path_graph(6), n=2).L.matrix.tolil()
+        a = ssep_generator(path_graph(6), n=2).L.tolil()
         a[0, 0] += 1e-6
         a[1, 1] -= 1e-6
         a = a.tocsr()
@@ -388,7 +396,7 @@ class TestGapCertificates:
             ssep._certified_gap(a)
 
     def test_positive_off_diagonal_rejected(self):
-        a = ssep_generator(path_graph(6), n=2).L.matrix.tolil()
+        a = ssep_generator(path_graph(6), n=2).L.tolil()
         j = a[0].nonzero()[1][-1]  # a configuration one jump from the first
         rate = -a[0, j]
         a[0, j] = a[j, 0] = rate  # positive; the diagonal keeps rows at sum 0
@@ -538,7 +546,7 @@ class TestSpinMap:
         with pytest.warns(UserWarning):
             g = SpinGraph([(i, HalfInt(1)) for i in range(3)], [(0, 1, 1.0)])
         with mock.patch.object(ssep, "_certified_gap") as solve, \
-                pytest.raises(ValueError, match="connected graphs"):
+                pytest.raises(ValueError, match="disconnected"):
             verify_spin_map(g)
         solve.assert_not_called()
 

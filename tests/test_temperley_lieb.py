@@ -780,7 +780,7 @@ class TestQDeformedSpectra:
             S = HalfInt(k - 2 * n)
             cols = blocks[S]
             rows = blocks.get(S + HalfInt(2), np.zeros(0, dtype=int))
-            kern = kernel_basis(gen.sqplus.matrix[rows][:, cols])
+            kern = kernel_basis(gen.sqplus[rows][:, cols])
             hb = h.matrix.tocsr()[cols][:, cols].toarray()
             hs = kern.T @ hb @ kern
             w_sector = np.sort(np.linalg.eigvalsh(0.5 * (hs + hs.T)))
@@ -827,7 +827,7 @@ class TestExpansion:
         for n in range(0, 3):
             for arcs in enumerate_arc_diagrams(k, n):
                 v = expand_diagram_to_tensor(k, arcs, q)
-                assert np.abs(gen.sqplus.matrix @ v).max() <= 1e-10
+                assert np.abs(gen.sqplus @ v).max() <= 1e-10
 
     def test_rejects_arcs_that_are_not_disjoint_pairs(self):
         # a repeated vertex would otherwise give a wrong vector silently
