@@ -228,9 +228,8 @@ def _margins_json(margins):
 
 
 def _out(args, name):
-    """Path of an output file.  The directory is made with the first file,
-    so a run that fails before writing any leaves none behind."""
-    os.makedirs(args.output, exist_ok=True)
+    """Path of an output file.  ``reports`` makes the directory with the
+    first file, so a run that fails before writing any leaves none behind."""
     return os.path.join(args.output, name)
 
 

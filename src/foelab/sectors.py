@@ -21,7 +21,10 @@ Blocks below SECTOR_SPARSE_MIN_DIM are solved densely.  They are the top
 blocks (block sizes grow from M = S_max down to 0), so one ``eigvalsh`` on
 the lowest of them, M*, gives every dense sector at once: its ascending
 eigenvalues split into runs of dim V^(S), S = M*, M*+1, ... upward, and
-run S minus mu lambda_S is the spectrum of H on V^(S).  mu B^T B is added
+run S minus mu lambda_S is the spectrum of H on V^(S).  The full spectra
+and the low-energy cross-check come from the same solve on M* = 0 or 1/2,
+the largest block: block M is the sum of V^(S) over S >= |M|, so its
+spectrum is the union of those bands.  mu B^T B is added
 to the dense H block from B's stored entries (mu v_i v_j for each pair in
 a row), with no sparse or dense matrix product, and the solve overwrites
 that one array.  The certificate: the dimensions fill the block, and each
@@ -68,7 +71,7 @@ import scipy.linalg as la
 import scipy.sparse.linalg as sla
 
 from .errors import NonInvariantOperatorError, NumericalError
-from .linalg import eigvalsh_full, max_abs, require_memory
+from .linalg import max_abs, require_memory
 from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
 from .spinops import HalfInt, HilbertShape, _local_sum, spin_matrices
 
@@ -94,9 +97,6 @@ INVARIANCE_TOL = 1e-10
 # the solve overwrites in place, plus index arrays (tracemalloc peak: 1.33
 # at m = 924)
 DENSE_BLOCK_ARRAYS = 2
-# The same for one full-spectrum ``eigvalsh`` of an S^3 block, which copies
-# it (tracemalloc peak: 2.16, 2.04 and 2.02 at m = 252, 924 and 1716)
-SPECTRUM_BLOCK_ARRAYS = 3
 # S^3 blocks from about this dimension take Lanczos ``eigsh`` for both
 # extremes; the smaller (top) ones share one banded ``eigvalsh`` on the
 # lowest of them.  ``sector_energies`` with this constant at m + 1 vs m
@@ -205,10 +205,10 @@ def _site_totals(twice):
     return twice_m, splus
 
 
-def _check_invariance(H, su2=True):
+def _check_invariance(H):
     """NonInvariantOperatorError unless every term of H commutes with its
-    own sites' S^3 (checked first, as max |h_ab| |m_a - m_b|) and, with su2,
-    S^+, to INVARIANCE_TOL max(1, largest |term entry|)."""
+    own sites' S^3 (checked first, as max |h_ab| |m_a - m_b|) and S^+, to
+    INVARIANCE_TOL max(1, largest |term entry|)."""
     tol = INVARIANCE_TOL * max([1.0] + [max_abs(local) for _, local in H.terms])
     totals = [_site_totals(tuple(H.shape.spins[x].twice for x in sites))
               for sites, _ in H.terms]
@@ -216,11 +216,10 @@ def _check_invariance(H, su2=True):
               for (_, local), (m, _) in zip(H.terms, totals)], default=0.0)
     if dz > tol:
         raise NonInvariantOperatorError(f"[H, S3] = {dz:.3e}")
-    if su2:
-        dz = max([max_abs(local @ splus - splus @ local)
-                  for (_, local), (_, splus) in zip(H.terms, totals)], default=0.0)
-        if dz > tol:
-            raise NonInvariantOperatorError(f"[H, S+] = {dz:.3e}")
+    dz = max([max_abs(local @ splus - splus @ local)
+              for (_, local), (_, splus) in zip(H.terms, totals)], default=0.0)
+    if dz > tol:
+        raise NonInvariantOperatorError(f"[H, S+] = {dz:.3e}")
 
 
 def _raising(shape, index, M):
@@ -413,23 +412,24 @@ def check_max_ordering(report, s_low=HalfInt(2)):
 
 
 def full_spectrum_by_s3(H, offset=False):
-    """Complete spectrum of the LocalHamiltonian H per S^3 block: list of
-    (M, sorted eigenvalues).  H must commute with S^3 (checked term by term).
-
-    With offset=True the ground energy is shifted to exactly 0.  The
-    memory estimate of the largest block is checked before any is formed.
+    """Complete spectrum of the SU(2)-invariant LocalHamiltonian H per S^3
+    block: list of (M, sorted eigenvalues), M descending, each the union of
+    the bands S >= |M| of the banded solve on the lowest block (module
+    docstring).  With offset=True the ground energy is shifted to exactly 0.
     """
-    _check_invariance(H, su2=False)
-    index = s3_blocks(H.shape)
-    top_m, top = max(index.items(), key=lambda item: len(item[1]))
-    require_memory(SPECTRUM_BLOCK_ARRAYS * 8 * len(top) ** 2, _physical_memory_bytes(),
-                   f"the dense M={top_m} block of dimension {len(top)}")
-    out = [(m, eigvalsh_full(_local_sum(H.shape, H.terms, idx).toarray()))
-           for m, idx in index.items()]
-    if offset:
-        e0 = min(w[0] for _, w in out)
-        out = [(m, w - e0) for m, w in out]
-    return out
+    _check_invariance(H)
+    labels, index = sector_labels(H.shape), s3_blocks(H.shape)
+    bands = _sector_bands(H, index, labels, min(labels))
+    e0 = min(w[0] for w in bands.values()) if offset else 0.0
+    return [(M, np.sort(np.concatenate([w for S, w in bands.items()
+                                        if S.twice >= abs(M.twice)])) - e0)
+            for M in index]
+
+
+def _levels(bands, labels, cutoff):
+    """Ascending levels up to ``cutoff`` of the sectors ``labels``, 2S + 1 times each."""
+    w = np.sort(np.concatenate([np.repeat(bands[S], S.twice + 1) for S in labels]))
+    return w[w <= cutoff]
 
 
 def low_energy_by_deviation(H, N):
@@ -441,29 +441,27 @@ def low_energy_by_deviation(H, N):
     of each sector: one banded solve on the M = S_max - N block gives them,
     whatever its size.  Each multiplet eigenvalue is expanded with
     multiplicity 2S+1.  On spaces of dimension <= 1024 the result is
-    cross-checked against the truncated full spectrum; a mismatch means the
-    FOEL precondition failed.
+    cross-checked against every sector's levels up to the cutoff, from the
+    banded solve on the lowest block (none needed when N is the last
+    label); a mismatch means the FOEL precondition failed.
     """
     _check_invariance(H)
     dims = sector_labels(H.shape)
     labels = list(dims)
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
-    bands = _sector_bands(H, s3_blocks(H.shape), dims, labels[N])
+    index = s3_blocks(H.shape)
+    bands = _sector_bands(H, index, dims, labels[N])
     tol = 1e-9 * max(1.0, max(float(np.max(np.abs(w))) for w in bands.values()))
-    collected = [(float(e), S.twice + 1) for S in labels[: N + 1] for e in bands[S]]
     # with N the last label every sector was diagonalized: the whole spectrum
     cutoff = np.inf if N == len(labels) - 1 else float(bands[labels[N]][0])
-    keep = [e for e, mult in collected for _ in range(mult) if e <= cutoff + tol]
-    keep = np.array(sorted(keep))
-    if H.dim <= 1024:
-        full = eigvalsh_full(H.dense())
-        truncated = full[full <= cutoff + tol]
-        if len(truncated) != len(keep) or max_abs(truncated - keep) > 1e-8:
+    keep = _levels(bands, labels[: N + 1], cutoff + tol)
+    if H.dim <= 1024 and cutoff < np.inf:
+        every = _levels(_sector_bands(H, index, dims, labels[-1]), labels, cutoff + tol)
+        if len(every) != len(keep) or max_abs(every - keep) > 1e-8:
             raise NonInvariantOperatorError(
-                "sector-truncated spectrum disagrees with the full spectrum; "
-                "the FOEL precondition does not hold for this operator"
-            )
+                "sector-truncated spectrum disagrees with every sector's levels; "
+                "the FOEL precondition does not hold for this operator")
     return keep
 
 

@@ -54,8 +54,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError, ReducibleMatrixError
 from .hamiltonians import ChainSpec, build_normalized_chain
-from .sectors import SectorEntry, SectorReport, sector_energies
-from .spinops import HalfInt
+from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
+from .linalg import require_memory
+from .sectors import SectorEntry, SectorReport, sector_energies, sector_labels
+from .spinops import HalfInt, HilbertShape
 
 __all__ = [
     "TLMatrix",
@@ -253,12 +255,12 @@ def _tl_csr(partners, couplings, q):
 def tl_hamiltonian_matrix(k, n, couplings, q=1.0):
     """Assemble the diagram-basis matrix of -2 sum_x J_x U_{x,x+1}."""
     couplings = tuple(float(j) for j in couplings)
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     if len(couplings) != k - 1:
         raise ValueError("need k-1 couplings")
-    if any(j <= 0 for j in couplings):
-        raise ValueError("couplings must be positive")
+    if not all(0 < j < np.inf for j in couplings):
+        raise ValueError(f"couplings must be positive and finite, got {couplings}")
     partners = _diagram_basis(k, n)
     return TLMatrix(k=k, n=n, q=float(q), couplings=couplings, partners=partners,
                     matrix=_tl_csr(partners, couplings, q))
@@ -660,6 +662,26 @@ def _compositions(total, caps):
             yield (c,) + tail
 
 
+# fk-basis memory estimate (``fk_highest_weight_basis``, then
+# ``fk_hamiltonian_matrix``, as the command runs them): bytes per state of
+# the 2^(sum 2s) arrow space (an expanded diagram and the Kronecker
+# compressor), per entry of the dim x d expanded basis (two bases, their
+# column stack and H times it) and per product state and bond (the
+# product-space H), plus each site's dense 2^(2s) x (2s + 1) symmetrizer.
+# The tracemalloc peak is 0.64-0.82 of it on the 65 chains and labels above
+# 1 MB (spins 1/2 to 5, up to 20 arrows); set-up below 50 KB can exceed it.
+FK_BYTES_PER_ARROW_STATE = 40
+FK_BYTES_PER_BASIS_ENTRY = 40
+FK_BYTES_PER_BOND_STATE = 48
+
+
+def _fk_bytes(spins, d):
+    """Memory estimate of the fk-basis command for a basis of d vectors."""
+    caps, dim = [s.twice for s in spins], HilbertShape(spins).dim
+    return (FK_BYTES_PER_ARROW_STATE * 2 ** sum(caps) + 8 * sum((c + 1) * 2 ** c for c in caps)
+            + FK_BYTES_PER_BASIS_ENTRY * dim * d + FK_BYTES_PER_BOND_STATE * dim * (len(caps) - 1))
+
+
 def fk_highest_weight_basis(spins, S):
     """Dual canonical basis of the weight-S highest-weight space of a chain.
 
@@ -678,6 +700,9 @@ def fk_highest_weight_basis(spins, S):
     if n_twice < 0 or n_twice % 2 != 0:
         raise ValueError(f"total spin {S} is not a label of this chain")
     n = n_twice // 2
+    d = sector_labels(HilbertShape(spins)).get(S, 0)
+    require_memory(_fk_bytes(spins, d), _physical_memory_bytes(),
+                   f"the {total_twice}-arrow expansion of the S={S} basis")
     compress = None
     for c in caps:
         w = sp.csr_matrix(_symmetrizer(c).T)

@@ -126,6 +126,16 @@ def penalized_sector_spectra(H):
     return out
 
 
+def spectrum_by_s3_blocks(H, offset=False):
+    """Complete spectrum of H per S^3 block, M descending: one ``eigvalsh``
+    of each block assembled from the terms, the oracle for
+    ``full_spectrum_by_s3``.  With offset=True the ground energy is 0."""
+    out = [(M, la.eigvalsh(_local_sum(H.shape, H.terms, idx).toarray()))
+           for M, idx in s3_blocks(H.shape).items()]
+    e0 = min(w[0] for _, w in out) if offset else 0.0
+    return [(M, w - e0) for M, w in out]
+
+
 def total_s3(shape):
     """Total S^3, the diagonal of ``HilbertShape.total_m``, as a CSR matrix."""
     return sp.diags(shape.total_m(), format="csr")

@@ -127,6 +127,16 @@ class TestExitCodes:
         assert "needs an estimated" in capsys.readouterr().err
         assert not (out / "spinmap.json").exists()
 
+    def test_fk_basis_memory_guard(self, tmp_path, monkeypatch, capsys):
+        import foelab.temperley_lieb as tl
+
+        # 20 arrows: the expanded diagram and the compressor hold 2^20 states
+        monkeypatch.setattr(tl, "_physical_memory_bytes", lambda: 2 ** 20)
+        code, out = run(tmp_path, "fk-basis", "--spins", "10,10", "--S2", "4")
+        assert code == 3
+        assert "needs an estimated 40 MB" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_q_refused_with_finite_numbers(self, tmp_path, capsys):
         # at q = 1e-200 the diagonal is about 1/q and the ground vector's
         # entries span past the floating-point range: refused, with no
@@ -154,13 +164,14 @@ class TestExitCodes:
     def test_spectrum_block_memory_guard(self, tmp_path, monkeypatch, capsys):
         import foelab.sectors as sectors
 
-        # the largest S^3 block of 12 spin-1/2 sites, M = 0 with 924 states,
-        # is checked before any block is solved: 3 dense arrays are 20 MB
+        # every block's spectrum comes from the banded solve on the largest
+        # S^3 block of 12 spin-1/2 sites, M = 0 with 924 states: 2 dense
+        # arrays are 13 MB
         monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 8 * 2 ** 20)
         code, out = run(tmp_path, "spectrum", "--chain", ",".join(["1"] * 12))
         assert code == 3
         err = capsys.readouterr().err
-        assert "the dense M=0 block of dimension 924 needs an estimated 20 MB" in err
+        assert "the dense M=0 block of dimension 924 needs an estimated 13 MB" in err
         assert not out.exists()
 
     def test_foel_sparse_blocks_under_dense_memory_limit(self, tmp_path, monkeypatch):

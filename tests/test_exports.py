@@ -11,6 +11,7 @@ Reference implementations that only tests use belong in
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -132,3 +133,27 @@ def test_every_import_is_read(path):
     # no linter is a dependency; __init__.py imports only to export
     unread = unread_imports(SRC / path)
     assert not unread, f"{path} imports names it never reads: {unread}"
+
+
+def unread_constants():
+    """module.NAME of every module-level UPPER_CASE constant in src that no
+    src module reads, by name or as an attribute."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined += [(path.stem, n.id) for n in ast.walk(node)
+                            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                            and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id)]
+        read |= {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_every_constant_is_read():
+    # a constant left behind by a removed route reads as a live setting
+    unread = unread_constants()
+    assert not unread, f"constants no src module reads: {unread}"

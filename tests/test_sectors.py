@@ -11,8 +11,8 @@ import scipy.sparse.linalg as sla
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 from reference import (build_xxz_chain, casimir_sector_energies, fancy_block,
-                       highest_weight_space, penalized_sector_spectra, raising_slice, total_s3,
-                       total_splus)
+                       highest_weight_space, penalized_sector_spectra, raising_slice,
+                       spectrum_by_s3_blocks, total_s3, total_splus)
 
 import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
@@ -193,6 +193,14 @@ class TestInvarianceAndCounts:
     def test_transverse_field_breaks_s3(self, solve):
         with pytest.raises(NonInvariantOperatorError, match=r"\[H, S3\]"):
             solve(self.transverse_chain())
+
+    @pytest.mark.parametrize("solve", [full_spectrum_by_s3,
+                                       lambda h: low_energy_by_deviation(h, 0)],
+                             ids=["full_spectrum_by_s3", "low_energy_by_deviation"])
+    def test_su2_breaking_s3_conserving_rejected(self, solve):
+        # the XXZ chain conserves S^3 but breaks SU(2)
+        with pytest.raises(NonInvariantOperatorError, match=r"\[H, S\+\]"):
+            solve(build_xxz_chain(3, 1.5))
 
     def test_field_below_the_tolerance_is_dropped(self):
         # its images lie off the S^3 blocks, which are assembled without them
@@ -395,6 +403,8 @@ class TestS3SortedCopy:
         # every matrix of the SU(2) route is assembled on an S^3 block
         chain = ChainSpec([HalfInt(t) for t in (1, 2, 3, 2, 1)], [1.0, 0.7, 1.3, 0.9])
         real = sectors._local_sum
+        # each term's own S^+ (cached per site spins) is built once, here
+        sectors._check_invariance(build_normalized_chain(chain))
 
         def blocks_only(shape, terms, states=None, targets=None):
             assert states is not None, "_local_sum on the whole product space"
@@ -404,6 +414,8 @@ class TestS3SortedCopy:
                 mock.patch("foelab.spinops._local_sum", blocks_only):
             sector_energies(build_normalized_chain(chain))
             full_spectrum_by_s3(build_normalized_chain(chain))
+            # 144 states: the precondition check solves every sector
+            low_energy_by_deviation(build_normalized_chain(chain), 0)
 
     def test_dense_route_indexes_no_sparse_block(self):
         # every block of this 144-state chain takes the dense route
@@ -561,6 +573,32 @@ class TestCheckMaxOrdering:
 
 
 class TestFullSpectrumByS3:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(problem=su2_operators(), offset=st.booleans())
+    def test_matches_per_block_solves(self, problem, offset):
+        H, _ = problem
+        spec = full_spectrum_by_s3(H, offset=offset)
+        oracle = spectrum_by_s3_blocks(H, offset=offset)
+        scale = max(1.0, max(float(np.max(np.abs(w))) for _, w in oracle))
+        assert [m for m, _ in spec] == [m for m, _ in oracle]
+        for (_, w), (_, w0) in zip(spec, oracle, strict=True):
+            assert w.shape == w0.shape
+            assert np.max(np.abs(w - w0)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_blocks_nest_value_for_value(self, seed):
+        # block M holds the multiplets of every S >= |M|: for M >= 0 each
+        # level of block M + 1 is the same double in block M, and block -M
+        # is block M
+        chain = random_chain(np.random.default_rng(seed), max_sites=6, max_dim=600)
+        spec = dict(full_spectrum_by_s3(build_normalized_chain(chain)))
+        for M, w in spec.items():
+            assert np.array_equal(spec[-M], w)
+            if M.twice >= 0 and M + HalfInt(2) in spec:
+                values, counts = np.unique(spec[M + HalfInt(2)], return_counts=True)
+                have = dict(zip(*np.unique(w, return_counts=True)))
+                assert all(have.get(v, 0) >= c for v, c in zip(values, counts))
+
     def test_two_site_blocks(self):
         h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
         spec = dict(full_spectrum_by_s3(h))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import runpy
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -217,10 +218,17 @@ class TestTLMatrix:
         with pytest.raises(ValueError):
             tl_hamiltonian_matrix(4, 1, [1.0])
 
-    @pytest.mark.parametrize("q", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("q", [0.0, -0.5, float("nan"), float("inf")])
     def test_nonpositive_q_rejected(self, q):
-        with pytest.raises(ValueError, match="q must be positive"):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
             tl_hamiltonian_matrix(4, 1, [1.0] * 3, q)
+
+    @pytest.mark.parametrize("j", [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonpositive_or_nonfinite_coupling_rejected(self, j):
+        # a NaN passed a "j <= 0" test and reached the Perron solve as a
+        # raw LinAlgError
+        with pytest.raises(ValueError, match="couplings must be positive and finite"):
+            tl_hamiltonian_matrix(4, 1, [1.0, j, 1.0])
 
 
 class TestDominance:
@@ -889,6 +897,27 @@ class TestFKBasis:
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError):
             fk_highest_weight_basis([HalfInt(2)] * 2, HalfInt(3))
+
+    @pytest.mark.parametrize("spins, S2", [((1,) * 11, 3), ((8, 8), 4), ((2,) * 6, 2)])
+    def test_memory_estimate_bounds_the_traced_peak(self, spins, S2):
+        # the basis, then the matrix, which builds the basis again: the
+        # fk-basis command's sequence (peaks 1.0 to 11 MB)
+        spins, S = [HalfInt(t) for t in spins], HalfInt(S2)
+        tracemalloc.start()
+        try:
+            basis = fk_highest_weight_basis(spins, S)
+            fk_hamiltonian_matrix(spins, [1.0] * (len(spins) - 1), S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tlmod._fk_bytes(spins, len(basis))
+
+    def test_memory_guard_before_the_expansion(self, monkeypatch):
+        monkeypatch.setattr(tlmod, "_physical_memory_bytes", lambda: 2 ** 20)
+        monkeypatch.setattr(tlmod, "expand_diagram_to_tensor", None)
+        with pytest.raises(NumericalError, match="20-arrow expansion of the S=2 basis "
+                                                 "needs an estimated 40 MB"):
+            fk_highest_weight_basis([HalfInt(10)] * 2, HalfInt(4))
 
 
 class TestFKMatrix:
