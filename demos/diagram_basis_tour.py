@@ -54,7 +54,7 @@ def main():
     for twice_s in (6, 4, 2, 0):
         basis = fk_highest_weight_basis(spins, HalfInt(twice_s))
         print(f"  S = {twice_s // 2}: {len(basis)} basis vectors")
-    a = fk_hamiltonian_matrix(spins, [1.0, 1.0], HalfInt(2))
+    a = fk_hamiltonian_matrix(spins, [1.0, 1.0], fk_highest_weight_basis(spins, HalfInt(2)))
     print("matrix at S = 1 (off-diagonals again nonpositive):")
     print(np.round(a, 4))
 

@@ -40,7 +40,6 @@ from .temperley_lieb import (
     check_dominance,
     diagram_sector_energies,
     enumerate_arc_diagrams,
-    expand_diagram_to_tensor,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
     perron_ground_vector,

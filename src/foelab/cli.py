@@ -387,7 +387,7 @@ def cmd_fk_basis(args):
     spins = [HalfInt(t) for t in args.spins]
     S = HalfInt(args.S2)
     basis = fk_highest_weight_basis(spins, S)
-    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), S)
+    a = fk_hamiltonian_matrix(spins, _couplings(args, len(spins)), basis)
     rows = [(i, ",".join(str(b.n_down) for b in v.blocks),
              ";".join(f"{x}-{y}" for x, y in v.arcs) or "empty")
             for i, v in enumerate(basis)]

@@ -6,7 +6,6 @@
 import os
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import NumericalError
@@ -16,8 +15,9 @@ def physical_memory_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def require_memory(nbytes, limit, what):
-    """NumericalError when an allocation estimate exceeds ``limit`` bytes."""
+def require_memory(nbytes, what):
+    """NumericalError when an allocation estimate exceeds physical memory."""
+    limit = physical_memory_bytes()
     if nbytes > limit:
         raise NumericalError(
             f"{what} needs an estimated {nbytes / 2 ** 20:.0f} MB, more than "
@@ -30,8 +30,3 @@ def max_abs(m):
         return 0.0 if m.nnz == 0 else float(np.max(np.abs(m.data)))
     m = np.asarray(m)
     return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def eigvalsh_full(m):
-    """All eigenvalues of a dense symmetric matrix."""
-    return la.eigvalsh(m)

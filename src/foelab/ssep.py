@@ -21,7 +21,7 @@ sector is solved once, as the generator (see ``verify_spin_map``).
 Sector N - n is sector n under the complement map eta -> ~eta, which
 reverses the index order (index i goes to 2^N - 1 - i), so the gap tables
 solve n <= N/2 and copy each row n > N/2 from row N - n.  A gap is
-certified from one eigenpair: dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM;
+certified from one eigenpair: dense ``eigh`` below GAP_SPARSE_MIN_DIM;
 above it Lanczos ``eigsh`` for the one lowest pair of the generator with
 its known zero mode, the uniform vector, deflated (shifted above the whole
 spectrum).  The certificates: the configuration graph is connected (so the zero mode is
@@ -44,8 +44,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
-from .linalg import eigvalsh_full, max_abs, require_memory
-from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
+from .linalg import max_abs, require_memory
 from .spinops import HalfInt
 
 __all__ = [
@@ -62,11 +61,11 @@ __all__ = [
 
 ZERO_MODE_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
-# Certified dense eigvalsh is faster below this sector dimension, the
-# deflated one-pair Lanczos above it.  Best of 5 on path-graph sectors,
-# dense vs Lanczos (2-vCPU VM): 5.3 vs 6.1 ms at m = 220, 6.8 vs 6.3 ms at
-# m = 252, 11.4 vs 7.0 ms at m = 330, 22.6 vs 8.4 ms at m = 462 and
-# 26.5 vs 8.8 ms at m = 495.
+# Certified dense eigh of the one pair is faster below this sector
+# dimension, the deflated one-pair Lanczos above it.  Best of 5 on
+# path-graph sectors, dense vs Lanczos (2 BLAS threads, 2-vCPU VM): 2.3 vs
+# 3.5 ms at m = 220, 2.8 vs 3.7 ms at m = 252, 4.7 vs 4.3 ms at m = 330,
+# 8.9 vs 5.4 ms at m = 462 and 10.7 vs 5.6 ms at m = 495.
 GAP_SPARSE_MIN_DIM = 250
 # Memory estimate: bytes per row entry bound (the configuration, the
 # diagonal and one entry per edge), per edge (the arrays each edge keeps
@@ -144,7 +143,7 @@ def ssep_generator(g: SpinGraph, n=1):
         raise ValueError(f"particle number {n} out of range")
     edge_rates = _edge_rates(g)
     require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)),
-                   _physical_memory_bytes(), f"the {n}-particle generator")
+                   f"the {n}-particle generator")
     configs = _configs(nsites, n)
     return SSEPGenerator(n=n, configs=configs, L=_assemble(edge_rates, configs))
 
@@ -155,8 +154,8 @@ def _certified_gap(a):
     a must be a sparse symmetric matrix with nonpositive off-diagonal entries
     and zero row sums (a weighted graph Laplacian): the uniform vector 1 is
     its zero mode, simple exactly when the off-diagonal graph is connected.
-    Dense ``eigvalsh`` below GAP_SPARSE_MIN_DIM.  Above it, Lanczos ``eigsh``
-    for the one lowest pair of the deflated operator
+    Dense ``eigh`` of that one pair below GAP_SPARSE_MIN_DIM.  Above it,
+    Lanczos ``eigsh`` for the one lowest pair of the deflated operator
     x -> a x + sigma mean(x) 1 with sigma = 2 ||a||_inf, from a fixed random
     start vector: the shift lifts the zero mode above the whole spectrum
     (Gershgorin), so the lowest Ritz pair is the gap.  Certified, else
@@ -187,9 +186,8 @@ def _certified_gap(a):
                              f"(row sums up to {drift:.3e})")
     scale = float(abs(a).sum(axis=1).max())
     if m < GAP_SPARSE_MIN_DIM:
-        dense = a.toarray()
-        theta = float(eigvalsh_full(dense)[1])
-        v = la.eigh(dense, subset_by_index=[1, 1])[1][:, 0]
+        w, vecs = la.eigh(a.toarray(), subset_by_index=[1, 1])
+        theta, v = float(w[0]), vecs[:, 0]
     else:
         shift = 2.0 * scale / m  # sigma / m
         deflated = sla.LinearOperator((m, m), dtype=float,
@@ -298,7 +296,7 @@ def verify_spin_map(g: SpinGraph):
     dim = 2 ** nsites
     half_rates = [(pu, pv, 0.5 * r) for pu, pv, r in _edge_rates(g)]
     require_memory(SPIN_MAP_MATRICES * _matrix_bytes(dim, len(half_rates)),
-                   _physical_memory_bytes(), f"the {nsites}-site spin map")
+                   f"the {nsites}-site spin map")
     # J (1/4 - S.S) summed over edges; the builder already carries -J S.S
     h = build_heisenberg(g).matrix
     h = h + 0.25 * sum(j for _, _, j in g.edges) * sp.identity(dim, format="csr")

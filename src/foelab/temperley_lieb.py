@@ -35,14 +35,17 @@ and every other chain, or one whose certificates are refused there, to
 ``sectors.sector_energies``.
 
 The higher-spin generalization (the Frenkel-Khovanov dual canonical basis)
-is built by expanding ordered Ising configurations into spin-1/2 tensors,
-pairing arrows by bracket matching, and symmetrizing within each site block.
+is labelled by ordered Ising configurations whose arrows pair completely by
+bracket matching.  Each vector is written straight in the chain's product
+basis, from its arcs and each site's symmetrizer weights, with no spin-1/2
+arrow space; ``fk_hamiltonian_matrix`` assembles H only on the union of
+the vectors' supports, from the chain's local terms, and solves H V = V A
+by QR.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -54,10 +57,9 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError, ReducibleMatrixError
 from .hamiltonians import ChainSpec, build_normalized_chain
-from .linalg import physical_memory_bytes as _physical_memory_bytes  # patchable probe
 from .linalg import require_memory
 from .sectors import SectorEntry, SectorReport, sector_energies, sector_labels
-from .spinops import HalfInt, HilbertShape
+from .spinops import HalfInt, HilbertShape, _local_sum
 
 __all__ = [
     "TLMatrix",
@@ -69,7 +71,6 @@ __all__ = [
     "PerronResult",
     "diagram_sector_energies",
     "chain_sector_energies",
-    "expand_diagram_to_tensor",
     "diagram_count",
     "OrderedIsingBlock",
     "FKBasisVector",
@@ -85,6 +86,13 @@ def diagram_count(k, n):
     return comb(k, n) - (comb(k, n - 1) if n >= 1 else 0)
 
 
+# tl_hamiltonian_matrix memory estimate: bytes per diagram and vertex (the
+# partner array, the walks that build it and each bond's image codes, keys
+# and values).  The tracemalloc peak is 0.22-0.85 of it for k = 16-64 and
+# 1.5-104 MB; half-filled bases (2n near k) come closest.
+TL_BYTES_PER_DIAGRAM_VERTEX = 96
+
+
 def _diagram_basis(k, n):
     """Partner array of every n-arc diagram on k vertices, canonically ordered.
 
@@ -94,11 +102,15 @@ def _diagram_basis(k, n):
     together, as arrays, and a walk is dropped once its open arcs and the
     arcs it has yet to open no longer fit on the vertices left.  Row i lists
     the partners of diagram i (column v for vertex v, 0 = unpaired; columns
-    0 and k+1 are padding).
+    0 and k+1 are padding).  NumericalError when the memory estimate of
+    the basis and its TL matrix passes physical memory.
     """
     k, n = int(k), int(n)
     if n < 0 or 2 * n > k:
         raise ValueError(f"need 0 <= 2n <= k, got k={k}, n={n}")
+    m = diagram_count(k, n)
+    require_memory(TL_BYTES_PER_DIAGRAM_VERTEX * k * m,
+                   f"the basis of {m} diagrams ({n} arcs on {k} vertices)")
     partners = np.zeros((1, k + 2), dtype=np.int64)
     stack = np.zeros((1, n), dtype=np.int64)  # open vertices, innermost at depth - 1
     depth, opened = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
@@ -116,8 +128,7 @@ def _diagram_basis(k, n):
         depth, opened = np.concatenate((o_depth, depth)), np.concatenate((o_opened, opened))
         fits = depth + 2 * (n - opened) <= k - pos
         partners, stack, depth, opened = partners[fits], stack[fits], depth[fits], opened[fits]
-    m = partners.shape[0]
-    if m != diagram_count(k, n):
+    if partners.shape[0] != m:
         raise AssertionError("diagram enumeration does not match the count formula")
     # canonical order: (last paired vertex, x1, y1, ..., xn, yn)
     openers, closers = _arc_ends(partners, n)
@@ -569,32 +580,6 @@ def chain_sector_energies(chain):
     return sector_energies(build_normalized_chain(chain))
 
 
-def expand_diagram_to_tensor(k, arcs, q=1.0):
-    """Expanded vector in (C^2)^k of a diagram given by its arcs (x, y):
-    q|+-> - |-+> per arc, |+> on unpaired vertices.
-
-    The arcs must be disjoint pairs 1 <= x < y <= k (else ValueError); the
-    index arithmetic below needs that.
-    """
-    vertices = [v for arc in arcs for v in arc]
-    if len(set(vertices)) != len(vertices) or not all(1 <= x < y <= k for x, y in arcs):
-        raise ValueError(f"arcs {tuple(arcs)} are not disjoint pairs 1 <= x < y <= {k}")
-    v = np.zeros(2 ** k)
-    base = 0  # all |+> (bit 0 = |+>), site i weight 2^(k-1-i)
-    for choice in itertools.product((0, 1), repeat=len(arcs)):
-        idx = base
-        coeff = 1.0
-        for (x, y), c in zip(arcs, choice):
-            if c == 0:  # + at x, - at y
-                idx |= 1 << (k - y)
-                coeff *= q
-            else:  # - at x, + at y
-                idx |= 1 << (k - x)
-                coeff *= -1.0
-        v[idx] += coeff
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Higher spin: dual canonical (Frenkel-Khovanov) basis
 
@@ -613,41 +598,7 @@ class FKBasisVector:
 
     blocks: tuple  # OrderedIsingBlock per site
     arcs: tuple  # cross-site pairing of arrow slots (1-indexed, global)
-    expanded: np.ndarray  # vector in the chain's tensor-product space
-
-    def sort_key(self):
-        last = max((y for _, y in self.arcs), default=0)
-        return (last, self.arcs)
-
-
-def _bracket_match(downs):
-    """Stack matching of an up/down arrow string.
-
-    downs: boolean list per slot (True = down arrow).  Returns (arcs,
-    unmatched_downs); each down pairs with the nearest unpaired up to its
-    left, which can never create crossings or arcs over unpaired slots.
-    """
-    stack, arcs, unmatched = [], [], []
-    for pos, is_down in enumerate(downs, start=1):
-        if not is_down:
-            stack.append(pos)
-        elif stack:
-            arcs.append((stack.pop(), pos))
-        else:
-            unmatched.append(pos)
-    return tuple(sorted(arcs)), tuple(unmatched)
-
-
-def _symmetrizer(twice_s):
-    """Isometry from the spin-s site space into (C^2)^(2s) symmetric vectors."""
-    d = twice_s + 1
-    w = np.zeros((2 ** twice_s, d))
-    for pattern in range(2 ** twice_s):
-        ndown = bin(pattern).count("1")
-        w[pattern, ndown] = 1.0
-    for j in range(d):
-        w[:, j] /= np.sqrt(comb(twice_s, j))
-    return w
+    expanded: sp.csr_matrix  # 1 x dim row in the chain's product basis
 
 
 def _compositions(total, caps):
@@ -662,90 +613,139 @@ def _compositions(total, caps):
             yield (c,) + tail
 
 
-# fk-basis memory estimate (``fk_highest_weight_basis``, then
-# ``fk_hamiltonian_matrix``, as the command runs them): bytes per state of
-# the 2^(sum 2s) arrow space (an expanded diagram and the Kronecker
-# compressor), per entry of the dim x d expanded basis (two bases, their
-# column stack and H times it) and per product state and bond (the
-# product-space H), plus each site's dense 2^(2s) x (2s + 1) symmetrizer.
-# The tracemalloc peak is 0.64-0.82 of it on the 65 chains and labels above
-# 1 MB (spins 1/2 to 5, up to 20 arrows); set-up below 50 KB can exceed it.
-FK_BYTES_PER_ARROW_STATE = 40
-FK_BYTES_PER_BASIS_ENTRY = 40
-FK_BYTES_PER_BOND_STATE = 48
+def _fk_labels(caps, n):
+    """(n_down per site, arcs) of every ordered Ising configuration with n
+    downs, each site's leftmost, that bracket matching pairs completely:
+    each down with the nearest unpaired up to its left (so no arc crosses
+    another or spans an unpaired slot).  Slots are numbered from 1 across
+    the sites; basis order is by last paired slot, then by arcs."""
+    found = []
+    for ndowns in _compositions(n, tuple(caps)):
+        ups, arcs, slot = [], [], 0
+        for c, nd in zip(caps, ndowns):
+            if nd > len(ups):  # a down with no up left of it
+                break
+            arcs += [(ups.pop(), slot + i) for i in range(1, nd + 1)]
+            ups += range(slot + nd + 1, slot + c + 1)
+            slot += c
+        else:
+            found.append((ndowns, tuple(sorted(arcs))))
+    return sorted(found, key=lambda f: (max((y for _, y in f[1]), default=0), f[1]))
 
 
-def _fk_bytes(spins, d):
-    """Memory estimate of the fk-basis command for a basis of d vectors."""
-    caps, dim = [s.twice for s in spins], HilbertShape(spins).dim
-    return (FK_BYTES_PER_ARROW_STATE * 2 ** sum(caps) + 8 * sum((c + 1) * 2 ** c for c in caps)
-            + FK_BYTES_PER_BASIS_ENTRY * dim * d + FK_BYTES_PER_BOND_STATE * dim * (len(caps) - 1))
+def _fk_expansions(caps, n, arcs):
+    """(vector number, product index, coefficient) of the nonzero entries of
+    the vectors with these arc lists (n arcs each), sorted by vector, then
+    index.  Each arc's singlet lowers its closer (+1) or its opener (-1),
+    and a site with d of its 2s arrows lowered is in state m = s - d with
+    weight C(2s, d)^(-1/2).  The arcs are multiplied in one at a time on the
+    partial supports (a shift by the closer's or the opener's site stride,
+    coincident indices summed): no 2^n choices, no 2^(sum 2s) arrow states.
+    """
+    dims = [c + 1 for c in caps]
+    strides = np.cumprod((1,) + tuple(dims[:0:-1]))[::-1]
+    site = np.repeat(np.arange(len(caps)), caps)  # site of each arrow slot
+    m = len(arcs)
+    step = strides[site[np.array(arcs, dtype=np.int64).reshape(m, n, 2) - 1]]
+    vid, idx, val = np.arange(m), np.zeros(m, dtype=np.int64), np.ones(m)
+    for i in range(n):
+        opener, closer = step[vid, i].T  # arc i's site strides, per entry
+        vid, val = np.concatenate((vid, vid)), np.concatenate((val, -val))
+        idx = np.concatenate((idx + closer, idx + opener))
+        order = np.lexsort((idx, vid))
+        vid, idx, val = vid[order], idx[order], val[order]
+        first = np.ones(len(vid), dtype=bool)
+        first[1:] = (vid[1:] != vid[:-1]) | (idx[1:] != idx[:-1])
+        val = np.bincount(np.cumsum(first) - 1, weights=val)
+        nonzero = val != 0.0
+        vid, idx, val = vid[first][nonzero], idx[first][nonzero], val[nonzero]
+    for x, c in enumerate(caps):
+        val *= 1.0 / np.sqrt([comb(c, j) for j in range(c + 1)])[idx // strides[x] % dims[x]]
+    return vid, idx, val
+
+
+# fk-basis memory estimate: bytes per entry of the d vectors held densely on
+# the M = S block (fk_hamiltonian_matrix's column block, its QR copy and Q).
+# The tracemalloc peak of the basis and its matrix is 0.58-0.97 of it on the
+# 42 chains and labels above 1 MB (spins 1/2 to 2, 6 to 14 sites).
+FK_BYTES_PER_BASIS_ENTRY = 48
 
 
 def fk_highest_weight_basis(spins, S):
     """Dual canonical basis of the weight-S highest-weight space of a chain.
 
-    Each site of magnitude s is the symmetric part of 2s spin-1/2 arrows;
-    an ordered Ising configuration places n_down down arrows (leftmost) in
-    each block.  Bracket matching of the full arrow string produces the arc
-    pattern; configurations whose downs all get matched (arc count
-    sum(s_x) - S) label the basis.  Expansion replaces arcs by singlets,
-    unpaired arrows by up spins, and symmetrizes within each block.
+    Each site of magnitude s is the symmetric part of 2s spin-1/2 arrows.
+    The ordered Ising configurations whose arrows bracket matching pairs
+    completely, with sum(s_x) - S arcs, label the basis (``_fk_labels``),
+    and each vector is written straight in the product basis
+    (``_fk_expansions``).  NumericalError when the memory estimate passes
+    physical memory or product indices pass int64.
     """
     spins = [HalfInt.coerce(s) for s in spins]
     S = HalfInt.coerce(S)
     caps = [s.twice for s in spins]
-    total_twice = sum(caps)
-    n_twice = total_twice - S.twice
+    n_twice = sum(caps) - S.twice
     if n_twice < 0 or n_twice % 2 != 0:
         raise ValueError(f"total spin {S} is not a label of this chain")
-    n = n_twice // 2
-    d = sector_labels(HilbertShape(spins)).get(S, 0)
-    require_memory(_fk_bytes(spins, d), _physical_memory_bytes(),
-                   f"the {total_twice}-arrow expansion of the S={S} basis")
-    compress = None
-    for c in caps:
-        w = sp.csr_matrix(_symmetrizer(c).T)
-        compress = w if compress is None else sp.kron(compress, w, format="csr")
-    found = []
-    for ndowns in _compositions(n, tuple(caps)):
-        downs = []
-        for c, nd in zip(caps, ndowns):
-            downs.extend([True] * nd + [False] * (c - nd))
-        arcs, unmatched = _bracket_match(downs)
-        if unmatched:
-            continue
-        big = expand_diagram_to_tensor(len(downs), arcs, q=1.0)
-        vec = compress @ big
-        blocks = tuple(OrderedIsingBlock(s=s, n_down=nd)
-                       for s, nd in zip(spins, ndowns))
-        found.append(FKBasisVector(blocks=blocks, arcs=arcs, expanded=vec))
-    found.sort(key=FKBasisVector.sort_key)
-    return found
+    shape = HilbertShape(spins)
+    labels = sector_labels(shape)
+    block = sum(d for label, d in labels.items() if label >= S)  # the M = S block
+    require_memory(FK_BYTES_PER_BASIS_ENTRY * block * labels.get(S, 0),
+                   f"the S={S} basis on the {block}-state M={S} block")
+    if shape.dim > np.iinfo(np.int64).max:
+        raise NumericalError(f"the {shape.dim} product states pass int64 indices")
+    found = _fk_labels(caps, n_twice // 2)
+    if not found:  # S is not a label of these spins
+        return []
+    vid, idx, val = _fk_expansions(caps, n_twice // 2, [arcs for _, arcs in found])
+    ends = np.searchsorted(vid, np.arange(len(found) + 1))
+    return [FKBasisVector(
+        blocks=tuple(OrderedIsingBlock(s=s, n_down=nd) for s, nd in zip(spins, ndowns)),
+        arcs=arcs,
+        expanded=sp.csr_matrix((val[a:b], idx[a:b], [0, b - a]), shape=(1, shape.dim)))
+        for (ndowns, arcs), a, b in zip(found, ends[:-1], ends[1:])]
 
 
-# Largest Gram-matrix condition number that fk_hamiltonian_matrix accepts.
+# Largest cond(V^T V) = cond(R)^2 (V = QR) and relative residual
+# ||H V - V A|| / (max(1, ||H||_inf) ||V||) that fk_hamiltonian_matrix accepts.
 FK_GRAM_COND_LIMIT = 1e12
+FK_RESIDUAL_TOL = 1e-9
 
 
-def fk_hamiltonian_matrix(spins, couplings, S):
-    """Matrix of the normalized chain on the dual canonical basis.
+def fk_hamiltonian_matrix(spins, couplings, basis):
+    """A with H V = V A for the normalized chain and a basis from
+    ``fk_highest_weight_basis``.
 
-    The basis is not orthogonal, so the coefficients are recovered through
-    the Gram matrix: A = G^{-1} V^T H V.  Refuses when the Gram matrix is
-    ill-conditioned (condition number above FK_GRAM_COND_LIMIT).
+    V spans an H-invariant space in the M = S block, so H V stays on the
+    union of the vectors' supports: H is assembled there from the local
+    terms, V is a dense column block there, and A = R^-1 Q^T (H V) from
+    V = QR.  NumericalError past FK_GRAM_COND_LIMIT or FK_RESIDUAL_TOL
+    (the check that V spans an invariant space).
     """
-    basis = fk_highest_weight_basis(spins, S)
     if not basis:
-        raise ValueError(f"empty basis for total spin {S}")
-    v = np.column_stack([b.expanded for b in basis])
-    h = build_normalized_chain(ChainSpec(spins, couplings))
-    gram = v.T @ v
-    cond = np.linalg.cond(gram)
+        raise ValueError("empty basis")
+    rows = sp.vstack([b.expanded for b in basis], format="csr")
+    support = np.unique(rows.indices)
+    v = np.zeros((support.size, rows.shape[0]))
+    v[np.searchsorted(support, rows.indices),
+      np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))] = rows.data
+    q, r = la.qr(v, mode="economic")
+    cond = np.linalg.cond(r) ** 2
     if cond > FK_GRAM_COND_LIMIT:
         raise NumericalError(f"Gram matrix condition number {cond:.3e} "
                              f"exceeds {FK_GRAM_COND_LIMIT:.0e}")
-    return la.solve(gram, v.T @ (h.matrix @ v), assume_a="sym")
+    h = build_normalized_chain(ChainSpec(spins, couplings))
+    hs = _local_sum(h.shape, h.terms, support)
+    a = la.solve_triangular(r, q.T @ (hs @ v))
+    del q  # the residual's two dense arrays take its place
+    residual = hs @ v
+    residual -= v @ a
+    residual = float(np.linalg.norm(residual))
+    bound = FK_RESIDUAL_TOL * max(1.0, float(abs(hs).sum(axis=1).max())) * np.linalg.norm(v)
+    if residual > bound:
+        raise NumericalError(f"the basis does not span an H-invariant space: "
+                             f"||H V - V A|| = {residual:.3e} > {bound:.3e}")
+    return a
 
 
 def tl_matrix_csv_rows(tl):

@@ -3,11 +3,15 @@ constructions (Kronecker products, total S^+ and commutators on the whole
 product space, blocks sliced by scipy's fancy indexing, SVD kernels,
 Casimir filtering, the XXZ chain and its quantum-group generators on 2^L
 states, droplet sweeps built length by length, CSV rows formatted cell by
-cell) and criterion 5's comparison-theorem checker.  Neither the CLI nor
+cell), the dual canonical basis expanded through the 2^(sum 2s) spin-1/2
+arrow space with its Gram-matrix solve, and criterion 5's
+comparison-theorem checker.  Neither the CLI nor
 the demos run them.
 """
 
+import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.linalg as la
@@ -15,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from foelab.errors import NumericalError
-from foelab.hamiltonians import SpinGraph
+from foelab.hamiltonians import ChainSpec, SpinGraph, build_normalized_chain
 from foelab.linalg import max_abs
 from foelab.sectors import SectorEntry, SectorReport, _penalty, s3_blocks, sector_labels
 from foelab.spinops import (HalfInt, HilbertShape, LocalHamiltonian, _local_sum, heisenberg_bond,
@@ -183,6 +187,86 @@ def droplet_rows_per_length(l_values, n_values, qp):
                              droplet_bandwidth(n, qp), pf.bracket))
     rows.sort(key=lambda r: (r[1], r[0]))
     return rows
+
+
+def expand_diagram_to_tensor(k, arcs, q=1.0):
+    """Expanded vector in (C^2)^k of a diagram given by its arcs (x, y):
+    q|+-> - |-+> per arc, |+> on unpaired vertices.
+
+    The arcs must be disjoint pairs 1 <= x < y <= k (else ValueError); the
+    index arithmetic below needs that.
+    """
+    vertices = [v for arc in arcs for v in arc]
+    if len(set(vertices)) != len(vertices) or not all(1 <= x < y <= k for x, y in arcs):
+        raise ValueError(f"arcs {tuple(arcs)} are not disjoint pairs 1 <= x < y <= {k}")
+    v = np.zeros(2 ** k)
+    base = 0  # all |+> (bit 0 = |+>), site i weight 2^(k-1-i)
+    for choice in itertools.product((0, 1), repeat=len(arcs)):
+        idx = base
+        coeff = 1.0
+        for (x, y), c in zip(arcs, choice):
+            if c == 0:  # + at x, - at y
+                idx |= 1 << (k - y)
+                coeff *= q
+            else:  # - at x, + at y
+                idx |= 1 << (k - x)
+                coeff *= -1.0
+        v[idx] += coeff
+    return v
+
+
+def _symmetrizer(twice_s):
+    """Isometry from the spin-s site space into (C^2)^(2s) symmetric vectors."""
+    w = np.zeros((2 ** twice_s, twice_s + 1))
+    for pattern in range(2 ** twice_s):
+        w[pattern, bin(pattern).count("1")] = 1.0
+    return w / np.sqrt([comb(twice_s, j) for j in range(twice_s + 1)])
+
+
+def fk_arrow_basis(spins, S):
+    """Reference: (arcs, n_down per site) and the dim x d array of the dual
+    canonical basis of V^(S), the arrow-space way.
+
+    Every ordered Ising configuration (n_down leftmost downs per site) is
+    bracket matched; those without an unmatched down label the basis, in
+    (last paired slot, arcs) order.  Each is expanded into the 2^(sum 2s)
+    arrow states (``expand_diagram_to_tensor``) and compressed by the
+    Kronecker product of the sites' symmetrizers.
+    """
+    caps = [s.twice for s in spins]
+    n = (sum(caps) - S.twice) // 2
+    compress = None
+    for c in caps:
+        w = sp.csr_matrix(_symmetrizer(c).T)
+        compress = w if compress is None else sp.kron(compress, w, format="csr")
+    found = []
+    for ndowns in itertools.product(*(range(c + 1) for c in caps)):
+        if sum(ndowns) != n:
+            continue
+        open_ups, arcs, matched = [], [], True
+        slot = 0
+        for c, nd in zip(caps, ndowns):
+            for is_down in [True] * nd + [False] * (c - nd):
+                slot += 1
+                if not is_down:
+                    open_ups.append(slot)
+                elif open_ups:
+                    arcs.append((open_ups.pop(), slot))
+                else:
+                    matched = False
+        if matched:
+            found.append((tuple(sorted(arcs)), ndowns))
+    found.sort(key=lambda f: (max((y for _, y in f[0]), default=0), f[0]))
+    v = np.column_stack([compress @ expand_diagram_to_tensor(sum(caps), arcs)
+                         for arcs, _ in found]) if found else np.zeros((compress.shape[0], 0))
+    return found, v
+
+
+def fk_gram_matrix(spins, couplings, v):
+    """Reference: A with H V = V A from the Gram normal equations
+    (V^T V) A = V^T H V, H the normalized chain on the whole product space."""
+    h = build_normalized_chain(ChainSpec(spins, couplings)).matrix
+    return la.solve(v.T @ v, v.T @ (h @ v), assume_a="sym")
 
 
 def collatz_wielandt_bracket(A, x):

@@ -21,8 +21,9 @@ from foelab.hamiltonians import ChainSpec, build_normalized_chain
 from foelab.reports import csv_text, write_csv, write_json
 from foelab.sectors import sector_energies
 from foelab.spinops import HalfInt, HilbertShape
+from foelab.spinops import LocalHamiltonian
 from foelab.temperley_lieb import (enumerate_arc_diagrams, fk_hamiltonian_matrix,
-                                   tl_hamiltonian_matrix)
+                                   fk_highest_weight_basis, tl_hamiltonian_matrix)
 
 PATH3 = "site 0 1\nsite 1 1\nsite 2 1\nedge 0 1 0.5\nedge 1 2 0.5\n"
 # graph-spec files that test arguments name: "g" is valid, the others each
@@ -117,9 +118,7 @@ class TestExitCodes:
         assert code == 3
 
     def test_spinmap_memory_guard(self, tmp_path, monkeypatch, capsys):
-        import foelab.ssep as ssep
-
-        monkeypatch.setattr(ssep, "_physical_memory_bytes", lambda: 1024)
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 1024)
         graph = tmp_path / "path3.g"
         graph.write_text(PATH3)
         code, out = run(tmp_path, "spinmap", "--graph", str(graph))
@@ -128,13 +127,42 @@ class TestExitCodes:
         assert not (out / "spinmap.json").exists()
 
     def test_fk_basis_memory_guard(self, tmp_path, monkeypatch, capsys):
-        import foelab.temperley_lieb as tl
-
-        # 20 arrows: the expanded diagram and the compressor hold 2^20 states
-        monkeypatch.setattr(tl, "_physical_memory_bytes", lambda: 2 ** 20)
-        code, out = run(tmp_path, "fk-basis", "--spins", "10,10", "--S2", "4")
+        # 12 spin-1/2 sites at S = 1: 297 vectors held densely on the
+        # 792-state M = 1 block, 48 B per entry
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
+        code, out = run(tmp_path, "fk-basis", "--spins", ",".join(["1"] * 12), "--S2", "2")
         assert code == 3
-        assert "needs an estimated 40 MB" in capsys.readouterr().err
+        assert "needs an estimated 11 MB" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,named", [
+        (("tl-matrix", "--k", "30", "--n", "15"),
+         "the basis of 9694845 diagrams (15 arcs on 30 vertices) needs an estimated 26628 MB"),
+        (("qfoel", "--L", "30", "--q", "0.5"),
+         "the basis of 405 diagrams (2 arcs on 30 vertices) needs an estimated 1 MB"),
+        (("droplet", "--q", "0.5", "--n", "12", "--Lmax", "30"),
+         "the basis of 31865925 diagrams (12 arcs on 30 vertices) needs"),
+        (("foel", "--chain", ",".join(["1"] * 30)),
+         "the S^3 partition of 1073741824 product states needs an estimated 24576 MB"),
+        (("foel", "--graph", "path30.g"),
+         "the S^3 partition of 1073741824 product states needs an estimated 24576 MB"),
+    ], ids=["tl-matrix", "qfoel", "droplet", "foel-chain", "foel-graph"])
+    def test_size_guard_before_the_first_allocation(self, tmp_path, monkeypatch, capsys,
+                                                    args, named):
+        # 30 sites under a 1 MB probe: the TL basis builder and the S^3
+        # partition check their estimates before they allocate.  qfoel is
+        # refused at its first sector past 1 MB (n = 2); so is the spin-1/2
+        # chain's diagram route, which falls back to the SU(2) route, whose
+        # partition refuses
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
+        (tmp_path / "path30.g").write_text(
+            "".join(f"site {i} 1\n" for i in range(30))
+            + "".join(f"edge {i} {i + 1} 1.0\n" for i in range(29)))
+        args = [str(tmp_path / a) if a == "path30.g" else a for a in args]
+        code, out = run(tmp_path, *args)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert named in err and "needs an estimated" in err
         assert not out.exists()
 
     def test_tiny_q_refused_with_finite_numbers(self, tmp_path, capsys):
@@ -149,12 +177,10 @@ class TestExitCodes:
         assert "numerical failure" in err and "inf" not in err
 
     def test_foel_dense_block_memory_guard(self, tmp_path, monkeypatch, capsys):
-        import foelab.sectors as sectors
-
         # one banded solve on the M = 0 block of a 12-site spin-1/2 chain
         # (924 states) serves every sector: 2 dense 924 x 924 float64
         # arrays are estimated at 13 MB
-        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 8 * 2 ** 20)
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 8 * 2 ** 20)
         code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 11))
         assert code == 3
         err = capsys.readouterr().err
@@ -162,12 +188,10 @@ class TestExitCodes:
         assert not (out / "foel.json").exists()
 
     def test_spectrum_block_memory_guard(self, tmp_path, monkeypatch, capsys):
-        import foelab.sectors as sectors
-
         # every block's spectrum comes from the banded solve on the largest
         # S^3 block of 12 spin-1/2 sites, M = 0 with 924 states: 2 dense
         # arrays are 13 MB
-        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 8 * 2 ** 20)
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 8 * 2 ** 20)
         code, out = run(tmp_path, "spectrum", "--chain", ",".join(["1"] * 12))
         assert code == 3
         err = capsys.readouterr().err
@@ -179,7 +203,7 @@ class TestExitCodes:
 
         # 2 dense 3432 x 3432 arrays (the M = 0 block of 14 spin-1/2 sites)
         # are estimated at 188 MB; the sparse route needs about 4 MB
-        monkeypatch.setattr(sectors, "_physical_memory_bytes",
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes",
                             lambda: sectors.DENSE_BLOCK_ARRAYS * 8 * 3432 ** 2 - 1)
         js = [float(j) for j in np.random.default_rng(14).uniform(0.1, 2.0, 13)]
         code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, js))
@@ -202,7 +226,7 @@ class TestExitCodes:
         # every block on the sparse route; the estimate for the M = 0 block
         # of 14 spin-1/2 sites (3432 states) is 4.1 MB, the M = 1 one 3.4 MB
         monkeypatch.setattr(sectors, "SECTOR_SPARSE_MIN_DIM", 0)
-        monkeypatch.setattr(sectors, "_physical_memory_bytes", lambda: 15 * 2 ** 18)
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 15 * 2 ** 18)
         code, out = run(tmp_path, "foel", "--graph", path_graph(tmp_path, [1.0] * 13))
         assert code == 3
         err = capsys.readouterr().err
@@ -541,6 +565,36 @@ class TestExitCodes:
         assert build_parser().parse_args(["figure1"]).command == "figure1"
 
 
+@pytest.mark.parametrize("args", [
+    ("foel", "--chain", "1,2,3,2"),
+    ("foel", "--chain", "1,1,1,1,1,1"),
+    ("foel", "--graph", "g"),
+    ("foel", "--spin1-beta", "0.4", "--L", "4"),
+    ("foel", "--random-trials", "3", "--L", "5"),
+    ("spectrum", "--chain", "2,1,2"),
+    ("figure1",),
+    ("fk-basis", "--spins", "2,1,3", "--S2", "2"),
+    ("tl-matrix", "--k", "6", "--n", "2"),
+    ("qfoel", "--L", "6", "--q", "0.5"),
+    ("droplet", "--q", "0.5", "--n", "1,2", "--Lmax", "8"),
+    ("ssep-gap", "--graph", "g"),
+], ids=["foel-mixed-chain", "foel-spin-half-chain", "foel-graph", "foel-beta",
+        "foel-random", "spectrum", "figure1", "fk-basis", "tl-matrix", "qfoel",
+        "droplet", "ssep-gap"])
+def test_only_spinmap_forms_a_product_space_h(tmp_path, monkeypatch, args):
+    # every route but the spin map assembles H per block or on a support,
+    # from the local terms; the whole-space matrix is never read
+    args = with_graphs(tmp_path, args)
+    expected, _ = run(tmp_path / "free", *args)
+
+    def product_space(self):
+        raise AssertionError("the product-space H was formed")
+
+    monkeypatch.setattr(LocalHamiltonian, "matrix", property(product_space))
+    code, _ = run(tmp_path / "patched", *args)
+    assert code == expected
+
+
 class TestParser:
     def test_subcommands_match_handlers(self):
         sub = next(a for a in build_parser()._actions
@@ -602,6 +656,16 @@ class TestCommands:
         assert code == 0
         payload = json.loads(read(out / "fk.json"))
         assert payload["basis_count"] == 2 and payload["count_ok"]
+
+    def test_fk_basis_sign_check_holds_on_eight_spin_ones(self, tmp_path):
+        # cond(V^T V) = 3.6e6 at S = 1: solved through the Gram matrix, the
+        # exact zeros off the diagonal came out as 2.3e-10, past the 1e-10
+        # sign check; the QR solve leaves them below 1e-12
+        code, out = run(tmp_path, "fk-basis", "--spins", ",".join(["2"] * 8), "--S2", "2")
+        assert code == 0
+        payload = json.loads(read(out / "fk.json"))
+        assert payload["sign_ok"] and payload["off_diagonal_max"] <= 1e-12
+        assert payload["basis_count"] == 232
 
     def test_qfoel(self, tmp_path):
         code, out = run(tmp_path, "qfoel", "--L", "5", "--q", "0.5")
@@ -867,7 +931,8 @@ class TestArrayCsvWriters:
         assert read(out / "tl_basis.csv") == "diagram_id,arcs\n0,empty\n"
 
     @pytest.mark.parametrize("spins,S2,js", [
-        ("2,2,2,2", "0", None),  # a dense matrix with an exact zero
+        ("2,2,2,2", "0", None),
+        ("2,2,2,2", "8", None),  # S = S_max: H V = 0, so A is an exact zero
         ("1,3,2", "2", "0.4,1.9"),
         ("2,1,2,1", "2", "1.3,0.2,0.7"),
     ])
@@ -875,11 +940,12 @@ class TestArrayCsvWriters:
         args = ["fk-basis", "--spins", spins, "--S2", S2] + ([] if js is None else ["--J", js])
         code, out = run(tmp_path, *args)
         assert code in (0, 1)
-        twice = [int(t) for t in spins.split(",")]
+        twice = [HalfInt(int(t)) for t in spins.split(",")]
         couplings = [1.0] * (len(twice) - 1) if js is None else [float(j) for j in js.split(",")]
-        a = fk_hamiltonian_matrix([HalfInt(t) for t in twice], couplings, HalfInt(int(S2)))
-        if js is None:
-            assert (a == 0.0).any()
+        a = fk_hamiltonian_matrix(twice, couplings,
+                                  fk_highest_weight_basis(twice, HalfInt(int(S2))))
+        if S2 == "8":
+            assert (a == 0.0).all()
         rows = matrix_csv_tuples(a)
         assert len(rows) == np.count_nonzero(a)
         assert read(out / "fk_matrix.csv") == csv_text(MATRIX_HEADER, rows)

@@ -1,5 +1,6 @@
 import runpy
 import sys
+import tracemalloc
 from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
@@ -76,6 +77,24 @@ class TestS3Blocks:
     def test_three_halves_binomials(self):
         blocks = s3_blocks(HilbertShape([HalfInt(1)] * 3))
         assert [len(idx) for idx in blocks.values()] == [1, 3, 3, 1]
+
+    @pytest.mark.parametrize("twice", [(1,) * 18, (2,) * 11, (1, 2, 3, 4) * 3])
+    def test_memory_estimate_bounds_the_traced_peak(self, twice):
+        shape = HilbertShape([HalfInt(t) for t in twice])
+        tracemalloc.start()
+        try:
+            s3_blocks(shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= sectors.S3_BYTES_PER_STATE * shape.dim
+
+    def test_memory_guard_before_the_partition(self, monkeypatch):
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
+        monkeypatch.setattr(HilbertShape, "total_m", None)
+        with pytest.raises(NumericalError, match="the S\\^3 partition of 65536 product "
+                                                 "states needs an estimated 2 MB"):
+            s3_blocks(HilbertShape([HalfInt(1)] * 16))
 
 
 class TestHighestWeightSpace:

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (basis_csv_tuples, build_xxz_chain, collatz_wielandt_bracket,
+                       expand_diagram_to_tensor, fk_arrow_basis, fk_gram_matrix,
                        highest_weight_space, kernel_basis, matrix_csv_tuples,
                        min_spec_comparison, suq2_generators, total_s3, total_splus)
 
@@ -23,7 +24,6 @@ from foelab.spinops import HalfInt, HilbertShape, _local_sum
 from foelab.temperley_lieb import (
     check_dominance,
     enumerate_arc_diagrams,
-    expand_diagram_to_tensor,
     fk_hamiltonian_matrix,
     fk_highest_weight_basis,
     perron_ground_vector,
@@ -102,6 +102,24 @@ def leading_block_inputs(draw):
     js = draw(st.lists(st.floats(0.0, 2.0, exclude_min=True),
                        min_size=k - 1, max_size=k - 1))
     return k, n, length, q, js
+
+
+class TestMemoryEstimate:
+    @pytest.mark.parametrize("k,n", [(16, 8), (18, 6), (20, 5), (40, 3)])
+    def test_estimate_bounds_the_traced_peak(self, k, n):
+        tracemalloc.start()
+        try:
+            tl_hamiltonian_matrix(k, n, [1.0] * (k - 1), 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tlmod.TL_BYTES_PER_DIAGRAM_VERTEX * k * tlmod.diagram_count(k, n)
+
+    def test_guard_before_the_basis(self, monkeypatch):
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
+        with pytest.raises(NumericalError, match="the basis of 9694845 diagrams \\(15 arcs "
+                                                 "on 30 vertices\\) needs an estimated"):
+            tl_hamiltonian_matrix(30, 15, [1.0] * 29)
 
 
 class TestLeadingBlock:
@@ -859,6 +877,30 @@ class TestExpansion:
             assert np.abs(w @ u @ w - w).max() <= 1e-10
 
 
+def fk_matrix(spins, couplings, S):
+    """The fk-basis command's sequence: the basis, then its matrix."""
+    return fk_hamiltonian_matrix(spins, couplings, fk_highest_weight_basis(spins, S))
+
+
+def dense_columns(basis):
+    return np.column_stack([b.expanded.toarray().ravel() for b in basis])
+
+
+@st.composite
+def fk_chains(draw):
+    """Random chain of twice-spins 1-5 with sum(2s) <= 14, random couplings."""
+    twice = [draw(st.integers(1, 5))]
+    while len(twice) < 2 or draw(st.booleans()):
+        t = draw(st.integers(1, 5))
+        if sum(twice) + t > 14:
+            break
+        twice.append(t)
+    if len(twice) < 2:
+        twice = [1, 1]
+    js = draw(st.lists(st.floats(0.1, 2.0), min_size=len(twice) - 1, max_size=len(twice) - 1))
+    return [HalfInt(t) for t in twice], js
+
+
 class TestFKBasis:
     def test_spin_half_reduces_to_diagrams(self):
         spins = [HalfInt(1)] * 5
@@ -867,7 +909,8 @@ class TestFKBasis:
         assert len(basis) == len(diagrams)
         for vec, arcs in zip(basis, diagrams):
             assert vec.arcs == arcs
-            assert np.abs(vec.expanded - expand_diagram_to_tensor(5, arcs)).max() <= 1e-12
+            assert np.abs(vec.expanded.toarray().ravel()
+                          - expand_diagram_to_tensor(5, arcs)).max() <= 1e-12
 
     def test_two_spin_ones(self):
         basis = fk_highest_weight_basis([HalfInt(2)] * 2, HalfInt(2))
@@ -889,7 +932,7 @@ class TestFKBasis:
             basis = fk_highest_weight_basis(spins, S)
             assert len(basis) == dim
             if basis:
-                v = np.column_stack([b.expanded for b in basis])
+                v = dense_columns(basis)
                 assert np.abs(splus @ v).max() <= 1e-10
                 assert np.abs(total_s3(shape) @ v - S.value * v).max() <= 1e-10
                 assert np.linalg.matrix_rank(v.T @ v) == dim
@@ -898,35 +941,55 @@ class TestFKBasis:
         with pytest.raises(ValueError):
             fk_highest_weight_basis([HalfInt(2)] * 2, HalfInt(3))
 
-    @pytest.mark.parametrize("spins, S2", [((1,) * 11, 3), ((8, 8), 4), ((2,) * 6, 2)])
+    def test_absent_label_has_an_empty_basis(self):
+        # spins 5/2 and 1/2 couple to S = 3 and 2 only
+        assert fk_highest_weight_basis([HalfInt(5), HalfInt(1)], HalfInt(2)) == []
+
+    @pytest.mark.parametrize("spins, S2", [((1,) * 11, 3), ((2,) * 8, 4), ((4,) * 6, 2)])
     def test_memory_estimate_bounds_the_traced_peak(self, spins, S2):
-        # the basis, then the matrix, which builds the basis again: the
-        # fk-basis command's sequence (peaks 1.0 to 11 MB)
+        # the basis, then its matrix: the fk-basis command's sequence (peaks
+        # 2.2 to 9.6 MB), against FK_BYTES_PER_BASIS_ENTRY per entry of the
+        # basis held densely on the M = S block
         spins, S = [HalfInt(t) for t in spins], HalfInt(S2)
+        labels = sector_labels(HilbertShape(spins))
+        block = sum(d for label, d in labels.items() if label >= S)
         tracemalloc.start()
         try:
-            basis = fk_highest_weight_basis(spins, S)
-            fk_hamiltonian_matrix(spins, [1.0] * (len(spins) - 1), S)
+            fk_matrix(spins, [1.0] * (len(spins) - 1), S)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= tlmod._fk_bytes(spins, len(basis))
+        assert peak <= tlmod.FK_BYTES_PER_BASIS_ENTRY * block * labels[S]
 
     def test_memory_guard_before_the_expansion(self, monkeypatch):
-        monkeypatch.setattr(tlmod, "_physical_memory_bytes", lambda: 2 ** 20)
-        monkeypatch.setattr(tlmod, "expand_diagram_to_tensor", None)
-        with pytest.raises(NumericalError, match="20-arrow expansion of the S=2 basis "
-                                                 "needs an estimated 40 MB"):
-            fk_highest_weight_basis([HalfInt(10)] * 2, HalfInt(4))
+        # 12 spin-1/2 sites at S = 1: 297 vectors on the 792-state M = 1
+        # block, 48 B per entry
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
+        monkeypatch.setattr(tlmod, "_fk_expansions", None)
+        with pytest.raises(NumericalError, match="the S=1 basis on the 792-state M=1 "
+                                                 "block needs an estimated 11 MB"):
+            fk_highest_weight_basis([HalfInt(1)] * 12, HalfInt(2))
+
+    def test_large_spins_need_no_arrow_space(self):
+        # two spin-7 sites at S = 2: 12 arcs, 2^28 arrow states, but one
+        # vector on the 13-state M = 2 block
+        basis = fk_highest_weight_basis([HalfInt(14)] * 2, HalfInt(4))
+        assert len(basis) == 1 and basis[0].expanded.nnz == 13
+        assert fk_hamiltonian_matrix([HalfInt(14)] * 2, [1.0], basis).shape == (1, 1)
+
+    def test_product_indices_past_int64_refused(self):
+        # 64 spin-1/2 sites, S = 31: a two-vector basis, but 2^64 product states
+        with pytest.raises(NumericalError, match="pass int64 indices"):
+            fk_highest_weight_basis([HalfInt(1)] * 64, HalfInt(62))
 
 
 class TestFKMatrix:
     def test_two_halves_matches_tl(self):
-        a = fk_hamiltonian_matrix([HalfInt(1)] * 2, [1.0], HalfInt(0))
+        a = fk_matrix([HalfInt(1)] * 2, [1.0], HalfInt(0))
         assert np.allclose(a, [[4.0]])
 
     def test_two_ones(self):
-        a = fk_hamiltonian_matrix([HalfInt(2)] * 2, [1.0], HalfInt(2))
+        a = fk_matrix([HalfInt(2)] * 2, [1.0], HalfInt(2))
         assert np.allclose(a, [[2.0]], atol=1e-12)
 
     @pytest.mark.parametrize("spins", [(2, 2), (2, 2, 2), (3, 1, 2)])
@@ -938,7 +1001,7 @@ class TestFKMatrix:
         h = build_normalized_chain(ChainSpec(spins, js))
         rep = sector_energies(h)
         for S in sector_labels(shape):
-            a = fk_hamiltonian_matrix(spins, js, S)
+            a = fk_matrix(spins, js, S)
             w = np.sort(np.linalg.eigvals(a).real)
             assert np.isclose(w[0], rep.entries[S].min_energy, atol=1e-9)
             assert np.isclose(w[-1], rep.entries[S].max_energy, atol=1e-9)
@@ -946,11 +1009,47 @@ class TestFKMatrix:
     def test_off_diagonal_sign_audit_three_ones(self):
         spins = [HalfInt(2)] * 3
         for S in sector_labels(HilbertShape(spins)):
-            a = fk_hamiltonian_matrix(spins, [1.0, 1.0], S)
+            a = fk_matrix(spins, [1.0, 1.0], S)
             off = a - np.diag(np.diag(a))
             assert off.max() <= 1e-10
 
     def test_ill_conditioned_gram_refused(self, monkeypatch):
         monkeypatch.setattr(tlmod, "FK_GRAM_COND_LIMIT", 1e-1)
         with pytest.raises(NumericalError, match="condition"):
-            fk_hamiltonian_matrix([HalfInt(1)] * 4, [1.0] * 3, HalfInt(0))
+            fk_matrix([HalfInt(1)] * 4, [1.0] * 3, HalfInt(0))
+
+    @settings(max_examples=25, database=None, deadline=None)
+    @given(fk_chains())
+    def test_matches_the_arrow_space_oracle(self, chain):
+        spins, js = chain
+        report = sector_energies(build_normalized_chain(ChainSpec(spins, js)))
+        for S in sector_labels(HilbertShape(spins)):
+            basis = fk_highest_weight_basis(spins, S)
+            found, v = fk_arrow_basis(spins, S)
+            assert [b.arcs for b in basis] == [arcs for arcs, _ in found]
+            assert [tuple(x.n_down for x in b.blocks) for b in basis] == [nd for _, nd in found]
+            assert np.abs(dense_columns(basis) - v).max() <= 1e-14
+            a, ref = fk_hamiltonian_matrix(spins, js, basis), fk_gram_matrix(spins, js, v)
+            # the Gram solve's own error grows like cond(V^T V) = cond(R)^2
+            cond = np.linalg.cond(v)
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(a - ref).max() <= 100 * np.finfo(float).eps * cond ** 2 * scale
+            w = np.linalg.eigvals(a).real
+            entry = report.entries[S]
+            tol = 1e-9 * max(1.0, abs(entry.max_energy))
+            assert abs(w.min() - entry.min_energy) <= tol
+            assert abs(w.max() - entry.max_energy) <= tol
+
+    @pytest.mark.parametrize("spins, S2", [((2, 2, 2), 2), ((1,) * 6, 2), ((3, 1, 2), 2)])
+    def test_a_wrong_coefficient_is_refused(self, spins, S2):
+        # one coefficient with its sign flipped: the span is no longer
+        # H-invariant, and the residual check refuses it
+        spins = [HalfInt(t) for t in spins]
+        basis = fk_highest_weight_basis(spins, HalfInt(S2))
+        fk_hamiltonian_matrix(spins, [1.0] * (len(spins) - 1), basis)
+        vec = basis[len(basis) // 2]
+        flipped = vec.expanded.copy()
+        flipped.data[0] = -flipped.data[0]
+        basis[len(basis) // 2] = dataclasses.replace(vec, expanded=flipped)
+        with pytest.raises(NumericalError, match="does not span an H-invariant space"):
+            fk_hamiltonian_matrix(spins, [1.0] * (len(spins) - 1), basis)
