@@ -31,7 +31,6 @@ from .sectors import (
     check_max_ordering,
     full_spectrum_by_s3,
     low_energy_by_deviation,
-    s3_blocks,
     sector_energies,
 )
 from .temperley_lieb import (

@@ -70,16 +70,18 @@ def q_sector_energies(L, qp):
     """E(H_L, S) for every total-spin label: a SectorReport of QSectorEntry.
 
     The q-sectors have the same dimensions as at q = 1, so the label set is
-    the undeformed one.  ``sectors.check_foel`` gives the q-FOEL verdict.
+    the undeformed one, solved largest first so its memory guard fires before
+    any solve.  ``sectors.check_foel`` gives the q-FOEL verdict.
     """
     L = int(L)
     if L < 2:
         raise ValueError("need L >= 2")
+    labels = sector_labels(HilbertShape([HalfInt(1)] * L))
     entries = {}
-    for S, d in sector_labels(HilbertShape([HalfInt(1)] * L)).items():
+    for S in sorted(labels, key=labels.get, reverse=True):
         pf = _sector_perron(L, (L - S.twice) // 2, qp)
-        entries[S] = QSectorEntry(pf.eigenvalue, d, pf.bracket)
-    return SectorReport(entries=entries)
+        entries[S] = QSectorEntry(pf.eigenvalue, labels[S], pf.bracket)
+    return SectorReport(entries=dict(sorted(entries.items(), reverse=True)))
 
 
 def droplet_energy(n, qp):

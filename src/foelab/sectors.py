@@ -7,10 +7,11 @@ product space.  No product-space matrix is formed: invariance is checked
 per local term of the ``LocalHamiltonian`` H (against its own sites' S3
 and S+), and each route assembles from the terms only the blocks it
 solves, H_MM on the sorted indices of the M block and the S+ maps between
-blocks (``spinops._local_sum``); a term within the tolerance that changes
-M drops out.  The solve extracts no kernel.  On the M block, B^T B = S-S+
-(B = S+ from M to M+1) commutes with H and is lambda_S = S(S+1) - M(M+1)
-on every spin-S multiplet, S >= M; lambda_{S+1} - lambda_S = 2S+2 >= 2M+2.
+blocks (``spinops._local_sum`` on ``spinops._s3_block``); a term within
+the tolerance that changes M drops out.  The solve extracts no kernel.
+On the M block, B^T B = S-S+ (B = S+ from M to M+1) commutes with H and
+is lambda_S = S(S+1) - M(M+1) on every spin-S multiplet, S >= M;
+lambda_{S+1} - lambda_S = 2S+2 >= 2M+2.
 With g_lo, g_hi the Gershgorin bounds of H_MM (every sector S >= M has its
 spectrum in [g_lo, g_hi]) and mu = (g_hi - g_lo + 1)/(2M+2), the spectrum
 of H_MM + mu B^T B is the disjoint union over S >= M of
@@ -37,9 +38,10 @@ There S+ is certified first ([S+, S-] = 2 S3 on a random vector of the
 M = S + 1 block, with B' the S+ map from M = S + 1 to S + 2), then each
 Ritz pair by its residual, by ||B v|| ~ 0 (v is a highest-weight vector)
 and by min <= g_hi, max >= g_lo.  A failed certificate or ARPACK non-convergence
-raises NumericalError.  Both routes check a memory estimate before they
-assemble the block; the sparse one bounds the stored entries from the
-terms (per term, its most off-diagonal entries in one local column).
+raises NumericalError.  Both routes check a memory estimate, from block
+sizes counted by ``sector_labels``, before they enumerate a block; the
+sparse one bounds the stored entries from the terms (per term, its most
+off-diagonal entries in one local column) and solves largest block first.
 
 The q-deformed sectors avoid the penalty, because (S+_q)^T S+_q has a
 condition number growing like q^-L, which would drown the penalty gap in
@@ -72,14 +74,13 @@ import scipy.sparse.linalg as sla
 
 from .errors import NonInvariantOperatorError, NumericalError
 from .linalg import max_abs, require_memory
-from .spinops import HalfInt, HilbertShape, _local_sum, spin_matrices
+from .spinops import HalfInt, HilbertShape, _local_sum, _s3_block, spin_matrices
 
 __all__ = [
     "SectorEntry",
     "SectorReport",
     "FoelVerdict",
     "MaxOrderingVerdict",
-    "s3_blocks",
     "sector_labels",
     "sector_energies",
     "check_foel",
@@ -113,10 +114,6 @@ SECTOR_SPARSE_MIN_DIM = 1000
 # spin-1 chains at L = 8 (beta = 0, 0.4) and a mixed 9-site chain.
 SPARSE_BYTES_PER_ENTRY = 24
 LANCZOS_VECTORS = 32
-# ``s3_blocks`` memory estimate: bytes per product state (the S^3 values,
-# the sort and the index pieces); the tracemalloc peak is 0.71 of it on
-# spin-1/2 to spin-2 and mixed chains of 0.05-4.2 M states.
-S3_BYTES_PER_STATE = 24
 RESIDUAL_TOL = 1e-9
 
 
@@ -162,24 +159,6 @@ class MaxOrderingVerdict:
     margins: list  # (S_hi, S_lo, max(S_lo) - max(S_hi))
 
 
-def s3_blocks(shape):
-    """Partition of product-basis indices by total S^3 eigenvalue M.
-
-    Returns {HalfInt M: index array}, M descending: consecutive pieces of
-    one stable argsort of -2M, so each piece is ascending.  NumericalError
-    when the estimate of S3_BYTES_PER_STATE per product state passes
-    physical memory.
-    """
-    require_memory(S3_BYTES_PER_STATE * shape.dim,
-                   f"the S^3 partition of {shape.dim} product states")
-    top = shape.s_max.twice
-    k = (top - np.rint(2 * shape.total_m()).astype(np.int64)) // 2  # S_max - M
-    # the narrowest integer type sorts fastest, in the same stable order
-    order = np.argsort(k.astype(np.min_scalar_type(top)), kind="stable")
-    ends = np.cumsum(np.bincount(k)).tolist()
-    return {HalfInt(top - 2 * i): order[a:b] for i, (a, b) in enumerate(zip([0] + ends, ends))}
-
-
 def sector_labels(shape):
     """Total-spin labels present, S descending, with highest-weight dimensions.
 
@@ -194,6 +173,11 @@ def sector_labels(shape):
     # counts[k] states have 2M = 2 s_max - 2k; keep M >= 0
     dims = np.diff(counts[: shape.s_max.twice // 2 + 1], prepend=0)
     return {HalfInt(shape.s_max.twice - 2 * k): int(d) for k, d in enumerate(dims) if d > 0}
+
+
+def _block_size(labels, M):
+    """Size of the S^3 = M block: one state of each multiplet S >= |M|."""
+    return sum(d for S, d in labels.items() if S.twice >= abs(M.twice))
 
 
 def _raising_terms(shape):
@@ -229,13 +213,6 @@ def _check_invariance(H):
         raise NonInvariantOperatorError(f"[H, S+] = {dz:.3e}")
 
 
-def _raising(shape, index, M):
-    """B: S^+ from the M block to the M + 1 block (0 x dim at the top),
-    assembled from the one-site S^+ terms."""
-    return _local_sum(shape, _raising_terms(shape), index[M],
-                      index.get(M + HalfInt(2), index[M][:0]))
-
-
 def _entry_bound(terms, m):
     """Upper bound on the stored entries of a sum of ``terms`` on m states:
     the diagonal and, per term, its most off-diagonal entries in a column."""
@@ -244,18 +221,19 @@ def _entry_bound(terms, m):
     return m * (1 + int(sum(per_column)))
 
 
-def _sector_bands(H, index, labels, M):
+def _sector_bands(H, labels, M):
     """{S: ascending spectrum of H on V^(S)} for every label S >= M, from
     the certified banded ``eigvalsh`` on the M block (module docstring);
     NumericalError if the certificate fails."""
-    m = len(index[M])
+    m = _block_size(labels, M)
     require_memory(DENSE_BLOCK_ARRAYS * 8 * m ** 2, f"the dense M={M} block of dimension {m}")
     present = sorted(S for S in labels if S >= M)
-    if sum(labels[S] for S in present) != m:
+    states = _s3_block(H.shape, M)
+    if len(states) != m:
         raise NumericalError(f"sector dimensions {[labels[S] for S in present]} "
-                             f"do not fill the M={M} block of dimension {m}")
-    b = _raising(H.shape, index, M)
-    h = _local_sum(H.shape, H.terms, index[M])
+                             f"do not fill the M={M} block of dimension {len(states)}")
+    b = _local_sum(H.shape, _raising_terms(H.shape), states, _s3_block(H.shape, M + HalfInt(2)))
+    h = _local_sum(H.shape, H.terms, states)
     hb = h.toarray()
     rowsum = np.bincount(np.repeat(np.arange(m), np.diff(h.indptr)),
                          weights=np.abs(h.data), minlength=m)
@@ -294,7 +272,7 @@ def _penalty(diag, radius, S):
     return g_lo, g_hi, c, 1e-9 * max(1.0, abs(g_lo), abs(g_hi))
 
 
-def _sector_extremes(H, index, S):
+def _sector_extremes(H, labels, S):
     """(min, max) of H on V^(S) by Lanczos, without a dense block.
 
     The lowest eigenvalue of H_MM + c B^T B and the highest of
@@ -310,23 +288,24 @@ def _sector_extremes(H, index, S):
     RESIDUAL_TOL max(1, |g_lo|, |g_hi|) ||v||, min <= g_hi and max >= g_lo.
     """
     shape = H.shape
-    m = len(index[S])
+    m = _block_size(labels, S)
     # H_MM, and S+ on the M = S and S + 1 blocks (B and B')
     nnz = (_entry_bound(H.terms, m)
-           + _entry_bound(_raising_terms(shape), m + len(index.get(S + HalfInt(2), ()))))
+           + _entry_bound(_raising_terms(shape), m + _block_size(labels, S + HalfInt(2))))
     require_memory(SPARSE_BYTES_PER_ENTRY * nnz + LANCZOS_VECTORS * 8 * m,
                    f"the sparse S={S} block of dimension {m}")
-    b = _raising(shape, index, S)
+    states, up = _s3_block(shape, S), _s3_block(shape, S + HalfInt(2))
+    b = _local_sum(shape, _raising_terms(shape), states, up)  # S+ from M = S to S + 1
     bt = b.T.tocsr()
     if b.shape[0]:
-        b2 = _raising(shape, index, S + HalfInt(2))
+        b2 = _local_sum(shape, _raising_terms(shape), up, _s3_block(shape, S + HalfInt(4)))
         x = np.random.default_rng(0).standard_normal(b.shape[0])
         top = shape.s_max.value
         dev = float(np.linalg.norm(b @ (bt @ x) - b2.T @ (b2 @ x) - (S.twice + 2) * x))
         if dev > INVARIANCE_TOL * max(1.0, top * (top + 1)) * np.linalg.norm(x):
             raise NumericalError(f"S+ is not a raising operator at M={S + HalfInt(2)}: "
                                  f"||([S+, S-] - 2 S3) x|| = {dev:.3e}")
-    hb = _local_sum(shape, H.terms, index[S])
+    hb = _local_sum(shape, H.terms, states)
     diag = hb.diagonal()
     g_lo, g_hi, c, slack = _penalty(diag, abs(hb) @ np.ones(m) - np.abs(diag), S)
     bound = RESIDUAL_TOL * max(1.0, abs(g_lo), abs(g_hi))
@@ -357,23 +336,21 @@ def sector_energies(H):
     """Min/max energy of the LocalHamiltonian H in every total-spin sector.
 
     S^3 blocks of dimension >= SECTOR_SPARSE_MIN_DIM take the sparse
-    Lanczos route; the smaller ones are the top blocks, and one banded solve
-    on the lowest of them gives all their sectors (module docstring).  H
-    must commute with the total-spin operators (checked term by term;
-    raises NonInvariantOperatorError otherwise).
+    Lanczos route, largest first, so its memory guard fires before any
+    solve; the smaller ones are the top blocks, and one banded solve on the
+    lowest of them gives all their sectors (module docstring).  H must
+    commute with the total-spin operators (checked term by term; raises
+    NonInvariantOperatorError otherwise).
     """
     _check_invariance(H)
-    index = s3_blocks(H.shape)
     labels = sector_labels(H.shape)
     # eigsh needs k < m; block sizes grow from the top down to M = 0
-    dense = [S for S in labels if len(index[S]) < max(SECTOR_SPARSE_MIN_DIM, 2)]
-    bands = _sector_bands(H, index, labels, min(dense)) if dense else {}
+    dense = [S for S in labels if _block_size(labels, S) < max(SECTOR_SPARSE_MIN_DIM, 2)]
+    extremes = {S: _sector_extremes(H, labels, S) for S in sorted(set(labels) - set(dense))}
+    bands = _sector_bands(H, labels, min(dense)) if dense else {}
     entries = {}
     for S, d in labels.items():
-        if S in bands:
-            lo, hi = bands[S][0], bands[S][-1]
-        else:
-            lo, hi = _sector_extremes(H, index, S)
+        lo, hi = (bands[S][0], bands[S][-1]) if S in bands else extremes[S]
         entries[S] = SectorEntry(float(lo), float(hi), d)
     return SectorReport(entries=entries)
 
@@ -424,12 +401,13 @@ def full_spectrum_by_s3(H, offset=False):
     docstring).  With offset=True the ground energy is shifted to exactly 0.
     """
     _check_invariance(H)
-    labels, index = sector_labels(H.shape), s3_blocks(H.shape)
-    bands = _sector_bands(H, index, labels, min(labels))
+    labels = sector_labels(H.shape)
+    bands = _sector_bands(H, labels, min(labels))
     e0 = min(w[0] for w in bands.values()) if offset else 0.0
+    top = H.shape.s_max.twice
     return [(M, np.sort(np.concatenate([w for S, w in bands.items()
                                         if S.twice >= abs(M.twice)])) - e0)
-            for M in index]
+            for M in map(HalfInt, range(top, -top - 1, -2))]
 
 
 def _levels(bands, labels, cutoff):
@@ -456,14 +434,13 @@ def low_energy_by_deviation(H, N):
     labels = list(dims)
     if N < 0 or N >= len(labels):
         raise ValueError(f"deviation count N must be in [0, {len(labels) - 1}]")
-    index = s3_blocks(H.shape)
-    bands = _sector_bands(H, index, dims, labels[N])
+    bands = _sector_bands(H, dims, labels[N])
     tol = 1e-9 * max(1.0, max(float(np.max(np.abs(w))) for w in bands.values()))
     # with N the last label every sector was diagonalized: the whole spectrum
     cutoff = np.inf if N == len(labels) - 1 else float(bands[labels[N]][0])
     keep = _levels(bands, labels[: N + 1], cutoff + tol)
     if H.dim <= 1024 and cutoff < np.inf:
-        every = _levels(_sector_bands(H, index, dims, labels[-1]), labels, cutoff + tol)
+        every = _levels(_sector_bands(H, dims, labels[-1]), labels, cutoff + tol)
         if len(every) != len(keep) or max_abs(every - keep) > 1e-8:
             raise NonInvariantOperatorError(
                 "sector-truncated spectrum disagrees with every sector's levels; "

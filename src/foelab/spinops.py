@@ -19,8 +19,8 @@ vector in term order, which rounds like adding the embedded terms one
 after another, so a block is bit for bit the slice of the full matrix;
 off-diagonal entries of one-site and S^3-conserving two-site terms change
 every digit they act on, so terms on different sites never share a
-position.  Exact zeros are dropped.  S^3 is diagonal, read from
-``HilbertShape.total_m``.
+position.  Exact zeros are dropped.  ``_s3_block`` enumerates one S^3
+block; ``HilbertShape.total_m`` scans every state, for shapes of one term.
 
 ``spin_matrices`` and ``heisenberg_bond`` are cached per spin and return
 read-only arrays.
@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .errors import NumericalError
 
 __all__ = [
     "HalfInt",
@@ -259,6 +261,31 @@ def _local_sum(shape, terms, states=None, targets=None):
         vals = np.concatenate((vals, diag[nonzero]))
     return sp.csr_matrix((vals, (rows, cols)),
                          shape=(src.size if targets is None else len(targets), src.size))
+
+
+def _s3_block(shape, M):
+    """Sorted product indices of the S^3 = M block, the states whose digits
+    (m_x = s_x - digit_x) sum to S_max - M, with no product-space array:
+    from the last site up each prefix c extends to c + digit stride_x, still
+    increasing, and a prefix that can no longer reach that sum is dropped,
+    so at most max d_x times the block size live at once.  NumericalError
+    when the product indices pass int64."""
+    if shape.dim > np.iinfo(np.int64).max:
+        raise NumericalError(f"the {shape.dim} product states pass int64 indices")
+    top = shape.s_max.twice  # the largest digit sum
+    target, odd = divmod(top - M.twice, 2)
+    if odd or not 0 <= target <= top:
+        return np.zeros(0, dtype=np.int64)
+    # a kept sum is at most top, so a prefix plus one digit is at most 2 top
+    c, k = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.min_scalar_type(2 * top))
+    left, stride = top, 1  # left: the largest digit sum of the sites still to place
+    for d in reversed(shape.local_dims):
+        left -= d - 1
+        c = (stride * np.arange(d)[:, None] + c).ravel()
+        k = (np.arange(d, dtype=k.dtype)[:, None] + k).ravel()
+        keep = (k <= target) & (k >= target - left)
+        c, k, stride = c[keep], k[keep], stride * d
+    return c
 
 
 @functools.lru_cache(maxsize=64)

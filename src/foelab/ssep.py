@@ -8,7 +8,7 @@ A configuration is indexed by its spin-1/2 product state, in the
 convention of ``spinops``: vertex x is bit N - 1 - x, and digit 0, spin
 up, means occupied.  The n-particle configurations, the indices with
 N - n one-bits, are the S^3 = n - N/2 block, in increasing index order
-(``_configs`` enumerates them bit by bit, with no 2^N array).  With rates
+(``spinops._s3_block`` enumerates them, with no 2^N array).  With rates
 J/2 the generator is then the matrix of sum_edges J (1/4 - S_x.S_y) index
 for index (Caputo-Liggett-Richthammer), so the spin map compares the two
 with no relabelling.
@@ -20,7 +20,8 @@ sector is solved once, as the generator (see ``verify_spin_map``).
 
 Sector N - n is sector n under the complement map eta -> ~eta, which
 reverses the index order (index i goes to 2^N - 1 - i), so the gap tables
-solve n <= N/2 and copy each row n > N/2 from row N - n.  A gap is
+solve n <= N/2 (largest first, so its memory guard fires before any
+solve) and copy each row n > N/2 from row N - n.  A gap is
 certified from one eigenpair: dense ``eigh`` below GAP_SPARSE_MIN_DIM;
 above it Lanczos ``eigsh`` for the one lowest pair of the generator with
 its known zero mode, the uniform vector, deflated (shifted above the whole
@@ -45,7 +46,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
 from .linalg import max_abs, require_memory
-from .spinops import HalfInt
+from .spinops import HalfInt, HilbertShape, _s3_block
 
 __all__ = [
     "SSEPGenerator",
@@ -93,21 +94,6 @@ def _edge_rates(g):
     return [(top - g.site_position(u), top - g.site_position(v), j) for u, v, j in g.edges]
 
 
-def _configs(nsites, n):
-    """Indices of the n-particle configurations, increasing: the N-bit
-    integers with N - n one-bits, built from the lowest bit up.  The
-    prefixes c extend to [c, c | 1 << b], still increasing, and a prefix
-    that can no longer end with N - n one-bits is dropped, so at most
-    2 C(N, n) live at once (35-38 B per configuration at the peak)."""
-    ones = nsites - n
-    c, k = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int8)  # k: one-bits of c
-    for b in range(nsites):
-        c, k = np.concatenate((c, c | 1 << b)), np.concatenate((k, k + 1))
-        keep = (k <= ones) & (k >= ones - (nsites - 1 - b))
-        c, k = c[keep], k[keep]
-    return c
-
-
 def _assemble(edge_rates, configs):
     """Sparse generator on sorted configuration indices.
 
@@ -144,7 +130,7 @@ def ssep_generator(g: SpinGraph, n=1):
     edge_rates = _edge_rates(g)
     require_memory(_matrix_bytes(comb(nsites, n), len(edge_rates)),
                    f"the {n}-particle generator")
-    configs = _configs(nsites, n)
+    configs = _s3_block(HilbertShape([HalfInt(1)] * nsites), HalfInt(2 * n - nsites))
     return SSEPGenerator(n=n, configs=configs, L=_assemble(edge_rates, configs))
 
 
@@ -225,7 +211,7 @@ def _mirrored(nsites, solve):
     onto the (N - n)-particle ones in reversed index order and the
     generator onto itself, so sector N - n repeats the solved sector n.
     """
-    solved = [solve(n) for n in range(1, nsites // 2 + 1)]
+    solved = [solve(n) for n in range(nsites // 2, 0, -1)][::-1]  # largest sector first
     return [solved[min(n, nsites - n) - 1] for n in range(1, nsites)]
 
 
@@ -305,7 +291,7 @@ def verify_spin_map(g: SpinGraph):
     del delta
 
     def solve(n):
-        sector = _configs(nsites, n)
+        sector = _s3_block(g.shape, HalfInt(2 * n - nsites))
         lam, v = _certified_gap(_assemble(half_rates, sector))
         x = np.zeros(dim)
         x[sector] = v

@@ -552,18 +552,19 @@ def diagram_sector_energies(couplings):
     (with its bracket) is the sector minimum and its top eigenvalue
     (``_top_eigenvalue``) the maximum.  No 2^L-dimensional
     operator, S^3 block or invariance check: the basis is invariant by
-    construction.
+    construction.  The largest basis is built first, so its memory guard
+    fires before any solve.
     """
     couplings = tuple(float(j) for j in couplings)
     L = len(couplings) + 1
     entries = {}
-    for n in range(L // 2 + 1):
+    for n in sorted(range(L // 2 + 1), key=lambda n: -diagram_count(L, n)):
         tl = tl_hamiltonian_matrix(L, n, couplings, 1.0)
         pf = perron_ground_vector(tl)
         entries[HalfInt(L - 2 * n)] = SectorEntry(
             pf.eigenvalue, _top_eigenvalue(tl, pf.eigenvalue),
             diagram_count(L, n), pf.bracket)
-    return SectorReport(entries=entries)
+    return SectorReport(entries=dict(sorted(entries.items(), reverse=True)))
 
 
 def chain_sector_energies(chain):

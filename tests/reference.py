@@ -1,6 +1,6 @@
 """Reference implementations the tests compare foelab against: direct, slow
 constructions (Kronecker products, total S^+ and commutators on the whole
-product space, blocks sliced by scipy's fancy indexing, SVD kernels,
+product space, S^3 blocks sorted out of it, blocks sliced by scipy's fancy indexing, SVD kernels,
 Casimir filtering, the XXZ chain and its quantum-group generators on 2^L
 states, droplet sweeps built length by length, CSV rows formatted cell by
 cell), the dual canonical basis expanded through the 2^(sum 2s) spin-1/2
@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 from foelab.errors import NumericalError
 from foelab.hamiltonians import ChainSpec, SpinGraph, build_normalized_chain
 from foelab.linalg import max_abs
-from foelab.sectors import SectorEntry, SectorReport, _penalty, s3_blocks, sector_labels
+from foelab.sectors import SectorEntry, SectorReport, _penalty, sector_labels
 from foelab.spinops import (HalfInt, HilbertShape, LocalHamiltonian, _local_sum, heisenberg_bond,
                             spin_matrices)
 from foelab.qgroup import droplet_bandwidth, droplet_energy
@@ -56,6 +56,18 @@ def kernel_basis(block):
     cutoff = KERNEL_REL_TOL * svals[0]
     rank = int(np.sum(svals > cutoff))
     return vt[rank:].T.copy()
+
+
+def s3_blocks(shape):
+    """Partition of product-basis indices by total S^3 eigenvalue M, read off
+    ``HilbertShape.total_m`` on the whole product space: {HalfInt M: index
+    array}, M descending, consecutive pieces of one stable argsort of -2M,
+    so each piece is ascending.  The oracle for ``spinops._s3_block``."""
+    top = shape.s_max.twice
+    k = (top - np.rint(2 * shape.total_m()).astype(np.int64)) // 2  # S_max - M
+    order = np.argsort(k, kind="stable")
+    ends = np.cumsum(np.bincount(k)).tolist()
+    return {HalfInt(top - 2 * i): order[a:b] for i, (a, b) in enumerate(zip([0] + ends, ends))}
 
 
 def total_splus(shape):

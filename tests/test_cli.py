@@ -10,11 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import basis_csv_tuples, matrix_csv_tuples
 
 import foelab
+import foelab.sectors as sectors
+import foelab.ssep as ssep
+import foelab.temperley_lieb as temperley_lieb
 from foelab.cli import _HANDLERS, build_parser, main
 from foelab.errors import NumericalError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
@@ -139,21 +143,21 @@ class TestExitCodes:
         (("tl-matrix", "--k", "30", "--n", "15"),
          "the basis of 9694845 diagrams (15 arcs on 30 vertices) needs an estimated 26628 MB"),
         (("qfoel", "--L", "30", "--q", "0.5"),
-         "the basis of 405 diagrams (2 arcs on 30 vertices) needs an estimated 1 MB"),
+         "the basis of 33266625 diagrams (13 arcs on 30 vertices) needs an estimated 91370 MB"),
         (("droplet", "--q", "0.5", "--n", "12", "--Lmax", "30"),
          "the basis of 31865925 diagrams (12 arcs on 30 vertices) needs"),
         (("foel", "--chain", ",".join(["1"] * 30)),
-         "the S^3 partition of 1073741824 product states needs an estimated 24576 MB"),
+         "the sparse S=0 block of dimension 155117520 needs an estimated 357625 MB"),
         (("foel", "--graph", "path30.g"),
-         "the S^3 partition of 1073741824 product states needs an estimated 24576 MB"),
+         "the sparse S=0 block of dimension 155117520 needs an estimated 357625 MB"),
     ], ids=["tl-matrix", "qfoel", "droplet", "foel-chain", "foel-graph"])
     def test_size_guard_before_the_first_allocation(self, tmp_path, monkeypatch, capsys,
                                                     args, named):
-        # 30 sites under a 1 MB probe: the TL basis builder and the S^3
-        # partition check their estimates before they allocate.  qfoel is
-        # refused at its first sector past 1 MB (n = 2); so is the spin-1/2
-        # chain's diagram route, which falls back to the SU(2) route, whose
-        # partition refuses
+        # 30 sites under a 1 MB probe: the TL basis builder and the sector
+        # blocks check their estimates before they allocate.  qfoel builds
+        # its largest basis (n = 13) first; so does the spin-1/2 chain's
+        # diagram route, which falls back to the SU(2) route, whose largest
+        # block (S = 0) is refused first
         monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
         (tmp_path / "path30.g").write_text(
             "".join(f"site {i} 1\n" for i in range(30))
@@ -520,15 +524,84 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [("qfoel", "--L", "12", "--q", "0.5"),
-                                      ("fk-basis", "--spins", "2,2,2", "--S2", "2")])
+    @pytest.mark.parametrize("args", [
+        ("qfoel", "--L", "12", "--q", "0.5"),
+        ("fk-basis", "--spins", "2,2,2", "--S2", "2"),
+        ("foel", "--graph", "g"),
+        ("foel", "--chain", "1,2,3,2"),
+        ("spectrum", "--chain", "2,1,2"),
+        ("figure1",),
+        ("tl-matrix", "--k", "6", "--n", "2"),
+        ("droplet", "--q", "0.5", "--n", "1,2", "--Lmax", "8"),
+        ("ssep-gap", "--graph", "g"),
+        ("spinmap", "--graph", "g"),
+    ])
     def test_label_counts_need_no_product_space(self, tmp_path, monkeypatch, args):
-        def product_space(self):
-            raise AssertionError("the product space was built")
+        # S^3 is read off a shape of one term's sites (the invariance
+        # check), never off the whole product space
+        args = with_graphs(tmp_path, args)
+        expected, _ = run(tmp_path / "free", *args)
+        real = HilbertShape.total_m
 
-        monkeypatch.setattr(HilbertShape, "total_m", product_space)
-        code, _ = run(tmp_path, *args)
-        assert code == 0
+        def term_shapes_only(self):
+            if self.nsites > 2:  # every term acts on one or two sites
+                raise AssertionError("the product space was scanned")
+            return real(self)
+
+        monkeypatch.setattr(HilbertShape, "total_m", term_shapes_only)
+        code, _ = run(tmp_path / "patched", *args)
+        assert code == expected == 0
+
+    @pytest.mark.parametrize("args", [
+        ("foel", "--graph", "path14.g"),
+        ("foel", "--chain", ",".join(["1"] * 14)),
+        ("ssep-gap", "--graph", "path14.g"),
+        ("qfoel", "--L", "14", "--q", "0.5"),
+    ], ids=["foel-graph", "foel-chain", "ssep-gap", "qfoel"])
+    def test_largest_block_refused_before_any_solve(self, tmp_path, monkeypatch, capsys,
+                                                    args):
+        # with the probe just below the largest estimate of a free run,
+        # every smaller block passes its guard, and the largest one is
+        # refused before any eigensolver is called
+        graph = path_graph(tmp_path, [1.0 + 0.1 * i for i in range(13)])
+        args = [graph if a == "path14.g" else a for a in args]
+        estimates = []
+
+        def record(nbytes, what):
+            estimates.append(nbytes)
+
+        with monkeypatch.context() as m:
+            for module in (sectors, ssep, temperley_lieb):
+                m.setattr(module, "require_memory", record)
+            code, _ = run(tmp_path / "free", *args)
+        assert code in (0, 1) and estimates
+        monkeypatch.setattr("foelab.linalg.physical_memory_bytes",
+                            lambda: max(estimates) - 1)
+        solves = []
+
+        def spy(name, real):
+            def solver(*a, **k):
+                solves.append(name)
+                return real(*a, **k)
+            return solver
+
+        for module, name in ((sla, "eigsh"), (sla, "eigs"), (la, "eigh"),
+                             (la, "eigvalsh"), (np.linalg, "eig")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        code, out = run(tmp_path / "patched", *args)
+        assert code == 3
+        assert "needs an estimated" in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["foel", "ssep-gap"])
+    def test_64_sites_refused(self, tmp_path, capsys, command):
+        # the physical memory of any machine: past int64 product indices,
+        # a size error (exit 3), not a bug (exit 4)
+        code, out = run(tmp_path, command, "--graph", path_graph(tmp_path, [1.0] * 63))
+        assert code == 3
+        assert "needs an estimated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ssep_gap_tol_used_as_given(self, tmp_path, monkeypatch):
         import foelab.cli as cli

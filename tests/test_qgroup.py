@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (build_xxz_chain, commutator_maxabs, droplet_rows_per_length,
-                       kernel_basis, q_casimir, q_casimir_value, suq2_generators,
-                       xxz_bond)
+                       kernel_basis, q_casimir, q_casimir_value, s3_blocks,
+                       suq2_generators, xxz_bond)
 
 import foelab.qgroup as qgroup
 import foelab.temperley_lieb as tlmod
@@ -20,7 +20,7 @@ from foelab.qgroup import (
     finite_droplet_energy,
     q_sector_energies,
 )
-from foelab.sectors import check_foel, s3_blocks, sector_energies, sector_labels
+from foelab.sectors import check_foel, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, spin_matrices
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "xxz_droplets.py"

@@ -13,7 +13,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 from reference import (build_xxz_chain, casimir_sector_energies, fancy_block,
                        highest_weight_space, penalized_sector_spectra, raising_slice,
-                       spectrum_by_s3_blocks, total_s3, total_splus)
+                       s3_blocks, spectrum_by_s3_blocks, total_s3, total_splus)
 
 import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
@@ -34,7 +34,6 @@ from foelab.sectors import (
     check_max_ordering,
     full_spectrum_by_s3,
     low_energy_by_deviation,
-    s3_blocks,
     sector_energies,
     sector_labels,
 )
@@ -43,6 +42,7 @@ from foelab.spinops import (
     HilbertShape,
     LocalHamiltonian,
     _local_sum,
+    _s3_block,
     spin_matrices,
 )
 
@@ -62,39 +62,83 @@ def report_from(mins):
     return SectorReport(entries=entries)
 
 
+def traced_peak(fn, *args):
+    """tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def blocks(shape, *Ms):
+    return [_s3_block(shape, M) for M in Ms]
+
+
 class TestS3Blocks:
+    """``spinops._s3_block`` against the argsort of every product state's
+    S^3 (``reference.s3_blocks``)."""
+
     def test_two_halves(self):
-        blocks = s3_blocks(TWO_HALVES)
-        assert list(blocks[HalfInt(2)]) == [0]
-        assert list(blocks[HalfInt(0)]) == [1, 2]
-        assert list(blocks[HalfInt(-2)]) == [3]
+        assert _s3_block(TWO_HALVES, HalfInt(2)).tolist() == [0]
+        assert _s3_block(TWO_HALVES, HalfInt(0)).tolist() == [1, 2]
+        assert _s3_block(TWO_HALVES, HalfInt(-2)).tolist() == [3]
 
     def test_single_spin_one(self):
-        blocks = s3_blocks(HilbertShape([HalfInt(2)]))
-        assert all(len(idx) == 1 for idx in blocks.values())
-        assert [m.twice for m in blocks] == [2, 0, -2]
+        shape = HilbertShape([HalfInt(2)])
+        assert [_s3_block(shape, HalfInt(t)).tolist() for t in (2, 0, -2)] == [[0], [1], [2]]
 
     def test_three_halves_binomials(self):
-        blocks = s3_blocks(HilbertShape([HalfInt(1)] * 3))
-        assert [len(idx) for idx in blocks.values()] == [1, 3, 3, 1]
+        shape = HilbertShape([HalfInt(1)] * 3)
+        assert [len(_s3_block(shape, HalfInt(t))) for t in (3, 1, -1, -3)] == [1, 3, 3, 1]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(twice=st.lists(st.integers(0, 5), max_size=8))
+    def test_matches_the_argsort(self, twice):
+        # every M from past the top to past the bottom, both parities: an M
+        # with no state, M > S_max included, gives an empty block
+        shape = HilbertShape([HalfInt(t) for t in twice])
+        oracle = s3_blocks(shape)
+        top = shape.s_max.twice
+        for t in range(top + 3, -top - 4, -1):
+            block = _s3_block(shape, HalfInt(t))
+            assert block.dtype == np.int64
+            assert np.array_equal(block, oracle.get(HalfInt(t), np.zeros(0, dtype=np.int64)))
+
+    def test_product_indices_past_int64_refused(self):
+        with pytest.raises(NumericalError, match="pass int64"):
+            _s3_block(HilbertShape([HalfInt(1)] * 64), HalfInt(0))
 
     @pytest.mark.parametrize("twice", [(1,) * 18, (2,) * 11, (1, 2, 3, 4) * 3])
     def test_memory_estimate_bounds_the_traced_peak(self, twice):
+        # the estimates checked before a block is enumerated cover the
+        # enumeration: the dense route's for its M* block and the one above,
+        # the sparse route's for the S, S + 1 and S + 2 blocks (M* = 0 or
+        # 1/2: the largest blocks)
         shape = HilbertShape([HalfInt(t) for t in twice])
-        tracemalloc.start()
-        try:
-            s3_blocks(shape)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= sectors.S3_BYTES_PER_STATE * shape.dim
+        labels = sector_labels(shape)
+        S = min(labels)
+        m = sectors._block_size(labels, S)
+        assert m == len(s3_blocks(shape)[S])
+        dense = sectors.DENSE_BLOCK_ARRAYS * 8 * m ** 2
+        assert traced_peak(blocks, shape, S, S + HalfInt(2)) <= dense
+        terms = build_normalized_chain(ChainSpec(shape.spins, [1.0] * (len(twice) - 1))).terms
+        up = sectors._block_size(labels, S + HalfInt(2))
+        sparse = (sectors.SPARSE_BYTES_PER_ENTRY
+                  * (sectors._entry_bound(terms, m)
+                     + sectors._entry_bound(sectors._raising_terms(shape), m + up))
+                  + sectors.LANCZOS_VECTORS * 8 * m)
+        assert traced_peak(blocks, shape, S, S + HalfInt(2), S + HalfInt(4)) <= sparse
 
     def test_memory_guard_before_the_partition(self, monkeypatch):
+        # the largest sparse block is refused before any block is enumerated
         monkeypatch.setattr("foelab.linalg.physical_memory_bytes", lambda: 2 ** 20)
-        monkeypatch.setattr(HilbertShape, "total_m", None)
-        with pytest.raises(NumericalError, match="the S\\^3 partition of 65536 product "
-                                                 "states needs an estimated 2 MB"):
-            s3_blocks(HilbertShape([HalfInt(1)] * 16))
+        monkeypatch.setattr(sectors, "_s3_block", None)
+        h = build_normalized_chain(ChainSpec([HalfInt(1)] * 16, [1.0] * 15))
+        with pytest.raises(NumericalError, match="the sparse S=0 block of dimension 12870 "
+                                                 "needs an estimated"):
+            sector_energies(h)
 
 
 class TestHighestWeightSpace:
@@ -264,14 +308,14 @@ class TestWrongRaisingOperator:
         # offset, lands below g_lo
         h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
         with self.raising_terms(0.0), pytest.raises(NumericalError, match="band S=1"):
-            _sector_bands(h, s3_blocks(TWO_HALVES), sector_labels(TWO_HALVES), HalfInt(0))
+            _sector_bands(h, sector_labels(TWO_HALVES), HalfInt(0))
 
     def test_band_dimensions_must_fill_the_block(self):
+        # labels that count three states where the block enumerates two
         h = build_normalized_chain(ChainSpec([HalfInt(1)] * 2, [1.0]))
-        index = s3_blocks(TWO_HALVES)
-        _sector_bands(h, index, sector_labels(TWO_HALVES), HalfInt(0))
+        _sector_bands(h, sector_labels(TWO_HALVES), HalfInt(0))
         with pytest.raises(NumericalError, match="do not fill"):
-            _sector_bands(h, index, {HalfInt(2): 1, HalfInt(0): 2}, HalfInt(0))
+            _sector_bands(h, {HalfInt(2): 1, HalfInt(0): 2}, HalfInt(0))
 
     def assert_raising_certified(self, twice, wrong, min_dim):
         # S+ = 0 gives the singlet no penalty, and every Ritz certificate
@@ -396,9 +440,10 @@ def assert_same_csr_bytes(out, ref):
 
 
 class TestS3SortedCopy:
-    """The S^3 blocks and S+ maps assembled from the terms against scipy's
-    indexing of the full matrices, bit for bit: the solves see the same
-    numbers as the indexed blocks."""
+    """The S^3 blocks and S+ maps assembled from the terms on the enumerated
+    blocks against scipy's indexing of the full matrices by the argsorted
+    blocks, bit for bit: the solves see the same numbers as the indexed
+    blocks."""
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(problem=su2_operators())
@@ -406,9 +451,13 @@ class TestS3SortedCopy:
         H, shape = problem
         index, splus = s3_blocks(shape), total_splus(shape)
         for M, idx in index.items():
-            assert_same_csr_bytes(_local_sum(shape, H.terms, idx), fancy_block(H.matrix, idx))
-            assert_same_csr_bytes(sectors._raising(shape, index, M),
-                                  raising_slice(splus, index, M))
+            states = _s3_block(shape, M)
+            assert np.array_equal(states, idx)
+            assert_same_csr_bytes(_local_sum(shape, H.terms, states),
+                                  fancy_block(H.matrix, idx))
+            b = _local_sum(shape, sectors._raising_terms(shape), states,
+                           _s3_block(shape, M + HalfInt(2)))
+            assert_same_csr_bytes(b, raising_slice(splus, index, M))
         # a one-site field of 1e-13 changes M by one: within the tolerance,
         # and its images drop out of every block
         ops = spin_matrices(shape.spins[0])
@@ -465,7 +514,7 @@ class TestBandedSolve:
         H, shape = problem
         oracle = penalized_sector_spectra(H)
         labels = sector_labels(shape)
-        bands = _sector_bands(H, s3_blocks(shape), labels, min(labels))
+        bands = _sector_bands(H, labels, min(labels))
         with forced_route(DENSE):
             report = sector_energies(H).entries
         assert set(bands) == set(report) == set(oracle)
@@ -506,19 +555,19 @@ class TestSparseRoute:
 
     def test_crossover_blocks_take_the_sparse_route(self):
         # L = 13 spin-1/2: the M = 3/2, 1/2 blocks (1287, 1716 states) are
-        # at or above the crossover, the rest below it
+        # at or above the crossover, the rest below it; the largest first
         chain = ChainSpec([HalfInt(1)] * 13, list(np.linspace(0.5, 1.5, 12)))
         h = build_normalized_chain(chain)
         calls = []
         real = sectors._sector_extremes
 
-        def spy(H, index, S):
-            calls.append(len(index[S]))
-            return real(H, index, S)
+        def spy(H, labels, S):
+            calls.append(sectors._block_size(labels, S))
+            return real(H, labels, S)
 
         with mock.patch.object(sectors, "_sector_extremes", spy):
             rep = sector_energies(h)
-        assert calls == [1287, 1716]
+        assert calls == [1716, 1287]
         with forced_route(DENSE):
             dense = sector_energies(h)
         for S, e in dense.entries.items():

@@ -10,13 +10,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
-from reference import random_connected_graph
+from reference import random_connected_graph, s3_blocks
 
 import foelab.ssep as ssep
 from foelab.errors import NumericalError
 from foelab.hamiltonians import SpinGraph, build_heisenberg
-from foelab.sectors import s3_blocks
-from foelab.spinops import HalfInt
+from foelab.spinops import HalfInt, HilbertShape, _s3_block
 from foelab.ssep import (
     GAP_SPARSE_MIN_DIM,
     SSEPGenerator,
@@ -156,11 +155,13 @@ class TestGenerator:
 
     @pytest.mark.parametrize("nsites", [0, 1, 5, 12])
     def test_configs_are_the_popcount_filter(self, nsites):
-        # the bit-by-bit enumeration against a scan of all 2^N indices
+        # the S^3-block enumeration against a scan of all 2^N indices
         every = np.arange(2 ** nsites)
         ones = np.array([bin(c).count("1") for c in every.tolist()])
+        shape = HilbertShape([HalfInt(1)] * nsites)
         for n in range(nsites + 1):
-            assert np.array_equal(ssep._configs(nsites, n), every[ones == nsites - n])
+            assert np.array_equal(_s3_block(shape, HalfInt(2 * n - nsites)),
+                                  every[ones == nsites - n])
 
     def test_config_order_is_integer_order(self):
         gen = ssep_generator(path_graph(3), n=1)
@@ -329,11 +330,12 @@ class TestParticleHoleMirror:
         nsites = g.nsites
         halved = SpinGraph(g.sites, [(u, v, 0.5 * j) for u, v, j in g.edges])
         with forced_route(min_dim):
-            with mock.patch.object(ssep, "_configs", wraps=ssep._configs) as spy:
+            with mock.patch.object(ssep, "_s3_block", wraps=ssep._s3_block) as spy:
                 report = check_aldous(g)
                 spin = verify_spin_map(g)
-            solved = [c.args[1] for c in spy.call_args_list]
-            assert sorted(solved) == sorted(2 * list(range(1, nsites // 2 + 1)))
+            # n = N/2 ... 1 for each table, largest sector first
+            solved = [(c.args[1].twice + nsites) // 2 for c in spy.call_args_list]
+            assert solved == 2 * list(range(nsites // 2, 0, -1))
             assert [r[0] for r in report.rows] == list(range(1, nsites))
             for n, dim, lam in report.rows:
                 ref = spectral_gap(ssep_generator(g, n=n))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from reference import (basis_csv_tuples, build_xxz_chain, collatz_wielandt_bracket,
                        expand_diagram_to_tensor, fk_arrow_basis, fk_gram_matrix,
                        highest_weight_space, kernel_basis, matrix_csv_tuples,
-                       min_spec_comparison, suq2_generators, total_s3, total_splus)
+                       min_spec_comparison, s3_blocks, suq2_generators, total_s3,
+                       total_splus)
 
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
@@ -794,7 +795,6 @@ class TestQDeformedSpectra:
         """With couplings 1/(2(q + 1/q)) the diagram matrix carries exactly
         the deformed chain's sector spectrum."""
         from foelab.qgroup import QParam
-        from foelab.sectors import s3_blocks
 
         qp = QParam(q)
         shape = HilbertShape([HalfInt(1)] * k)
