@@ -227,6 +227,13 @@ def _margins_json(margins):
     ]
 
 
+def _verdict_json(verdict):
+    """The margins, crossings and violations of an ordering verdict."""
+    return {"margins": _margins_json(verdict.margins),
+            "crossings": _margins_json(verdict.crossings),
+            "violations": _margins_json(verdict.violations)}
+
+
 def _out(args, name):
     """Path of an output file.  ``reports`` makes the directory with the
     first file, so a run that fails before writing any leaves none behind."""
@@ -262,9 +269,7 @@ def cmd_foel(args):
               sector_csv_rows(report))
     write_json(_out(args, "foel.json"), {
         "foel_ok": verdict.ok,
-        "margins": _margins_json(verdict.margins),
-        "crossings": _margins_json(verdict.crossings),
-        "violations": _margins_json(verdict.violations),
+        **_verdict_json(verdict),
         "strict_tol": args.tol,
         # the minimum's [lo, hi] on the diagram route, null on the SU(2) routes
         "brackets": [{"S_times2": s.twice, "bracket": report.entries[s].bracket}
@@ -420,9 +425,7 @@ def cmd_qfoel(args):
     write_json(_out(args, "qfoel.json"), {
         "L": args.L, "q": qp.q, "delta": qp.delta,
         "qfoel_ok": verdict.ok,
-        "margins": _margins_json(verdict.margins),
-        "crossings": _margins_json(verdict.crossings),
-        "violations": _margins_json(verdict.violations),
+        **_verdict_json(verdict),
         "brackets": [{"S_times2": s.twice, "bracket": list(report.entries[s].bracket)}
                      for s in report.labels],
     })

@@ -1,6 +1,10 @@
 """Small shared linear-algebra helpers.
 
 ``require_memory`` is the memory guard every route calls before it allocates.
+``RESIDUAL_TOL`` is the one relative residual bound every certified
+eigenpair or invariant subspace meets: ||A v - theta v|| (or ||H V - V A||)
+at most RESIDUAL_TOL times a scale of A (each route names its own) times
+||v||.
 """
 
 import os
@@ -9,6 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
+
+RESIDUAL_TOL = 1e-9
 
 
 def physical_memory_bytes():

@@ -7,8 +7,11 @@ q|+-> - |-+>) of the weight S = L/2 - n highest-weight space, H_L is the TL
 matrix with couplings 1/(2(q + 1/q)), of dimension C(L,n) - C(L,n-1) and
 with exactly the sector's spectrum; its bottom is its certified Perron root
 (Nachtergaele-Starr, CMP 218 (2001)), which comes with its Collatz-Wielandt
-bracket.  ``q_sector_energies`` returns a ``sectors.SectorReport`` of those
-energies; ``sectors.check_foel`` decides the q-FOEL ordering.  The SU_q(2)
+bracket.  ``q_sector_energies`` reads those roots off the diagram route's
+sector loop (``temperley_lieb._diagram_sectors``) into a
+``sectors.SectorReport`` of ``SectorEntry`` records whose maximum is None
+(no top eigenvalue is solved); ``sectors.check_foel`` decides the q-FOEL
+ordering.  The SU_q(2)
 generators, the q-Casimir and the 2^L-state XXZ chain that the tests check
 this against are in ``tests/reference.py``.
 """
@@ -16,15 +19,12 @@ this against are in ``tests/reference.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .sectors import SectorReport, sector_labels
-from .spinops import HalfInt, HilbertShape
-from .temperley_lieb import perron_ground_vector, tl_hamiltonian_matrix
+from .sectors import SectorEntry, SectorReport
+from .temperley_lieb import _diagram_sectors, perron_ground_vector, tl_hamiltonian_matrix
 
 __all__ = [
     "QParam",
-    "QSectorEntry",
     "q_sector_energies",
     "droplet_energy",
     "droplet_bandwidth",
@@ -48,39 +48,31 @@ class QParam:
         return 0.5 * (self.q + 1.0 / self.q)
 
 
-class QSectorEntry(NamedTuple):
-    min_energy: float
-    dimension: int
-    bracket: tuple  # Collatz-Wielandt enclosure (lo, hi) of min_energy
+def _couplings(L, qp):
+    """The L - 1 bond couplings 1/(2(q + 1/q)) of H_L on the diagram basis."""
+    return [1.0 / (2.0 * (qp.q + 1.0 / qp.q))] * (L - 1)
 
 
 def _sector_matrix(L, n, qp):
     """The spin-deviation-n TL matrix of H_L, whose Perron root is
     E(H_L, S = L/2 - n)."""
-    j = 1.0 / (2.0 * (qp.q + 1.0 / qp.q))
-    return tl_hamiltonian_matrix(L, n, [j] * (L - 1), qp.q)
-
-
-def _sector_perron(L, n, qp):
-    """Certified Perron result of ``_sector_matrix(L, n, qp)``."""
-    return perron_ground_vector(_sector_matrix(L, n, qp))
+    return tl_hamiltonian_matrix(L, n, _couplings(L, qp), qp.q)
 
 
 def q_sector_energies(L, qp):
-    """E(H_L, S) for every total-spin label: a SectorReport of QSectorEntry.
+    """E(H_L, S) for every total-spin label: a SectorReport of SectorEntry
+    with max_energy None.
 
-    The q-sectors have the same dimensions as at q = 1, so the label set is
-    the undeformed one, solved largest first so its memory guard fires before
-    any solve.  ``sectors.check_foel`` gives the q-FOEL verdict.
+    Every sector S = L/2 - n is the n-arc TL matrix, of dimension
+    C(L,n) - C(L,n-1) as at q = 1, solved largest first so its memory guard
+    fires before any solve (``temperley_lieb._diagram_sectors``).
+    ``sectors.check_foel`` gives the q-FOEL verdict.
     """
     L = int(L)
     if L < 2:
         raise ValueError("need L >= 2")
-    labels = sector_labels(HilbertShape([HalfInt(1)] * L))
-    entries = {}
-    for S in sorted(labels, key=labels.get, reverse=True):
-        pf = _sector_perron(L, (L - S.twice) // 2, qp)
-        entries[S] = QSectorEntry(pf.eigenvalue, labels[S], pf.bracket)
+    entries = {S: SectorEntry(pf.eigenvalue, None, tl.dim, pf.bracket)
+               for S, tl, pf in _diagram_sectors(_couplings(L, qp), qp.q)}
     return SectorReport(entries=dict(sorted(entries.items(), reverse=True)))
 
 
@@ -118,7 +110,7 @@ def finite_droplet_energy(L, n, qp):
     L, n = int(L), int(n)
     if not 1 <= n <= L / 2:
         raise ValueError("need 1 <= n <= L/2 for the spin-deviation sector")
-    return _sector_perron(L, n, qp).eigenvalue
+    return perron_ground_vector(_sector_matrix(L, n, qp)).eigenvalue
 
 
 def droplet_csv_rows(l_values, n_values, qp):

@@ -56,11 +56,13 @@ and ``temperley_lieb.chain_sector_energies`` sends them there.  Graphs,
 higher and mixed spins come here, and so do the spin-1/2 chains whose
 diagram-route certificates are refused.
 
-A ``SectorReport`` holds energies only, here, in ``qgroup`` and on the
-diagram route; a ``SectorEntry`` carries the Collatz-Wielandt bracket of its
-minimum on the diagram route and None here.  Every FOEL verdict comes from
-one ``check_foel(report, tol)`` call; the ordering of the sector maxima
-comes from ``check_max_ordering``.
+Every route returns a ``SectorReport`` of ``SectorEntry`` records: here,
+on the diagram route and in ``qgroup``.  An entry carries the
+Collatz-Wielandt bracket of its minimum on the diagram and q routes and
+None here; its maximum is None on the q route, which solves none.  Every
+ordering verdict comes from one rule, ``_ordering``: ``check_foel(report,
+tol)`` applies it to the minima (FOEL, and q-FOEL on a ``qgroup`` report),
+``check_max_ordering`` to the maxima.
 """
 
 from __future__ import annotations
@@ -73,14 +75,13 @@ import scipy.linalg as la
 import scipy.sparse.linalg as sla
 
 from .errors import NonInvariantOperatorError, NumericalError
-from .linalg import max_abs, require_memory
+from .linalg import RESIDUAL_TOL, max_abs, require_memory
 from .spinops import HalfInt, HilbertShape, _local_sum, _s3_block, spin_matrices
 
 __all__ = [
     "SectorEntry",
     "SectorReport",
     "FoelVerdict",
-    "MaxOrderingVerdict",
     "sector_labels",
     "sector_energies",
     "check_foel",
@@ -114,15 +115,14 @@ SECTOR_SPARSE_MIN_DIM = 1000
 # spin-1 chains at L = 8 (beta = 0, 0.4) and a mixed 9-site chain.
 SPARSE_BYTES_PER_ENTRY = 24
 LANCZOS_VECTORS = 32
-RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SectorEntry:
     min_energy: float
-    max_energy: float
+    max_energy: float | None  # None on the q route
     dimension: int
-    bracket: tuple | None = None  # Collatz-Wielandt (lo, hi) of min_energy, diagram route
+    bracket: tuple | None = None  # Collatz-Wielandt (lo, hi) of min_energy; diagram and q routes
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class SectorReport:
     """Per-total-spin energies; ``check_foel`` and ``check_max_ordering``
     read the verdicts off them."""
 
-    entries: dict  # HalfInt S -> SectorEntry (qgroup: QSectorEntry)
+    entries: dict  # HalfInt S -> SectorEntry
 
     @property
     def labels(self):
@@ -151,12 +151,6 @@ class FoelVerdict:
     @property
     def min_margin(self):
         return min((g for _, _, g in self.margins), default=np.inf)
-
-
-@dataclass(frozen=True)
-class MaxOrderingVerdict:
-    ok: bool
-    margins: list  # (S_hi, S_lo, max(S_lo) - max(S_hi))
 
 
 def sector_labels(shape):
@@ -355,18 +349,17 @@ def sector_energies(H):
     return SectorReport(entries=entries)
 
 
-def check_foel(report, strict_tol=STRICT_FOEL_TOL):
-    """FOEL: E(H,S) strictly decreasing in S (margin > strict_tol).
-
-    Adjacent present labels are compared; near-ties (|gap| <= tol) are
-    flagged as level crossings, negative gaps as violations.
-    """
-    labels = report.labels
+def _ordering(values, tol):
+    """Verdict that ``values`` ({S: energy}, S descending) strictly decrease
+    in S, each adjacent pair by more than tol: the margin of (S_hi, S_lo) is
+    values[S_lo] - values[S_hi]; |margin| <= tol is a crossing, a margin
+    below -tol a violation."""
+    labels = list(values)
     margins, crossings, violations = [], [], []
     for s_hi, s_lo in zip(labels, labels[1:]):
-        gap = report.entries[s_lo].min_energy - report.entries[s_hi].min_energy
+        gap = values[s_lo] - values[s_hi]
         margins.append((s_hi, s_lo, float(gap)))
-        if abs(gap) <= strict_tol:
+        if abs(gap) <= tol:
             crossings.append((s_hi, s_lo, float(gap)))
         elif gap < 0:
             violations.append((s_hi, s_lo, float(gap)))
@@ -375,23 +368,22 @@ def check_foel(report, strict_tol=STRICT_FOEL_TOL):
                        violations=violations)
 
 
+def check_foel(report, strict_tol=STRICT_FOEL_TOL):
+    """FOEL: E(H,S) strictly decreasing in S (margin > strict_tol), over
+    adjacent present labels (``_ordering`` on the minima)."""
+    return _ordering({S: report.entries[S].min_energy for S in report.labels}, strict_tol)
+
+
 def check_max_ordering(report, s_low=HalfInt(2)):
     """Ordering of maximal sector energies over the labels S >= s_low.
 
     For the ferromagnetic sign convention the top of the spectrum is the
     antiferromagnetic ground state, so max energies strictly decrease as S
     increases (Lieb-Mattis ordering read from the top), each by more than
-    1e-10.
+    1e-10 (``_ordering`` on the maxima).
     """
-    labels = [s for s in report.labels if s >= s_low]
-    margins = []
-    ok = True
-    for s_hi, s_lo in zip(labels, labels[1:]):
-        diff = report.entries[s_lo].max_energy - report.entries[s_hi].max_energy
-        margins.append((s_hi, s_lo, float(diff)))
-        if diff <= 1e-10:
-            ok = False
-    return MaxOrderingVerdict(ok=ok, margins=margins)
+    return _ordering({S: report.entries[S].max_energy
+                      for S in report.labels if S >= s_low}, 1e-10)
 
 
 def full_spectrum_by_s3(H, offset=False):

@@ -45,7 +45,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError
 from .hamiltonians import SpinGraph, build_heisenberg
-from .linalg import max_abs, require_memory
+from .linalg import RESIDUAL_TOL, max_abs, require_memory
 from .spinops import HalfInt, HilbertShape, _s3_block
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 ZERO_MODE_TOL = 1e-10
-RESIDUAL_TOL = 1e-9
 # Certified dense eigh of the one pair is faster below this sector
 # dimension, the deflated one-pair Lanczos above it.  Best of 5 on
 # path-graph sectors, dense vs Lanczos (2 BLAS threads, 2-vCPU VM): 2.3 vs

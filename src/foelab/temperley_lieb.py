@@ -30,6 +30,8 @@ V^(L/2 - n), so ``diagram_sector_energies`` gives every sector of that
 chain from matrices of dimension C(L,n) - C(L,n-1): the minimum is the
 certified Perron root with its Collatz-Wielandt bracket, the maximum minus
 the bottom eigenvalue of the sign-flipped -DAD (``_top_eigenvalue``).
+One loop, ``_diagram_sectors``, builds and solves the sectors, largest
+basis first; ``qgroup.q_sector_energies`` reads the same loop at q < 1.
 ``chain_sector_energies`` sends a ChainSpec there when every spin is 1/2,
 and every other chain, or one whose certificates are refused there, to
 ``sectors.sector_energies``.
@@ -57,7 +59,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import NumericalError, ReducibleMatrixError
 from .hamiltonians import ChainSpec, build_normalized_chain
-from .linalg import require_memory
+from .linalg import RESIDUAL_TOL, require_memory
 from .sectors import SectorEntry, SectorReport, sector_energies, sector_labels
 from .spinops import HalfInt, HilbertShape, _local_sum
 
@@ -438,8 +440,8 @@ def _extremal_pair(a, scale, end):
 
     NumericalError, naming the ``end`` solved ("ground" or "top"), unless
     ARPACK converges, the eigenvalue is real to 1e-9 scale and
-    ||Av - lambda v|| <= 1e-9 scale ||v||; which eigenvalue the solver
-    found is the caller's to check.
+    ||Av - lambda v|| <= RESIDUAL_TOL scale ||v||; which eigenvalue the
+    solver found is the caller's to check.
     """
     m = a.shape[0]
     if m < PERRON_SPARSE_MIN_DIM:
@@ -459,7 +461,7 @@ def _extremal_pair(a, scale, end):
     v = v.real / np.sign(v.real[np.argmax(np.abs(v.real))])
     # in units of scale, so entries near 1/q at tiny q do not overflow the norm
     residual = float(np.linalg.norm((a @ v - value * v) / scale))
-    if residual > 1e-9 * np.linalg.norm(v):
+    if residual > RESIDUAL_TOL * np.linalg.norm(v):
         raise NumericalError(f"{end} pair residual {residual:.3e} (of ||A||_inf) too large")
     return value, v, gap
 
@@ -474,7 +476,7 @@ def perron_ground_vector(A):
     ``_extremal_pair`` (also the one ``_top_eigenvalue`` runs on -DAD), is
     not trusted for which eigenvalue it found.  Certified, else
     NumericalError: a real eigenvalue with ||Av - lambda v|| <=
-    1e-9 ||A||_inf ||v||, no entry of v below -1e-10 times the largest (a
+    RESIDUAL_TOL ||A||_inf ||v||, no entry of v below -1e-10 times the largest (a
     vector of both signs belongs to another eigenvalue), and a
     Collatz-Wielandt bracket at most 1e-9 max(1, ||A||_inf) wide that holds
     the solver's eigenvalue to PERRON_BRACKET_ULPS eps max(1, ||A||_inf).
@@ -543,6 +545,18 @@ def _top_eigenvalue(tl, floor):
     return -bottom
 
 
+def _diagram_sectors(couplings, q):
+    """(S, TLMatrix, PerronResult) of every sector S = L/2 - n,
+    n = 0 ... L/2, of the L-vertex chain with these couplings at q: the
+    n-arc TL matrix and its certified Perron root.  The largest basis comes
+    first, so its memory guard fires before any solve, and each sector is
+    built and solved only when it is reached."""
+    L = len(couplings) + 1
+    for n in sorted(range(L // 2 + 1), key=lambda n: -diagram_count(L, n)):
+        tl = tl_hamiltonian_matrix(L, n, couplings, q)
+        yield HalfInt(L - 2 * n), tl, perron_ground_vector(tl)
+
+
 def diagram_sector_energies(couplings):
     """SectorReport of the spin-1/2 chain sum_x J_x (1 - 4 S_x.S_{x+1})
     (``build_normalized_chain`` with every spin 1/2) from its diagram bases.
@@ -550,20 +564,13 @@ def diagram_sector_energies(couplings):
     For S = L/2 - n, n = 0 ... L/2, the n-arc TL matrix at q = 1 spans
     V^(S) and has exactly the sector's spectrum: its certified Perron root
     (with its bracket) is the sector minimum and its top eigenvalue
-    (``_top_eigenvalue``) the maximum.  No 2^L-dimensional
-    operator, S^3 block or invariance check: the basis is invariant by
-    construction.  The largest basis is built first, so its memory guard
-    fires before any solve.
+    (``_top_eigenvalue``) the maximum, sector by sector as
+    ``_diagram_sectors`` reaches them.  No 2^L-dimensional operator, S^3
+    block or invariance check: the basis is invariant by construction.
     """
-    couplings = tuple(float(j) for j in couplings)
-    L = len(couplings) + 1
-    entries = {}
-    for n in sorted(range(L // 2 + 1), key=lambda n: -diagram_count(L, n)):
-        tl = tl_hamiltonian_matrix(L, n, couplings, 1.0)
-        pf = perron_ground_vector(tl)
-        entries[HalfInt(L - 2 * n)] = SectorEntry(
-            pf.eigenvalue, _top_eigenvalue(tl, pf.eigenvalue),
-            diagram_count(L, n), pf.bracket)
+    entries = {S: SectorEntry(pf.eigenvalue, _top_eigenvalue(tl, pf.eigenvalue),
+                              tl.dim, pf.bracket)
+               for S, tl, pf in _diagram_sectors(tuple(float(j) for j in couplings), 1.0)}
     return SectorReport(entries=dict(sorted(entries.items(), reverse=True)))
 
 
@@ -707,10 +714,8 @@ def fk_highest_weight_basis(spins, S):
         for (ndowns, arcs), a, b in zip(found, ends[:-1], ends[1:])]
 
 
-# Largest cond(V^T V) = cond(R)^2 (V = QR) and relative residual
-# ||H V - V A|| / (max(1, ||H||_inf) ||V||) that fk_hamiltonian_matrix accepts.
+# Largest cond(V^T V) = cond(R)^2 (V = QR) that fk_hamiltonian_matrix accepts.
 FK_GRAM_COND_LIMIT = 1e12
-FK_RESIDUAL_TOL = 1e-9
 
 
 def fk_hamiltonian_matrix(spins, couplings, basis):
@@ -720,8 +725,9 @@ def fk_hamiltonian_matrix(spins, couplings, basis):
     V spans an H-invariant space in the M = S block, so H V stays on the
     union of the vectors' supports: H is assembled there from the local
     terms, V is a dense column block there, and A = R^-1 Q^T (H V) from
-    V = QR.  NumericalError past FK_GRAM_COND_LIMIT or FK_RESIDUAL_TOL
-    (the check that V spans an invariant space).
+    V = QR.  NumericalError past FK_GRAM_COND_LIMIT, or when
+    ||H V - V A|| > RESIDUAL_TOL max(1, ||H||_inf) ||V|| (the check that V
+    spans an invariant space).
     """
     if not basis:
         raise ValueError("empty basis")
@@ -742,7 +748,7 @@ def fk_hamiltonian_matrix(spins, couplings, basis):
     residual = hs @ v
     residual -= v @ a
     residual = float(np.linalg.norm(residual))
-    bound = FK_RESIDUAL_TOL * max(1.0, float(abs(hs).sum(axis=1).max())) * np.linalg.norm(v)
+    bound = RESIDUAL_TOL * max(1.0, float(abs(hs).sum(axis=1).max())) * np.linalg.norm(v)
     if residual > bound:
         raise NumericalError(f"the basis does not span an H-invariant space: "
                              f"||H V - V A|| = {residual:.3e} > {bound:.3e}")

@@ -205,8 +205,8 @@ def test_criterion_6_q_deformed_ordering():
     for q in (0.2, 0.5, 0.8):
         qp = QParam(q)
         two = q_sector_energies(2, qp)
-        exact_ok &= abs(two.entries[HalfInt(2)][0]) <= 1e-10
-        exact_ok &= abs(two.entries[HalfInt(0)][0] - 1.0) <= 1e-10
+        exact_ok &= abs(two.entries[HalfInt(2)].min_energy) <= 1e-10
+        exact_ok &= abs(two.entries[HalfInt(0)].min_energy - 1.0) <= 1e-10
         for L in range(2, 9):
             v = check_foel(q_sector_energies(L, qp), strict_tol=1e-8)
             worst = min(worst, v.min_margin)

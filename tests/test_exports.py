@@ -157,3 +157,23 @@ def test_every_constant_is_read():
     # a constant left behind by a removed route reads as a live setting
     unread = unread_constants()
     assert not unread, f"constants no src module reads: {unread}"
+
+
+def duplicate_constants():
+    """NAME: [modules] of every module-level UPPER_CASE name that more than
+    one src module assigns."""
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for n in ast.walk(node):
+                    if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                            and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id)):
+                        owners.setdefault(n.id, set()).add(path.stem)
+    return {name: sorted(mods) for name, mods in owners.items() if len(mods) > 1}
+
+
+def test_no_constant_is_defined_twice():
+    # one setting, one owner: a second copy drifts from the first unnoticed
+    twice = duplicate_constants()
+    assert not twice, f"constants assigned in more than one module: {twice}"

@@ -20,7 +20,7 @@ from foelab.qgroup import (
     finite_droplet_energy,
     q_sector_energies,
 )
-from foelab.sectors import check_foel, sector_energies, sector_labels
+from foelab.sectors import SectorEntry, check_foel, sector_energies, sector_labels
 from foelab.spinops import HalfInt, HilbertShape, spin_matrices
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "xxz_droplets.py"
@@ -113,8 +113,8 @@ class TestQSectorEnergies:
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     def test_two_site_exact(self, q):
         report = q_sector_energies(2, QParam(q))
-        assert abs(report.entries[HalfInt(2)][0]) <= 1e-10
-        assert abs(report.entries[HalfInt(0)][0] - 1.0) <= 1e-10
+        assert abs(report.entries[HalfInt(2)].min_energy) <= 1e-10
+        assert abs(report.entries[HalfInt(0)].min_energy - 1.0) <= 1e-10
         assert check_foel(report).ok
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
@@ -123,6 +123,17 @@ class TestQSectorEnergies:
         verdict = check_foel(q_sector_energies(L, QParam(q)))
         assert verdict.ok
         assert all(g > 1e-8 for _, _, g in verdict.margins)
+
+    @pytest.mark.parametrize("L", [2, 5, 8])
+    def test_every_route_returns_sector_entries(self, L):
+        js = [1.0 + 0.25 * x for x in range(L - 1)]
+        chain = build_normalized_chain(ChainSpec([HalfInt(1)] * L, js))
+        q_report = q_sector_energies(L, QParam(0.5))
+        for report in (sector_energies(chain), tlmod.diagram_sector_energies(js), q_report):
+            assert all(type(e) is SectorEntry for e in report.entries.values())
+        for S, e in q_report.entries.items():
+            assert e.max_energy is None
+            assert e.dimension == tlmod.diagram_count(L, (L - S.twice) // 2)
 
     def test_dimensions_match_undeformed(self):
         report = q_sector_energies(5, QParam(0.3))

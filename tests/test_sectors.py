@@ -15,6 +15,7 @@ from reference import (build_xxz_chain, casimir_sector_energies, fancy_block,
                        highest_weight_space, penalized_sector_spectra, raising_slice,
                        s3_blocks, spectrum_by_s3_blocks, total_s3, total_splus)
 
+import foelab.linalg as linalg
 import foelab.sectors as sectors
 from foelab.errors import NonInvariantOperatorError, NumericalError
 from foelab.hamiltonians import (
@@ -638,6 +639,24 @@ class TestCheckMaxOrdering:
             HalfInt(2): SectorEntry(1.0, 4.0, 1),
         }
         assert not check_max_ordering(SectorReport(entries=entries)).ok
+
+    @pytest.mark.parametrize("top, ok", [(1e-10, False), (2e-10, True), (-1e-10, False)])
+    def test_boundary(self, top, ok):
+        # the S = 1 maximum must exceed the S = 2 one by more than 1e-10
+        entries = {HalfInt(4): SectorEntry(0.0, 0.0, 1), HalfInt(2): SectorEntry(0.0, top, 1)}
+        v = check_max_ordering(SectorReport(entries=entries))
+        assert v.ok is ok
+        assert v.margins == [(HalfInt(4), HalfInt(2), top)]
+
+
+class TestResidualTolerance:
+    def test_sparse_solve_reads_the_shared_tolerance(self):
+        # a zero bound certifies no Ritz pair, so the sparse route must raise
+        assert sectors.RESIDUAL_TOL is linalg.RESIDUAL_TOL
+        h = build_normalized_chain(ChainSpec([HalfInt(1)] * 6, [1.0, 0.5, 2.0, 1.0, 0.7]))
+        with forced_route(SPARSE), mock.patch.object(sectors, "RESIDUAL_TOL", 0.0), \
+                pytest.raises(NumericalError, match=r"not certified \(residual"):
+            sector_energies(h)
 
 
 class TestFullSpectrumByS3:

@@ -12,6 +12,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 from reference import random_connected_graph, s3_blocks
 
+import foelab.linalg as linalg
 import foelab.ssep as ssep
 from foelab.errors import NumericalError
 from foelab.hamiltonians import SpinGraph, build_heisenberg
@@ -384,6 +385,15 @@ class TestGapCertificates:
                                                      getattr(self, fake)), \
                 pytest.raises(NumericalError, match=message):
             spectral_gap(gen)
+
+    @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
+    def test_residual_reads_the_shared_tolerance(self, min_dim):
+        # a zero bound certifies no gap pair, on either route
+        assert ssep.RESIDUAL_TOL is linalg.RESIDUAL_TOL
+        a = ssep_generator(path_graph(6), n=2).L
+        with forced_route(min_dim), mock.patch.object(ssep, "RESIDUAL_TOL", 0.0), \
+                pytest.raises(NumericalError, match="gap eigenpair residual"):
+            ssep._certified_gap(a)
 
     @pytest.mark.parametrize("min_dim", [DENSE, SPARSE])
     def test_nonzero_row_sums_rejected(self, min_dim):

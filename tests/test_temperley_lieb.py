@@ -16,6 +16,7 @@ from reference import (basis_csv_tuples, build_xxz_chain, collatz_wielandt_brack
                        min_spec_comparison, s3_blocks, suq2_generators, total_s3,
                        total_splus)
 
+import foelab.linalg as linalg
 import foelab.temperley_lieb as tlmod
 from foelab.errors import NumericalError, ReducibleMatrixError
 from foelab.hamiltonians import ChainSpec, build_normalized_chain
@@ -305,6 +306,15 @@ class TestPerron:
     def test_positive_off_diagonal_rejected(self):
         with pytest.raises(ValueError):
             perron_ground_vector(np.array([[1.0, 0.5], [-0.5, 2.0]]))
+
+    @pytest.mark.parametrize("route", ["dense", "sparse"])
+    def test_residual_reads_the_shared_tolerance(self, route, monkeypatch):
+        # a zero bound certifies no eigenpair of _extremal_pair
+        assert tlmod.RESIDUAL_TOL is linalg.RESIDUAL_TOL
+        monkeypatch.setattr(tlmod, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match="ground pair residual"):
+            _perron(tl_hamiltonian_matrix(8, 3, [1.0, 0.5, 2.0, 1.0, 0.7, 1.5, 0.3], 0.5).matrix,
+                    route, monkeypatch)
 
 
 def _perron(a, route, monkeypatch):
@@ -1012,6 +1022,13 @@ class TestFKMatrix:
             a = fk_matrix(spins, [1.0, 1.0], S)
             off = a - np.diag(np.diag(a))
             assert off.max() <= 1e-10
+
+    def test_residual_reads_the_shared_tolerance(self, monkeypatch):
+        # a zero bound refuses every basis as not spanning an invariant space
+        assert tlmod.RESIDUAL_TOL is linalg.RESIDUAL_TOL
+        monkeypatch.setattr(tlmod, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericalError, match=r"\|\|H V - V A\|\| = "):
+            fk_matrix([HalfInt(2)] * 3, [1.0, 0.5], HalfInt(0))
 
     def test_ill_conditioned_gram_refused(self, monkeypatch):
         monkeypatch.setattr(tlmod, "FK_GRAM_COND_LIMIT", 1e-1)
